@@ -2,7 +2,7 @@
 //! the unit of work the paper's throughput numbers decompose into.
 
 use fpc_bench::microbench::Group;
-use fpc_transforms::{bit_transpose, diffms, fcm, mplg, rare, raze, rze};
+use fpc_transforms::{bit_transpose, diffms, fcm, mplg, rare, raze, rze, words};
 
 const CHUNK_U32: usize = 4096;
 const CHUNK_U64: usize = 2048;
@@ -67,6 +67,13 @@ fn main() {
             out
         });
     }
+    {
+        // Chunk-local FCM, as AUTO's DPratio candidate runs it.
+        let w: Vec<u64> = (0..CHUNK_U64)
+            .map(|i| ((i % 97) as f64).to_bits())
+            .collect();
+        group.bench("fcm_encode", || fcm::encode(&w));
+    }
 
     let data: Vec<u64> = (0..1 << 16)
         .map(|i| ((i % 1024) as f64).to_bits())
@@ -79,4 +86,19 @@ fn main() {
     group.bench("fcm_decode_64k_values", || {
         fcm::decode(&enc).expect("valid arrays")
     });
+
+    // One 8 MiB DPratio file's global stage: past the 2^18-words-per-worker
+    // cutoff, so 2 threads run the pool-parallel encoder.
+    let values: Vec<f64> = (0..1 << 20)
+        .map(|i| ((i as f64 * 1e-3).sin() * 512.0).round() / 512.0)
+        .collect();
+    let bytes = words::f64_slice_to_bytes(&values);
+    let group = Group::new("transforms_global_1m")
+        .throughput_bytes(bytes.len() as u64)
+        .sample_size(10);
+    for threads in [1, 2] {
+        group.bench(&format!("fcm_encode_1m_values_{threads}t"), || {
+            fcm::encode_payload(&bytes, fcm::MATCH_WINDOW, threads)
+        });
+    }
 }

@@ -111,12 +111,7 @@ pub fn analyze_bytes(data: &[u8], algorithm: Algorithm) -> Anatomy {
             }
         }
         Algorithm::DpRatio => {
-            let (w, tail) = words::bytes_to_u64(data);
-            let enc = fcm::encode(&w);
-            let mut payload = Vec::with_capacity(w.len() * 16 + tail.len());
-            words::u64_to_bytes(&enc.values, &mut payload);
-            words::u64_to_bytes(&enc.distances, &mut payload);
-            payload.extend_from_slice(tail);
+            let payload = fcm::encode_payload(data, fcm::MATCH_WINDOW, 1);
             add(&mut stages, "FCM", payload.len());
             for chunk in payload.chunks(chunk_size.max(1)) {
                 let (mut cw, ctail) = words::bytes_to_u64(chunk);

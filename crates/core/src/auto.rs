@@ -29,7 +29,7 @@ use fpc_container::{
     AdaptiveChunkCodec, ChunkCodec, Error, ALGO_DP_RATIO, ALGO_DP_SPEED, ALGO_SP_RATIO,
     ALGO_SP_SPEED,
 };
-use fpc_transforms::{fcm, words};
+use fpc_transforms::fcm;
 
 /// Prefix-sample length (bytes) used to estimate per-candidate encoded
 /// sizes on large chunks. A multiple of 8 so both word widths sample whole
@@ -70,8 +70,10 @@ impl Default for DpRatioLocalCodec {
 
 impl ChunkCodec for DpRatioLocalCodec {
     fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) {
-        let (w, tail) = words::bytes_to_u64(chunk);
-        let enc = fcm::encode_with_window(&w, self.fcm_window);
+        let payload = fcm::encode_payload(chunk, self.fcm_window, 1);
+        let head = chunk.len() / 8 * 8;
+        let (values, rest) = payload.split_at(head);
+        let (distances, tail) = rest.split_at(head);
         let inner = DpRatioChunkCodec {
             fixed_split: self.fixed_split,
         };
@@ -81,21 +83,12 @@ impl ChunkCodec for DpRatioLocalCodec {
         // RAZE/RARE choose a byte split per array, exactly as the fixed
         // DPratio pipeline does when it chunks the global FCM intermediate.
         // Layout: [values-enc len u32][values enc][distances enc][raw tail].
-        let mut part = Vec::with_capacity(w.len() * 8);
-        words::u64_to_bytes(&enc.values, &mut part);
-        let mut enc_values = Vec::new();
-        inner.encode_chunk(&part, &mut enc_values);
-        part.clear();
-        words::u64_to_bytes(&enc.distances, &mut part);
-        let mut enc_distances = Vec::new();
-        inner.encode_chunk(&part, &mut enc_distances);
-        out.extend_from_slice(
-            &u32::try_from(enc_values.len())
-                .expect("chunk fits u32")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&enc_values);
-        out.extend_from_slice(&enc_distances);
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        inner.encode_chunk(values, out);
+        let values_len = u32::try_from(out.len() - len_at - 4).expect("chunk fits u32");
+        out[len_at..len_at + 4].copy_from_slice(&values_len.to_le_bytes());
+        inner.encode_chunk(distances, out);
         out.extend_from_slice(tail);
     }
 
@@ -111,27 +104,23 @@ impl ChunkCodec for DpRatioLocalCodec {
             return Err(Error::Corrupt("fcm chunk too short"));
         }
         let values_len = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) as usize;
-        let body = &data[4..data.len() - tail_len];
+        let (body, tail) = data[4..].split_at(data.len() - 4 - tail_len);
         if values_len > body.len() {
             return Err(Error::Corrupt("fcm value-part length out of range"));
         }
+        // Rebuild the global stage's payload layout and share its decoder.
         let inner = DpRatioChunkCodec { fixed_split: None };
-        let mut part = Vec::with_capacity(nwords * 8);
-        inner.decode_chunk(&body[..values_len], nwords * 8, &mut part)?;
-        if part.len() != nwords * 8 {
+        let mut payload = Vec::with_capacity(nwords * 16 + tail_len);
+        inner.decode_chunk(&body[..values_len], nwords * 8, &mut payload)?;
+        if payload.len() != nwords * 8 {
             return Err(Error::Corrupt("fcm value array length mismatch"));
         }
-        let (values, _) = words::bytes_to_u64(&part);
-        part.clear();
-        inner.decode_chunk(&body[values_len..], nwords * 8, &mut part)?;
-        if part.len() != nwords * 8 {
+        inner.decode_chunk(&body[values_len..], nwords * 8, &mut payload)?;
+        if payload.len() != nwords * 16 {
             return Err(Error::Corrupt("fcm distance array length mismatch"));
         }
-        let (distances, _) = words::bytes_to_u64(&part);
-        let decoded = fcm::decode_arrays(&values, &distances).map_err(map_decode)?;
-        words::u64_to_bytes(&decoded, out);
-        out.extend_from_slice(&data[data.len() - tail_len..]);
-        Ok(())
+        payload.extend_from_slice(tail);
+        fcm::decode_payload(&payload, expected_len, out).map_err(map_decode)
     }
 }
 
@@ -262,6 +251,7 @@ impl AdaptiveChunkCodec for AutoCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpc_transforms::words;
 
     fn smooth_f64_chunk(n: usize) -> Vec<u8> {
         let floats: Vec<f64> = (0..n).map(|i| (i as f64 * 0.001).sin() * 5.0).collect();

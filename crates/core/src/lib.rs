@@ -211,6 +211,11 @@ impl Compressor {
     ///
     /// The byte length does not have to be a multiple of the element width;
     /// trailing bytes are stored verbatim.
+    ///
+    /// # Panics
+    ///
+    /// DPratio panics on inputs of more than [`fcm::MAX_WORDS`] words
+    /// (32 GiB): its global FCM stage indexes words with 32 bits.
     pub fn compress_bytes(&self, data: &[u8]) -> Vec<u8> {
         self.compress_bytes_width(data, self.algorithm.element_width())
     }
@@ -248,14 +253,10 @@ impl Compressor {
             }
             Algorithm::DpRatio => {
                 // Global FCM stage (paper §3.2): the only stage that sees the
-                // whole input. It doubles the payload; the chunked stages
-                // then compress the value and distance arrays.
-                let (words, tail) = words::bytes_to_u64(data);
-                let enc = fcm::encode_with_window(&words, self.options.fcm_window);
-                let mut payload = Vec::with_capacity(words.len() * 16 + tail.len());
-                words::u64_to_bytes(&enc.values, &mut payload);
-                words::u64_to_bytes(&enc.distances, &mut payload);
-                payload.extend_from_slice(tail);
+                // whole input, run on the same thread budget as the chunks.
+                // It doubles the payload; the chunked stages then compress
+                // the value and distance arrays.
+                let payload = fcm::encode_payload(data, self.options.fcm_window, self.threads);
                 header.payload_len = payload.len() as u64;
                 let codec = DpRatioChunkCodec {
                     fixed_split: self.options.fixed_split,
@@ -368,22 +369,7 @@ pub fn decompress_bytes_with(stream: &[u8], threads: usize) -> Result<Vec<u8>> {
         Algorithm::DpRatio => {
             let codec = DpRatioChunkCodec { fixed_split: None };
             let (_, payload) = fpc_container::decompress(stream, &codec, threads)?;
-            let original_len = usize::try_from(header.original_len)
-                .map_err(|_| Error::Container(fpc_container::Error::Corrupt("length overflow")))?;
-            let nwords = original_len / 8;
-            let tail_len = original_len % 8;
-            if payload.len() != nwords * 16 + tail_len {
-                return Err(Error::Container(fpc_container::Error::Corrupt(
-                    "fcm payload length mismatch",
-                )));
-            }
-            let (values, _) = words::bytes_to_u64(&payload[..nwords * 8]);
-            let (distances, _) = words::bytes_to_u64(&payload[nwords * 8..nwords * 16]);
-            let decoded = fcm::decode_arrays(&values, &distances).map_err(pipeline::map_decode)?;
-            let mut out = Vec::with_capacity(original_len);
-            words::u64_to_bytes(&decoded, &mut out);
-            out.extend_from_slice(&payload[nwords * 16..]);
-            Ok(out)
+            finish_fcm(header, &payload)
         }
         Algorithm::Auto => {
             let codec = AutoCodec::default();
@@ -439,6 +425,16 @@ fn decompress_f64_with(stream: &[u8], threads: usize) -> Result<Vec<f64>> {
         len: bytes.len() as u64,
         width: 8,
     })
+}
+
+/// Inverts DPratio's global FCM stage over the decoded chunk payload — the
+/// one finisher the one-shot and streaming decoders share.
+fn finish_fcm(header: Header, payload: &[u8]) -> Result<Vec<u8>> {
+    let original_len = usize::try_from(header.original_len)
+        .map_err(|_| Error::Container(fpc_container::Error::Corrupt("length overflow")))?;
+    let mut out = Vec::new();
+    fcm::decode_payload(payload, original_len, &mut out).map_err(pipeline::map_decode)?;
+    Ok(out)
 }
 
 fn finish_plain(header: Header, payload: Vec<u8>) -> Result<Vec<u8>> {

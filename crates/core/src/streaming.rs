@@ -37,9 +37,7 @@ use fpc_container::{
     AdaptiveChunkCodec, ChunkCodec, EncodedChunk, FrameAssembler, Header, StreamingDecoder,
     FLAG_CHUNK_CODECS,
 };
-use fpc_transforms::{fcm, words};
 
-use crate::pipeline;
 use crate::{
     Algorithm, AutoCodec, Compressor, DpRatioChunkCodec, DpSpeedCodec, Error, PipelineOptions,
     Result, SpRatioCodec, SpSpeedCodec,
@@ -560,23 +558,7 @@ impl StreamingDecompressor {
                     codec,
                     payload: Vec::new(),
                 };
-                let original_len = usize::try_from(header.original_len).map_err(|_| {
-                    Error::Container(fpc_container::Error::Corrupt("length overflow"))
-                })?;
-                let nwords = original_len / 8;
-                let tail_len = original_len % 8;
-                if payload.len() != nwords * 16 + tail_len {
-                    return Err(Error::Container(fpc_container::Error::Corrupt(
-                        "fcm payload length mismatch",
-                    )));
-                }
-                let (values, _) = words::bytes_to_u64(&payload[..nwords * 8]);
-                let (distances, _) = words::bytes_to_u64(&payload[nwords * 8..nwords * 16]);
-                let decoded =
-                    fcm::decode_arrays(&values, &distances).map_err(pipeline::map_decode)?;
-                let mut out = Vec::with_capacity(original_len);
-                words::u64_to_bytes(&decoded, &mut out);
-                out.extend_from_slice(&payload[nwords * 16..]);
+                let out = crate::finish_fcm(header, &payload)?;
                 self.produced += out.len() as u64;
                 self.ready_bytes += out.len() as u64;
                 self.ready.push_back(out);

@@ -124,15 +124,25 @@ where
 /// workers on one core are merely slow, and single-core CI runners rely
 /// on `--threads 2` to exercise the pool machinery at all.
 pub fn effective_threads(requested: usize, count: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let available = available_cores();
     let t = if requested == 0 {
         available
     } else {
         requested.min(available.max(2))
     };
     t.min(count.max(1))
+}
+
+/// `available_parallelism`, read once: on Linux each query reads cgroup
+/// files (tens of microseconds), and the pool's worker count is fixed at
+/// first use anyway.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Cap beyond which a thread's scratch arena is shrunk after use, so one
@@ -378,10 +388,7 @@ impl Pool {
     fn global() -> &'static Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            for id in 0..workers {
+            for id in 0..available_cores() {
                 std::thread::Builder::new()
                     .name(format!("fpc-pool-{id}"))
                     .spawn(|| worker_loop(Pool::global()))

@@ -16,6 +16,28 @@
 //!
 //! This is the only stage that operates on the whole input rather than on
 //! 16 KiB chunks.
+//!
+//! # CPU formulation: prev links instead of the sort
+//!
+//! [`hash_pairs`] + sort + [`resolve_matches`] is the paper's GPU model
+//! (gpu-sim runs it with its radix sort, and the tests use it as the
+//! oracle). The CPU encoders reach the same output without sorting. In the
+//! array sorted by (hash, index), the pairs preceding index `i` with `i`'s
+//! hash are exactly the earlier indices with an equal hash, nearest first.
+//! So one index-order pass over a hash table that remembers the last index
+//! seen per hash builds `prev[i]`, the last `j < i` with an equal 64-bit
+//! hash, and following at most `window` links from `i` visits the same
+//! candidates in the same order as the sorted scan; the first equal value
+//! wins in both. Streams are therefore byte-identical to the sort-based
+//! encoder for every input.
+//!
+//! Large inputs run on `fpc-pool`: hashing and match resolution split by
+//! index block, the link pass by hash-space partition (each worker keeps
+//! the table of its own hash range). Output never depends on the thread
+//! count.
+
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::{DecodeError, Result};
 use fpc_metrics::Stage;
@@ -26,6 +48,18 @@ pub const MATCH_WINDOW: usize = 4;
 /// Context order: the hash covers this many prior values (paper: 3).
 pub const CONTEXT: usize = 3;
 
+/// Largest input the encoders accept, in words (2^32 − 1 words, just under
+/// 32 GiB). Indices are kept in 32 bits — the (hash, index) pairs and the
+/// prev links, which store `index + 1` so that 0 can mean "no link" — and
+/// larger inputs would wrap them. Every encoder panics beyond this limit
+/// instead of emitting a corrupt stream.
+pub const MAX_WORDS: usize = u32::MAX as usize;
+
+/// log2 of the fewest words each worker must get before the encoder goes
+/// parallel: below 2^18 words (2 MiB) per worker the pool hand-offs and
+/// the per-partition scans cost more than the split saves.
+const PAR_SHIFT: u32 = 18;
+
 /// The two arrays produced by the forward transformation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Encoded {
@@ -33,6 +67,49 @@ pub struct Encoded {
     pub values: Vec<u64>,
     /// Backward distance to an equal value at match positions, else 0.
     pub distances: Vec<u64>,
+}
+
+/// A word-addressed buffer: `u64` words, or little-endian bytes eight to a
+/// word (the DPratio payload layout), so one encoder and one decoder serve
+/// both.
+trait Lane: Copy + Send + Sync {
+    /// Elements per 64-bit word.
+    const PER_WORD: usize;
+    fn load(s: &[Self], i: usize) -> u64;
+    fn store(s: &mut [Self], i: usize, v: u64);
+    fn push(out: &mut Vec<Self>, v: u64);
+}
+
+impl Lane for u64 {
+    const PER_WORD: usize = 1;
+    #[inline(always)]
+    fn load(s: &[u64], i: usize) -> u64 {
+        s[i]
+    }
+    #[inline(always)]
+    fn store(s: &mut [u64], i: usize, v: u64) {
+        s[i] = v;
+    }
+    #[inline(always)]
+    fn push(out: &mut Vec<u64>, v: u64) {
+        out.push(v);
+    }
+}
+
+impl Lane for u8 {
+    const PER_WORD: usize = 8;
+    #[inline(always)]
+    fn load(s: &[u8], i: usize) -> u64 {
+        u64::from_le_bytes(s[i * 8..i * 8 + 8].try_into().expect("8-byte lane"))
+    }
+    #[inline(always)]
+    fn store(s: &mut [u8], i: usize, v: u64) {
+        s[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+    }
+    #[inline(always)]
+    fn push(out: &mut Vec<u8>, v: u64) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 #[inline]
@@ -44,15 +121,19 @@ fn mix(h: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hash of the three values preceding position `i` (zero-padded history).
+/// Hash of the three values preceding a position (zero-padded history),
+/// `p1` being the nearest.
 #[inline]
-fn context_hash(data: &[u64], i: usize, window: usize) -> u64 {
-    let mut h = 0u64;
-    for back in 1..=CONTEXT.min(window) {
-        let v = if i >= back { data[i - back] } else { 0 };
-        h = mix(h ^ v.rotate_left(back as u32 * 21));
-    }
-    h
+fn hash3(p1: u64, p2: u64, p3: u64) -> u64 {
+    mix(mix(mix(p1.rotate_left(21)) ^ p2.rotate_left(42)) ^ p3.rotate_left(63))
+}
+
+/// Panics if `n` words exceed the 32-bit index space (see [`MAX_WORDS`]).
+fn check_len(n: usize) {
+    assert!(
+        n <= MAX_WORDS,
+        "FCM input of {n} words exceeds the {MAX_WORDS}-word index limit"
+    );
 }
 
 /// Applies the forward FCM transformation with the default window.
@@ -61,23 +142,245 @@ pub fn encode(data: &[u64]) -> Encoded {
 }
 
 /// Forward FCM with a configurable match window (exposed for the ablation
-/// study; the paper uses [`MATCH_WINDOW`]).
+/// study; the paper uses [`MATCH_WINDOW`]). Single-threaded.
+///
+/// # Panics
+///
+/// If `data` holds more than [`MAX_WORDS`] words.
 pub fn encode_with_window(data: &[u64], window: usize) -> Encoded {
+    check_len(data.len());
+    let mut values = vec![0u64; data.len()];
+    let mut distances = vec![0u64; data.len()];
+    encode_lanes(data, window, 1, &mut values, &mut distances);
+    Encoded { values, distances }
+}
+
+/// Forward FCM over the whole little-endian words of `data`, written as
+/// DPratio's intermediate payload: the value array and then the distance
+/// array, both little-endian, then the `data.len() % 8` tail bytes
+/// verbatim.
+///
+/// Runs on up to `threads` pool workers (0 = all cores); inputs under 2^18
+/// words per worker run on the caller alone. The output is the same for
+/// every thread count.
+///
+/// # Panics
+///
+/// If `data` holds more than [`MAX_WORDS`] words.
+pub fn encode_payload(data: &[u8], window: usize, threads: usize) -> Vec<u8> {
+    check_len(data.len() / 8);
+    let (head, tail) = data.split_at(data.len() / 8 * 8);
+    let mut payload = vec![0u8; head.len() * 2 + tail.len()];
+    let (values, rest) = payload.split_at_mut(head.len());
+    let (distances, payload_tail) = rest.split_at_mut(head.len());
+    encode_lanes(head, window, threads, values, distances);
+    payload_tail.copy_from_slice(tail);
+    payload
+}
+
+/// The link encoder: hash every context, link each index to the previous
+/// one with an equal hash, then walk at most `window` links per index. The
+/// distance array holds the hashes until the last pass overwrites them.
+fn encode_lanes<T: Lane>(
+    data: &[T],
+    window: usize,
+    threads: usize,
+    values: &mut [T],
+    distances: &mut [T],
+) {
     let t = fpc_metrics::timer(Stage::FcmEncode);
-    let mut pairs = hash_pairs(data);
-    pairs.sort_unstable();
-    let enc = resolve_matches(data, &pairs, window);
-    t.finish(data.len() as u64 * 8);
-    enc
+    let n = data.len() / T::PER_WORD;
+    let threads = fpc_pool::effective_threads(threads, n >> PAR_SHIFT);
+    // With no window nothing can match: skip the hashes and links.
+    let prev: Vec<AtomicU32> = if window == 0 {
+        Vec::new()
+    } else {
+        for_blocks(threads, values, distances, |start, _, hashes| {
+            hash_block(data, start, hashes);
+        });
+        let prev: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let hashes: &[T] = distances;
+        fpc_pool::for_each_index(threads, threads, |part| {
+            link_partition(hashes, part, threads, &prev);
+        });
+        prev
+    };
+    for_blocks(threads, values, distances, |start, vals, dists| {
+        resolve_block(data, &prev, window, start, vals, dists);
+    });
+    t.finish(n as u64 * 8);
+}
+
+/// Splits two equal-length word buffers into aligned blocks and runs
+/// `f(first_word, a_block, b_block)` on each, on up to `threads` workers.
+fn for_blocks<T: Lane>(
+    threads: usize,
+    a: &mut [T],
+    b: &mut [T],
+    f: impl Fn(usize, &mut [T], &mut [T]) + Sync,
+) {
+    if threads <= 1 {
+        return f(0, a, b);
+    }
+    // Four blocks per worker keep the dynamic claim order balanced.
+    let words = (a.len() / T::PER_WORD).div_ceil(threads * 4).max(1);
+    let blocks: Vec<_> = a
+        .chunks_mut(words * T::PER_WORD)
+        .zip(b.chunks_mut(words * T::PER_WORD))
+        .enumerate()
+        .map(|(k, (x, y))| Mutex::new(Some((k * words, x, y))))
+        .collect();
+    fpc_pool::for_each_index(blocks.len(), threads, |k| {
+        let block = blocks[k]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let (start, x, y) = block.expect("the pool runs each block once");
+        f(start, x, y);
+    });
+}
+
+/// Writes the hash of the [`CONTEXT`] values preceding each of words
+/// `start..start + out.len()` into `out`.
+fn hash_block<T: Lane>(data: &[T], start: usize, out: &mut [T]) {
+    let back = |k: usize| {
+        if start >= k {
+            T::load(data, start - k)
+        } else {
+            0
+        }
+    };
+    let (mut p1, mut p2, mut p3) = (back(1), back(2), back(3));
+    for k in 0..out.len() / T::PER_WORD {
+        T::store(out, k, hash3(p1, p2, p3));
+        (p3, p2, p1) = (p2, p1, T::load(data, start + k));
+    }
+}
+
+/// Which of `parts` hash-space partitions owns `h` (by its top bits).
+#[inline]
+fn partition(h: u64, parts: usize) -> usize {
+    (((h >> 32) * parts as u64) >> 32) as usize
+}
+
+/// Builds `prev[i]` (`j + 1` for the last `j < i` with an equal hash, or
+/// 0) for every `i` whose hash lies in partition `part` of `parts`.
+fn link_partition<T: Lane>(hashes: &[T], part: usize, parts: usize, prev: &[AtomicU32]) {
+    let n = prev.len();
+    if parts == 1 {
+        return link_indices(hashes, 0..n, n, prev);
+    }
+    // Gather the owned indices first, branch-free: testing ownership in
+    // the probe loop would mispredict on every other word.
+    let mut owned = vec![0u32; n / parts + n / (parts * 8) + 1];
+    let mut len = 0;
+    for i in 0..n {
+        if len == owned.len() {
+            owned.resize(len * 2, 0);
+        }
+        owned[len] = i as u32;
+        len += usize::from(partition(T::load(hashes, i), parts) == part);
+    }
+    owned.truncate(len);
+    link_indices(hashes, owned.iter().map(|&i| i as usize), len, prev);
+}
+
+/// Links each of `count` ascending `indices` to its predecessor with an
+/// equal hash.
+///
+/// Open addressing with linear probing over 1.5 slots per index. A slot
+/// packs the hash's top 32 bits with the last index + 1 (0 = empty); the
+/// home slot comes from the low 32 bits, and a fingerprint match is
+/// confirmed against the full stored hash, so links join exactly the equal
+/// 64-bit hashes the sorted scan groups.
+fn link_indices<T: Lane>(
+    hashes: &[T],
+    indices: impl Iterator<Item = usize>,
+    count: usize,
+    prev: &[AtomicU32],
+) {
+    let cap = count + count / 2 + 1;
+    let mut table = vec![0u64; cap];
+    for i in indices {
+        let h = T::load(hashes, i);
+        let fingerprint = h >> 32;
+        // check_len keeps i + 1 within u32.
+        let entry = fingerprint << 32 | (i as u64 + 1);
+        let mut slot = ((u128::from(h as u32) * cap as u128) >> 32) as usize;
+        loop {
+            let e = table[slot];
+            if e == 0 {
+                table[slot] = entry;
+                break;
+            }
+            if e >> 32 == fingerprint {
+                let link = e as u32;
+                if T::load(hashes, link as usize - 1) == h {
+                    // Relaxed: a link publishes no other data, and the
+                    // pool's completion latch (AcqRel) orders every store
+                    // before the resolve pass starts.
+                    prev[i].store(link, Ordering::Relaxed);
+                    table[slot] = entry;
+                    break;
+                }
+            }
+            slot += 1;
+            if slot == cap {
+                slot = 0;
+            }
+        }
+    }
+}
+
+/// Resolves words `start..start + vals.len()`: a word matches the nearest
+/// of at most `window` linked predecessors holding an equal value.
+fn resolve_block<T: Lane>(
+    data: &[T],
+    prev: &[AtomicU32],
+    window: usize,
+    start: usize,
+    vals: &mut [T],
+    dists: &mut [T],
+) {
+    for k in 0..vals.len() / T::PER_WORD {
+        let i = start + k;
+        let v = T::load(data, i);
+        let mut j = i;
+        let mut distance = 0;
+        for _ in 0..window {
+            let link = prev[j].load(Ordering::Relaxed);
+            if link == 0 {
+                break;
+            }
+            j = link as usize - 1;
+            if T::load(data, j) == v {
+                distance = (i - j) as u64;
+                break;
+            }
+        }
+        if distance == 0 {
+            T::store(vals, k, v);
+            T::store(dists, k, 0);
+        } else {
+            T::store(vals, k, 0);
+            T::store(dists, k, distance);
+        }
+    }
 }
 
 /// Builds the (context-hash, index) pair array — the embarrassingly
-/// parallel first step of the encoder (exposed so the simulated-GPU path
-/// can substitute its own sort, as the paper substitutes CUB's).
+/// parallel first step of the paper's sort-based encoder (exposed so the
+/// simulated-GPU path can substitute its own sort, as the paper substitutes
+/// CUB's, and as the tests' oracle for the link encoder).
+///
+/// # Panics
+///
+/// If `data` holds more than [`MAX_WORDS`] words.
 pub fn hash_pairs(data: &[u64]) -> Vec<(u64, u32)> {
-    (0..data.len())
-        .map(|i| (context_hash(data, i, CONTEXT), i as u32))
-        .collect()
+    check_len(data.len());
+    let mut hashes = vec![0u64; data.len()];
+    hash_block(data, 0, &mut hashes);
+    hashes.into_iter().zip(0u32..).collect()
 }
 
 /// Scans sorted pairs for matches and produces the two output arrays.
@@ -131,26 +434,56 @@ pub fn decode_arrays(values: &[u64], distances: &[u64]) -> Result<Vec<u64>> {
     if values.len() != distances.len() {
         return Err(DecodeError::Corrupt("fcm array length mismatch"));
     }
+    let mut out = Vec::with_capacity(values.len());
+    decode_lanes(values, distances, &mut out)?;
+    Ok(out)
+}
+
+/// Inverts [`encode_payload`], appending the `original_len` original bytes
+/// to `out`.
+///
+/// # Errors
+///
+/// Fails if `payload` is not exactly the layout `original_len` implies or
+/// a distance points before the start of the output.
+pub fn decode_payload(payload: &[u8], original_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    let head = original_len / 8 * 8;
+    let (values, rest) = payload
+        .split_at_checked(head)
+        .ok_or(DecodeError::Corrupt("fcm payload length mismatch"))?;
+    let (distances, tail) = rest
+        .split_at_checked(head)
+        .filter(|(_, tail)| tail.len() == original_len - head)
+        .ok_or(DecodeError::Corrupt("fcm payload length mismatch"))?;
+    out.reserve(original_len);
+    decode_lanes(values, distances, out)?;
+    out.extend_from_slice(tail);
+    Ok(())
+}
+
+/// Appends the decoded words of equal-length `values`/`distances` to `out`.
+fn decode_lanes<T: Lane>(values: &[T], distances: &[T], out: &mut Vec<T>) -> Result<()> {
     let t = fpc_metrics::timer(Stage::FcmDecode);
-    let n = values.len();
-    let mut out = Vec::with_capacity(n);
+    let n = values.len() / T::PER_WORD;
+    let base = out.len();
     for i in 0..n {
-        let d = distances[i];
-        if d == 0 {
-            out.push(values[i]);
+        let d = T::load(distances, i);
+        let v = if d == 0 {
+            T::load(values, i)
         } else {
             let d =
                 usize::try_from(d).map_err(|_| DecodeError::Corrupt("fcm distance overflow"))?;
             if d > i {
                 return Err(DecodeError::Corrupt("fcm distance before start"));
             }
-            // Scanning forward guarantees out[i - d] is already resolved
+            // Scanning forward guarantees word i - d is already resolved
             // (the parallel GPU decoder uses union-find instead; §3.2).
-            out.push(out[i - d]);
-        }
+            T::load(&out[base..], i - d)
+        };
+        T::push(out, v);
     }
     t.finish(n as u64 * 8);
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -287,5 +620,30 @@ mod tests {
         let enc = roundtrip(&data);
         let matches = enc.distances.iter().filter(|&&d| d != 0).count();
         assert!(matches > 1000, "only {matches} matches");
+    }
+
+    #[test]
+    fn payload_length_must_match_original_len() {
+        let payload = encode_payload(&[0u8; 19], MATCH_WINDOW, 1);
+        assert_eq!(payload.len(), 2 * 16 + 3);
+        for original_len in [0, 18, 20, 35, usize::MAX] {
+            assert!(matches!(
+                decode_payload(&payload, original_len, &mut Vec::new()),
+                Err(DecodeError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn index_limit_admits_max_words() {
+        check_len(0);
+        check_len(MAX_WORDS);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "index limit")]
+    fn index_limit_rejects_wider_inputs() {
+        check_len(MAX_WORDS + 1);
     }
 }

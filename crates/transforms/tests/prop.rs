@@ -1,6 +1,8 @@
 //! Deterministic property tests over every transformation
 //! (in-repo fuzz driver; no external dependencies).
 
+mod common;
+
 use fpc_prng::fuzz::run_cases;
 use fpc_prng::Rng;
 use fpc_transforms::{bit_transpose, diffms, fcm, mplg, rare, raze, rze, zigzag};
@@ -221,6 +223,11 @@ fn fcm_structure_invariants() {
             }
         }
     });
+}
+
+#[test]
+fn fcm_links_equal_the_sorted_scan() {
+    run_cases("transforms/fcm-links", 40, common::check_fcm_links);
 }
 
 #[test]

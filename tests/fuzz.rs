@@ -418,6 +418,17 @@ fn transform_decoders_survive_hostile_bytes() {
     });
 }
 
+#[path = "../crates/transforms/tests/common/mod.rs"]
+mod fcm_links;
+
+/// The FCM link encoder against the paper's sort-based oracle, on the
+/// adversarial inputs and boundary sizes of `fcm_links` (the same property
+/// fpc-transforms runs, here at the fuzz job's case count).
+#[test]
+fn fcm_link_encoder_matches_sort_oracle() {
+    run_cases("fuzz/fcm-links", 30, fcm_links::check_fcm_links);
+}
+
 /// The adversarial word corpora for the kernel differentials: all-zero,
 /// all-ones, denormal-heavy, and NaN-payload floats, plus fuzz-random words.
 /// These target the lane-boundary hazards of the vector kernels (carry
