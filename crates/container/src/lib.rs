@@ -124,29 +124,75 @@ pub trait AdaptiveChunkCodec: Sync {
     ) -> Result<(), Error>;
 }
 
-/// Fixed-or-adaptive codec dispatch, resolved once per call and threaded
-/// through the shared frame machinery.
-enum Dispatch<'c> {
+/// The codec handle every container entry point takes: one pipeline for
+/// every chunk, or a per-chunk selector whose picks the chunk table records
+/// (the [`FLAG_CHUNK_CODECS`] frame layout).
+#[derive(Clone, Copy)]
+pub enum Codec<'c> {
+    /// One codec for every chunk; the stream carries no codec-id column.
     Fixed(&'c dyn ChunkCodec),
+    /// A per-chunk selector; the stream records each chunk's pick.
     Adaptive(&'c dyn AdaptiveChunkCodec),
 }
 
-impl Dispatch<'_> {
-    /// Rejects mismatched frame layout vs. decoder capability up front:
-    /// a fixed codec cannot decode a per-chunk codec stream (it would
-    /// apply one pipeline to chunks encoded with others), and an adaptive
-    /// decoder has no codec ids to dispatch on in a fixed stream.
-    fn check_frame(&self, frame: &Frame<'_>) -> Result<(), Error> {
-        let flagged = frame.header.flags & FLAG_CHUNK_CODECS != 0;
+impl Codec<'_> {
+    /// The frame-mode check: rejects a stream whose layout does not match
+    /// this handle. A fixed codec cannot decode a per-chunk codec stream
+    /// (it would apply one pipeline to chunks encoded with others), and an
+    /// adaptive decoder has no codec ids to dispatch on in a fixed stream.
+    ///
+    /// Every decode entry point here runs it before touching a chunk;
+    /// callers that serve chunks from elsewhere (a cache keyed by the
+    /// chunk bytes) must run it themselves before the first lookup.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Corrupt`] on a mismatch.
+    pub fn check(&self, header: &Header) -> Result<(), Error> {
+        let flagged = header.flags & FLAG_CHUNK_CODECS != 0;
         match (self, flagged) {
-            (Dispatch::Fixed(_), true) => Err(Error::Corrupt(
+            (Codec::Fixed(_), true) => Err(Error::Corrupt(
                 "per-chunk codec stream requires an adaptive decoder",
             )),
-            (Dispatch::Adaptive(_), false) => {
+            (Codec::Adaptive(_), false) => {
                 Err(Error::Corrupt("stream carries no per-chunk codec table"))
             }
             _ => Ok(()),
         }
+    }
+
+    /// The one per-chunk decode step, on a body that already passed
+    /// [`Meta::verify`] (the one per-chunk verify step): raw chunks are copied out, other chunks dispatch
+    /// to the codec (on the recorded `codec_id` for a selector) and must
+    /// decode to exactly `expected_len` bytes.
+    fn decode(
+        &self,
+        index: usize,
+        codec_id: u8,
+        raw: bool,
+        body: &[u8],
+        expected_len: usize,
+    ) -> Result<Vec<u8>, Error> {
+        if raw {
+            return Ok(body.to_vec());
+        }
+        let mut out = Vec::with_capacity(expected_len.min(MAX_CHUNK_SIZE));
+        match self {
+            Codec::Fixed(c) => c.decode_chunk(body, expected_len, &mut out)?,
+            Codec::Adaptive(c) => {
+                if !c.knows_codec(codec_id) {
+                    return Err(Error::UnknownChunkCodec {
+                        chunk: index as u32,
+                        codec: codec_id,
+                    });
+                }
+                c.decode_chunk(codec_id, body, expected_len, &mut out)?;
+            }
+        }
+        if out.len() != expected_len {
+            return Err(Error::Corrupt("decoded chunk length mismatch"));
+        }
+        Ok(out)
     }
 }
 
@@ -180,7 +226,7 @@ pub fn compress(
             value: u64::from(header.flags),
         });
     }
-    compress_impl(header, payload, &Dispatch::Fixed(codec), threads)
+    compress_impl(header, payload, Codec::Fixed(codec), threads)
 }
 
 /// Compresses `payload` into a container stream whose chunk table records a
@@ -203,13 +249,13 @@ pub fn compress_adaptive(
     threads: usize,
 ) -> Result<Vec<u8>, Error> {
     header.flags |= FLAG_CHUNK_CODECS;
-    compress_impl(header, payload, &Dispatch::Adaptive(codec), threads)
+    compress_impl(header, payload, Codec::Adaptive(codec), threads)
 }
 
 fn compress_impl(
     header: Header,
     payload: &[u8],
-    codec: &Dispatch<'_>,
+    codec: Codec<'_>,
     threads: usize,
 ) -> Result<Vec<u8>, Error> {
     if header.payload_len != payload.len() as u64 {
@@ -218,25 +264,12 @@ fn compress_impl(
             value: header.payload_len,
         });
     }
-    if header.version != VERSION_1 && header.version != VERSION {
-        return Err(Error::UnsupportedVersion(header.version));
-    }
-    let with_checksums = header.version >= VERSION;
-    let chunk_size = header.chunk_size as usize;
-    if chunk_size == 0 {
-        return Err(Error::InvalidHeader {
-            field: "chunk_size",
-            value: 0,
-        });
-    }
-    let adaptive = matches!(codec, Dispatch::Adaptive(_));
+    check_writable(&header)?;
     let t = fpc_metrics::timer(fpc_metrics::Stage::ContainerCompress);
-    let chunks: Vec<&[u8]> = payload.chunks(chunk_size).collect();
-    let encoded = parallel::run_indexed(chunks.len(), threads, |i| {
-        encode_chunk_impl(chunks[i], codec, with_checksums)
-    });
+    let chunks: Vec<&[u8]> = payload.chunks(header.chunk_size as usize).collect();
+    let encoded = parallel::run_indexed(chunks.len(), threads, |i| encode_chunk(chunks[i], codec));
 
-    let mut asm = FrameAssembler::new(adaptive, with_checksums);
+    let mut asm = FrameAssembler::new();
     for chunk in encoded {
         asm.push(chunk)?;
     }
@@ -245,13 +278,28 @@ fn compress_impl(
     Ok(out)
 }
 
+/// Rejects headers no frame can be written for: an unknown version or a
+/// zero chunk size.
+fn check_writable(header: &Header) -> Result<(), Error> {
+    if header.version != VERSION_1 && header.version != VERSION {
+        return Err(Error::UnsupportedVersion(header.version));
+    }
+    if header.chunk_size == 0 {
+        return Err(Error::InvalidHeader {
+            field: "chunk_size",
+            value: 0,
+        });
+    }
+    Ok(())
+}
+
 /// One chunk's encoded form: everything the chunk table records about it
 /// plus the compressed body itself.
 ///
-/// Produced by [`encode_chunk`]/[`encode_chunk_adaptive`], consumed by
-/// [`FrameAssembler::push`] — and cacheable in between: every codec is a
-/// pure function of the chunk bytes, so an `EncodedChunk` can be reused for
-/// any later byte-identical chunk without re-encoding.
+/// Produced by [`encode_chunk`], consumed by [`FrameAssembler::push`] — and
+/// cacheable in between: every codec is a pure function of the chunk
+/// bytes, so an `EncodedChunk` can be reused for any later byte-identical
+/// chunk without re-encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedChunk {
     /// Codec id recorded in the chunk table (0 for fixed-codec streams and
@@ -260,26 +308,30 @@ pub struct EncodedChunk {
     /// Whether the original bytes are stored verbatim (no codec shrank
     /// the chunk).
     pub raw: bool,
-    /// XXH64 of `body` under the stream seed (0 when checksums are off).
+    /// XXH64 of `body` under the stream seed (written only by v2 frames).
     pub checksum: u64,
     /// The compressed (or raw) chunk bytes.
     pub body: Vec<u8>,
 }
 
-fn encode_chunk_impl(chunk: &[u8], codec: &Dispatch<'_>, with_checksums: bool) -> EncodedChunk {
+/// Encodes one payload chunk exactly as [`compress`] and
+/// [`compress_adaptive`] do: the codec's encoding, or the original bytes
+/// flagged raw when that does not shrink the chunk, plus the body
+/// checksum.
+pub fn encode_chunk(chunk: &[u8], codec: Codec<'_>) -> EncodedChunk {
     // Encode into the worker's persistent scratch arena, then copy the
     // exact-size result out: the codec sees a reused allocation, the
     // emitted bytes are identical to a fresh-`Vec` encode.
     fpc_pool::with_scratch(|enc| {
         enc.clear();
         let picked = match codec {
-            Dispatch::Fixed(c) => {
+            Codec::Fixed(c) => {
                 c.encode_chunk(chunk, enc);
                 0
             }
-            Dispatch::Adaptive(c) => c.encode_chunk(chunk, enc),
+            Codec::Adaptive(c) => c.encode_chunk(chunk, enc),
         };
-        let (raw, picked, body) = if enc.len() >= chunk.len() {
+        let (raw, codec_id, body) = if enc.len() >= chunk.len() {
             // Worst-case cap: store the original bytes, flagged raw.
             // Codec id 0 marks the pick as void; decode never
             // dispatches on it because the raw flag short-circuits.
@@ -287,35 +339,13 @@ fn encode_chunk_impl(chunk: &[u8], codec: &Dispatch<'_>, with_checksums: bool) -
         } else {
             (false, picked, enc.to_vec())
         };
-        let checksum = if with_checksums {
-            frame_checksum(&body)
-        } else {
-            0
-        };
         EncodedChunk {
-            codec_id: picked,
+            codec_id,
             raw,
-            checksum,
+            checksum: frame_checksum(&body),
             body,
         }
     })
-}
-
-/// Encodes one payload chunk with a fixed codec, applying the same raw
-/// fallback and checksum rules as [`compress`]. Pass `with_checksums =
-/// true` for v2 frames.
-pub fn encode_chunk(chunk: &[u8], codec: &dyn ChunkCodec, with_checksums: bool) -> EncodedChunk {
-    encode_chunk_impl(chunk, &Dispatch::Fixed(codec), with_checksums)
-}
-
-/// Encodes one payload chunk with an adaptive codec selector, as
-/// [`compress_adaptive`] does per chunk.
-pub fn encode_chunk_adaptive(
-    chunk: &[u8],
-    codec: &dyn AdaptiveChunkCodec,
-    with_checksums: bool,
-) -> EncodedChunk {
-    encode_chunk_impl(chunk, &Dispatch::Adaptive(codec), with_checksums)
 }
 
 /// Assembles [`EncodedChunk`]s into a complete container stream,
@@ -323,28 +353,23 @@ pub fn encode_chunk_adaptive(
 /// payload — it *is* the assembly stage of both, and the entry point for
 /// callers that produce chunks incrementally (streaming servers, caches).
 ///
+/// The header passed to [`FrameAssembler::finish`] alone picks the frame
+/// layout: its version selects v2 (checksummed) or v1 framing, and
+/// [`FLAG_CHUNK_CODECS`] adds the codec-id column.
+///
 /// The fault-injection chunk-damage hook is applied here, keyed by chunk
 /// index, so where a chunk's bytes came from (fresh encode, cache hit)
 /// cannot change which chunks rot.
+#[derive(Default)]
 pub struct FrameAssembler {
-    adaptive: bool,
-    with_checksums: bool,
     chunks: Vec<EncodedChunk>,
     body_bytes: u64,
 }
 
 impl FrameAssembler {
-    /// Creates an assembler for a fixed (`adaptive == false`) or per-chunk
-    /// codec frame layout; `with_checksums` selects v2 vs v1 framing and
-    /// must match the header version later passed to
-    /// [`FrameAssembler::finish`].
-    pub fn new(adaptive: bool, with_checksums: bool) -> FrameAssembler {
-        FrameAssembler {
-            adaptive,
-            with_checksums,
-            chunks: Vec::new(),
-            body_bytes: 0,
-        }
+    /// Creates an empty assembler.
+    pub fn new() -> FrameAssembler {
+        FrameAssembler::default()
     }
 
     /// Appends the next chunk (chunks are positional: push order is chunk
@@ -377,35 +402,21 @@ impl FrameAssembler {
         self.body_bytes
     }
 
-    /// Writes the complete stream.
+    /// Writes the complete stream in the layout `header` describes.
     ///
     /// # Errors
     ///
-    /// Fails when the header's version/chunking disagrees with the pushed
-    /// chunks (wrong count for `payload_len`, version mismatch with the
-    /// checksum mode chosen at construction).
+    /// Fails when the header names an unwritable version or a zero chunk
+    /// size, or disagrees with the pushed chunks (wrong count for
+    /// `payload_len`).
     pub fn finish(self, header: Header) -> Result<Vec<u8>, Error> {
-        if header.version != VERSION_1 && header.version != VERSION {
-            return Err(Error::UnsupportedVersion(header.version));
-        }
-        if (header.version >= VERSION) != self.with_checksums {
-            return Err(Error::InvalidHeader {
-                field: "version",
-                value: u64::from(header.version),
-            });
-        }
-        if header.chunk_size == 0 {
-            return Err(Error::InvalidHeader {
-                field: "chunk_size",
-                value: 0,
-            });
-        }
+        check_writable(&header)?;
         let expected = (header.payload_len as usize).div_ceil(header.chunk_size as usize);
         if self.chunks.len() != expected {
             return Err(Error::Corrupt("chunk count does not match payload length"));
         }
-        let with_checksums = self.with_checksums;
-        let adaptive = self.adaptive;
+        let with_checksums = header.version >= VERSION;
+        let adaptive = header.flags & FLAG_CHUNK_CODECS != 0;
         let encoded = self.chunks;
 
         let mut out = Vec::with_capacity(self.body_bytes as usize + 16 * encoded.len() + 64);
@@ -473,11 +484,12 @@ impl FrameAssembler {
     }
 }
 
-/// Parsed and validated frame metadata: everything before the payloads.
-struct Frame<'a> {
+/// The parsed and validated metadata region: everything before the chunk
+/// bodies. [`parse_meta`] builds it for the one-shot paths (over the whole
+/// stream) and for the [`StreamingDecoder`] (over the prefix received so
+/// far).
+struct Meta {
     header: Header,
-    /// Chunk count.
-    count: usize,
     /// Raw chunk-table entries (size | raw flag).
     entries: Vec<u32>,
     /// Per-chunk codec ids (empty unless the header carries
@@ -485,100 +497,94 @@ struct Frame<'a> {
     codec_ids: Vec<u8>,
     /// Stored per-chunk checksums (empty for v1 streams).
     checksums: Vec<u64>,
-    /// Payload byte offsets; `offsets[i]..offsets[i+1]` is chunk `i`.
+    /// Stream offsets of the chunk bodies: `offsets[i]..offsets[i + 1]` is
+    /// chunk `i`, so `offsets[0]` is the metadata length and the last entry
+    /// the total stream length.
     offsets: Vec<usize>,
-    data: &'a [u8],
 }
 
-impl Frame<'_> {
+impl Meta {
+    fn count(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Total stream length the chunk table implies.
+    fn stream_len(&self) -> usize {
+        self.offsets[self.count()]
+    }
+
+    fn raw(&self, i: usize) -> bool {
+        self.entries[i] & RAW_FLAG != 0
+    }
+
+    /// Codec id of chunk `i` (0 for fixed-codec streams).
+    fn codec_id(&self, i: usize) -> u8 {
+        self.codec_ids.get(i).copied().unwrap_or(0)
+    }
+
     /// Original (decoded) length of chunk `i`.
     fn expected_len(&self, i: usize) -> usize {
         let chunk_size = self.header.chunk_size as usize;
         let payload_len = self.header.payload_len as usize;
+        let count = self.count();
         // An empty payload has no chunks at all; without this guard the
         // last-chunk formula below underflows (`0 - 1`) as soon as a chunk
         // of an empty container is addressed individually.
-        if self.count == 0 {
+        if count == 0 {
             return 0;
         }
-        if i + 1 == self.count {
-            payload_len - (self.count - 1) * chunk_size
+        if i + 1 == count {
+            payload_len - (count - 1) * chunk_size
         } else {
             chunk_size
         }
     }
 
-    /// Compressed bytes of chunk `i`.
-    fn body(&self, i: usize) -> &[u8] {
-        &self.data[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Checks chunk `i`'s stored checksum (v2; trivially true for v1).
-    fn chunk_checksum_ok(&self, i: usize) -> bool {
-        self.checksums.is_empty() || frame_checksum(self.body(i)) == self.checksums[i]
-    }
-
-    /// Verifies chunk `i` without decoding: checksum (v2) and, for raw
-    /// chunks, the stored-length invariant.
-    fn check_chunk(&self, i: usize) -> Result<(), Error> {
-        if !self.chunk_checksum_ok(i) {
+    /// The one per-chunk verify step, run on chunk `i`'s stored `body`
+    /// before it is decoded or trusted as a cache key: the stored checksum
+    /// (v2) and, for raw chunks, the stored-length invariant.
+    fn verify(&self, i: usize, body: &[u8]) -> Result<(), Error> {
+        if !self.checksums.is_empty() && frame_checksum(body) != self.checksums[i] {
             return Err(Error::ChecksumMismatch {
                 chunk: Some(i as u32),
                 offset: self.offsets[i] as u64,
             });
         }
-        if self.entries[i] & RAW_FLAG != 0 && self.body(i).len() != self.expected_len(i) {
+        if self.raw(i) && body.len() != self.expected_len(i) {
             return Err(Error::Corrupt("raw chunk length mismatch"));
         }
         Ok(())
     }
-
-    /// Decodes chunk `i` into a fresh buffer, enforcing the expected length.
-    fn decode_chunk(&self, i: usize, codec: &Dispatch<'_>) -> Result<Vec<u8>, Error> {
-        self.check_chunk(i)?;
-        let expected_len = self.expected_len(i);
-        let body = self.body(i);
-        if self.entries[i] & RAW_FLAG != 0 {
-            return Ok(body.to_vec());
-        }
-        let mut out = Vec::with_capacity(expected_len.min(MAX_CHUNK_SIZE));
-        match codec {
-            Dispatch::Fixed(c) => c.decode_chunk(body, expected_len, &mut out)?,
-            Dispatch::Adaptive(c) => {
-                let id = self.codec_ids[i];
-                if !c.knows_codec(id) {
-                    return Err(Error::UnknownChunkCodec {
-                        chunk: i as u32,
-                        codec: id,
-                    });
-                }
-                c.decode_chunk(id, body, expected_len, &mut out)?;
-            }
-        }
-        if out.len() != expected_len {
-            return Err(Error::Corrupt("decoded chunk length mismatch"));
-        }
-        Ok(out)
-    }
 }
 
-/// Parses the header, chunk table, and (v2) checksum regions, validating
-/// every structural invariant against the *actual* stream length before any
-/// length-derived allocation — a 16-byte stream can never request a
-/// multi-gigabyte buffer.
-fn parse_frame(data: &[u8]) -> Result<Frame<'_>, Error> {
+/// Parses the metadata region at the front of `data` — header, chunk
+/// count, chunk table, codec ids, and (v2) chunk and table checksums —
+/// validating every structural invariant against the bytes actually
+/// present before any count-sized allocation: a 16-byte stream can never
+/// request a multi-gigabyte buffer.
+///
+/// With `complete` set, `data` is the whole stream and must end exactly
+/// where the chunk table says. Otherwise `data` is a prefix, and a region
+/// that runs past it returns `Ok(None)`: more bytes are needed.
+fn parse_meta(data: &[u8], complete: bool) -> Result<Option<Meta>, Error> {
+    // Truncation is an error for a whole stream, a wait for a prefix.
+    let short = |error: Error| if complete { Err(error) } else { Ok(None) };
     let mut pos = 0usize;
-    let header = Header::read(data, &mut pos)?;
-    let chunk_size = header.chunk_size as usize;
+    let header = match Header::read(data, &mut pos) {
+        Ok(header) => header,
+        Err(Error::UnexpectedEof) => return short(Error::UnexpectedEof),
+        Err(e) => return Err(e),
+    };
     let payload_len = usize::try_from(header.payload_len).map_err(|_| Error::LengthOverflow {
         what: "payload length",
         requested: header.payload_len,
         available: data.len() as u64,
     })?;
-
-    let count = read_u32(data, &mut pos)? as usize;
-    let expected_chunks = payload_len.div_ceil(chunk_size);
-    if count != expected_chunks {
+    let count = match read_u32(data, &mut pos) {
+        Ok(count) => count as usize,
+        Err(e) => return short(e),
+    };
+    if count != payload_len.div_ceil(header.chunk_size as usize) {
         return Err(Error::Corrupt("chunk count does not match payload length"));
     }
 
@@ -590,7 +596,7 @@ fn parse_frame(data: &[u8]) -> Result<Frame<'_>, Error> {
     let meta_bytes = (count as u64) * per_chunk + if with_checksums { 8 } else { 0 };
     let remaining = (data.len() - pos) as u64;
     if meta_bytes > remaining {
-        return Err(Error::LengthOverflow {
+        return short(Error::LengthOverflow {
             what: "chunk table",
             requested: meta_bytes,
             available: remaining,
@@ -632,18 +638,16 @@ fn parse_frame(data: &[u8]) -> Result<Frame<'_>, Error> {
             .ok_or(Error::Corrupt("chunk table overflow"))?;
     }
     offsets.push(offset);
-    if offset != data.len() {
+    if complete && offset != data.len() {
         return Err(Error::Corrupt("stream length disagrees with chunk table"));
     }
-    Ok(Frame {
+    Ok(Some(Meta {
         header,
-        count,
         entries,
         codec_ids,
         checksums,
         offsets,
-        data,
-    })
+    }))
 }
 
 /// Parses and validates the container, returning the header and the
@@ -663,7 +667,7 @@ pub fn decompress(
     codec: &dyn ChunkCodec,
     threads: usize,
 ) -> Result<(Header, Vec<u8>), Error> {
-    decompress_impl(data, &Dispatch::Fixed(codec), threads)
+    decompress_impl(data, Codec::Fixed(codec), threads)
 }
 
 /// Decompresses a per-chunk codec stream written by [`compress_adaptive`],
@@ -679,27 +683,24 @@ pub fn decompress_adaptive(
     codec: &dyn AdaptiveChunkCodec,
     threads: usize,
 ) -> Result<(Header, Vec<u8>), Error> {
-    decompress_impl(data, &Dispatch::Adaptive(codec), threads)
+    decompress_impl(data, Codec::Adaptive(codec), threads)
 }
 
 fn decompress_impl(
     data: &[u8],
-    codec: &Dispatch<'_>,
+    codec: Codec<'_>,
     threads: usize,
 ) -> Result<(Header, Vec<u8>), Error> {
     let t = fpc_metrics::timer(fpc_metrics::Stage::ContainerDecode);
-    let frame = parse_frame(data)?;
-    codec.check_frame(&frame)?;
-    let decoded: Vec<Result<Vec<u8>, Error>> =
-        parallel::run_indexed(frame.count, threads, |i| frame.decode_chunk(i, codec));
-
+    let region = Region::parse(data)?;
+    let decoded = region.decode_all(codec, threads)?;
     let total: usize = decoded.iter().map(|c| c.as_ref().map_or(0, Vec::len)).sum();
     let mut payload = Vec::with_capacity(total);
     for chunk in decoded {
         payload.extend_from_slice(&chunk?);
     }
     t.finish(payload.len() as u64);
-    Ok((frame.header, payload))
+    Ok((*region.header(), payload))
 }
 
 /// One chunk popped from a [`StreamingDecoder`]: the compressed body plus
@@ -722,54 +723,34 @@ pub struct StreamChunk {
     pub body: Vec<u8>,
 }
 
-/// Parsed stream metadata held by a [`StreamingDecoder`].
-struct StreamMeta {
-    header: Header,
-    entries: Vec<u32>,
-    codec_ids: Vec<u8>,
-    checksums: Vec<u64>,
-    /// Stream offsets of chunk bodies; `offsets[count]` is the total
-    /// stream length.
-    offsets: Vec<u64>,
-}
-
 /// Incremental container parser: feed stream bytes as they arrive, pop
 /// fully-received chunks one at a time.
 ///
-/// This is [`parse_frame`] + per-chunk extraction restructured so the whole
+/// It runs the one-shot paths' metadata parser over the bytes buffered so
+/// far and their per-chunk verify step on each popped chunk, so the whole
 /// stream never has to be resident: consumed bytes are dropped as each
 /// chunk is popped, bounding memory to the chunk table plus one in-flight
-/// chunk plus whatever the caller feeds at a time. All of `parse_frame`'s
-/// structural validation still runs — header and table checksums as soon
-/// as the metadata region is complete, per-chunk checksums as each chunk
-/// is popped, and the exact-length invariant at [`StreamingDecoder::finish`].
+/// chunk plus whatever the caller feeds at a time. Header and table
+/// checksums are checked as soon as the metadata region is complete,
+/// per-chunk checksums as each chunk is popped, and the exact-length
+/// invariant at [`StreamingDecoder::finish`].
 ///
 /// The decoder is codec-agnostic: it yields verified compressed bodies
-/// ([`StreamChunk`]); pair it with [`decode_stream_chunk`] /
-/// [`decode_stream_chunk_adaptive`] to materialize payload bytes.
+/// ([`StreamChunk`]); pair it with [`decode_stream_chunk`] to materialize
+/// payload bytes, after running [`Codec::check`] on the header.
+#[derive(Default)]
 pub struct StreamingDecoder {
     buf: Vec<u8>,
     /// Stream offset of `buf[0]` (bytes before it were consumed).
-    pos: u64,
-    meta: Option<StreamMeta>,
+    pos: usize,
+    meta: Option<Meta>,
     next: usize,
-}
-
-impl Default for StreamingDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StreamingDecoder {
     /// Creates an empty decoder.
     pub fn new() -> StreamingDecoder {
-        StreamingDecoder {
-            buf: Vec::new(),
-            pos: 0,
-            meta: None,
-            next: 0,
-        }
+        StreamingDecoder::default()
     }
 
     /// Appends newly-arrived stream bytes.
@@ -783,11 +764,16 @@ impl StreamingDecoder {
     pub fn feed(&mut self, bytes: &[u8]) -> Result<(), Error> {
         self.buf.extend_from_slice(bytes);
         if self.meta.is_none() {
-            self.try_parse_meta()?;
+            if let Some(meta) = parse_meta(&self.buf, false)? {
+                // Drop the metadata region so only body bytes stay
+                // resident.
+                self.pos = meta.offsets[0];
+                self.buf.drain(..self.pos);
+                self.meta = Some(meta);
+            }
         }
         if let Some(meta) = &self.meta {
-            let total = *meta.offsets.last().expect("offsets has count+1 entries");
-            if self.pos + self.buf.len() as u64 > total {
+            if self.pos + self.buf.len() > meta.stream_len() {
                 return Err(Error::Corrupt("stream length disagrees with chunk table"));
             }
         }
@@ -807,91 +793,7 @@ impl StreamingDecoder {
 
     /// Total stream length implied by the chunk table, if known yet.
     pub fn total_len(&self) -> Option<u64> {
-        self.meta.as_ref().map(|m| *m.offsets.last().unwrap())
-    }
-
-    fn try_parse_meta(&mut self) -> Result<(), Error> {
-        debug_assert_eq!(self.pos, 0, "meta parses before any chunk is consumed");
-        let data = &self.buf[..];
-        let mut pos = 0usize;
-        // A short buffer is "wait for more", not corruption: truncation
-        // only becomes an error at finish().
-        let header = match Header::read(data, &mut pos) {
-            Ok(h) => h,
-            Err(Error::UnexpectedEof) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let chunk_size = header.chunk_size as usize;
-        let payload_len =
-            usize::try_from(header.payload_len).map_err(|_| Error::LengthOverflow {
-                what: "payload length",
-                requested: header.payload_len,
-                available: usize::MAX as u64,
-            })?;
-        let count = match read_u32(data, &mut pos) {
-            Ok(c) => c as usize,
-            Err(Error::UnexpectedEof) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        if count != payload_len.div_ceil(chunk_size) {
-            return Err(Error::Corrupt("chunk count does not match payload length"));
-        }
-        let with_checksums = header.version >= VERSION;
-        let with_codecs = header.flags & FLAG_CHUNK_CODECS != 0;
-        let per_chunk = 4 + u64::from(with_codecs) + if with_checksums { 8 } else { 0 };
-        let meta_bytes = (count as u64) * per_chunk + if with_checksums { 8 } else { 0 };
-        if ((data.len() - pos) as u64) < meta_bytes {
-            return Ok(()); // table not fully here yet
-        }
-
-        let table_start = pos - 4; // include the count field in the table frame
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(read_u32(data, &mut pos)?);
-        }
-        let mut codec_ids = Vec::new();
-        if with_codecs {
-            let ids = data.get(pos..pos + count).ok_or(Error::UnexpectedEof)?;
-            codec_ids.extend_from_slice(ids);
-            pos += count;
-        }
-        let mut checksums = Vec::new();
-        if with_checksums {
-            checksums.reserve_exact(count);
-            for _ in 0..count {
-                checksums.push(read_u64(data, &mut pos)?);
-            }
-            let stored = read_u64(data, &mut pos)?;
-            if stored != frame_checksum(&data[table_start..pos - 8]) {
-                return Err(Error::ChecksumMismatch {
-                    chunk: None,
-                    offset: table_start as u64,
-                });
-            }
-        }
-
-        let mut offsets = Vec::with_capacity(count + 1);
-        let mut offset = pos as u64;
-        for &e in &entries {
-            offsets.push(offset);
-            offset = offset
-                .checked_add(u64::from(e & SIZE_MASK))
-                .ok_or(Error::Corrupt("chunk table overflow"))?;
-        }
-        offsets.push(offset);
-
-        // The metadata region is fully parsed; drop it from the buffer so
-        // only body bytes remain resident.
-        self.buf.drain(..pos);
-        self.pos = pos as u64;
-        self.meta = Some(StreamMeta {
-            header,
-            entries,
-            codec_ids,
-            checksums,
-            offsets,
-        });
-        Ok(())
+        self.meta.as_ref().map(|m| m.stream_len() as u64)
     }
 
     /// Pops the next chunk if all of its bytes have arrived, verifying its
@@ -908,44 +810,24 @@ impl StreamingDecoder {
         let Some(meta) = &self.meta else {
             return Ok(None);
         };
-        let count = meta.entries.len();
-        if self.next >= count {
+        let i = self.next;
+        if i >= meta.count() {
             return Ok(None);
         }
-        let i = self.next;
-        let start = meta.offsets[i];
-        let end = meta.offsets[i + 1];
-        if end > self.pos + self.buf.len() as u64 {
+        let (start, end) = (meta.offsets[i], meta.offsets[i + 1]);
+        if end > self.pos + self.buf.len() {
             return Ok(None); // body not fully here yet
         }
         debug_assert_eq!(start, self.pos, "chunks pop in order");
-        let body: Vec<u8> = self.buf.drain(..(end - start) as usize).collect();
+        let body: Vec<u8> = self.buf.drain(..end - start).collect();
         self.pos = end;
         self.next = i + 1;
-
-        let meta = self.meta.as_ref().unwrap();
-        if !meta.checksums.is_empty() && frame_checksum(&body) != meta.checksums[i] {
-            return Err(Error::ChecksumMismatch {
-                chunk: Some(i as u32),
-                offset: start,
-            });
-        }
-        let chunk_size = meta.header.chunk_size as usize;
-        let payload_len = meta.header.payload_len as usize;
-        let expected_len = if i + 1 == count {
-            payload_len - (count - 1) * chunk_size
-        } else {
-            chunk_size
-        };
-        let raw = meta.entries[i] & RAW_FLAG != 0;
-        if raw && body.len() != expected_len {
-            return Err(Error::Corrupt("raw chunk length mismatch"));
-        }
+        meta.verify(i, &body)?;
         Ok(Some(StreamChunk {
             index: i,
-            codec_id: meta.codec_ids.get(i).copied().unwrap_or(0),
-            raw,
-            expected_len,
+            codec_id: meta.codec_id(i),
+            raw: meta.raw(i),
+            expected_len: meta.expected_len(i),
             checksum: meta.checksums.get(i).copied().unwrap_or(0),
             body,
         }))
@@ -962,57 +844,30 @@ impl StreamingDecoder {
         let Some(meta) = &self.meta else {
             return Err(Error::UnexpectedEof);
         };
-        if self.next < meta.entries.len() || !self.buf.is_empty() {
+        if self.next < meta.count() || !self.buf.is_empty() {
             return Err(Error::UnexpectedEof);
         }
         Ok(())
     }
 }
 
-fn decode_stream_chunk_impl(chunk: &StreamChunk, codec: &Dispatch<'_>) -> Result<Vec<u8>, Error> {
-    if chunk.raw {
-        return Ok(chunk.body.clone());
-    }
-    let mut out = Vec::with_capacity(chunk.expected_len.min(MAX_CHUNK_SIZE));
-    match codec {
-        Dispatch::Fixed(c) => c.decode_chunk(&chunk.body, chunk.expected_len, &mut out)?,
-        Dispatch::Adaptive(c) => {
-            if !c.knows_codec(chunk.codec_id) {
-                return Err(Error::UnknownChunkCodec {
-                    chunk: chunk.index as u32,
-                    codec: chunk.codec_id,
-                });
-            }
-            c.decode_chunk(chunk.codec_id, &chunk.body, chunk.expected_len, &mut out)?;
-        }
-    }
-    if out.len() != chunk.expected_len {
-        return Err(Error::Corrupt("decoded chunk length mismatch"));
-    }
-    Ok(out)
-}
-
-/// Decodes a [`StreamChunk`] from a fixed-codec stream, enforcing the
-/// expected length exactly as whole-stream [`decompress`] does per chunk.
+/// Decodes a [`StreamChunk`], enforcing the expected length exactly as
+/// whole-stream [`decompress`] does per chunk. The caller runs
+/// [`Codec::check`] on the stream header first.
 ///
 /// # Errors
 ///
-/// As [`decompress`]'s per-chunk failures.
-pub fn decode_stream_chunk(chunk: &StreamChunk, codec: &dyn ChunkCodec) -> Result<Vec<u8>, Error> {
-    decode_stream_chunk_impl(chunk, &Dispatch::Fixed(codec))
-}
-
-/// Decodes a [`StreamChunk`] from a per-chunk codec stream
-/// ([`FLAG_CHUNK_CODECS`]), dispatching on the recorded codec id.
-///
-/// # Errors
-///
-/// As [`decompress_adaptive`]'s per-chunk failures.
-pub fn decode_stream_chunk_adaptive(
-    chunk: &StreamChunk,
-    codec: &dyn AdaptiveChunkCodec,
-) -> Result<Vec<u8>, Error> {
-    decode_stream_chunk_impl(chunk, &Dispatch::Adaptive(codec))
+/// As [`decompress`]'s per-chunk failures, plus
+/// [`Error::UnknownChunkCodec`] for a codec id an adaptive `codec` does not
+/// know.
+pub fn decode_stream_chunk(chunk: &StreamChunk, codec: Codec<'_>) -> Result<Vec<u8>, Error> {
+    codec.decode(
+        chunk.index,
+        chunk.codec_id,
+        chunk.raw,
+        &chunk.body,
+        chunk.expected_len,
+    )
 }
 
 /// Per-chunk damage record produced by [`verify`] and
@@ -1060,22 +915,14 @@ impl DamageReport {
 /// table). Per-chunk damage is reported in the returned [`DamageReport`]
 /// instead, so one bad chunk does not mask the state of the rest.
 pub fn verify(data: &[u8]) -> Result<(Header, DamageReport), Error> {
-    let frame = parse_frame(data)?;
-    let mut report = DamageReport {
-        chunks: frame.count,
-        checksummed: frame.header.version >= VERSION,
-        damaged: Vec::new(),
-    };
-    for i in 0..frame.count {
-        if let Err(error) = frame.check_chunk(i) {
-            report.damaged.push(ChunkDamage {
-                chunk: i as u32,
-                offset: frame.offsets[i] as u64,
-                error,
-            });
+    let region = Region::parse(data)?;
+    let mut report = region.report();
+    for i in 0..region.chunks() {
+        if let Err(error) = region.meta.verify(i, region.body(i)) {
+            report.damaged.push(region.damage(i, error));
         }
     }
-    Ok((frame.header, report))
+    Ok((*region.header(), report))
 }
 
 /// Graceful-degradation decode: decompresses every verifiable chunk and
@@ -1087,75 +934,40 @@ pub fn verify(data: &[u8]) -> Result<(Header, DamageReport), Error> {
 /// at their correct offsets (damaged spans read as zeros).
 ///
 /// A chunk is "damaged" when its checksum mismatches (v2), its codec
-/// rejects the bytes, or it decodes to the wrong length. Framing damage
-/// (header, chunk table) cannot be tolerated — without a trustworthy table
-/// there are no chunk boundaries to salvage — and is returned as an error.
+/// rejects the bytes, it decodes to the wrong length, or (adaptive
+/// `codec`) its table entry names an unknown codec id
+/// ([`Error::UnknownChunkCodec`]) — so one hostile table byte cannot take
+/// down the remaining chunks. Framing damage (header, chunk table) cannot
+/// be tolerated — without a trustworthy table there are no chunk
+/// boundaries to salvage — and is returned as an error.
 ///
 /// # Errors
 ///
-/// Fails only on unusable framing, as for [`verify`].
+/// Fails only on unusable framing, as for [`verify`], or when the stream
+/// layout does not match `codec` ([`Codec::check`]).
 pub fn decompress_tolerant(
     data: &[u8],
-    codec: &dyn ChunkCodec,
+    codec: Codec<'_>,
     threads: usize,
 ) -> Result<(Header, Vec<u8>, DamageReport), Error> {
-    decompress_tolerant_impl(data, &Dispatch::Fixed(codec), threads)
-}
-
-/// Graceful-degradation decode for per-chunk codec streams: the adaptive
-/// counterpart of [`decompress_tolerant`].
-///
-/// A chunk whose table entry names an unknown codec id counts as damaged
-/// ([`Error::UnknownChunkCodec`]) and is zero-filled like any other
-/// per-chunk failure, so one hostile table byte cannot take down the
-/// remaining chunks.
-///
-/// # Errors
-///
-/// Fails only on unusable framing (or a stream with no codec table), as
-/// for [`decompress_adaptive`].
-pub fn decompress_tolerant_adaptive(
-    data: &[u8],
-    codec: &dyn AdaptiveChunkCodec,
-    threads: usize,
-) -> Result<(Header, Vec<u8>, DamageReport), Error> {
-    decompress_tolerant_impl(data, &Dispatch::Adaptive(codec), threads)
-}
-
-fn decompress_tolerant_impl(
-    data: &[u8],
-    codec: &Dispatch<'_>,
-    threads: usize,
-) -> Result<(Header, Vec<u8>, DamageReport), Error> {
-    let frame = parse_frame(data)?;
-    codec.check_frame(&frame)?;
-    let decoded: Vec<Result<Vec<u8>, Error>> =
-        parallel::run_indexed(frame.count, threads, |i| frame.decode_chunk(i, codec));
-    let mut report = DamageReport {
-        chunks: frame.count,
-        checksummed: frame.header.version >= VERSION,
-        damaged: Vec::new(),
-    };
-    let total: usize = (0..frame.count).map(|i| frame.expected_len(i)).sum();
+    let region = Region::parse(data)?;
+    let decoded = region.decode_all(codec, threads)?;
+    let mut report = region.report();
+    let total: usize = (0..region.chunks()).map(|i| region.chunk_len(i)).sum();
     let mut payload = Vec::with_capacity(total.min(data.len().saturating_mul(256)));
     for (i, chunk) in decoded.into_iter().enumerate() {
         match chunk {
             Ok(bytes) => payload.extend_from_slice(&bytes),
             Err(error) => {
-                report.damaged.push(ChunkDamage {
-                    chunk: i as u32,
-                    offset: frame.offsets[i] as u64,
-                    error,
-                });
-                payload.resize(payload.len() + frame.expected_len(i), 0);
+                report.damaged.push(region.damage(i, error));
+                payload.resize(payload.len() + region.chunk_len(i), 0);
             }
         }
     }
-    Ok((frame.header, payload, report))
+    Ok((*region.header(), payload, report))
 }
 
-/// A parsed container frame held open for random access — the seekable
-/// handle behind [`decode_range`] and [`decompress_chunk`].
+/// A parsed container frame held open for random access.
 ///
 /// Parsing validates the header, chunk table, and (v2) the header and
 /// table checksums exactly once; every subsequent [`Region::decode_chunk`]
@@ -1170,45 +982,48 @@ fn decompress_tolerant_impl(
 /// original-data coordinate; algorithms with a global preprocessing stage
 /// (DPratio) map coordinates above this layer.
 pub struct Region<'a> {
-    frame: Frame<'a>,
+    meta: Meta,
+    data: &'a [u8],
 }
 
 impl<'a> Region<'a> {
     /// Parses and validates the stream's framing (header, chunk table,
     /// and for v2 the header/table checksums) without decoding any chunk.
+    /// The stream is borrowed, never copied.
     ///
     /// # Errors
     ///
     /// Fails on malformed or truncated framing, as for [`decompress`].
     pub fn parse(data: &'a [u8]) -> Result<Region<'a>, Error> {
-        Ok(Region {
-            frame: parse_frame(data)?,
-        })
+        // A complete parse never waits for more bytes, so `None` cannot
+        // occur; it would mean truncation.
+        let meta = parse_meta(data, true)?.ok_or(Error::UnexpectedEof)?;
+        Ok(Region { meta, data })
     }
 
     /// The stream header.
     pub fn header(&self) -> &Header {
-        &self.frame.header
+        &self.meta.header
     }
 
     /// Number of chunks in the stream.
     pub fn chunks(&self) -> usize {
-        self.frame.count
+        self.meta.count()
     }
 
     /// Decoded length of chunk `index` (the final chunk may be short).
     pub fn chunk_len(&self, index: usize) -> usize {
-        if index >= self.frame.count {
+        if index >= self.chunks() {
             return 0;
         }
-        self.frame.expected_len(index)
+        self.meta.expected_len(index)
     }
 
     /// The per-chunk codec ids recorded in the chunk table, one per chunk
     /// (raw-stored chunks record id `0`). Empty for fixed-algorithm
     /// streams, which carry no codec table.
     pub fn chunk_codec_ids(&self) -> &[u8] {
-        &self.frame.codec_ids
+        &self.meta.codec_ids
     }
 
     /// Whether chunk `index` is stored raw (uncompressed). A raw chunk's
@@ -1216,7 +1031,13 @@ impl<'a> Region<'a> {
     /// layers skip raw chunks — caching them would only duplicate the
     /// stream's own bytes. Out-of-range indices report `false`.
     pub fn chunk_raw(&self, index: usize) -> bool {
-        index < self.frame.count && self.frame.entries[index] & RAW_FLAG != 0
+        index < self.chunks() && self.meta.raw(index)
+    }
+
+    /// Stored bytes of chunk `index`, unverified (`index` must be in
+    /// range).
+    fn body(&self, index: usize) -> &'a [u8] {
+        &self.data[self.meta.offsets[index]..self.meta.offsets[index + 1]]
     }
 
     /// The stored (compressed, or raw) bytes of chunk `index`, after
@@ -1229,97 +1050,106 @@ impl<'a> Region<'a> {
     ///
     /// Fails on an out-of-range index or a checksum/length mismatch.
     pub fn chunk_body(&self, index: usize) -> Result<&[u8], Error> {
-        if index >= self.frame.count {
+        if index >= self.chunks() {
             return Err(Error::Corrupt("chunk index out of range"));
         }
-        self.frame.check_chunk(index)?;
-        Ok(self.frame.body(index))
+        self.meta.verify(index, self.body(index))?;
+        Ok(self.body(index))
+    }
+
+    /// An empty damage report for this stream, to be filled chunk by
+    /// chunk.
+    fn report(&self) -> DamageReport {
+        DamageReport {
+            chunks: self.chunks(),
+            checksummed: self.meta.header.version >= VERSION,
+            damaged: Vec::new(),
+        }
+    }
+
+    fn damage(&self, index: usize, error: Error) -> ChunkDamage {
+        ChunkDamage {
+            chunk: index as u32,
+            offset: self.meta.offsets[index] as u64,
+            error,
+        }
+    }
+
+    /// Verifies and decodes chunk `index` (in range; frame mode already
+    /// checked).
+    fn decode(&self, index: usize, codec: Codec<'_>) -> Result<Vec<u8>, Error> {
+        let (meta, body) = (&self.meta, self.body(index));
+        meta.verify(index, body)?;
+        codec.decode(
+            index,
+            meta.codec_id(index),
+            meta.raw(index),
+            body,
+            meta.expected_len(index),
+        )
+    }
+
+    /// Runs the frame-mode check, then decodes every chunk on the pool —
+    /// the shared core of [`decompress`] and [`decompress_tolerant`].
+    fn decode_all(
+        &self,
+        codec: Codec<'_>,
+        threads: usize,
+    ) -> Result<Vec<Result<Vec<u8>, Error>>, Error> {
+        codec.check(self.header())?;
+        Ok(parallel::run_indexed(self.chunks(), threads, |i| {
+            self.decode(i, codec)
+        }))
     }
 
     /// Decodes chunk `index` into a fresh buffer, verifying its checksum
-    /// (v2) first.
+    /// (v2) first — the random-access corollary of the paper's "each
+    /// chunk is independent" design (§3).
     ///
     /// # Errors
     ///
-    /// Fails on an out-of-range index, a checksum mismatch, or chunk
-    /// bytes the codec rejects.
-    pub fn decode_chunk(&self, index: usize, codec: &dyn ChunkCodec) -> Result<Vec<u8>, Error> {
-        self.decode_chunk_impl(index, &Dispatch::Fixed(codec))
-    }
-
-    /// Decodes chunk `index` of a per-chunk codec stream, dispatching to
-    /// the member codec recorded in the chunk table.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::decode_chunk`], plus [`Error::UnknownChunkCodec`] for
-    /// hostile codec ids.
-    pub fn decode_chunk_adaptive(
-        &self,
-        index: usize,
-        codec: &dyn AdaptiveChunkCodec,
-    ) -> Result<Vec<u8>, Error> {
-        self.decode_chunk_impl(index, &Dispatch::Adaptive(codec))
-    }
-
-    fn decode_chunk_impl(&self, index: usize, codec: &Dispatch<'_>) -> Result<Vec<u8>, Error> {
-        codec.check_frame(&self.frame)?;
-        if index >= self.frame.count {
+    /// Fails when the stream layout does not match `codec`
+    /// ([`Codec::check`]), on an out-of-range index, a checksum mismatch,
+    /// chunk bytes the codec rejects, or (adaptive `codec`) a codec id it
+    /// does not know ([`Error::UnknownChunkCodec`]).
+    pub fn decode_chunk(&self, index: usize, codec: Codec<'_>) -> Result<Vec<u8>, Error> {
+        codec.check(self.header())?;
+        if index >= self.chunks() {
             return Err(Error::Corrupt("chunk index out of range"));
         }
-        self.frame.decode_chunk(index, codec)
+        self.decode(index, codec)
     }
 
     /// Decodes exactly the payload bytes `offset..offset + len`, touching
     /// only the chunks that overlap the range.
     ///
     /// The range is mapped to the minimal chunk subset
-    /// `[offset / chunk_size, (offset + len - 1) / chunk_size]`, those
-    /// chunks are decoded in parallel on the shared pool (checksum-verified
-    /// per chunk in v2), and the exact requested slice is returned. Chunks
-    /// outside the range are never read, so damage there goes unnoticed —
-    /// and damage inside the range is still always detected (v2).
+    /// `[offset / chunk_size, (offset + len - 1) / chunk_size]`;
+    /// `decode_chunk` is called once per touched chunk index, in parallel
+    /// on the shared pool, and the exact requested slice of the
+    /// concatenated results is returned. Pass
+    /// `|i| region.decode_chunk(i, codec)` for a plain decode, or put a
+    /// cache in front of it. Chunks outside the range are never read, so
+    /// damage there goes unnoticed — and damage inside the range is still
+    /// always detected (v2) as long as `decode_chunk` verifies the chunks
+    /// it reads, as [`Region::decode_chunk`] and [`Region::chunk_body`] do.
     ///
     /// # Errors
     ///
     /// [`Error::RangeOutOfBounds`] when `offset + len` overflows or
-    /// exceeds the payload length; otherwise as [`Region::decode_chunk`].
-    pub fn decode_range(
+    /// exceeds the payload length; otherwise the first error
+    /// `decode_chunk` returns.
+    pub fn decode_range<F>(
         &self,
-        codec: &dyn ChunkCodec,
         offset: u64,
         len: u64,
         threads: usize,
-    ) -> Result<Vec<u8>, Error> {
-        self.decode_range_impl(&Dispatch::Fixed(codec), offset, len, threads)
-    }
-
-    /// [`Region::decode_range`] for per-chunk codec streams: every touched
-    /// chunk dispatches to the member codec recorded in the chunk table.
-    ///
-    /// # Errors
-    ///
-    /// As [`Region::decode_range`], plus [`Error::UnknownChunkCodec`] for
-    /// hostile codec ids inside the range.
-    pub fn decode_range_adaptive(
-        &self,
-        codec: &dyn AdaptiveChunkCodec,
-        offset: u64,
-        len: u64,
-        threads: usize,
-    ) -> Result<Vec<u8>, Error> {
-        self.decode_range_impl(&Dispatch::Adaptive(codec), offset, len, threads)
-    }
-
-    fn decode_range_impl(
-        &self,
-        codec: &Dispatch<'_>,
-        offset: u64,
-        len: u64,
-        threads: usize,
-    ) -> Result<Vec<u8>, Error> {
-        codec.check_frame(&self.frame)?;
-        let available = self.frame.header.payload_len;
+        decode_chunk: F,
+    ) -> Result<Vec<u8>, Error>
+    where
+        F: Fn(usize) -> Result<Vec<u8>, Error> + Sync,
+    {
+        let available = self.meta.header.payload_len;
         let out_of_bounds = Error::RangeOutOfBounds {
             offset,
             len,
@@ -1332,18 +1162,16 @@ impl<'a> Region<'a> {
         fpc_metrics::incr(fpc_metrics::Counter::ContainerRangeRequests, 1);
         fpc_metrics::incr(
             fpc_metrics::Counter::ContainerRangeChunksTotal,
-            self.frame.count as u64,
+            self.chunks() as u64,
         );
         if len == 0 {
             return Ok(Vec::new());
         }
-        let chunk_size = u64::from(self.frame.header.chunk_size);
+        let chunk_size = u64::from(self.meta.header.chunk_size);
         let first = (offset / chunk_size) as usize;
         let last = ((end - 1) / chunk_size) as usize;
         let touched = last - first + 1;
-        let decoded = parallel::run_indexed(touched, threads, |i| {
-            self.frame.decode_chunk(first + i, codec)
-        });
+        let decoded = parallel::run_indexed(touched, threads, |i| decode_chunk(first + i));
         let mut buf = Vec::with_capacity((touched as u64 * chunk_size) as usize);
         for chunk in decoded {
             buf.extend_from_slice(&chunk?);
@@ -1360,70 +1188,6 @@ impl<'a> Region<'a> {
         let skip = (offset - first as u64 * chunk_size) as usize;
         Ok(buf[skip..skip + len as usize].to_vec())
     }
-}
-
-/// Parses the stream once and decodes exactly the payload bytes
-/// `offset..offset + len` — the one-shot form of [`Region::decode_range`].
-///
-/// # Errors
-///
-/// As [`Region::parse`] and [`Region::decode_range`].
-pub fn decode_range(
-    data: &[u8],
-    codec: &dyn ChunkCodec,
-    offset: u64,
-    len: u64,
-    threads: usize,
-) -> Result<Vec<u8>, Error> {
-    Region::parse(data)?.decode_range(codec, offset, len, threads)
-}
-
-/// One-shot [`Region::decode_range_adaptive`] for per-chunk codec streams.
-///
-/// # Errors
-///
-/// As [`Region::parse`] and [`Region::decode_range_adaptive`].
-pub fn decode_range_adaptive(
-    data: &[u8],
-    codec: &dyn AdaptiveChunkCodec,
-    offset: u64,
-    len: u64,
-    threads: usize,
-) -> Result<Vec<u8>, Error> {
-    Region::parse(data)?.decode_range_adaptive(codec, offset, len, threads)
-}
-
-/// Decompresses a single chunk of the container by index, without touching
-/// the rest of the stream — the random-access corollary of the paper's
-/// "each chunk is independent" design (§3).
-///
-/// Returns the chunk's original bytes (the final chunk may be short).
-/// Callers decoding more than one chunk should hold a [`Region`] open
-/// instead of paying the frame parse per call.
-///
-/// # Errors
-///
-/// Fails on malformed streams, checksum mismatches, or an out-of-range
-/// index.
-pub fn decompress_chunk(
-    data: &[u8],
-    codec: &dyn ChunkCodec,
-    index: usize,
-) -> Result<Vec<u8>, Error> {
-    Region::parse(data)?.decode_chunk(index, codec)
-}
-
-/// [`decompress_chunk`] for per-chunk codec streams.
-///
-/// # Errors
-///
-/// As [`Region::decode_chunk_adaptive`].
-pub fn decompress_chunk_adaptive(
-    data: &[u8],
-    codec: &dyn AdaptiveChunkCodec,
-    index: usize,
-) -> Result<Vec<u8>, Error> {
-    Region::parse(data)?.decode_chunk_adaptive(index, codec)
 }
 
 /// Reads just the header of a container stream (for introspection).
@@ -1458,16 +1222,16 @@ pub struct ChunkStats {
 ///
 /// Fails on malformed headers or tables.
 pub fn stats(data: &[u8]) -> Result<ChunkStats, Error> {
-    let frame = parse_frame(data)?;
+    let meta = Region::parse(data)?.meta;
     let mut stats = ChunkStats {
-        chunks: frame.count,
+        chunks: meta.count(),
         ..ChunkStats::default()
     };
     let mut picks = [0usize; 256];
-    for (i, &e) in frame.entries.iter().enumerate() {
+    for (i, &e) in meta.entries.iter().enumerate() {
         if e & RAW_FLAG != 0 {
             stats.raw_chunks += 1;
-        } else if let Some(&id) = frame.codec_ids.get(i) {
+        } else if let Some(&id) = meta.codec_ids.get(i) {
             picks[id as usize] += 1;
         }
         stats.compressed_payload += (e & SIZE_MASK) as usize;
@@ -1587,6 +1351,26 @@ mod tests {
         let mut h = header_for(payload);
         h.version = VERSION_1;
         h
+    }
+
+    const RLE: Codec<'static> = Codec::Fixed(&Rle);
+    const IDENTITY: Codec<'static> = Codec::Fixed(&Identity);
+    const PICKY: Codec<'static> = Codec::Adaptive(&PickyAuto);
+
+    /// Plain range decode through the closure-taking range method.
+    fn range(
+        region: &Region<'_>,
+        codec: Codec<'_>,
+        offset: u64,
+        len: u64,
+        threads: usize,
+    ) -> Result<Vec<u8>, Error> {
+        region.decode_range(offset, len, threads, |i| region.decode_chunk(i, codec))
+    }
+
+    /// Parses `stream` and decodes one chunk.
+    fn chunk_of(stream: &[u8], codec: Codec<'_>, index: usize) -> Result<Vec<u8>, Error> {
+        Region::parse(stream)?.decode_chunk(index, codec)
     }
 
     fn roundtrip(payload: &[u8], codec: &dyn ChunkCodec, threads: usize) -> Vec<u8> {
@@ -1876,7 +1660,7 @@ mod tests {
         let payload_start = stream.len() - stats.compressed_payload;
 
         // Undamaged: tolerant == strict.
-        let (_, out, report) = decompress_tolerant(&stream, &Rle, 2).unwrap();
+        let (_, out, report) = decompress_tolerant(&stream, RLE, 2).unwrap();
         assert_eq!(out, payload);
         assert!(report.is_clean());
 
@@ -1884,7 +1668,7 @@ mod tests {
         // all others recovered bit-exactly.
         let mut bad = stream.clone();
         bad[payload_start] ^= 0x55;
-        let (_, out, report) = decompress_tolerant(&bad, &Rle, 2).unwrap();
+        let (_, out, report) = decompress_tolerant(&bad, RLE, 2).unwrap();
         assert_eq!(out.len(), payload.len());
         assert_eq!(report.damaged.len(), 1);
         let damaged = report.damaged[0].chunk as usize;
@@ -1908,15 +1692,12 @@ mod tests {
             .collect();
         let stream = compress(header_for(&payload), &payload, &Rle, 2).unwrap();
         for index in 0..4 {
-            let chunk = decompress_chunk(&stream, &Rle, index).unwrap();
+            let chunk = chunk_of(&stream, RLE, index).unwrap();
             let start = index * DEFAULT_CHUNK_SIZE;
             let end = (start + DEFAULT_CHUNK_SIZE).min(payload.len());
             assert_eq!(chunk, &payload[start..end], "chunk {index}");
         }
-        assert!(
-            decompress_chunk(&stream, &Rle, 4).is_err(),
-            "out-of-range index"
-        );
+        assert!(chunk_of(&stream, RLE, 4).is_err(), "out-of-range index");
     }
 
     #[test]
@@ -1927,11 +1708,11 @@ mod tests {
             .collect();
         let stream = compress(header_for(&payload), &payload, &Identity, 1).unwrap();
         assert_eq!(
-            decompress_chunk(&stream, &Identity, 0).unwrap(),
+            chunk_of(&stream, IDENTITY, 0).unwrap(),
             &payload[..DEFAULT_CHUNK_SIZE]
         );
         assert_eq!(
-            decompress_chunk(&stream, &Identity, 1).unwrap(),
+            chunk_of(&stream, IDENTITY, 1).unwrap(),
             &payload[DEFAULT_CHUNK_SIZE..]
         );
     }
@@ -1955,11 +1736,14 @@ mod tests {
                 (0, payload.len() as u64),                         // whole file
             ];
             for &(offset, len) in cases {
-                let got = region.decode_range(&Rle, offset, len, 2).unwrap();
+                let got = range(&region, RLE, offset, len, 2).unwrap();
                 let want = &payload[offset as usize..(offset + len) as usize];
                 assert_eq!(got, want, "range {offset}+{len} v{}", header.version);
                 // The one-shot form agrees.
-                assert_eq!(decode_range(&stream, &Rle, offset, len, 1).unwrap(), want);
+                assert_eq!(
+                    range(&Region::parse(&stream).unwrap(), RLE, offset, len, 1).unwrap(),
+                    want
+                );
             }
         }
     }
@@ -1970,16 +1754,13 @@ mod tests {
         let stream = compress(header_for(&payload), &payload, &Rle, 1).unwrap();
         let region = Region::parse(&stream).unwrap();
         for (offset, len) in [(1000u64, 1u64), (999, 2), (u64::MAX, 1), (0, 1001)] {
-            match region.decode_range(&Rle, offset, len, 1) {
+            match range(&region, RLE, offset, len, 1) {
                 Err(Error::RangeOutOfBounds { available, .. }) => assert_eq!(available, 1000),
                 other => panic!("range {offset}+{len} gave {other:?}"),
             }
         }
         // Zero-length at the very end is still in bounds.
-        assert_eq!(
-            region.decode_range(&Rle, 1000, 0, 1).unwrap(),
-            Vec::<u8>::new()
-        );
+        assert_eq!(range(&region, RLE, 1000, 0, 1).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -1996,11 +1777,11 @@ mod tests {
         let region = Region::parse(&bad).unwrap();
         // A range inside chunk 2 never touches the damage.
         let offset = DEFAULT_CHUNK_SIZE as u64 * 2 + 5;
-        let got = region.decode_range(&Rle, offset, 64, 1).unwrap();
+        let got = range(&region, RLE, offset, 64, 1).unwrap();
         assert_eq!(got, &payload[offset as usize..offset as usize + 64]);
         // A range overlapping chunk 0 must report the checksum mismatch.
         assert!(matches!(
-            region.decode_range(&Rle, 0, 10, 1),
+            range(&region, RLE, 0, 10, 1),
             Err(Error::ChecksumMismatch { chunk: Some(0), .. })
         ));
     }
@@ -2011,22 +1792,19 @@ mod tests {
             let stream = compress(header, &[], &Rle, 1).unwrap();
             let (_, out) = decompress(&stream, &Rle, 1).unwrap();
             assert!(out.is_empty());
-            let (_, out, report) = decompress_tolerant(&stream, &Rle, 1).unwrap();
+            let (_, out, report) = decompress_tolerant(&stream, RLE, 1).unwrap();
             assert!(out.is_empty());
             assert!(report.is_clean());
             let region = Region::parse(&stream).unwrap();
             assert_eq!(region.chunks(), 0);
             // The empty range is the only valid one; it must not panic.
-            assert_eq!(
-                region.decode_range(&Rle, 0, 0, 1).unwrap(),
-                Vec::<u8>::new()
-            );
+            assert_eq!(range(&region, RLE, 0, 0, 1).unwrap(), Vec::<u8>::new());
             assert!(matches!(
-                region.decode_range(&Rle, 0, 1, 1),
+                range(&region, RLE, 0, 1, 1),
                 Err(Error::RangeOutOfBounds { .. })
             ));
             // Individual chunk access reports out-of-range, not a panic.
-            assert!(decompress_chunk(&stream, &Rle, 0).is_err());
+            assert!(chunk_of(&stream, RLE, 0).is_err());
         }
     }
 
@@ -2117,7 +1895,7 @@ mod tests {
             let start = index * DEFAULT_CHUNK_SIZE;
             let end = (start + DEFAULT_CHUNK_SIZE).min(payload.len());
             assert_eq!(
-                region.decode_chunk_adaptive(index, &PickyAuto).unwrap(),
+                region.decode_chunk(index, PICKY).unwrap(),
                 &payload[start..end],
                 "chunk {index}"
             );
@@ -2131,21 +1909,19 @@ mod tests {
             (0, payload.len() as u64),              // everything
             (DEFAULT_CHUNK_SIZE as u64 * 3 + 1, 4), // inside the tail
         ] {
-            let got = region
-                .decode_range_adaptive(&PickyAuto, offset, len, 2)
-                .unwrap();
+            let got = range(&region, PICKY, offset, len, 2).unwrap();
             assert_eq!(
                 got,
                 &payload[offset as usize..(offset + len) as usize],
                 "range {offset}+{len}"
             );
             assert_eq!(
-                decode_range_adaptive(&stream, &PickyAuto, offset, len, 1).unwrap(),
+                range(&Region::parse(&stream).unwrap(), PICKY, offset, len, 1).unwrap(),
                 got
             );
         }
         assert_eq!(
-            decompress_chunk_adaptive(&stream, &PickyAuto, 0).unwrap(),
+            chunk_of(&stream, PICKY, 0).unwrap(),
             &payload[..DEFAULT_CHUNK_SIZE]
         );
     }
@@ -2154,7 +1930,7 @@ mod tests {
     fn adaptive_tolerant_decode_zero_fills_damage() {
         let payload = mixed_payload();
         let stream = compress_adaptive(header_for(&payload), &payload, &PickyAuto, 1).unwrap();
-        let (_, out, report) = decompress_tolerant_adaptive(&stream, &PickyAuto, 1).unwrap();
+        let (_, out, report) = decompress_tolerant(&stream, PICKY, 1).unwrap();
         assert_eq!(out, payload);
         assert!(report.is_clean());
 
@@ -2164,7 +1940,7 @@ mod tests {
         let payload_start = stream.len() - s.compressed_payload;
         let mut bad = stream.clone();
         bad[payload_start + 2] ^= 0x55;
-        let (_, out, report) = decompress_tolerant_adaptive(&bad, &PickyAuto, 1).unwrap();
+        let (_, out, report) = decompress_tolerant(&bad, PICKY, 1).unwrap();
         assert_eq!(out.len(), payload.len());
         assert_eq!(report.damaged.len(), 1);
         assert_eq!(report.damaged[0].chunk, 0);
@@ -2197,16 +1973,13 @@ mod tests {
             codec: 250,
         };
         assert_eq!(decompress_adaptive(&bad, &PickyAuto, 1).unwrap_err(), want);
+        assert_eq!(chunk_of(&bad, PICKY, 0).unwrap_err(), want);
         assert_eq!(
-            decompress_chunk_adaptive(&bad, &PickyAuto, 0).unwrap_err(),
-            want
-        );
-        assert_eq!(
-            decode_range_adaptive(&bad, &PickyAuto, 0, 10, 1).unwrap_err(),
+            range(&Region::parse(&bad).unwrap(), PICKY, 0, 10, 1).unwrap_err(),
             want
         );
         // Tolerant decode degrades instead: the hostile chunk zero-fills.
-        let (_, out, report) = decompress_tolerant_adaptive(&bad, &PickyAuto, 1).unwrap();
+        let (_, out, report) = decompress_tolerant(&bad, PICKY, 1).unwrap();
         assert_eq!(out.len(), payload.len());
         assert_eq!(report.damaged.len(), 1);
         assert_eq!(report.damaged[0].error, want);
@@ -2235,7 +2008,7 @@ mod tests {
             Err(Error::Corrupt(_))
         ));
         assert!(matches!(
-            decode_range(&adaptive, &Rle, 0, 8, 1),
+            range(&Region::parse(&adaptive).unwrap(), RLE, 0, 8, 1),
             Err(Error::Corrupt(_))
         ));
         // Adaptive decoder on a fixed stream: no codec table to dispatch on.
@@ -2244,7 +2017,7 @@ mod tests {
             Err(Error::Corrupt(_))
         ));
         assert!(matches!(
-            decompress_tolerant_adaptive(&fixed, &PickyAuto, 1),
+            decompress_tolerant(&fixed, PICKY, 1),
             Err(Error::Corrupt(_))
         ));
         // A fixed header claiming the flag without the adaptive entry point
@@ -2304,39 +2077,63 @@ mod tests {
         let payload: Vec<u8> = (0..DEFAULT_CHUNK_SIZE * 3 + 41)
             .map(|i| (i % 13) as u8)
             .collect();
-        for (version, with_checksums) in [(VERSION, true), (VERSION_1, false)] {
+        // The header alone picks the layout: the same encoded chunks
+        // finish as a v2 or a v1 frame.
+        for version in [VERSION, VERSION_1] {
             let mut header = header_for(&payload);
             header.version = version;
             let whole = compress(header, &payload, &Rle, 2).unwrap();
-            let mut asm = FrameAssembler::new(false, with_checksums);
+            let mut asm = FrameAssembler::new();
             for chunk in payload.chunks(header.chunk_size as usize) {
-                asm.push(encode_chunk(chunk, &Rle, with_checksums)).unwrap();
+                asm.push(encode_chunk(chunk, RLE)).unwrap();
             }
             assert_eq!(asm.finish(header).unwrap(), whole, "version {version}");
         }
+        // A flagged header adds the codec-id column.
+        let payload = mixed_payload();
+        let whole = compress_adaptive(header_for(&payload), &payload, &PickyAuto, 2).unwrap();
+        let mut asm = FrameAssembler::new();
+        for chunk in payload.chunks(DEFAULT_CHUNK_SIZE) {
+            asm.push(encode_chunk(chunk, PICKY)).unwrap();
+        }
+        let mut header = header_for(&payload);
+        header.flags = FLAG_CHUNK_CODECS;
+        assert_eq!(asm.finish(header).unwrap(), whole);
     }
 
     #[test]
-    fn assembler_rejects_count_and_version_mismatch() {
+    fn assembler_rejects_count_and_header_mismatch() {
         let payload = vec![3u8; DEFAULT_CHUNK_SIZE * 2];
         let header = header_for(&payload);
+        let full = || {
+            let mut asm = FrameAssembler::new();
+            for chunk in payload.chunks(DEFAULT_CHUNK_SIZE) {
+                asm.push(encode_chunk(chunk, RLE)).unwrap();
+            }
+            asm
+        };
         // One chunk short of what payload_len promises.
-        let mut asm = FrameAssembler::new(false, true);
-        asm.push(encode_chunk(&payload[..DEFAULT_CHUNK_SIZE], &Rle, true))
+        let mut asm = FrameAssembler::new();
+        asm.push(encode_chunk(&payload[..DEFAULT_CHUNK_SIZE], RLE))
             .unwrap();
         assert!(matches!(asm.finish(header), Err(Error::Corrupt(_))));
-        // Checksum mode disagrees with the header version.
-        let mut asm = FrameAssembler::new(false, false);
-        for chunk in payload.chunks(DEFAULT_CHUNK_SIZE) {
-            asm.push(encode_chunk(chunk, &Rle, false)).unwrap();
-        }
+        // A header no frame can be written for.
+        let mut future = header;
+        future.version = 9;
         assert!(matches!(
-            asm.finish(header),
+            full().finish(future),
+            Err(Error::UnsupportedVersion(9))
+        ));
+        let mut zero = header;
+        zero.chunk_size = 0;
+        assert!(matches!(
+            full().finish(zero),
             Err(Error::InvalidHeader {
-                field: "version",
+                field: "chunk_size",
                 ..
             })
         ));
+        assert!(full().finish(header).is_ok());
     }
 
     #[test]
@@ -2353,7 +2150,7 @@ mod tests {
             for piece in stream.chunks(step) {
                 dec.feed(piece).unwrap();
                 while let Some(chunk) = dec.next_chunk().unwrap() {
-                    out.extend_from_slice(&decode_stream_chunk(&chunk, &Rle).unwrap());
+                    out.extend_from_slice(&decode_stream_chunk(&chunk, RLE).unwrap());
                 }
                 assert!(
                     dec.buffered_bytes() <= DEFAULT_CHUNK_SIZE + 1 + step + 8,
@@ -2375,7 +2172,7 @@ mod tests {
         dec.feed(&stream).unwrap();
         let mut out = Vec::new();
         while let Some(chunk) = dec.next_chunk().unwrap() {
-            out.extend_from_slice(&decode_stream_chunk(&chunk, &Rle).unwrap());
+            out.extend_from_slice(&decode_stream_chunk(&chunk, RLE).unwrap());
         }
         dec.finish().unwrap();
         assert_eq!(out, payload);
@@ -2434,7 +2231,7 @@ mod tests {
         assert!(dec.header().unwrap().flags & FLAG_CHUNK_CODECS != 0);
         let mut out = Vec::new();
         while let Some(chunk) = dec.next_chunk().unwrap() {
-            out.extend_from_slice(&decode_stream_chunk_adaptive(&chunk, &PickyAuto).unwrap());
+            out.extend_from_slice(&decode_stream_chunk(&chunk, PICKY).unwrap());
         }
         dec.finish().unwrap();
         assert_eq!(out, payload);

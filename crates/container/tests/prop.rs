@@ -1,7 +1,7 @@
 //! Deterministic property tests over the container format and parallel
 //! executor (in-repo fuzz driver; no external dependencies).
 
-use fpc_container::{ChunkCodec, Error, Header, ALGO_SP_SPEED, VERSION_1};
+use fpc_container::{ChunkCodec, Codec, Error, Header, Region, ALGO_SP_SPEED, VERSION_1};
 use fpc_prng::fuzz::{run_cases, Mutation};
 use fpc_prng::Rng;
 
@@ -145,11 +145,11 @@ fn random_bytes_never_panic_decoder() {
     run_cases("container/random-bytes", 256, |rng, _| {
         let data = rng.bytes_range(0usize..600);
         let _ = fpc_container::decompress(&data, &Collapsing, 2);
-        let _ = fpc_container::decompress_tolerant(&data, &Collapsing, 2);
+        let _ = fpc_container::decompress_tolerant(&data, Codec::Fixed(&Collapsing), 2);
         let _ = fpc_container::verify(&data);
         let _ = fpc_container::read_header(&data);
         let _ = fpc_container::stats(&data);
-        let _ = fpc_container::decompress_chunk(&data, &Collapsing, 0);
+        let _ = Region::parse(&data).and_then(|r| r.decode_chunk(0, Codec::Fixed(&Collapsing)));
     });
 }
 
@@ -173,7 +173,7 @@ fn mutated_valid_streams_never_panic_and_never_lie() {
                 "mutation {mutation:?} silently altered payload"
             );
         }
-        let _ = fpc_container::decompress_tolerant(&bad, &Collapsing, 2);
+        let _ = fpc_container::decompress_tolerant(&bad, Codec::Fixed(&Collapsing), 2);
         let _ = fpc_container::verify(&bad);
     });
 }

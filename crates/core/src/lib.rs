@@ -35,7 +35,6 @@ pub mod auto;
 mod error;
 mod options;
 mod pipeline;
-pub mod stream;
 pub mod streaming;
 
 pub use analysis::{analyze_bytes, Anatomy};
@@ -46,7 +45,8 @@ pub use pipeline::{DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec};
 pub use streaming::{StreamingCompressor, StreamingDecompressor};
 
 use fpc_container::{
-    Header, ALGO_AUTO, ALGO_DP_RATIO, ALGO_DP_SPEED, ALGO_SP_RATIO, ALGO_SP_SPEED,
+    ChunkCodec, Codec, Header, Region, ALGO_AUTO, ALGO_DP_RATIO, ALGO_DP_SPEED, ALGO_SP_RATIO,
+    ALGO_SP_SPEED,
 };
 use fpc_transforms::{fcm, words};
 
@@ -142,6 +142,43 @@ impl Algorithm {
             other => Err(Error::UnknownAlgorithm(other)),
         }
     }
+
+    /// The algorithm's per-chunk codec: the one place an algorithm maps to
+    /// its pipeline. Encoders pass their options; decoders pass
+    /// [`PipelineOptions::default()`], since the stream is self-describing.
+    /// DPratio's codec covers its chunked stages only; the global FCM stage
+    /// runs around it.
+    pub fn codec(self, options: &PipelineOptions) -> AlgorithmCodec {
+        let fallback = options.mplg_fallback;
+        match self {
+            Algorithm::SpSpeed => AlgorithmCodec::Fixed(Box::new(SpSpeedCodec { fallback })),
+            Algorithm::SpRatio => AlgorithmCodec::Fixed(Box::new(SpRatioCodec)),
+            Algorithm::DpSpeed => AlgorithmCodec::Fixed(Box::new(DpSpeedCodec { fallback })),
+            Algorithm::DpRatio => AlgorithmCodec::Fixed(Box::new(DpRatioChunkCodec {
+                fixed_split: options.fixed_split,
+            })),
+            Algorithm::Auto => AlgorithmCodec::Adaptive(AutoCodec::new(options)),
+        }
+    }
+}
+
+/// An algorithm's per-chunk codec, owned; built by [`Algorithm::codec`]
+/// and lent to the container as a [`Codec`] handle.
+pub enum AlgorithmCodec {
+    /// One pipeline for every chunk (the paper's four algorithms).
+    Fixed(Box<dyn ChunkCodec + Send + Sync>),
+    /// AUTO's per-chunk selection.
+    Adaptive(AutoCodec),
+}
+
+impl AlgorithmCodec {
+    /// The container's handle to this codec.
+    pub fn as_codec(&self) -> Codec<'_> {
+        match self {
+            AlgorithmCodec::Fixed(c) => Codec::Fixed(c.as_ref()),
+            AlgorithmCodec::Adaptive(c) => Codec::Adaptive(c),
+        }
+    }
 }
 
 impl core::fmt::Display for Algorithm {
@@ -232,44 +269,27 @@ impl Compressor {
             data.len() as u64,
         );
         header.chunk_size = self.chunk_size as u32;
-        match algo {
-            Algorithm::SpSpeed => {
-                let codec = SpSpeedCodec {
-                    fallback: self.options.mplg_fallback,
-                };
-                fpc_container::compress(header, data, &codec, self.threads)
-                    .expect("header matches payload")
+        let fcm_payload;
+        let payload = if algo == Algorithm::DpRatio {
+            // Global FCM stage (paper §3.2): the only stage that sees the
+            // whole input, run on the same thread budget as the chunks.
+            // It doubles the payload; the chunked stages then compress
+            // the value and distance arrays.
+            fcm_payload = fcm::encode_payload(data, self.options.fcm_window, self.threads);
+            header.payload_len = fcm_payload.len() as u64;
+            &fcm_payload
+        } else {
+            data
+        };
+        match algo.codec(&self.options) {
+            AlgorithmCodec::Fixed(c) => {
+                fpc_container::compress(header, payload, c.as_ref(), self.threads)
             }
-            Algorithm::SpRatio => {
-                fpc_container::compress(header, data, &SpRatioCodec, self.threads)
-                    .expect("header matches payload")
-            }
-            Algorithm::DpSpeed => {
-                let codec = DpSpeedCodec {
-                    fallback: self.options.mplg_fallback,
-                };
-                fpc_container::compress(header, data, &codec, self.threads)
-                    .expect("header matches payload")
-            }
-            Algorithm::DpRatio => {
-                // Global FCM stage (paper §3.2): the only stage that sees the
-                // whole input, run on the same thread budget as the chunks.
-                // It doubles the payload; the chunked stages then compress
-                // the value and distance arrays.
-                let payload = fcm::encode_payload(data, self.options.fcm_window, self.threads);
-                header.payload_len = payload.len() as u64;
-                let codec = DpRatioChunkCodec {
-                    fixed_split: self.options.fixed_split,
-                };
-                fpc_container::compress(header, &payload, &codec, self.threads)
-                    .expect("header matches payload")
-            }
-            Algorithm::Auto => {
-                let codec = AutoCodec::new(&self.options);
-                fpc_container::compress_adaptive(header, data, &codec, self.threads)
-                    .expect("header matches payload")
+            AlgorithmCodec::Adaptive(c) => {
+                fpc_container::compress_adaptive(header, payload, &c, self.threads)
             }
         }
+        .expect("header matches payload")
     }
 
     /// Compresses single-precision values.
@@ -351,31 +371,14 @@ pub fn decompress_bytes(stream: &[u8]) -> Result<Vec<u8>> {
 pub fn decompress_bytes_with(stream: &[u8], threads: usize) -> Result<Vec<u8>> {
     let header = fpc_container::read_header(stream)?;
     let algorithm = Algorithm::from_id(header.algorithm)?;
-    match algorithm {
-        Algorithm::SpSpeed => {
-            let codec = SpSpeedCodec { fallback: true };
-            let (_, payload) = fpc_container::decompress(stream, &codec, threads)?;
-            finish_plain(header, payload)
-        }
-        Algorithm::SpRatio => {
-            let (_, payload) = fpc_container::decompress(stream, &SpRatioCodec, threads)?;
-            finish_plain(header, payload)
-        }
-        Algorithm::DpSpeed => {
-            let codec = DpSpeedCodec { fallback: true };
-            let (_, payload) = fpc_container::decompress(stream, &codec, threads)?;
-            finish_plain(header, payload)
-        }
-        Algorithm::DpRatio => {
-            let codec = DpRatioChunkCodec { fixed_split: None };
-            let (_, payload) = fpc_container::decompress(stream, &codec, threads)?;
-            finish_fcm(header, &payload)
-        }
-        Algorithm::Auto => {
-            let codec = AutoCodec::default();
-            let (_, payload) = fpc_container::decompress_adaptive(stream, &codec, threads)?;
-            finish_plain(header, payload)
-        }
+    let (_, payload) = match algorithm.codec(&PipelineOptions::default()) {
+        AlgorithmCodec::Fixed(c) => fpc_container::decompress(stream, c.as_ref(), threads)?,
+        AlgorithmCodec::Adaptive(c) => fpc_container::decompress_adaptive(stream, &c, threads)?,
+    };
+    if algorithm == Algorithm::DpRatio {
+        finish_fcm(header, &payload)
+    } else {
+        finish_plain(header, payload)
     }
 }
 
@@ -482,44 +485,7 @@ pub fn decompress_range_with(
     len: u64,
     threads: usize,
 ) -> Result<Vec<u8>> {
-    let header = fpc_container::read_header(stream)?;
-    let algorithm = Algorithm::from_id(header.algorithm)?;
-    let out_of_bounds = Error::RangeOutOfBounds {
-        offset,
-        len,
-        available: header.original_len,
-    };
-    let end = offset.checked_add(len).ok_or(out_of_bounds.clone())?;
-    if end > header.original_len {
-        return Err(out_of_bounds);
-    }
-    if len == 0 {
-        return Ok(Vec::new());
-    }
-    let codec: Box<dyn fpc_container::ChunkCodec> = match algorithm {
-        Algorithm::SpSpeed => Box::new(SpSpeedCodec { fallback: true }),
-        Algorithm::SpRatio => Box::new(SpRatioCodec),
-        Algorithm::DpSpeed => Box::new(DpSpeedCodec { fallback: true }),
-        Algorithm::DpRatio => {
-            let full = decompress_bytes_with(stream, threads)?;
-            return Ok(full[offset as usize..end as usize].to_vec());
-        }
-        Algorithm::Auto => {
-            // AUTO chunks are independent (chunk-local FCM), so ranges use
-            // the chunk-subset path even when DPratio chunks are mixed in.
-            let codec = AutoCodec::default();
-            return Ok(fpc_container::decode_range_adaptive(
-                stream, &codec, offset, len, threads,
-            )?);
-        }
-    };
-    Ok(fpc_container::decode_range(
-        stream,
-        codec.as_ref(),
-        offset,
-        len,
-        threads,
-    )?)
+    decompress_range_impl(stream, offset, len, threads, None)
 }
 
 /// [`decompress_range_with`] backed by a content-addressed hot-chunk
@@ -528,7 +494,8 @@ pub fn decompress_range_with(
 /// next request. Keys are identical to the ones
 /// [`StreamingDecompressor::with_cache`] uses, so a range request hits
 /// entries a streamed decompress of the same stream warmed, and vice
-/// versa. Returned bytes are always identical to the uncached path.
+/// versa. Returned bytes and errors are always identical to the uncached
+/// path.
 ///
 /// Raw-stored chunks bypass the cache (their stored bytes are the decoded
 /// bytes), and DPratio streams fall back to the uncached full-decode path
@@ -544,8 +511,21 @@ pub fn decompress_range_cached_with(
     threads: usize,
     cache: &std::sync::Arc<fpc_cache::ChunkCache>,
 ) -> Result<Vec<u8>> {
-    use std::sync::Arc;
+    decompress_range_impl(stream, offset, len, threads, Some(cache))
+}
 
+/// The one range path behind [`decompress_range_with`] and
+/// [`decompress_range_cached_with`]: bounds check in original-data
+/// coordinates, DPratio's full-decode fallback, the frame-mode check, then
+/// [`Region::decode_range`] over a per-chunk decode that consults `cache`
+/// first when there is one.
+fn decompress_range_impl(
+    stream: &[u8],
+    offset: u64,
+    len: u64,
+    threads: usize,
+    cache: Option<&fpc_cache::ChunkCache>,
+) -> Result<Vec<u8>> {
     let header = fpc_container::read_header(stream)?;
     let algorithm = Algorithm::from_id(header.algorithm)?;
     let out_of_bounds = Error::RangeOutOfBounds {
@@ -560,72 +540,41 @@ pub fn decompress_range_cached_with(
     if len == 0 {
         return Ok(Vec::new());
     }
-    // DPratio chunks are interdependent (global FCM): the uncached path
-    // already does a full decode + slice, and there is no per-chunk result
-    // worth caching.
     if algorithm == Algorithm::DpRatio {
-        return decompress_range_with(stream, offset, len, threads);
+        // The global FCM stage makes chunks interdependent: decode it all,
+        // then slice. There is no per-chunk result worth caching.
+        let full = decompress_bytes_with(stream, threads)?;
+        return Ok(full[offset as usize..end as usize].to_vec());
     }
-    let fixed: Option<Box<dyn fpc_container::ChunkCodec + Send + Sync>> = match algorithm {
-        Algorithm::SpSpeed => Some(Box::new(SpSpeedCodec { fallback: true })),
-        Algorithm::SpRatio => Some(Box::new(SpRatioCodec)),
-        Algorithm::DpSpeed => Some(Box::new(DpSpeedCodec { fallback: true })),
-        Algorithm::Auto => None,
-        Algorithm::DpRatio => unreachable!("handled above"),
-    };
-    let auto = AutoCodec::default();
-    let region = fpc_container::Region::parse(stream)?;
-    let chunk_size = u64::from(region.header().chunk_size);
-    let first = (offset / chunk_size) as usize;
-    let last = ((end - 1) / chunk_size) as usize;
-    let touched = last - first + 1;
-    fpc_metrics::incr(fpc_metrics::Counter::ContainerRangeRequests, 1);
-    fpc_metrics::incr(
-        fpc_metrics::Counter::ContainerRangeChunksTotal,
-        region.chunks() as u64,
-    );
-    let decode_plain = |index: usize| -> Result<Vec<u8>> {
-        Ok(match &fixed {
-            Some(codec) => region.decode_chunk(index, codec.as_ref())?,
-            None => region.decode_chunk_adaptive(index, &auto)?,
-        })
-    };
-    let decoded = fpc_container::parallel_map(touched, threads, |i| -> Result<Vec<u8>> {
-        let index = first + i;
+    // AUTO chunks are independent (chunk-local FCM), so AUTO ranges take
+    // the chunk-subset path too, even with DPratio chunks mixed in.
+    let codec = algorithm.codec(&PipelineOptions::default());
+    let codec = codec.as_codec();
+    let region = Region::parse(stream)?;
+    // The frame-mode check runs before any cache lookup: a cached chunk
+    // must never stand in for a chunk this stream cannot decode.
+    codec.check(region.header())?;
+    let decode = |index: usize| match cache {
         // Raw chunks bypass the cache; decode_chunk just copies them out.
-        if region.chunk_raw(index) {
-            return decode_plain(index);
+        Some(cache) if !region.chunk_raw(index) => {
+            // chunk_body verifies the stored checksum, so the bytes are
+            // safe to address by. Fixed-codec streams have no codec table
+            // and key with id 0, exactly like the streaming decoder.
+            let body = region.chunk_body(index)?;
+            let codec_id = region.chunk_codec_ids().get(index).copied().unwrap_or(0);
+            let context = streaming::decode_chunk_context(
+                algorithm,
+                codec_id,
+                false,
+                region.chunk_len(index),
+            );
+            streaming::cached_decode(cache, fpc_cache::CacheKey::new(body, context), || {
+                region.decode_chunk(index, codec)
+            })
         }
-        // chunk_body verifies the stored checksum, so the bytes are safe
-        // to address by. Fixed-codec streams have no codec table and key
-        // with id 0, exactly like the streaming decoder's chunks.
-        let body = region.chunk_body(index)?;
-        let codec_id = region.chunk_codec_ids().get(index).copied().unwrap_or(0);
-        let context =
-            streaming::decode_chunk_context(algorithm, codec_id, false, region.chunk_len(index));
-        let key = fpc_cache::CacheKey::new(body, context);
-        if let Some(hit) = cache.get(&key) {
-            return Ok(hit.to_vec());
-        }
-        let out = decode_plain(index)?;
-        cache.insert(key, Arc::from(&out[..]));
-        Ok(out)
-    });
-    let mut buf = Vec::with_capacity((touched as u64 * chunk_size) as usize);
-    for chunk in decoded {
-        buf.extend_from_slice(&chunk?);
-    }
-    fpc_metrics::incr(
-        fpc_metrics::Counter::ContainerRangeChunksTouched,
-        touched as u64,
-    );
-    fpc_metrics::incr(
-        fpc_metrics::Counter::ContainerRangeBytesDecoded,
-        buf.len() as u64,
-    );
-    fpc_metrics::incr(fpc_metrics::Counter::ContainerRangeBytesReturned, len);
-    let skip = (offset - first as u64 * chunk_size) as usize;
-    Ok(buf[skip..skip + len as usize].to_vec())
+        _ => region.decode_chunk(index, codec),
+    };
+    Ok(region.decode_range(offset, len, threads, decode)?)
 }
 
 /// Summary of a compressed stream (for tooling and reports).

@@ -33,15 +33,11 @@ use std::sync::Arc;
 use fpc_cache::{CacheKey, ChunkCache};
 use fpc_container::checksum::xxh64;
 use fpc_container::{
-    decode_stream_chunk, decode_stream_chunk_adaptive, encode_chunk, encode_chunk_adaptive,
-    AdaptiveChunkCodec, ChunkCodec, EncodedChunk, FrameAssembler, Header, StreamingDecoder,
-    FLAG_CHUNK_CODECS,
+    decode_stream_chunk, encode_chunk, Codec, EncodedChunk, FrameAssembler, Header,
+    StreamingDecoder, DEFAULT_CHUNK_SIZE, FLAG_CHUNK_CODECS,
 };
 
-use crate::{
-    Algorithm, AutoCodec, Compressor, DpRatioChunkCodec, DpSpeedCodec, Error, PipelineOptions,
-    Result, SpRatioCodec, SpSpeedCodec,
-};
+use crate::{Algorithm, AlgorithmCodec, Compressor, Error, PipelineOptions, Result};
 
 /// Cache-key context tags: the direction byte keeps compress-path entries
 /// (value = encoded chunk) and decompress-path entries (value = decoded
@@ -86,8 +82,19 @@ pub(crate) fn decode_chunk_context(
         | ((expected_len as u64) << 32)
 }
 
-fn decode_context(algo: Algorithm, chunk: &fpc_container::StreamChunk) -> u64 {
-    decode_chunk_context(algo, chunk.codec_id, chunk.raw, chunk.expected_len)
+/// The decoded bytes cached under `key`, or `decode`'s output, which is
+/// then cached. Shared by the streaming and range decode paths.
+pub(crate) fn cached_decode(
+    cache: &ChunkCache,
+    key: CacheKey,
+    decode: impl FnOnce() -> core::result::Result<Vec<u8>, fpc_container::Error>,
+) -> core::result::Result<Vec<u8>, fpc_container::Error> {
+    if let Some(hit) = cache.get(&key) {
+        return Ok(hit.to_vec());
+    }
+    let out = decode()?;
+    cache.insert(key, Arc::from(&out[..]));
+    Ok(out)
 }
 
 /// Serialized cache value for the compress path:
@@ -112,15 +119,10 @@ fn decode_cache_value(v: &[u8]) -> Option<EncodedChunk> {
     })
 }
 
-enum EncCodec {
-    Fixed(Box<dyn ChunkCodec + Send + Sync>),
-    Adaptive(Box<dyn AdaptiveChunkCodec + Send + Sync>),
-}
-
 enum CompState {
     /// Chunk-local algorithms: encode each chunk the moment it completes.
     Chunked {
-        codec: EncCodec,
+        codec: AlgorithmCodec,
         asm: FrameAssembler,
         pending: Vec<u8>,
     },
@@ -131,12 +133,11 @@ enum CompState {
 
 /// Feed/finish compressor producing streams byte-identical to
 /// [`Compressor::compress_bytes`] with the same algorithm, thread count,
-/// and options.
+/// and options (at the default chunk size).
 pub struct StreamingCompressor {
     algo: Algorithm,
     threads: usize,
     options: PipelineOptions,
-    chunk_size: usize,
     state: CompState,
     cache: Option<Arc<ChunkCache>>,
     ctx: u64,
@@ -156,39 +157,20 @@ impl StreamingCompressor {
         threads: usize,
         options: PipelineOptions,
     ) -> StreamingCompressor {
-        let state = match algo {
-            Algorithm::DpRatio => CompState::Buffered(Vec::new()),
-            Algorithm::Auto => CompState::Chunked {
-                codec: EncCodec::Adaptive(Box::new(AutoCodec::new(&options))),
-                asm: FrameAssembler::new(true, true),
+        let state = if algo == Algorithm::DpRatio {
+            CompState::Buffered(Vec::new())
+        } else {
+            CompState::Chunked {
+                codec: algo.codec(&options),
+                asm: FrameAssembler::new(),
                 pending: Vec::new(),
-            },
-            Algorithm::SpSpeed => CompState::Chunked {
-                codec: EncCodec::Fixed(Box::new(SpSpeedCodec {
-                    fallback: options.mplg_fallback,
-                })),
-                asm: FrameAssembler::new(false, true),
-                pending: Vec::new(),
-            },
-            Algorithm::SpRatio => CompState::Chunked {
-                codec: EncCodec::Fixed(Box::new(SpRatioCodec)),
-                asm: FrameAssembler::new(false, true),
-                pending: Vec::new(),
-            },
-            Algorithm::DpSpeed => CompState::Chunked {
-                codec: EncCodec::Fixed(Box::new(DpSpeedCodec {
-                    fallback: options.mplg_fallback,
-                })),
-                asm: FrameAssembler::new(false, true),
-                pending: Vec::new(),
-            },
+            }
         };
         let ctx = encode_context(algo, options_tag(&options));
         StreamingCompressor {
             algo,
             threads,
             options,
-            chunk_size: fpc_container::DEFAULT_CHUNK_SIZE,
             state,
             cache: None,
             ctx,
@@ -221,30 +203,21 @@ impl StreamingCompressor {
     }
 
     fn encode_one(
-        codec: &EncCodec,
-        cache: &Option<Arc<ChunkCache>>,
+        codec: Codec<'_>,
+        cache: Option<&ChunkCache>,
         ctx: u64,
         chunk: &[u8],
     ) -> EncodedChunk {
-        if let Some(cache) = cache {
-            let key = CacheKey::new(chunk, ctx);
-            if let Some(hit) = cache.get(&key) {
-                if let Some(decoded) = decode_cache_value(&hit) {
-                    return decoded;
-                }
-            }
-            let encoded = match codec {
-                EncCodec::Fixed(c) => encode_chunk(chunk, c.as_ref(), true),
-                EncCodec::Adaptive(c) => encode_chunk_adaptive(chunk, c.as_ref(), true),
-            };
-            cache.insert(key, encode_cache_value(&encoded));
-            encoded
-        } else {
-            match codec {
-                EncCodec::Fixed(c) => encode_chunk(chunk, c.as_ref(), true),
-                EncCodec::Adaptive(c) => encode_chunk_adaptive(chunk, c.as_ref(), true),
-            }
+        let Some(cache) = cache else {
+            return encode_chunk(chunk, codec);
+        };
+        let key = CacheKey::new(chunk, ctx);
+        if let Some(hit) = cache.get(&key).and_then(|hit| decode_cache_value(&hit)) {
+            return hit;
         }
+        let encoded = encode_chunk(chunk, codec);
+        cache.insert(key, encode_cache_value(&encoded));
+        encoded
     }
 
     /// Feeds the next bytes of the input, encoding every chunk that
@@ -266,26 +239,24 @@ impl StreamingCompressor {
                 asm,
                 pending,
             } => {
-                let chunk_size = self.chunk_size;
+                let (codec, cache) = (codec.as_codec(), self.cache.as_deref());
                 let mut rest = bytes;
                 // Fill the partial chunk first; thereafter encode straight
                 // from the input slice, copying only the final remainder.
                 if !pending.is_empty() {
-                    let need = chunk_size - pending.len();
+                    let need = DEFAULT_CHUNK_SIZE - pending.len();
                     let take = need.min(rest.len());
                     pending.extend_from_slice(&rest[..take]);
                     rest = &rest[take..];
-                    if pending.len() == chunk_size {
-                        let encoded = Self::encode_one(codec, &self.cache, self.ctx, pending);
-                        asm.push(encoded).map_err(Error::Container)?;
+                    if pending.len() == DEFAULT_CHUNK_SIZE {
+                        asm.push(Self::encode_one(codec, cache, self.ctx, pending))?;
                         pending.clear();
                     }
                 }
-                while rest.len() >= chunk_size {
-                    let (chunk, tail) = rest.split_at(chunk_size);
+                while rest.len() >= DEFAULT_CHUNK_SIZE {
+                    let (chunk, tail) = rest.split_at(DEFAULT_CHUNK_SIZE);
                     rest = tail;
-                    let encoded = Self::encode_one(codec, &self.cache, self.ctx, chunk);
-                    asm.push(encoded).map_err(Error::Container)?;
+                    asm.push(Self::encode_one(codec, cache, self.ctx, chunk))?;
                 }
                 pending.extend_from_slice(rest);
                 Ok(())
@@ -312,8 +283,13 @@ impl StreamingCompressor {
                 pending,
             } => {
                 if !pending.is_empty() {
-                    let encoded = Self::encode_one(&codec, &self.cache, self.ctx, &pending);
-                    asm.push(encoded).map_err(Error::Container)?;
+                    let cache = self.cache.as_deref();
+                    asm.push(Self::encode_one(
+                        codec.as_codec(),
+                        cache,
+                        self.ctx,
+                        &pending,
+                    ))?;
                 }
                 let mut header = Header::new(
                     self.algo.id(),
@@ -321,32 +297,13 @@ impl StreamingCompressor {
                     self.total_in,
                     self.total_in,
                 );
-                header.chunk_size = self.chunk_size as u32;
-                if matches!(codec, EncCodec::Adaptive(_)) {
+                if matches!(codec, AlgorithmCodec::Adaptive(_)) {
                     header.flags |= FLAG_CHUNK_CODECS;
                 }
-                asm.finish(header).map_err(Error::Container)
+                Ok(asm.finish(header)?)
             }
         }
     }
-}
-
-enum DecCodec {
-    Fixed(Box<dyn ChunkCodec + Send + Sync>),
-    Adaptive(Box<dyn AdaptiveChunkCodec + Send + Sync>),
-}
-
-enum DecState {
-    /// Header not yet parsed.
-    Probe,
-    /// Chunk-local algorithms: decoded chunks are final output.
-    Plain(DecCodec),
-    /// DPratio: decoded chunks accumulate into the FCM-transformed
-    /// payload; the inverse FCM runs at finish.
-    DpRatio {
-        codec: DpRatioChunkCodec,
-        payload: Vec<u8>,
-    },
 }
 
 /// Feed/finish decompressor accepting exactly the streams
@@ -356,35 +313,26 @@ enum DecState {
 /// output with [`take_output`](StreamingDecompressor::take_output) after
 /// every feed, and call [`finish`](StreamingDecompressor::finish) at end
 /// of stream (then drain once more: DPratio emits everything there).
+#[derive(Default)]
 pub struct StreamingDecompressor {
     dec: StreamingDecoder,
-    state: DecState,
-    algo: Option<Algorithm>,
+    /// The stream's algorithm and codec, once its header has been parsed
+    /// and passed the frame-mode check.
+    codec: Option<(Algorithm, AlgorithmCodec)>,
+    /// DPratio only: decoded chunks accumulate into the FCM-transformed
+    /// payload; the inverse FCM runs at finish.
+    fcm_payload: Vec<u8>,
     cache: Option<Arc<ChunkCache>>,
     ready: VecDeque<Vec<u8>>,
     ready_bytes: u64,
     produced: u64,
 }
 
-impl Default for StreamingDecompressor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StreamingDecompressor {
     /// Creates an empty engine; the algorithm is read from the stream
     /// header once enough bytes arrive.
     pub fn new() -> StreamingDecompressor {
-        StreamingDecompressor {
-            dec: StreamingDecoder::new(),
-            state: DecState::Probe,
-            algo: None,
-            cache: None,
-            ready: VecDeque::new(),
-            ready_bytes: 0,
-            produced: 0,
-        }
+        StreamingDecompressor::default()
     }
 
     /// Attaches a content-addressed cache of decoded chunks.
@@ -395,105 +343,56 @@ impl StreamingDecompressor {
 
     /// The stream's algorithm, once the header has been parsed.
     pub fn algorithm(&self) -> Option<Algorithm> {
-        self.algo
+        self.codec.as_ref().map(|(algo, _)| *algo)
     }
 
     /// Bytes currently held: undrained decoded output, buffered
     /// not-yet-complete input, and (DPratio only) the accumulated
     /// transformed payload.
     pub fn held_bytes(&self) -> u64 {
-        let state = match &self.state {
-            DecState::DpRatio { payload, .. } => payload.len() as u64,
-            _ => 0,
-        };
-        self.dec.buffered_bytes() as u64 + self.ready_bytes + state
+        self.dec.buffered_bytes() as u64 + self.ready_bytes + self.fcm_payload.len() as u64
     }
 
     /// Whether the stream's algorithm decodes incrementally (`false` for
     /// DPratio, whose output is only available at finish).
     pub fn is_streaming(&self) -> bool {
-        !matches!(self.state, DecState::DpRatio { .. })
+        self.algorithm() != Some(Algorithm::DpRatio)
     }
 
     fn on_header(&mut self, header: &Header) -> Result<()> {
         let algo = Algorithm::from_id(header.algorithm)?;
-        let flagged = header.flags & FLAG_CHUNK_CODECS != 0;
-        // Mirror the container's frame/decoder mode check: a fixed-codec
-        // stream offers no codec ids for an adaptive decoder and vice
-        // versa.
-        match (algo, flagged) {
-            (Algorithm::Auto, false) => {
-                return Err(Error::Container(fpc_container::Error::Corrupt(
-                    "stream carries no per-chunk codec table",
-                )))
-            }
-            (Algorithm::Auto, true) => {}
-            (_, true) => {
-                return Err(Error::Container(fpc_container::Error::Corrupt(
-                    "per-chunk codec stream requires an adaptive decoder",
-                )))
-            }
-            (_, false) => {}
-        }
-        self.algo = Some(algo);
-        self.state = match algo {
-            Algorithm::SpSpeed => {
-                DecState::Plain(DecCodec::Fixed(Box::new(SpSpeedCodec { fallback: true })))
-            }
-            Algorithm::SpRatio => DecState::Plain(DecCodec::Fixed(Box::new(SpRatioCodec))),
-            Algorithm::DpSpeed => {
-                DecState::Plain(DecCodec::Fixed(Box::new(DpSpeedCodec { fallback: true })))
-            }
-            Algorithm::Auto => DecState::Plain(DecCodec::Adaptive(Box::new(AutoCodec::default()))),
-            Algorithm::DpRatio => DecState::DpRatio {
-                codec: DpRatioChunkCodec { fixed_split: None },
-                payload: Vec::new(),
-            },
-        };
+        let codec = algo.codec(&PipelineOptions::default());
+        codec.as_codec().check(header)?;
+        self.codec = Some((algo, codec));
         Ok(())
     }
 
     fn drain_chunks(&mut self) -> Result<()> {
-        while let Some(chunk) = self.dec.next_chunk().map_err(Error::Container)? {
-            let algo = self.algo.expect("state past Probe implies algo");
-            let decode = |chunk: &fpc_container::StreamChunk| -> Result<Vec<u8>> {
-                match &self.state {
-                    DecState::Probe => unreachable!("chunks only pop after the header parses"),
-                    DecState::Plain(DecCodec::Fixed(c)) => {
-                        decode_stream_chunk(chunk, c.as_ref()).map_err(Error::Container)
-                    }
-                    DecState::Plain(DecCodec::Adaptive(c)) => {
-                        decode_stream_chunk_adaptive(chunk, c.as_ref()).map_err(Error::Container)
-                    }
-                    DecState::DpRatio { codec, .. } => {
-                        decode_stream_chunk(chunk, codec).map_err(Error::Container)
-                    }
-                }
-            };
+        let Some((algo, codec)) = &self.codec else {
+            return Ok(());
+        };
+        let algo = *algo;
+        while let Some(chunk) = self.dec.next_chunk()? {
+            let decode = || decode_stream_chunk(&chunk, codec.as_codec());
             // Raw chunks decode to their own bytes — caching them would
             // store pure copies; skip. The chunk checksum was already
             // verified by the streaming decoder, so cached entries are
             // keyed by trusted bytes.
-            let decoded = match (&self.cache, chunk.raw) {
-                (Some(cache), false) => {
-                    let key = CacheKey::new(&chunk.body, decode_context(algo, &chunk));
-                    if let Some(hit) = cache.get(&key) {
-                        hit.to_vec()
-                    } else {
-                        let out = decode(&chunk)?;
-                        cache.insert(key, Arc::from(&out[..]));
-                        out
-                    }
+            let decoded = match self.cache.as_deref() {
+                Some(cache) if !chunk.raw => {
+                    let context =
+                        decode_chunk_context(algo, chunk.codec_id, chunk.raw, chunk.expected_len);
+                    let key = CacheKey::new(&chunk.body, context);
+                    cached_decode(cache, key, decode)?
                 }
-                _ => decode(&chunk)?,
+                _ => decode()?,
             };
-            match &mut self.state {
-                DecState::DpRatio { payload, .. } => payload.extend_from_slice(&decoded),
-                _ => {
-                    self.produced += decoded.len() as u64;
-                    self.ready_bytes += decoded.len() as u64;
-                    self.ready.push_back(decoded);
-                }
+            if algo == Algorithm::DpRatio {
+                self.fcm_payload.extend_from_slice(&decoded);
+            } else {
+                self.produced += decoded.len() as u64;
+                self.ready_bytes += decoded.len() as u64;
+                self.ready.push_back(decoded);
             }
         }
         Ok(())
@@ -508,16 +407,13 @@ impl StreamingDecompressor {
     /// header, checksum mismatch, codec rejection) — identical failure
     /// classes to [`crate::decompress_bytes_with`].
     pub fn feed(&mut self, bytes: &[u8]) -> Result<()> {
-        self.dec.feed(bytes).map_err(Error::Container)?;
-        if matches!(self.state, DecState::Probe) {
+        self.dec.feed(bytes)?;
+        if self.codec.is_none() {
             if let Some(header) = self.dec.header().copied() {
                 self.on_header(&header)?;
             }
         }
-        if !matches!(self.state, DecState::Probe) {
-            self.drain_chunks()?;
-        }
-        Ok(())
+        self.drain_chunks()
     }
 
     /// Takes the next decoded block, if any. Call in a loop after every
@@ -540,31 +436,24 @@ impl StreamingDecompressor {
     /// Truncated streams, length mismatches, or FCM post-stage failures —
     /// identical failure classes to [`crate::decompress_bytes_with`].
     pub fn finish(&mut self) -> Result<()> {
-        self.dec.finish().map_err(Error::Container)?;
+        self.dec.finish()?;
         let header = *self.dec.header().expect("finish() implies parsed meta");
-        match std::mem::replace(&mut self.state, DecState::Probe) {
-            DecState::Probe => unreachable!("finish() implies parsed meta"),
-            plain @ DecState::Plain(_) => {
-                self.state = plain;
-                if self.produced != header.original_len {
-                    return Err(Error::Container(fpc_container::Error::Corrupt(
-                        "payload length disagrees with header",
-                    )));
-                }
-                Ok(())
-            }
-            DecState::DpRatio { codec, payload } => {
-                self.state = DecState::DpRatio {
-                    codec,
-                    payload: Vec::new(),
-                };
-                let out = crate::finish_fcm(header, &payload)?;
-                self.produced += out.len() as u64;
-                self.ready_bytes += out.len() as u64;
-                self.ready.push_back(out);
-                Ok(())
-            }
+        if self.codec.is_none() {
+            // The header parsed but was rejected: report that again
+            // instead of finishing a stream nothing decoded.
+            self.on_header(&header)?;
         }
+        if self.algorithm() == Some(Algorithm::DpRatio) {
+            let out = crate::finish_fcm(header, &std::mem::take(&mut self.fcm_payload))?;
+            self.produced += out.len() as u64;
+            self.ready_bytes += out.len() as u64;
+            self.ready.push_back(out);
+        } else if self.produced != header.original_len {
+            return Err(Error::Container(fpc_container::Error::Corrupt(
+                "payload length disagrees with header",
+            )));
+        }
+        Ok(())
     }
 }
 

@@ -1,19 +1,26 @@
-//! Streaming pipeline: compress an unbounded data stream in frames.
+//! Streaming pipeline: compress an unbounded data stream chunk by chunk.
 //!
 //! Models the paper's motivating deployment (§1): an instrument producing
 //! data continuously (LCLS-II reaches 250 GB/s) that must be compressed on
-//! the fly — the acquisition cannot be buffered whole. Data flows through a
-//! `FrameWriter` into a "storage" sink and back out through a
-//! `FrameReader`, with bit-exactness verified end to end.
+//! the fly — the acquisition cannot be buffered whole. Bursts flow through
+//! a `StreamingCompressor`, which encodes every 16 KiB chunk as soon as it
+//! fills, into a "storage" sink; the stored container is then replayed
+//! through a `StreamingDecompressor` in arbitrary-size reads, with
+//! bit-exactness verified end to end.
 //!
 //! ```text
 //! cargo run --release --example streaming_pipeline
 //! ```
 
-use fpcompress::core::stream::{FrameReader, FrameWriter};
-use fpcompress::core::Algorithm;
-use std::io::{Read, Write};
+use fpcompress::core::{Algorithm, StreamingCompressor, StreamingDecompressor};
 use std::time::Instant;
+
+/// Order-sensitive running checksum over the bytes seen so far.
+fn absorb(checksum: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *checksum = checksum.wrapping_mul(31).wrapping_add(u64::from(b));
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The "instrument": emits bursts of quantized detector readings.
@@ -21,8 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let burst = 65_536usize;
     let mut produced = 0usize;
 
-    let mut writer = FrameWriter::new(Vec::new(), Algorithm::SpSpeed).with_frame_size(1 << 20);
+    let mut compressor = StreamingCompressor::new(Algorithm::SpSpeed, 0);
     let mut checksum_in = 0u64;
+    let mut peak_held = 0u64;
     let start = Instant::now();
     while produced < total_values {
         let n = burst.min(total_values - produced);
@@ -32,39 +40,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 v.to_bits().to_le_bytes()
             })
             .collect();
-        for &b in &burst_data {
-            checksum_in = checksum_in.wrapping_mul(31).wrapping_add(u64::from(b));
-        }
-        writer.write_all(&burst_data)?;
+        absorb(&mut checksum_in, &burst_data);
+        compressor.feed(&burst_data)?;
+        peak_held = peak_held.max(compressor.held_bytes());
         produced += n;
     }
-    let stored = writer.finish()?;
+    let stored = compressor.finish()?;
     let elapsed = start.elapsed().as_secs_f64();
     let raw_bytes = total_values * 4;
     println!(
-        "ingested {} MB in {:.2}s ({:.3} GB/s) -> stored {} MB (ratio {:.3})",
+        "ingested {} MB in {:.2}s ({:.3} GB/s) -> stored {} MB (ratio {:.3}), peak held {} KB",
         raw_bytes / (1 << 20),
         elapsed,
         raw_bytes as f64 / 1e9 / elapsed,
         stored.len() / (1 << 20),
-        raw_bytes as f64 / stored.len() as f64
+        raw_bytes as f64 / stored.len() as f64,
+        peak_held / 1024
     );
 
-    // The "analysis" side: stream back out in arbitrary-size reads.
-    let mut reader = FrameReader::new(stored.as_slice());
+    // The "analysis" side: stream back out in arbitrary-size reads,
+    // draining decoded chunks after every read.
+    let mut decompressor = StreamingDecompressor::new();
     let mut checksum_out = 0u64;
     let mut total_out = 0usize;
-    let mut buf = vec![0u8; 123_457]; // deliberately frame-misaligned
-    loop {
-        let n = reader.read(&mut buf)?;
-        if n == 0 {
-            break;
+    let mut drain = |d: &mut StreamingDecompressor| {
+        while let Some(block) = d.take_output() {
+            absorb(&mut checksum_out, &block);
+            total_out += block.len();
         }
-        for &b in &buf[..n] {
-            checksum_out = checksum_out.wrapping_mul(31).wrapping_add(u64::from(b));
-        }
-        total_out += n;
+    };
+    for read in stored.chunks(123_457) {
+        // deliberately chunk-misaligned
+        decompressor.feed(read)?;
+        drain(&mut decompressor);
     }
+    decompressor.finish()?;
+    drain(&mut decompressor);
     assert_eq!(total_out, raw_bytes);
     assert_eq!(checksum_in, checksum_out, "stream corrupted!");
     println!(

@@ -10,9 +10,7 @@
 
 use fpc_prng::fuzz::{flip_positions, run_cases, Mutation};
 use fpcompress::container::{self, Header, VERSION_1};
-use fpcompress::core::{
-    Algorithm, Compressor, DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec,
-};
+use fpcompress::core::{Algorithm, AlgorithmCodec, Compressor, PipelineOptions, SpSpeedCodec};
 
 fn sample_bytes(algo: Algorithm, n: usize) -> Vec<u8> {
     match algo.element_width() {
@@ -91,7 +89,8 @@ fn tolerant_decode_recovers_all_undamaged_chunks() {
         let pos = (payload_start + victim * span + span / 2).min(stream.len() - 1);
         let mut bad = stream.clone();
         bad[pos] ^= 0x40;
-        let (header, out, report) = container::decompress_tolerant(&bad, &codec, 1).unwrap();
+        let (header, out, report) =
+            container::decompress_tolerant(&bad, container::Codec::Fixed(&codec), 1).unwrap();
         assert_eq!(out.len(), header.payload_len as usize);
         assert_eq!(report.chunks, stats.chunks);
         assert_eq!(
@@ -127,22 +126,20 @@ fn v1_streams_decode_bit_identically() {
         let bytes = sample_bytes(algo, 20_000);
         // DPratio runs a whole-input FCM stage before chunking; mirror the
         // compressor's payload construction for it.
-        let (payload, codec): (Vec<u8>, Box<dyn container::ChunkCodec>) = match algo {
-            Algorithm::SpSpeed => (bytes.clone(), Box::new(SpSpeedCodec { fallback: true })),
-            Algorithm::SpRatio => (bytes.clone(), Box::new(SpRatioCodec)),
-            Algorithm::DpSpeed => (bytes.clone(), Box::new(DpSpeedCodec { fallback: true })),
-            Algorithm::DpRatio => {
-                let (words, tail) = fpcompress::transforms::words::bytes_to_u64(&bytes);
-                let enc = fpcompress::transforms::fcm::encode(&words);
-                let mut payload = Vec::with_capacity(words.len() * 16 + tail.len());
-                fpcompress::transforms::words::u64_to_bytes(&enc.values, &mut payload);
-                fpcompress::transforms::words::u64_to_bytes(&enc.distances, &mut payload);
-                payload.extend_from_slice(tail);
-                (payload, Box::new(DpRatioChunkCodec { fixed_split: None }))
-            }
-            // `Algorithm::ALL` holds only the fixed algorithms; AUTO has no
-            // v1 frame (the per-chunk codec table is v2-only).
-            Algorithm::Auto => unreachable!("AUTO is not in Algorithm::ALL"),
+        let payload = if algo == Algorithm::DpRatio {
+            let (words, tail) = fpcompress::transforms::words::bytes_to_u64(&bytes);
+            let enc = fpcompress::transforms::fcm::encode(&words);
+            let mut payload = Vec::with_capacity(words.len() * 16 + tail.len());
+            fpcompress::transforms::words::u64_to_bytes(&enc.values, &mut payload);
+            fpcompress::transforms::words::u64_to_bytes(&enc.distances, &mut payload);
+            payload.extend_from_slice(tail);
+            payload
+        } else {
+            bytes.clone()
+        };
+        // `Algorithm::ALL` holds only the fixed algorithms.
+        let AlgorithmCodec::Fixed(codec) = algo.codec(&PipelineOptions::default()) else {
+            unreachable!("AUTO is not in Algorithm::ALL");
         };
         let mut header = Header::new(
             algo.id(),

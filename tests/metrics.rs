@@ -143,7 +143,10 @@ fn compressed_output_is_identical_to_uninstrumented_build() {
     // The instrumentation only observes; it must never change the stream.
     // The golden-stream tests pin the exact bytes across builds, so here
     // it suffices to check determinism under instrumentation and that
-    // serial and pooled compression still agree bit-for-bit.
+    // serial and pooled compression still agree bit-for-bit. Compressing
+    // records into the global sinks, so hold the lock the exact-accounting
+    // tests count under.
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let data = sample(16 * 1024);
     for algo in Algorithm::ALL {
         let serial = Compressor::new(algo).with_threads(1).compress_bytes(&data);

@@ -8,9 +8,7 @@
 //! honesty (a decode that "succeeds" yields the original length).
 
 use fpcompress::container::{self, Header, VERSION_1};
-use fpcompress::core::{
-    Algorithm, Compressor, DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec,
-};
+use fpcompress::core::{Algorithm, Compressor, PipelineOptions, SpSpeedCodec};
 
 fn sample_bytes(algo: Algorithm) -> Vec<u8> {
     match algo.element_width() {
@@ -223,18 +221,6 @@ fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn codec_for(algo: Algorithm) -> Box<dyn container::ChunkCodec> {
-    match algo {
-        Algorithm::SpSpeed => Box::new(SpSpeedCodec { fallback: true }),
-        Algorithm::SpRatio => Box::new(SpRatioCodec),
-        Algorithm::DpSpeed => Box::new(DpSpeedCodec { fallback: true }),
-        Algorithm::DpRatio => Box::new(DpRatioChunkCodec { fixed_split: None }),
-        // Only the fixed algorithms are driven through this helper (the
-        // callers loop over `Algorithm::ALL`); AUTO decodes adaptively.
-        Algorithm::Auto => unreachable!("AUTO is not in Algorithm::ALL"),
-    }
-}
-
 #[test]
 fn injected_chunk_damage_is_caught_and_tolerated_across_algorithms() {
     // The fpc-faults chunk-damage hook flips one deterministic bit in a
@@ -252,9 +238,14 @@ fn injected_chunk_damage_is_caught_and_tolerated_across_algorithms() {
         // The clean container payload is the per-chunk reference. For
         // DPratio it is the FCM-doubled values+distances intermediate,
         // not the original bytes, so derive it from a fault-free stream.
-        let codec = codec_for(algo);
+        let codec = algo.codec(&PipelineOptions::default());
         let clean = Compressor::new(algo).compress_bytes(&bytes);
-        let (_, clean_payload) = container::decompress(&clean, codec.as_ref(), 2).unwrap();
+        let (_, clean_payload, report) =
+            container::decompress_tolerant(&clean, codec.as_codec(), 2).unwrap();
+        assert!(
+            report.is_clean(),
+            "{algo}: fault-free stream reported damage"
+        );
         let seed = 0xC0FFEE ^ u64::from(algo.id());
         let plan = || fpc_faults::Plan::single(fpc_faults::FaultKind::ChunkDamage, 0.35, seed);
         let damaged = {
@@ -288,7 +279,7 @@ fn injected_chunk_damage_is_caught_and_tolerated_across_algorithms() {
 
         // (c) tolerant decode zero-fills damage and salvages the rest.
         let (header, out, tolerant) =
-            container::decompress_tolerant(&damaged, codec.as_ref(), 2).unwrap();
+            container::decompress_tolerant(&damaged, codec.as_codec(), 2).unwrap();
         assert_eq!(
             out.len(),
             clean_payload.len(),
@@ -367,5 +358,71 @@ fn baseline_decoders_survive_corruption() {
             // Must not panic; error or garbage both acceptable.
             let _ = codec.decompress(&bad, &meta);
         }
+    }
+}
+
+/// Re-frames a valid fixed-codec v2 stream as a per-chunk codec stream:
+/// sets [`container::FLAG_CHUNK_CODECS`], inserts a zero codec id per chunk
+/// after the size entries, and re-fixes the header and table checksums, so
+/// every integrity check passes and only the frame-mode check can object.
+fn forge_chunk_codec_flag(stream: &[u8]) -> Vec<u8> {
+    use container::checksum::frame_checksum;
+    let count = container::stats(stream).unwrap().chunks;
+    let mut forged = stream.to_vec();
+    forged[7] |= container::FLAG_CHUNK_CODECS;
+    let sum = frame_checksum(&forged[..Header::ENCODED_LEN]);
+    forged[Header::ENCODED_LEN..Header::ENCODED_LEN_V2].copy_from_slice(&sum.to_le_bytes());
+    let table_start = Header::ENCODED_LEN_V2;
+    let ids_at = table_start + 4 + 4 * count;
+    forged.splice(ids_at..ids_at, std::iter::repeat_n(0u8, count));
+    let table_end = ids_at + count + 8 * count;
+    let sum = frame_checksum(&forged[table_start..table_end]);
+    forged[table_end..table_end + 8].copy_from_slice(&sum.to_le_bytes());
+    forged
+}
+
+#[test]
+fn frame_mode_check_holds_on_every_decode_path_even_with_a_warm_cache() {
+    // A checksum-valid SPspeed stream claiming a per-chunk codec table must
+    // be rejected by every decode path with the same error — including a
+    // cached range whose cache already holds the legitimate stream's
+    // chunks, which must not be served for a stream this decoder cannot
+    // read.
+    use fpcompress::core::{
+        decompress_range_cached_with, decompress_range_with, Error, StreamingDecompressor,
+    };
+    let bytes = sample_bytes(Algorithm::SpSpeed)[..32 * 1024].to_vec();
+    let n = bytes.len() as u64;
+    let stream = Compressor::new(Algorithm::SpSpeed)
+        .with_threads(1)
+        .compress_bytes(&bytes);
+    assert_eq!(container::stats(&stream).unwrap().raw_chunks, 0);
+    let forged = forge_chunk_codec_flag(&stream);
+    assert!(container::verify(&forged).unwrap().1.is_clean());
+
+    let warm = std::sync::Arc::new(fpc_cache::ChunkCache::new(8 << 20));
+    assert_eq!(
+        decompress_range_cached_with(&stream, 0, n, 1, &warm).unwrap(),
+        bytes
+    );
+    let cold = std::sync::Arc::new(fpc_cache::ChunkCache::new(8 << 20));
+    let want = Error::Container(container::Error::Corrupt(
+        "per-chunk codec stream requires an adaptive decoder",
+    ));
+    let mut streaming = StreamingDecompressor::new();
+    for (path, got) in [
+        ("one-shot", fpcompress::core::decompress_bytes(&forged)),
+        ("range", decompress_range_with(&forged, 0, n, 1)),
+        (
+            "cold cached range",
+            decompress_range_cached_with(&forged, 0, n, 1, &cold),
+        ),
+        (
+            "warm cached range",
+            decompress_range_cached_with(&forged, 0, n, 1, &warm),
+        ),
+        ("streaming", streaming.feed(&forged).map(|()| Vec::new())),
+    ] {
+        assert_eq!(got.map(|out| out.len()), Err(want.clone()), "{path}");
     }
 }
