@@ -11,7 +11,12 @@
 //! ordered concatenation the paper implements with a write-position chain
 //! is reproduced here by indexed reassembly. On decompression, a prefix sum
 //! over the chunk-size table yields every chunk's read position, after
-//! which all chunks decode independently in parallel.
+//! which all chunks decode independently in parallel, and the worker that
+//! decodes chunk `i` writes it straight into the one output buffer at
+//! `i × chunk_size`, as the paper's decompressor does. The output grows a
+//! window of at least [`WINDOW_BYTES`] at a time, so a stream that claims
+//! a huge payload allocates at most one window beyond the chunks that
+//! actually decoded.
 //!
 //! # Stream layout
 //!
@@ -50,6 +55,7 @@ pub use header::{
 };
 
 use checksum::frame_checksum;
+use fpc_pool::OutSlot;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -59,6 +65,10 @@ pub const DEFAULT_CHUNK_SIZE: usize = 16 * 1024;
 
 /// Upper bound on accepted chunk sizes when decoding untrusted streams.
 pub const MAX_CHUNK_SIZE: usize = 16 * 1024 * 1024;
+
+/// Decoded output grows by this many bytes at a time, rounded up to whole
+/// chunks (one chunk when chunks are larger).
+pub const WINDOW_BYTES: usize = 4 * 1024 * 1024;
 
 const RAW_FLAG: u32 = 0x8000_0000;
 const SIZE_MASK: u32 = 0x7FFF_FFFF;
@@ -162,9 +172,10 @@ impl Codec<'_> {
     }
 
     /// The one per-chunk decode step, on a body that already passed
-    /// [`Meta::verify`] (the one per-chunk verify step): raw chunks are copied out, other chunks dispatch
-    /// to the codec (on the recorded `codec_id` for a selector) and must
-    /// decode to exactly `expected_len` bytes.
+    /// [`Meta::verify`] (the one per-chunk verify step), appending to
+    /// `out`: raw chunks are copied out, other chunks dispatch to the codec
+    /// (on the recorded `codec_id` for a selector) and must decode to
+    /// exactly `expected_len` bytes.
     fn decode(
         &self,
         index: usize,
@@ -172,13 +183,16 @@ impl Codec<'_> {
         raw: bool,
         body: &[u8],
         expected_len: usize,
-    ) -> Result<Vec<u8>, Error> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), Error> {
         if raw {
-            return Ok(body.to_vec());
+            out.extend_from_slice(body);
+            return Ok(());
         }
-        let mut out = Vec::with_capacity(expected_len.min(MAX_CHUNK_SIZE));
+        let start = out.len();
+        out.reserve(expected_len.min(MAX_CHUNK_SIZE));
         match self {
-            Codec::Fixed(c) => c.decode_chunk(body, expected_len, &mut out)?,
+            Codec::Fixed(c) => c.decode_chunk(body, expected_len, out)?,
             Codec::Adaptive(c) => {
                 if !c.knows_codec(codec_id) {
                     return Err(Error::UnknownChunkCodec {
@@ -186,13 +200,13 @@ impl Codec<'_> {
                         codec: codec_id,
                     });
                 }
-                c.decode_chunk(codec_id, body, expected_len, &mut out)?;
+                c.decode_chunk(codec_id, body, expected_len, out)?;
             }
         }
-        if out.len() != expected_len {
+        if out.len() - start != expected_len {
             return Err(Error::Corrupt("decoded chunk length mismatch"));
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -501,6 +515,9 @@ struct Meta {
     /// chunk `i`, so `offsets[0]` is the metadata length and the last entry
     /// the total stream length.
     offsets: Vec<usize>,
+    /// Decoded length of the last chunk (0 when there are no chunks);
+    /// every other chunk is `header.chunk_size` bytes.
+    last_len: usize,
 }
 
 impl Meta {
@@ -524,19 +541,10 @@ impl Meta {
 
     /// Original (decoded) length of chunk `i`.
     fn expected_len(&self, i: usize) -> usize {
-        let chunk_size = self.header.chunk_size as usize;
-        let payload_len = self.header.payload_len as usize;
-        let count = self.count();
-        // An empty payload has no chunks at all; without this guard the
-        // last-chunk formula below underflows (`0 - 1`) as soon as a chunk
-        // of an empty container is addressed individually.
-        if count == 0 {
-            return 0;
-        }
-        if i + 1 == count {
-            payload_len - (count - 1) * chunk_size
+        if i + 1 < self.count() {
+            self.header.chunk_size as usize
         } else {
-            chunk_size
+            self.last_len
         }
     }
 
@@ -584,9 +592,8 @@ fn parse_meta(data: &[u8], complete: bool) -> Result<Option<Meta>, Error> {
         Ok(count) => count as usize,
         Err(e) => return short(e),
     };
-    if count != payload_len.div_ceil(header.chunk_size as usize) {
-        return Err(Error::Corrupt("chunk count does not match payload length"));
-    }
+    let last_len = last_chunk_len(payload_len, count, header.chunk_size as usize)
+        .ok_or(Error::Corrupt("chunk count does not match payload length"))?;
 
     // Bound the whole metadata region against the remaining bytes before
     // allocating anything sized by `count`.
@@ -647,7 +654,21 @@ fn parse_meta(data: &[u8], complete: bool) -> Result<Option<Meta>, Error> {
         codec_ids,
         checksums,
         offsets,
+        last_len,
     }))
+}
+
+/// Decoded length of the last of `count` chunks that tile `payload_len`
+/// bytes, or `None` when `count` chunks cannot tile it: every chunk but the
+/// last is exactly `chunk_size` bytes and the last holds 1 to `chunk_size`
+/// (an empty payload has no chunks). The arithmetic is checked, so a forged
+/// header/count pair fails here instead of underflowing later.
+fn last_chunk_len(payload_len: usize, count: usize, chunk_size: usize) -> Option<usize> {
+    let Some(full) = count.checked_sub(1) else {
+        return (payload_len == 0).then_some(0);
+    };
+    let last = payload_len.checked_sub(full.checked_mul(chunk_size)?)?;
+    (1..=chunk_size).contains(&last).then_some(last)
 }
 
 /// Parses and validates the container, returning the header and the
@@ -693,12 +714,14 @@ fn decompress_impl(
 ) -> Result<(Header, Vec<u8>), Error> {
     let t = fpc_metrics::timer(fpc_metrics::Stage::ContainerDecode);
     let region = Region::parse(data)?;
-    let decoded = region.decode_all(codec, threads)?;
-    let total: usize = decoded.iter().map(|c| c.as_ref().map_or(0, Vec::len)).sum();
-    let mut payload = Vec::with_capacity(total);
-    for chunk in decoded {
-        payload.extend_from_slice(&chunk?);
-    }
+    codec.check(region.header())?;
+    let payload = region.decode_span(
+        0,
+        region.payload_len(),
+        threads,
+        |i, _, slot| region.decode_slot(i, codec, slot),
+        |_, error| Err(error),
+    )?;
     t.finish(payload.len() as u64);
     Ok((*region.header(), payload))
 }
@@ -851,22 +874,27 @@ impl StreamingDecoder {
     }
 }
 
-/// Decodes a [`StreamChunk`], enforcing the expected length exactly as
-/// whole-stream [`decompress`] does per chunk. The caller runs
-/// [`Codec::check`] on the stream header first.
+/// Decodes a [`StreamChunk`], appending to `out` and enforcing the
+/// expected length exactly as whole-stream [`decompress`] does per chunk.
+/// The caller runs [`Codec::check`] on the stream header first.
 ///
 /// # Errors
 ///
 /// As [`decompress`]'s per-chunk failures, plus
 /// [`Error::UnknownChunkCodec`] for a codec id an adaptive `codec` does not
 /// know.
-pub fn decode_stream_chunk(chunk: &StreamChunk, codec: Codec<'_>) -> Result<Vec<u8>, Error> {
+pub fn decode_stream_chunk(
+    chunk: &StreamChunk,
+    codec: Codec<'_>,
+    out: &mut Vec<u8>,
+) -> Result<(), Error> {
     codec.decode(
         chunk.index,
         chunk.codec_id,
         chunk.raw,
         &chunk.body,
         chunk.expected_len,
+        out,
     )
 }
 
@@ -951,19 +979,19 @@ pub fn decompress_tolerant(
     threads: usize,
 ) -> Result<(Header, Vec<u8>, DamageReport), Error> {
     let region = Region::parse(data)?;
-    let decoded = region.decode_all(codec, threads)?;
+    codec.check(region.header())?;
     let mut report = region.report();
-    let total: usize = (0..region.chunks()).map(|i| region.chunk_len(i)).sum();
-    let mut payload = Vec::with_capacity(total.min(data.len().saturating_mul(256)));
-    for (i, chunk) in decoded.into_iter().enumerate() {
-        match chunk {
-            Ok(bytes) => payload.extend_from_slice(&bytes),
-            Err(error) => {
-                report.damaged.push(region.damage(i, error));
-                payload.resize(payload.len() + region.chunk_len(i), 0);
-            }
-        }
-    }
+    // A damaged chunk's slot is left unfilled, which zero-fills it.
+    let payload = region.decode_span(
+        0,
+        region.payload_len(),
+        threads,
+        |i, _, slot| region.decode_slot(i, codec, slot),
+        |i, error| {
+            report.damaged.push(region.damage(i, error));
+            Ok(())
+        },
+    )?;
     Ok((*region.header(), payload, report))
 }
 
@@ -1075,9 +1103,15 @@ impl<'a> Region<'a> {
         }
     }
 
+    /// Decoded payload length (`header.payload_len`, which [`parse_meta`]
+    /// checked fits in memory addresses).
+    fn payload_len(&self) -> usize {
+        self.meta.header.payload_len as usize
+    }
+
     /// Verifies and decodes chunk `index` (in range; frame mode already
-    /// checked).
-    fn decode(&self, index: usize, codec: Codec<'_>) -> Result<Vec<u8>, Error> {
+    /// checked), appending to `out`.
+    fn decode(&self, index: usize, codec: Codec<'_>, out: &mut Vec<u8>) -> Result<(), Error> {
         let (meta, body) = (&self.meta, self.body(index));
         meta.verify(index, body)?;
         codec.decode(
@@ -1086,24 +1120,83 @@ impl<'a> Region<'a> {
             meta.raw(index),
             body,
             meta.expected_len(index),
+            out,
         )
     }
 
-    /// Runs the frame-mode check, then decodes every chunk on the pool —
-    /// the shared core of [`decompress`] and [`decompress_tolerant`].
-    fn decode_all(
+    /// Verifies and decodes chunk `index` into its whole-chunk `slot`: a
+    /// raw chunk is copied straight from the stream, any other is decoded
+    /// into the worker's scratch arena and copied from there.
+    fn decode_slot(
         &self,
+        index: usize,
         codec: Codec<'_>,
-        threads: usize,
-    ) -> Result<Vec<Result<Vec<u8>, Error>>, Error> {
-        codec.check(self.header())?;
-        Ok(parallel::run_indexed(self.chunks(), threads, |i| {
-            self.decode(i, codec)
-        }))
+        slot: &mut OutSlot<'_>,
+    ) -> Result<(), Error> {
+        let body = self.body(index);
+        if self.meta.raw(index) {
+            // `verify` pins a raw body to the chunk's decoded length.
+            self.meta.verify(index, body)?;
+            slot.fill(body);
+            return Ok(());
+        }
+        fpc_pool::with_scratch(|buf| {
+            self.decode(index, codec, buf)?;
+            slot.fill(buf);
+            Ok(())
+        })
     }
 
-    /// Decodes chunk `index` into a fresh buffer, verifying its checksum
-    /// (v2) first — the random-access corollary of the paper's "each
+    /// The one in-place decode behind [`decompress`],
+    /// [`decompress_tolerant`] and [`Region::decode_range`]: returns payload
+    /// bytes `lo..hi` (in range), decoded chunk by chunk on the pool.
+    ///
+    /// `step(i, skip, slot)` decodes chunk `i` and writes its bytes from
+    /// `skip` on into `slot`, the part of the output the chunk covers; it
+    /// runs on the worker that claimed the chunk, so each chunk lands at
+    /// its table-known offset without a pass on the calling thread. The
+    /// output grows one window ([`WINDOW_BYTES`], in whole chunks) at a
+    /// time. After each window, `failed(i, error)` sees that window's
+    /// failed chunks in index order (their slots read as zeros); an error
+    /// it returns stops the decode.
+    fn decode_span<S>(
+        &self,
+        lo: usize,
+        hi: usize,
+        threads: usize,
+        step: S,
+        mut failed: impl FnMut(usize, Error) -> Result<(), Error>,
+    ) -> Result<Vec<u8>, Error>
+    where
+        S: Fn(usize, usize, &mut OutSlot<'_>) -> Result<(), Error> + Sync,
+    {
+        let chunk_size = self.meta.header.chunk_size as usize;
+        let window = WINDOW_BYTES.div_ceil(chunk_size) * chunk_size;
+        let mut out = Vec::new();
+        let mut start = lo;
+        while start < hi {
+            let (first, phase) = (start / chunk_size, start % chunk_size);
+            let end = (start - phase).saturating_add(window).min(hi);
+            let results = fpc_pool::fill_slots(
+                &mut out,
+                phase,
+                chunk_size,
+                end - start,
+                threads,
+                |j, slot| step(first + j, if j == 0 { phase } else { 0 }, slot),
+            );
+            for (j, result) in results.into_iter().enumerate() {
+                if let Err(error) = result {
+                    failed(first + j, error)?;
+                }
+            }
+            start = end;
+        }
+        Ok(out)
+    }
+
+    /// Decodes chunk `index`, appending it to `out` after verifying its
+    /// checksum (v2) — the random-access corollary of the paper's "each
     /// chunk is independent" design (§3).
     ///
     /// # Errors
@@ -1112,12 +1205,17 @@ impl<'a> Region<'a> {
     /// ([`Codec::check`]), on an out-of-range index, a checksum mismatch,
     /// chunk bytes the codec rejects, or (adaptive `codec`) a codec id it
     /// does not know ([`Error::UnknownChunkCodec`]).
-    pub fn decode_chunk(&self, index: usize, codec: Codec<'_>) -> Result<Vec<u8>, Error> {
+    pub fn decode_chunk(
+        &self,
+        index: usize,
+        codec: Codec<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), Error> {
         codec.check(self.header())?;
         if index >= self.chunks() {
             return Err(Error::Corrupt("chunk index out of range"));
         }
-        self.decode(index, codec)
+        self.decode(index, codec, out)
     }
 
     /// Decodes exactly the payload bytes `offset..offset + len`, touching
@@ -1125,20 +1223,23 @@ impl<'a> Region<'a> {
     ///
     /// The range is mapped to the minimal chunk subset
     /// `[offset / chunk_size, (offset + len - 1) / chunk_size]`;
-    /// `decode_chunk` is called once per touched chunk index, in parallel
-    /// on the shared pool, and the exact requested slice of the
-    /// concatenated results is returned. Pass
-    /// `|i| region.decode_chunk(i, codec)` for a plain decode, or put a
-    /// cache in front of it. Chunks outside the range are never read, so
-    /// damage there goes unnoticed — and damage inside the range is still
-    /// always detected (v2) as long as `decode_chunk` verifies the chunks
-    /// it reads, as [`Region::decode_chunk`] and [`Region::chunk_body`] do.
+    /// `decode_chunk(i, buf)` is called once per touched chunk index, in
+    /// parallel on the shared pool, and must append chunk `i`'s decoded
+    /// bytes to `buf` (the worker's scratch arena). The worker then copies
+    /// the part the range covers straight to its place in the returned
+    /// buffer. Pass `|i, buf| region.decode_chunk(i, codec, buf)` for a
+    /// plain decode, or put a cache in front of it. Chunks outside the
+    /// range are never read, so damage there goes unnoticed — and damage
+    /// inside the range is still always detected (v2) as long as
+    /// `decode_chunk` verifies the chunks it reads, as
+    /// [`Region::decode_chunk`] and [`Region::chunk_body`] do.
     ///
     /// # Errors
     ///
     /// [`Error::RangeOutOfBounds`] when `offset + len` overflows or
-    /// exceeds the payload length; otherwise the first error
-    /// `decode_chunk` returns.
+    /// exceeds the payload length; otherwise the error of the
+    /// lowest-index chunk that failed, which includes a `decode_chunk`
+    /// that appended the wrong number of bytes.
     pub fn decode_range<F>(
         &self,
         offset: u64,
@@ -1147,7 +1248,7 @@ impl<'a> Region<'a> {
         decode_chunk: F,
     ) -> Result<Vec<u8>, Error>
     where
-        F: Fn(usize) -> Result<Vec<u8>, Error> + Sync,
+        F: Fn(usize, &mut Vec<u8>) -> Result<(), Error> + Sync,
     {
         let available = self.meta.header.payload_len;
         let out_of_bounds = Error::RangeOutOfBounds {
@@ -1167,26 +1268,36 @@ impl<'a> Region<'a> {
         if len == 0 {
             return Ok(Vec::new());
         }
-        let chunk_size = u64::from(self.meta.header.chunk_size);
-        let first = (offset / chunk_size) as usize;
-        let last = ((end - 1) / chunk_size) as usize;
-        let touched = last - first + 1;
-        let decoded = parallel::run_indexed(touched, threads, |i| decode_chunk(first + i));
-        let mut buf = Vec::with_capacity((touched as u64 * chunk_size) as usize);
-        for chunk in decoded {
-            buf.extend_from_slice(&chunk?);
-        }
+        let (lo, hi) = (offset as usize, end as usize);
+        let out = self.decode_span(
+            lo,
+            hi,
+            threads,
+            |i, skip, slot| {
+                fpc_pool::with_scratch(|buf| {
+                    decode_chunk(i, buf)?;
+                    if buf.len() != self.meta.expected_len(i) {
+                        return Err(Error::Corrupt("decoded chunk length mismatch"));
+                    }
+                    slot.fill(&buf[skip..skip + slot.len()]);
+                    Ok(())
+                })
+            },
+            |_, error| Err(error),
+        )?;
+        let chunk_size = self.meta.header.chunk_size as usize;
+        let (first, last) = (lo / chunk_size, (hi - 1) / chunk_size);
         fpc_metrics::incr(
             fpc_metrics::Counter::ContainerRangeChunksTouched,
-            touched as u64,
+            (last - first + 1) as u64,
         );
         fpc_metrics::incr(
             fpc_metrics::Counter::ContainerRangeBytesDecoded,
-            buf.len() as u64,
+            (((last + 1).saturating_mul(chunk_size)).min(self.payload_len()) - first * chunk_size)
+                as u64,
         );
         fpc_metrics::incr(fpc_metrics::Counter::ContainerRangeBytesReturned, len);
-        let skip = (offset - first as u64 * chunk_size) as usize;
-        Ok(buf[skip..skip + len as usize].to_vec())
+        Ok(out)
     }
 }
 
@@ -1365,12 +1476,28 @@ mod tests {
         len: u64,
         threads: usize,
     ) -> Result<Vec<u8>, Error> {
-        region.decode_range(offset, len, threads, |i| region.decode_chunk(i, codec))
+        region.decode_range(offset, len, threads, |i, buf| {
+            region.decode_chunk(i, codec, buf)
+        })
+    }
+
+    /// Decodes one chunk of a parsed region into a fresh buffer.
+    fn chunk_at(region: &Region<'_>, codec: Codec<'_>, index: usize) -> Result<Vec<u8>, Error> {
+        let mut out = Vec::new();
+        region.decode_chunk(index, codec, &mut out)?;
+        Ok(out)
     }
 
     /// Parses `stream` and decodes one chunk.
     fn chunk_of(stream: &[u8], codec: Codec<'_>, index: usize) -> Result<Vec<u8>, Error> {
-        Region::parse(stream)?.decode_chunk(index, codec)
+        chunk_at(&Region::parse(stream)?, codec, index)
+    }
+
+    /// Decodes one streamed chunk into a fresh buffer.
+    fn stream_chunk(chunk: &StreamChunk, codec: Codec<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        decode_stream_chunk(chunk, codec, &mut out).unwrap();
+        out
     }
 
     fn roundtrip(payload: &[u8], codec: &dyn ChunkCodec, threads: usize) -> Vec<u8> {
@@ -1617,6 +1744,47 @@ mod tests {
             }
             other => panic!("expected LengthOverflow, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn forged_count_payload_pairs_fail_structurally() {
+        // The last chunk's length is derived once, with checked
+        // arithmetic, where the table is parsed; a header/count pair that
+        // cannot tile the payload is a structured error on every path.
+        let want = Error::Corrupt("chunk count does not match payload length");
+        let cs = DEFAULT_CHUNK_SIZE as u64;
+        for (payload_len, count) in [
+            (cs * 3, 4u32),           // one chunk too many: the last would be empty
+            (cs * 3 + 1, 3),          // one too few: the last would exceed chunk_size
+            (1, 0),                   // bytes but no chunks
+            (0, 1),                   // a chunk but no bytes
+            (cs, u32::MAX),           // (count - 1) * chunk_size exceeds payload_len
+            (u64::from(u32::MAX), 1), // one chunk claiming 4 GiB
+        ] {
+            let mut h = header_for(&[]);
+            h.payload_len = payload_len;
+            h.original_len = payload_len;
+            let mut data = Vec::new();
+            h.write(&mut data);
+            data.extend_from_slice(&count.to_le_bytes());
+            let case = format!("payload_len {payload_len}, count {count}");
+            assert_eq!(decompress(&data, &Rle, 1).unwrap_err(), want, "{case}");
+            assert_eq!(
+                decompress_tolerant(&data, RLE, 1).unwrap_err(),
+                want,
+                "{case}"
+            );
+            assert_eq!(verify(&data).unwrap_err(), want, "{case}");
+            assert_eq!(
+                StreamingDecoder::new().feed(&data),
+                Err(want.clone()),
+                "{case}"
+            );
+        }
+        assert_eq!(last_chunk_len(0, 0, 16), Some(0));
+        assert_eq!(last_chunk_len(16 * 2 + 5, 3, 16), Some(5));
+        assert_eq!(last_chunk_len(16 * 3, 3, 16), Some(16));
+        assert_eq!(last_chunk_len(usize::MAX, usize::MAX, 2), None);
     }
 
     #[test]
@@ -1895,7 +2063,7 @@ mod tests {
             let start = index * DEFAULT_CHUNK_SIZE;
             let end = (start + DEFAULT_CHUNK_SIZE).min(payload.len());
             assert_eq!(
-                region.decode_chunk(index, PICKY).unwrap(),
+                chunk_at(&region, PICKY, index).unwrap(),
                 &payload[start..end],
                 "chunk {index}"
             );
@@ -2150,7 +2318,7 @@ mod tests {
             for piece in stream.chunks(step) {
                 dec.feed(piece).unwrap();
                 while let Some(chunk) = dec.next_chunk().unwrap() {
-                    out.extend_from_slice(&decode_stream_chunk(&chunk, RLE).unwrap());
+                    out.extend_from_slice(&stream_chunk(&chunk, RLE));
                 }
                 assert!(
                     dec.buffered_bytes() <= DEFAULT_CHUNK_SIZE + 1 + step + 8,
@@ -2172,7 +2340,7 @@ mod tests {
         dec.feed(&stream).unwrap();
         let mut out = Vec::new();
         while let Some(chunk) = dec.next_chunk().unwrap() {
-            out.extend_from_slice(&decode_stream_chunk(&chunk, RLE).unwrap());
+            out.extend_from_slice(&stream_chunk(&chunk, RLE));
         }
         dec.finish().unwrap();
         assert_eq!(out, payload);
@@ -2231,7 +2399,7 @@ mod tests {
         assert!(dec.header().unwrap().flags & FLAG_CHUNK_CODECS != 0);
         let mut out = Vec::new();
         while let Some(chunk) = dec.next_chunk().unwrap() {
-            out.extend_from_slice(&decode_stream_chunk(&chunk, PICKY).unwrap());
+            out.extend_from_slice(&stream_chunk(&chunk, PICKY));
         }
         dec.finish().unwrap();
         assert_eq!(out, payload);

@@ -1,0 +1,188 @@
+//! The allocation bound of windowed in-place decode: the output grows one
+//! window at a time, so a stream that claims a huge payload allocates at
+//! most one window beyond the chunks that actually decoded.
+//!
+//! A counting global allocator records the live-byte high-water mark. It
+//! is process-wide, so this binary holds exactly one test.
+
+use fpc_container::checksum::frame_checksum;
+use fpc_container::{
+    decompress, decompress_tolerant, ChunkCodec, Codec, EncodedChunk, Error, FrameAssembler,
+    Header, ALGO_SP_SPEED, MAX_CHUNK_SIZE, WINDOW_BYTES,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let now = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters only
+// observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        shrank(layout.size());
+    }
+
+    /// Counted as the size change: the bound is on live bytes.
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the most bytes that were live at
+/// once during the call, above what was live when it started.
+fn high_water<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let result = f();
+    (result, PEAK.load(Ordering::Relaxed) - base)
+}
+
+/// Chunks whose one-byte body decodes to `expected_len` copies of it.
+struct Fill;
+
+impl ChunkCodec for Fill {
+    fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) {
+        out.push(chunk[0]);
+    }
+
+    fn decode_chunk(
+        &self,
+        data: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), Error> {
+        let [byte] = data else {
+            return Err(Error::Corrupt("fill body is one byte"));
+        };
+        out.resize(out.len() + expected_len, *byte);
+        Ok(())
+    }
+}
+
+/// A stream of `count` chunks of `MAX_CHUNK_SIZE` bytes, the last one
+/// `last_len` bytes: chunk 0 stored raw, the rest one-byte `Fill` bodies,
+/// and chunk 1's body damaged after its checksum was taken. With chunks
+/// this large a window is one chunk, so the damage sits in the second
+/// window.
+fn stream(count: usize, last_len: usize) -> Vec<u8> {
+    let mut asm = FrameAssembler::new();
+    for i in 0..count {
+        let raw = i == 0;
+        let body = if raw {
+            vec![7u8; MAX_CHUNK_SIZE]
+        } else {
+            vec![i as u8]
+        };
+        let checksum = frame_checksum(&body);
+        let mut chunk = EncodedChunk {
+            codec_id: 0,
+            raw,
+            checksum,
+            body,
+        };
+        if i == 1 {
+            chunk.body[0] ^= 0xFF;
+        }
+        asm.push(chunk).unwrap();
+    }
+    let payload_len = ((count - 1) * MAX_CHUNK_SIZE + last_len) as u64;
+    let mut header = Header::new(ALGO_SP_SPEED, 4, payload_len, payload_len);
+    header.chunk_size = MAX_CHUNK_SIZE as u32;
+    asm.finish(header).unwrap()
+}
+
+/// The parsed chunk table (size, checksum and offset per chunk) plus a
+/// fixed allowance for per-window bookkeeping.
+fn metadata(count: usize) -> usize {
+    32 * count + (64 << 10)
+}
+
+#[test]
+fn decode_allocates_at_most_one_window_past_the_decoded_chunks() {
+    let window = WINDOW_BYTES.div_ceil(MAX_CHUNK_SIZE) * MAX_CHUNK_SIZE;
+    assert_eq!(window, MAX_CHUNK_SIZE, "one chunk per window");
+
+    // Claims 16 GiB; only chunk 0 decodes before the damaged chunk 1.
+    let count = 1024;
+    let hostile = stream(count, MAX_CHUNK_SIZE);
+    for threads in [1, 2] {
+        let (result, peak) = high_water(|| decompress(&hostile, &Fill, threads));
+        match result {
+            Err(Error::ChecksumMismatch { chunk: Some(1), .. }) => {}
+            other => panic!("threads {threads}: expected chunk 1's checksum error, got {other:?}"),
+        }
+        let bound = MAX_CHUNK_SIZE + window + metadata(count);
+        assert!(
+            peak <= bound,
+            "threads {threads}: one-shot decode peaked at {peak} bytes, bound {bound}"
+        );
+    }
+
+    // Tolerant decode keeps going, so its claim must be one it can back:
+    // three chunks, the short last one decoded through the scratch arena.
+    let last_len = 1000;
+    let damaged = stream(3, last_len);
+    for threads in [1, 2] {
+        let (result, peak) =
+            high_water(|| decompress_tolerant(&damaged, Codec::Fixed(&Fill), threads));
+        let (_, payload, report) = result.unwrap();
+        assert_eq!(payload.len(), 2 * MAX_CHUNK_SIZE + last_len);
+        assert!(payload[..MAX_CHUNK_SIZE].iter().all(|&b| b == 7));
+        assert!(payload[MAX_CHUNK_SIZE..2 * MAX_CHUNK_SIZE]
+            .iter()
+            .all(|&b| b == 0));
+        assert!(payload[2 * MAX_CHUNK_SIZE..].iter().all(|&b| b == 2));
+        assert_eq!(report.chunks, 3);
+        assert_eq!(report.damaged.len(), 1);
+        assert_eq!(report.damaged[0].chunk, 1);
+        assert!(matches!(
+            report.damaged[0].error,
+            Error::ChecksumMismatch { chunk: Some(1), .. }
+        ));
+        let bound = payload.len() + window + metadata(3);
+        assert!(
+            peak <= bound,
+            "threads {threads}: tolerant decode peaked at {peak} bytes, bound {bound}"
+        );
+    }
+}

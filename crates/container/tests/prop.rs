@@ -149,7 +149,8 @@ fn random_bytes_never_panic_decoder() {
         let _ = fpc_container::verify(&data);
         let _ = fpc_container::read_header(&data);
         let _ = fpc_container::stats(&data);
-        let _ = Region::parse(&data).and_then(|r| r.decode_chunk(0, Codec::Fixed(&Collapsing)));
+        let _ = Region::parse(&data)
+            .and_then(|r| r.decode_chunk(0, Codec::Fixed(&Collapsing), &mut Vec::new()));
     });
 }
 

@@ -554,7 +554,7 @@ fn decompress_range_impl(
     // The frame-mode check runs before any cache lookup: a cached chunk
     // must never stand in for a chunk this stream cannot decode.
     codec.check(region.header())?;
-    let decode = |index: usize| match cache {
+    let decode = |index: usize, out: &mut Vec<u8>| match cache {
         // Raw chunks bypass the cache; decode_chunk just copies them out.
         Some(cache) if !region.chunk_raw(index) => {
             // chunk_body verifies the stored checksum, so the bytes are
@@ -568,11 +568,12 @@ fn decompress_range_impl(
                 false,
                 region.chunk_len(index),
             );
-            streaming::cached_decode(cache, fpc_cache::CacheKey::new(body, context), || {
-                region.decode_chunk(index, codec)
+            let key = fpc_cache::CacheKey::new(body, context);
+            streaming::cached_decode(cache, key, out, |out| {
+                region.decode_chunk(index, codec, out)
             })
         }
-        _ => region.decode_chunk(index, codec),
+        _ => region.decode_chunk(index, codec, out),
     };
     Ok(region.decode_range(offset, len, threads, decode)?)
 }

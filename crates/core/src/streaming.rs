@@ -82,19 +82,23 @@ pub(crate) fn decode_chunk_context(
         | ((expected_len as u64) << 32)
 }
 
-/// The decoded bytes cached under `key`, or `decode`'s output, which is
-/// then cached. Shared by the streaming and range decode paths.
+/// Appends the decoded bytes cached under `key` to `out`, or runs `decode`
+/// (which appends) and caches what it appended. Shared by the streaming
+/// and range decode paths.
 pub(crate) fn cached_decode(
     cache: &ChunkCache,
     key: CacheKey,
-    decode: impl FnOnce() -> core::result::Result<Vec<u8>, fpc_container::Error>,
-) -> core::result::Result<Vec<u8>, fpc_container::Error> {
+    out: &mut Vec<u8>,
+    decode: impl FnOnce(&mut Vec<u8>) -> core::result::Result<(), fpc_container::Error>,
+) -> core::result::Result<(), fpc_container::Error> {
     if let Some(hit) = cache.get(&key) {
-        return Ok(hit.to_vec());
+        out.extend_from_slice(&hit);
+        return Ok(());
     }
-    let out = decode()?;
-    cache.insert(key, Arc::from(&out[..]));
-    Ok(out)
+    let start = out.len();
+    decode(out)?;
+    cache.insert(key, Arc::from(&out[start..]));
+    Ok(())
 }
 
 /// Serialized cache value for the compress path:
@@ -373,20 +377,21 @@ impl StreamingDecompressor {
         };
         let algo = *algo;
         while let Some(chunk) = self.dec.next_chunk()? {
-            let decode = || decode_stream_chunk(&chunk, codec.as_codec());
+            let decode = |out: &mut Vec<u8>| decode_stream_chunk(&chunk, codec.as_codec(), out);
             // Raw chunks decode to their own bytes — caching them would
             // store pure copies; skip. The chunk checksum was already
             // verified by the streaming decoder, so cached entries are
             // keyed by trusted bytes.
-            let decoded = match self.cache.as_deref() {
+            let mut decoded = Vec::new();
+            match self.cache.as_deref() {
                 Some(cache) if !chunk.raw => {
                     let context =
                         decode_chunk_context(algo, chunk.codec_id, chunk.raw, chunk.expected_len);
                     let key = CacheKey::new(&chunk.body, context);
-                    cached_decode(cache, key, decode)?
+                    cached_decode(cache, key, &mut decoded, decode)?;
                 }
-                _ => decode()?,
-            };
+                _ => decode(&mut decoded)?,
+            }
             if algo == Algorithm::DpRatio {
                 self.fcm_payload.extend_from_slice(&decoded);
             } else {

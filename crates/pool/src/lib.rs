@@ -30,8 +30,11 @@
 //!   first payload is re-thrown on the submitting thread after every
 //!   in-flight batch has retired.
 //! * **Per-worker scratch arenas.** [`with_scratch`] hands out a reusable
-//!   thread-local byte buffer so per-chunk encoders stop allocating a
-//!   fresh `Vec` per chunk.
+//!   thread-local byte buffer so per-chunk encoders and decoders stop
+//!   allocating a fresh `Vec` per chunk.
+//! * **In-place output slots.** [`fill_slots`] lets each worker write its
+//!   part of one output buffer directly, at an offset fixed by its index,
+//!   instead of returning a `Vec` the caller then copies.
 //!
 //! # Closure contract
 //!
@@ -45,6 +48,7 @@
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -189,6 +193,140 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
 struct Slot<T>(UnsafeCell<Option<T>>);
 
 unsafe impl<T: Send> Sync for Slot<T> {}
+
+/// Grows `out` by `len` bytes that workers write in place, each into its
+/// own disjoint slot of the vector's spare capacity.
+///
+/// The new bytes are cut at every multiple of `width`, counted as if the
+/// first new byte sat `phase` bytes into a `width`-byte cell
+/// (`phase < width`): slot 0 is the rest of that cell, later slots are
+/// whole cells, and the last may be short. `fill(j, slot)` runs once per
+/// slot, on whichever worker claims `j`, and should [`OutSlot::fill`] it;
+/// a slot it leaves unfilled (because it returned an error, say) reads as
+/// zeros. Either way a slot is first touched by the worker that owns it,
+/// so page faults and copies run in parallel and the caller never makes a
+/// pass over the new bytes. `out` grows by exactly `len` (no amortized
+/// over-allocation).
+///
+/// Returns every slot's result in slot order. Scheduling and panics are
+/// as for [`run_indexed`]; after a panic `out` keeps its old length.
+///
+/// # Panics
+///
+/// If `phase >= width`, and as for [`run_indexed`].
+pub fn fill_slots<E, F>(
+    out: &mut Vec<u8>,
+    phase: usize,
+    width: usize,
+    len: usize,
+    threads: usize,
+    fill: F,
+) -> Vec<Result<(), E>>
+where
+    E: Send,
+    F: Fn(usize, &mut OutSlot<'_>) -> Result<(), E> + Sync,
+{
+    assert!(phase < width, "phase {phase} must be below width {width}");
+    if len == 0 {
+        return Vec::new();
+    }
+    // Slot `j` spans `edge(j)..edge(j + 1)`. For `0 < j < count`,
+    // `j * width <= (count - 1) * width < phase + len`, so no step
+    // overflows and the edges rise strictly from 0 to `len`.
+    let count = phase
+        .checked_add(len)
+        .expect("slot span fits in usize")
+        .div_ceil(width);
+    let edge = |j: usize| match j {
+        0 => 0,
+        j if j == count => len,
+        j => j * width - phase,
+    };
+    out.reserve_exact(len);
+    let old_len = out.len();
+    let spare = SpareBytes(out.as_mut_ptr().wrapping_add(old_len));
+    let results = run_indexed(count, threads, |j| {
+        let (start, end) = (edge(j), edge(j + 1));
+        let mut slot = OutSlot {
+            // SAFETY: `start < end <= len` and `reserve_exact` made room
+            // for `len` bytes past `old_len`, so the offset stays inside
+            // the allocation.
+            ptr: unsafe { spare.at(start) },
+            len: end - start,
+            filled: false,
+            _out: PhantomData,
+        };
+        let result = fill(j, &mut slot);
+        if !slot.filled {
+            // SAFETY: as for `OutSlot::fill`.
+            unsafe { std::ptr::write_bytes(slot.ptr, 0, slot.len) };
+        }
+        result
+    });
+    // SAFETY: `run_indexed` returned (it re-throws any panic before this
+    // point), so every slot's closure ran and every slot was written by
+    // `OutSlot::fill` or zeroed above; the slots tile `old_len..old_len +
+    // len` exactly, so every new byte is initialized.
+    unsafe { out.set_len(old_len + len) };
+    results
+}
+
+/// The spare capacity [`fill_slots`] hands out.
+struct SpareBytes(*mut u8);
+
+// SAFETY: workers only derive slot pointers from the one field, and the
+// slot edges in `fill_slots` give every index a disjoint byte range, each
+// claimed by exactly one worker (the claim protocol of `run_indexed`);
+// `out` stays mutably borrowed by `fill_slots`, so nothing else reads or
+// writes the spare bytes until the job retires.
+unsafe impl Sync for SpareBytes {}
+
+impl SpareBytes {
+    /// The byte `offset` past the start of the spare capacity.
+    ///
+    /// # Safety
+    ///
+    /// `offset` must not exceed the reserved spare length.
+    unsafe fn at(&self, offset: usize) -> *mut u8 {
+        self.0.add(offset)
+    }
+}
+
+/// One worker's disjoint, not yet initialized window of a [`fill_slots`]
+/// output.
+pub struct OutSlot<'a> {
+    ptr: *mut u8,
+    len: usize,
+    filled: bool,
+    _out: PhantomData<&'a mut [u8]>,
+}
+
+impl OutSlot<'_> {
+    /// Bytes this slot holds.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the slot holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Writes the whole slot.
+    ///
+    /// # Panics
+    ///
+    /// If `bytes.len() != self.len()`.
+    pub fn fill(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), self.len, "slot length");
+        // SAFETY: `ptr..ptr + len` lies in `out`'s spare capacity and
+        // belongs to this slot alone (see `SpareBytes`). `bytes` cannot
+        // overlap it: the caller holds no reference into spare capacity,
+        // and other slots are only reachable through their own `OutSlot`.
+        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr, self.len) };
+        self.filled = true;
+    }
+}
 
 /// Heap-shared state of one job. Lives in an `Arc` so a worker's final
 /// touch (the completion latch) is always on memory it co-owns, never on
@@ -516,6 +654,54 @@ mod tests {
             total.fetch_add(acc.min(1), Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 64);
+    }
+
+    /// Small enough to run under Miri, which checks the spare-capacity
+    /// writes for out-of-bounds and uninitialized reads.
+    #[test]
+    fn fill_slots_tiles_spare_capacity() {
+        for threads in [1usize, 2, 3] {
+            for (phase, width, len) in [(0usize, 4usize, 16usize), (3, 4, 10), (0, 5, 3), (2, 8, 5)]
+            {
+                let mut out = vec![0xAA; 3];
+                // Slot 1 fails without writing: it must read as zeros.
+                let results = fill_slots(&mut out, phase, width, len, threads, |j, slot| {
+                    if j == 1 {
+                        return Err(j);
+                    }
+                    slot.fill(&vec![j as u8 + 1; slot.len()]);
+                    Ok(())
+                });
+                let mut want = vec![0xAA; 3];
+                want.extend((0..len).map(|k| match (phase + k) / width {
+                    1 => 0,
+                    j => j as u8 + 1,
+                }));
+                assert_eq!(out, want, "phase {phase} width {width} len {len}");
+                assert_eq!(results.len(), (phase + len).div_ceil(width));
+                for (j, result) in results.iter().enumerate() {
+                    assert_eq!(result.is_err(), j == 1);
+                }
+            }
+        }
+        let mut out = vec![1u8];
+        let none = fill_slots::<(), _>(&mut out, 0, 4, 0, 2, |_, _| unreachable!());
+        assert!(none.is_empty());
+        assert_eq!(out, [1]);
+    }
+
+    #[test]
+    fn fill_slots_panic_keeps_old_length() {
+        let mut out = vec![7u8; 2];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            fill_slots::<(), _>(&mut out, 0, 2, 8, 2, |j, slot| {
+                assert_ne!(j, 2, "slot 2 panics");
+                slot.fill(&[1, 1]);
+                Ok(())
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(out, [7, 7]);
     }
 
     #[test]

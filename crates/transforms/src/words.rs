@@ -30,17 +30,19 @@ pub fn bytes_to_u64(bytes: &[u8]) -> (Vec<u64>, &[u8]) {
 
 /// Appends `words` to `out` in little-endian byte order.
 pub fn u32_to_bytes(words: &[u32], out: &mut Vec<u8>) {
-    out.reserve(words.len() * 4);
-    for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+    let start = out.len();
+    out.resize(start + words.len() * 4, 0);
+    for (dst, w) in out[start..].chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
     }
 }
 
 /// Appends `words` to `out` in little-endian byte order.
 pub fn u64_to_bytes(words: &[u64], out: &mut Vec<u8>) {
-    out.reserve(words.len() * 8);
-    for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+    let start = out.len();
+    out.resize(start + words.len() * 8, 0);
+    for (dst, w) in out[start..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -114,16 +116,24 @@ pub fn bytes_to_f64_vec(bytes: &[u8]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
 
+    /// The writers append: SPratio and DPratio decode write words after
+    /// bytes already in `out`, so every roundtrip runs with and without a
+    /// prefix, which must survive untouched.
+    const PREFIXES: [&[u8]; 2] = [&[], &[0xAB, 0xCD, 0xEF]];
+
     #[test]
     fn u32_roundtrip_with_tail() {
         let bytes: Vec<u8> = (0..23).collect();
         let (words, tail) = bytes_to_u32(&bytes);
         assert_eq!(words.len(), 5);
         assert_eq!(tail, &[20, 21, 22]);
-        let mut back = Vec::new();
-        u32_to_bytes(&words, &mut back);
-        back.extend_from_slice(tail);
-        assert_eq!(back, bytes);
+        for prefix in PREFIXES {
+            let mut back = prefix.to_vec();
+            u32_to_bytes(&words, &mut back);
+            back.extend_from_slice(tail);
+            assert_eq!(&back[..prefix.len()], prefix);
+            assert_eq!(&back[prefix.len()..], bytes);
+        }
     }
 
     #[test]
@@ -132,10 +142,13 @@ mod tests {
         let (words, tail) = bytes_to_u64(&bytes);
         assert_eq!(words.len(), 2);
         assert_eq!(tail.len(), 5);
-        let mut back = Vec::new();
-        u64_to_bytes(&words, &mut back);
-        back.extend_from_slice(tail);
-        assert_eq!(back, bytes);
+        for prefix in PREFIXES {
+            let mut back = prefix.to_vec();
+            u64_to_bytes(&words, &mut back);
+            back.extend_from_slice(tail);
+            assert_eq!(&back[..prefix.len()], prefix);
+            assert_eq!(&back[prefix.len()..], bytes);
+        }
     }
 
     #[test]

@@ -248,11 +248,11 @@ fn suite_files() -> &'static [Vec<u8>] {
 
 /// Tolerant decode mapped to original bytes; `None` unless the call
 /// succeeds with a clean damage report.
-fn tolerant_decode(stream: &[u8], algo: Algorithm) -> Option<Vec<u8>> {
+fn tolerant_decode(stream: &[u8], algo: Algorithm, threads: usize) -> Option<Vec<u8>> {
     use fpcompress::core::PipelineOptions;
     let codec = algo.codec(&PipelineOptions::default());
     let (header, payload, report) =
-        fpcompress::container::decompress_tolerant(stream, codec.as_codec(), 2).ok()?;
+        fpcompress::container::decompress_tolerant(stream, codec.as_codec(), threads).ok()?;
     if !report.is_clean() {
         return None;
     }
@@ -298,7 +298,9 @@ type PathResult = (String, (u64, u64), Option<Vec<u8>>);
 /// uncached range and cached range (cold, warm, and against `warm`, a
 /// cache filled from the undamaged stream) for each of `ranges`, and
 /// `StreamingDecompressor` fed whole, one byte at a time, and split at the
-/// `splits` offsets, uncached and cached.
+/// `splits` offsets, uncached and cached. The paths that take a thread
+/// count run at each of `threads`; cold and pre-warmed cached ranges run
+/// single-threaded.
 fn every_decode_path(
     stream: &[u8],
     algo: Algorithm,
@@ -306,6 +308,7 @@ fn every_decode_path(
     ranges: &[(u64, u64)],
     splits: &[usize],
     warm: &std::sync::Arc<fpc_cache::ChunkCache>,
+    threads: &[usize],
 ) -> Vec<PathResult> {
     use fpc_cache::ChunkCache;
     use fpcompress::core::{
@@ -313,30 +316,42 @@ fn every_decode_path(
     };
     use std::sync::Arc;
     let whole = (0, n);
-    let mut results: Vec<PathResult> = vec![
-        (
-            "one-shot".into(),
-            whole,
-            decompress_bytes_with(stream, 2).ok(),
-        ),
-        ("tolerant".into(), whole, tolerant_decode(stream, algo)),
-    ];
+    let mut results: Vec<PathResult> = Vec::new();
+    for &t in threads {
+        results.extend([
+            (
+                format!("one-shot t{t}"),
+                whole,
+                decompress_bytes_with(stream, t).ok(),
+            ),
+            (
+                format!("tolerant t{t}"),
+                whole,
+                tolerant_decode(stream, algo, t),
+            ),
+        ]);
+    }
     for &(offset, len) in ranges {
         let span = (offset, len);
         let cold = Arc::new(ChunkCache::new(8 << 20));
         let mut push =
-            |label: &str, got| results.push((format!("{label} {offset}+{len}"), span, got));
-        push("range", decompress_range_with(stream, offset, len, 2).ok());
+            |label: String, got| results.push((format!("{label} {offset}+{len}"), span, got));
         push(
-            "cached range cold",
+            "cached range cold".into(),
             decompress_range_cached_with(stream, offset, len, 1, &cold).ok(),
         );
+        for &t in threads {
+            push(
+                format!("range t{t}"),
+                decompress_range_with(stream, offset, len, t).ok(),
+            );
+            push(
+                format!("cached range warm t{t}"),
+                decompress_range_cached_with(stream, offset, len, t, &cold).ok(),
+            );
+        }
         push(
-            "cached range warm",
-            decompress_range_cached_with(stream, offset, len, 2, &cold).ok(),
-        );
-        push(
-            "cached range pre-warmed",
+            "cached range pre-warmed".into(),
             decompress_range_cached_with(stream, offset, len, 1, warm).ok(),
         );
     }
@@ -386,15 +401,118 @@ fn every_decode_path(
     results
 }
 
-#[test]
-fn every_decode_path_agrees_on_valid_and_mutated_streams() {
-    // The in-process decode oracle: for all five algorithms on suite and
-    // mixed data at several chunk sizes, every decode path must return the
-    // original bytes on a valid stream, and on single-byte mutations of it
-    // every path must agree on success vs failure.
+/// The decode oracle's check on one input: for all five algorithms, every
+/// decode path (at every count in `threads`) must return the original
+/// bytes on the valid stream, and on `mutations` single-byte mutations of
+/// it every path must agree on success vs failure. `ranges` join the
+/// empty, whole and three random ranges every input is checked on.
+fn assert_decode_paths_agree(
+    rng: &mut Rng,
+    data: &[u8],
+    chunk_size: usize,
+    ranges: &[(u64, u64)],
+    threads: &[usize],
+    mutations: usize,
+) {
     use fpc_cache::ChunkCache;
     use fpcompress::container::{self, Header};
     use std::sync::Arc;
+    let n = data.len() as u64;
+    for algo in [
+        Algorithm::SpSpeed,
+        Algorithm::SpRatio,
+        Algorithm::DpSpeed,
+        Algorithm::DpRatio,
+        Algorithm::Auto,
+    ] {
+        let stream = Compressor::new(algo)
+            .with_threads(2)
+            .with_chunk_size(chunk_size)
+            .compress_bytes(data);
+        let body_start = stream.len() - container::stats(&stream).unwrap().compressed_payload;
+        let header_end = Header::ENCODED_LEN_V2;
+        let splits = [
+            header_end - 1,
+            header_end,
+            header_end + 4,
+            body_start - 1,
+            body_start,
+            body_start + 1,
+            (body_start + stream.len()) / 2,
+        ];
+        let mut all_ranges = vec![(0, 0), (n, 0), (0, n)];
+        all_ranges.extend_from_slice(ranges);
+        for _ in 0..3 {
+            let offset = rng.gen_range(0..n + 1);
+            all_ranges.push((offset, rng.gen_range(0..n - offset + 1)));
+        }
+        let warm = Arc::new(ChunkCache::new(8 << 20));
+        for (label, (offset, len), got) in
+            every_decode_path(&stream, algo, n, &all_ranges, &splits, &warm, threads)
+        {
+            let want = &data[offset as usize..(offset + len) as usize];
+            assert!(
+                got.as_deref() == Some(want),
+                "{algo} chunk {chunk_size}: {label} returned {:?} bytes, want {}",
+                got.map(|g| g.len()),
+                want.len()
+            );
+        }
+
+        // Single-byte mutations: the whole-range paths must agree on
+        // Ok vs Err (and on the bytes, should all succeed).
+        for _ in 0..mutations {
+            let mut bad = stream.clone();
+            let pos = rng.gen_range(0..bad.len());
+            bad[pos] ^= rng.gen_range(1u32..256) as u8;
+            fpc_prng::fuzz::record_input(&bad);
+            let results = every_decode_path(&bad, algo, n, &[(0, n)], &splits, &warm, threads);
+            let (first_label, _, first) = &results[0];
+            for (label, _, got) in &results[1..] {
+                assert_eq!(
+                    got.is_some(),
+                    first.is_some(),
+                    "{algo} chunk {chunk_size}: flip at {pos}: {label} disagrees with {first_label}"
+                );
+            }
+        }
+    }
+}
+
+/// (window + 1) chunks, the last one short, so decode crosses an output
+/// window boundary, with every third chunk random bytes that no codec
+/// shrinks (stored raw).
+fn window_boundary_bytes(rng: &mut Rng, chunk_size: usize) -> Vec<u8> {
+    use fpcompress::container::WINDOW_BYTES;
+    let files = suite_files();
+    let window_chunks = WINDOW_BYTES.div_ceil(chunk_size);
+    let mut data = Vec::new();
+    for i in 0..=window_chunks {
+        let len = if i == window_chunks {
+            chunk_size / 3 + 5
+        } else {
+            chunk_size
+        };
+        if i % 3 == 1 {
+            data.extend(rng.bytes(len));
+            continue;
+        }
+        let file = &files[rng.gen_range(0..files.len())];
+        data.extend(
+            file.iter()
+                .cycle()
+                .skip(rng.gen_range(0..file.len()) / 8 * 8)
+                .take(len),
+        );
+    }
+    data
+}
+
+#[test]
+fn every_decode_path_agrees_on_valid_and_mutated_streams() {
+    // The in-process decode oracle on suite and mixed data at several
+    // chunk sizes, then on inputs that cross an output window boundary
+    // at every thread count.
     run_cases("e2e/decode-paths", 16, |rng, case| {
         let mut data = if case % 2 == 0 {
             let files = suite_files();
@@ -409,64 +527,23 @@ fn every_decode_path_agrees_on_valid_and_mutated_streams() {
         if data.is_empty() {
             data.push(0x3F);
         }
-        let n = data.len() as u64;
         let chunk_size = [1024usize, 4096, 16 * 1024][rng.gen_range(0..3usize)];
-        for algo in [
-            Algorithm::SpSpeed,
-            Algorithm::SpRatio,
-            Algorithm::DpSpeed,
-            Algorithm::DpRatio,
-            Algorithm::Auto,
-        ] {
-            let stream = Compressor::new(algo)
-                .with_threads(2)
-                .with_chunk_size(chunk_size)
-                .compress_bytes(&data);
-            let body_start = stream.len() - container::stats(&stream).unwrap().compressed_payload;
-            let header_end = Header::ENCODED_LEN_V2;
-            let splits = [
-                header_end - 1,
-                header_end,
-                header_end + 4,
-                body_start - 1,
-                body_start,
-                body_start + 1,
-                (body_start + stream.len()) / 2,
-            ];
-            let mut ranges = vec![(0, 0), (n, 0), (0, n)];
-            for _ in 0..3 {
-                let offset = rng.gen_range(0..n + 1);
-                ranges.push((offset, rng.gen_range(0..n - offset + 1)));
-            }
-            let warm = Arc::new(ChunkCache::new(8 << 20));
-            for (label, (offset, len), got) in
-                every_decode_path(&stream, algo, n, &ranges, &splits, &warm)
-            {
-                let want = &data[offset as usize..(offset + len) as usize];
-                assert_eq!(
-                    got.as_deref(),
-                    Some(want),
-                    "{algo} chunk {chunk_size}: {label}"
-                );
-            }
-
-            // Single-byte mutations: the whole-range paths must agree on
-            // Ok vs Err (and on the bytes, should all succeed).
-            for _ in 0..3 {
-                let mut bad = stream.clone();
-                let pos = rng.gen_range(0..bad.len());
-                bad[pos] ^= rng.gen_range(1u32..256) as u8;
-                fpc_prng::fuzz::record_input(&bad);
-                let results = every_decode_path(&bad, algo, n, &[(0, n)], &splits, &warm);
-                let (first_label, _, first) = &results[0];
-                for (label, _, got) in &results[1..] {
-                    assert_eq!(
-                        got.is_some(),
-                        first.is_some(),
-                        "{algo} chunk {chunk_size}: flip at {pos}: {label} disagrees with {first_label}"
-                    );
-                }
-            }
-        }
+        assert_decode_paths_agree(rng, &data, chunk_size, &[], &[2], 3);
+    });
+    run_cases("e2e/decode-paths-windows", 1, |rng, _| {
+        use fpcompress::container::WINDOW_BYTES;
+        // Windows of 4 or of 16 chunks.
+        let chunk_size = [WINDOW_BYTES / 4, WINDOW_BYTES / 16][rng.gen_range(0..2usize)];
+        let data = window_boundary_bytes(rng, chunk_size);
+        let (boundary, n) = (WINDOW_BYTES as u64, data.len() as u64);
+        let ranges = [
+            (boundary - 7, 20), // straddles the window boundary
+            (
+                boundary - chunk_size as u64,
+                n - boundary + chunk_size as u64,
+            ), // last window's chunks
+            (n - 3, 3),         // inside the short last chunk
+        ];
+        assert_decode_paths_agree(rng, &data, chunk_size, &ranges, &[1, 2, 3, 8], 1);
     });
 }
