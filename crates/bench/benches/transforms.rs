@@ -38,6 +38,29 @@ fn main() {
             mplg::encode32(&diffed, &mut out);
             out
         });
+        let mut enc = Vec::new();
+        mplg::encode32(&diffed, &mut enc);
+        group.bench("mplg32_decode", || {
+            let (mut pos, mut out) = (0, Vec::with_capacity(CHUNK_U32));
+            mplg::decode32(&enc, &mut pos, CHUNK_U32, &mut out).expect("valid chunk");
+            out
+        });
+    }
+    {
+        let mut diffed = chunk_u64();
+        diffms::encode64(&mut diffed);
+        group.bench("mplg64_encode", || {
+            let mut out = Vec::with_capacity(16384);
+            mplg::encode64(&diffed, &mut out);
+            out
+        });
+        let mut enc = Vec::new();
+        mplg::encode64(&diffed, &mut enc);
+        group.bench("mplg64_decode", || {
+            let (mut pos, mut out) = (0, Vec::with_capacity(CHUNK_U64));
+            mplg::decode64(&enc, &mut pos, CHUNK_U64, &mut out).expect("valid chunk");
+            out
+        });
     }
     {
         let mut diffed = chunk_u32();

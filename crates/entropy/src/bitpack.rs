@@ -6,7 +6,7 @@
 //!
 //! The `BitWriter`/`BitReader` loops are the scalar reference (selected by
 //! `FPC_FORCE_SCALAR=1`); normal dispatch runs the byte-identical
-//! block-accumulator fast paths in `fpc_simd::bitpack` (same LSB-first
+//! width-specialized block kernels in `fpc_simd::bitpack` (same LSB-first
 //! layout, same EOF condition).
 
 use crate::bitio::{BitReader, BitWriter};
@@ -132,21 +132,18 @@ pub fn packed_len(count: usize, width: u32) -> usize {
 }
 
 /// Smallest width that can represent every value in `values` (0 for all-zero).
+///
+/// The OR of the values has the same leading-zero count as their maximum,
+/// and unlike the maximum it vectorizes at every element width.
 #[inline]
 pub fn min_width_u32(values: &[u32]) -> u32 {
-    let max = if fpc_simd::force_scalar() {
-        values.iter().copied().max().unwrap_or(0)
-    } else {
-        fpc_simd::bitpack::max_u32(values)
-    };
-    32 - max.leading_zeros()
+    32 - values.iter().fold(0, |acc, &v| acc | v).leading_zeros()
 }
 
 /// Smallest width that can represent every value in `values` (0 for all-zero).
 #[inline]
 pub fn min_width_u64(values: &[u64]) -> u32 {
-    let max = values.iter().copied().max().unwrap_or(0);
-    64 - max.leading_zeros()
+    64 - values.iter().fold(0, |acc, &v| acc | v).leading_zeros()
 }
 
 #[cfg(test)]

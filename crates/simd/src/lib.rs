@@ -165,7 +165,6 @@ pub fn kernel_tiers() -> Vec<(&'static str, Tier)> {
         ("rle.runscan", bytescan::chosen_run()),
         ("bitpack.pack", bitpack::chosen_pack()),
         ("bitpack.unpack", bitpack::chosen_unpack()),
-        ("bitpack.maxwidth", bitpack::chosen_max()),
     ]
 }
 

@@ -680,34 +680,6 @@ unsafe fn run_len_sse2_impl(data: &[u8], start: usize) -> usize {
     i - start
 }
 
-// --------------------------------------------------------------- bitpack --
-
-/// Maximum of a `u32` slice with AVX2 (0 for an empty slice).
-pub fn max_u32_avx2(values: &[u32]) -> u32 {
-    assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { max_u32_avx2_impl(values) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn max_u32_avx2_impl(values: &[u32]) -> u32 {
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 8 <= values.len() {
-        let v = _mm256_loadu_si256(values.as_ptr().add(i) as *const __m256i);
-        acc = _mm256_max_epu32(acc, v);
-        i += 8;
-    }
-    let hi = _mm256_extracti128_si256(acc, 1);
-    let m = _mm_max_epu32(_mm256_castsi256_si128(acc), hi);
-    let m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0b0100_1110));
-    let m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0b1011_0001));
-    let mut max = _mm_cvtsi128_si32(m) as u32;
-    for &v in &values[i..] {
-        max = max.max(v);
-    }
-    max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

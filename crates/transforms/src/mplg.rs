@@ -270,6 +270,46 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_rejected_at_every_width() {
+        // One subchunk written at each header width, full or with a tail
+        // shorter than a 32-value block; every strict prefix must fail with
+        // UnexpectedEof, never panic.
+        let noisy = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 59);
+        for width in 0..=32u32 {
+            for n in [33, SUBCHUNK_VALUES_32] {
+                let values: Vec<u32> = (0..n as u64).map(|i| noisy(i) as u32).collect();
+                let mut enc = vec![width as u8];
+                bitpack::pack_u32(&values, width, &mut enc);
+                for cut in 0..enc.len() {
+                    let (mut pos, mut dec) = (0, Vec::new());
+                    let got = decode32(&enc[..cut], &mut pos, n, &mut dec);
+                    assert_eq!(
+                        got,
+                        Err(DecodeError::UnexpectedEof),
+                        "w{width} n{n} cut{cut}"
+                    );
+                }
+            }
+        }
+        for width in 0..=64u32 {
+            for n in [33, SUBCHUNK_VALUES_64] {
+                let values: Vec<u64> = (0..n as u64).map(noisy).collect();
+                let mut enc = vec![width as u8];
+                bitpack::pack_u64(&values, width, &mut enc);
+                for cut in 0..enc.len() {
+                    let (mut pos, mut dec) = (0, Vec::new());
+                    let got = decode64(&enc[..cut], &mut pos, n, &mut dec);
+                    assert_eq!(
+                        got,
+                        Err(DecodeError::UnexpectedEof),
+                        "w{width} n{n} cut{cut}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn corrupt_width_rejected() {
         let enc = vec![70u8; 10]; // width 70 > 64
         let mut pos = 0;

@@ -475,6 +475,7 @@ fn words_as_bytes(words: &[u32]) -> Vec<u8> {
 #[test]
 fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
     use fpcompress::entropy::bitio::{BitReader, BitWriter};
+    use fpcompress::entropy::bitpack::{min_width_u32, min_width_u64};
     use fpcompress::simd::{bitpack, bytescan, diffms, transpose, zigzag};
 
     run_cases("fuzz/kernel-differential", 120, |rng, case| {
@@ -581,21 +582,22 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
             );
         }
 
-        // Bitpack: dispatched pack vs the scalar BitWriter, then dispatched
-        // unpack vs the scalar BitReader, at a fuzzed width.
+        // Bitpack: dispatched pack of *unmasked* values appended after a
+        // non-empty prefix vs the scalar BitWriter over `v & mask` (callers
+        // such as the Bitcomp-class baseline rely on the kernel masking),
+        // then dispatched unpack vs the scalar BitReader, at a fuzzed width.
+        let prefix = rng.bytes_range(1usize..9);
         let width = rng.gen_range(1u32..33);
-        let masked: Vec<u32> = w32
-            .iter()
-            .map(|&v| {
-                if width == 32 {
-                    v
-                } else {
-                    v & ((1 << width) - 1)
-                }
-            })
-            .collect();
-        let mut packed = Vec::new();
-        bitpack::pack_u32(&masked, width, &mut packed);
+        let mask = u32::MAX >> (32 - width);
+        let masked: Vec<u32> = w32.iter().map(|&v| v & mask).collect();
+        let mut packed = prefix.clone();
+        bitpack::pack_u32(&w32, width, &mut packed);
+        assert_eq!(
+            packed[..prefix.len()],
+            prefix,
+            "pack_u32 clobbered its prefix"
+        );
+        let packed = packed.split_off(prefix.len());
         let mut w = BitWriter::new();
         for &v in &masked {
             w.write_bits(v as u64, width);
@@ -609,18 +611,16 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
             assert_eq!(r.read_bits(width).unwrap() as u32, v);
         }
         let width = rng.gen_range(1u32..65);
-        let masked: Vec<u64> = w64
-            .iter()
-            .map(|&v| {
-                if width == 64 {
-                    v
-                } else {
-                    v & ((1 << width) - 1)
-                }
-            })
-            .collect();
-        let mut packed = Vec::new();
-        bitpack::pack_u64(&masked, width, &mut packed);
+        let mask = u64::MAX >> (64 - width);
+        let masked: Vec<u64> = w64.iter().map(|&v| v & mask).collect();
+        let mut packed = prefix.clone();
+        bitpack::pack_u64(&w64, width, &mut packed);
+        assert_eq!(
+            packed[..prefix.len()],
+            prefix,
+            "pack_u64 clobbered its prefix"
+        );
+        let packed = packed.split_off(prefix.len());
         let mut w = BitWriter::new();
         for &v in &masked {
             w.write_bits(v, width);
@@ -640,15 +640,11 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
             ));
         }
 
-        // max-width scan: dispatched vs iterator maximum.
-        assert_eq!(
-            bitpack::max_u32(&w32),
-            w32.iter().copied().max().unwrap_or(0)
-        );
-        assert_eq!(
-            bitpack::max_u64(&w64),
-            w64.iter().copied().max().unwrap_or(0)
-        );
+        // Width scan: the OR-based minimum width vs the iterator maximum's.
+        let max32 = w32.iter().copied().max().unwrap_or(0);
+        let max64 = w64.iter().copied().max().unwrap_or(0);
+        assert_eq!(min_width_u32(&w32), 32 - max32.leading_zeros());
+        assert_eq!(min_width_u64(&w64), 64 - max64.leading_zeros());
     });
 }
 
