@@ -2,7 +2,7 @@
 //! the unit of work the paper's throughput numbers decompose into.
 
 use fpc_bench::microbench::Group;
-use fpc_transforms::{bit_transpose, diffms, fcm, mplg, rare, raze, rze, words};
+use fpc_transforms::{bit_transpose, diffms, fcm, mplg, rare, raze, rze, words, zigzag};
 
 const CHUNK_U32: usize = 4096;
 const CHUNK_U64: usize = 2048;
@@ -26,6 +26,39 @@ fn main() {
 
     group.bench_batched("diffms32_encode", chunk_u32, |mut w| {
         diffms::encode32(&mut w)
+    });
+    group.bench_batched(
+        "diffms32_decode",
+        || {
+            let mut w = chunk_u32();
+            diffms::encode32(&mut w);
+            w
+        },
+        |mut w| {
+            diffms::decode32(&mut w);
+            w
+        },
+    );
+    group.bench_batched("diffms64_encode", chunk_u64, |mut w| {
+        diffms::encode64(&mut w);
+        w
+    });
+    group.bench_batched(
+        "diffms64_decode",
+        || {
+            let mut w = chunk_u64();
+            diffms::encode64(&mut w);
+            w
+        },
+        |mut w| {
+            diffms::decode64(&mut w);
+            w
+        },
+    );
+    // MPLG's fallback for subchunks whose maximum has no leading zeros.
+    group.bench_batched("zigzag32_slice", chunk_u32, |mut w| {
+        zigzag::encode32_slice(&mut w);
+        w
     });
     group.bench_batched("bit_transpose32", chunk_u32, |mut w| {
         bit_transpose::transpose32(&mut w)

@@ -13,21 +13,10 @@ pub fn compress_bytes(data: &[u8]) -> Vec<u8> {
     let t = fpc_metrics::timer(fpc_metrics::Stage::RleEncode);
     let mut out = Vec::with_capacity(data.len() + 8);
     varint::write_usize(&mut out, data.len());
-    let force_scalar = fpc_simd::force_scalar();
     let mut i = 0usize;
     while i < data.len() {
         let b = data[i];
-        // Scalar reference run scan (`FPC_FORCE_SCALAR=1`); dispatch scans
-        // 8–32 bytes per step.
-        let run = if force_scalar {
-            let mut run = 1usize;
-            while i + run < data.len() && data[i + run] == b {
-                run += 1;
-            }
-            run
-        } else {
-            fpc_simd::bytescan::run_len(data, i)
-        };
+        let run = fpc_simd::bytescan::run_len(data, i);
         if run >= 4 {
             out.extend_from_slice(&[b, b, b, b]);
             varint::write_usize(&mut out, run - 4);

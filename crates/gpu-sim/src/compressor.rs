@@ -165,22 +165,17 @@ impl GpuCompressor {
                 let original_len = usize::try_from(header.original_len).map_err(|_| {
                     Error::Container(fpc_container::Error::Corrupt("length overflow"))
                 })?;
-                let nwords = original_len / 8;
-                let tail_len = original_len % 8;
-                if payload.len() != nwords * 16 + tail_len {
-                    return Err(Error::Container(fpc_container::Error::Corrupt(
-                        "fcm payload length mismatch",
-                    )));
-                }
-                let (values, _) = words::bytes_to_u64(&payload[..nwords * 8]);
-                let (distances, _) = words::bytes_to_u64(&payload[nwords * 8..nwords * 16]);
+                let (values, distances, tail) = fcm::split_payload(&payload, original_len)
+                    .map_err(|e| Error::Container(crate::kernels::map_decode(e)))?;
+                let (values, _) = words::bytes_to_u64(values);
+                let (distances, _) = words::bytes_to_u64(distances);
                 let threads = if self.threads == 0 { 8 } else { self.threads };
                 let decoded = unionfind::decode(&values, &distances, threads).map_err(|_| {
                     Error::Container(fpc_container::Error::Corrupt("fcm distance before start"))
                 })?;
                 let mut out = Vec::with_capacity(original_len);
                 words::u64_to_bytes(&decoded, &mut out);
-                out.extend_from_slice(&payload[nwords * 16..]);
+                out.extend_from_slice(tail);
                 Ok(out)
             }
             Algorithm::Auto => {

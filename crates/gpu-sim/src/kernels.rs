@@ -532,7 +532,7 @@ fn raze_choose(hist: &[usize; 9], n: usize) -> usize {
     best.1
 }
 
-fn map_decode(e: fpc_transforms::DecodeError) -> Error {
+pub(crate) fn map_decode(e: fpc_transforms::DecodeError) -> Error {
     match e {
         fpc_transforms::DecodeError::UnexpectedEof => Error::UnexpectedEof,
         fpc_transforms::DecodeError::InvalidHeader(w) | fpc_transforms::DecodeError::Corrupt(w) => {

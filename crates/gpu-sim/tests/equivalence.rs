@@ -60,3 +60,28 @@ fn streams_identical_on_every_dataset_suite() {
         }
     }
 }
+
+#[test]
+fn dpratio_with_forged_original_len_fails_like_cpu() {
+    // A checksum-valid header whose `original_len` the FCM payload cannot
+    // back: splitting the payload must not overflow, and gpu-sim must
+    // report the same structured error as the CPU decoder.
+    let values: Vec<f64> = (0..300).map(|i| (i % 7) as f64 * 0.5).collect();
+    let stream = Compressor::new(Algorithm::DpRatio).compress_f64(&values);
+    let header = fpc_container::read_header(&stream).unwrap();
+    let header_len = header.encoded_len();
+    for original_len in [u64::MAX, u64::MAX - 7, (1 << 61) + 3] {
+        let forged = fpc_container::Header {
+            original_len,
+            ..header
+        };
+        let mut bad = Vec::new();
+        forged.write(&mut bad);
+        bad.extend_from_slice(&stream[header_len..]);
+        let cpu = fpc_core::decompress_bytes(&bad).unwrap_err();
+        let gpu = GpuCompressor::new(Algorithm::DpRatio)
+            .decompress_bytes(&bad)
+            .unwrap_err();
+        assert_eq!(gpu, cpu, "original_len {original_len}");
+    }
+}

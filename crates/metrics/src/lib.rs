@@ -217,9 +217,7 @@ pub enum Counter {
     SimdScalar,
     /// Kernel calls dispatched at the portable SWAR tier.
     SimdSwar,
-    /// Kernel calls dispatched at the SSE2 tier.
-    SimdSse2,
-    /// Kernel calls dispatched at the AVX2 tier.
+    /// Kernel calls dispatched at the x86 (AVX2) tier.
     SimdAvx2,
     /// Connections served by fpc-serve workers.
     ServeConnections,
@@ -296,7 +294,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 44;
+    pub const COUNT: usize = 43;
 
     /// Every counter, in report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -310,7 +308,6 @@ impl Counter {
         Counter::ContainerRawChunks,
         Counter::SimdScalar,
         Counter::SimdSwar,
-        Counter::SimdSse2,
         Counter::SimdAvx2,
         Counter::ServeConnections,
         Counter::ServeConnRejected,
@@ -359,7 +356,6 @@ impl Counter {
             Counter::ContainerRawChunks => "container.chunks.raw",
             Counter::SimdScalar => "simd.dispatch.scalar",
             Counter::SimdSwar => "simd.dispatch.swar",
-            Counter::SimdSse2 => "simd.dispatch.sse2",
             Counter::SimdAvx2 => "simd.dispatch.avx2",
             Counter::ServeConnections => "serve.connections",
             Counter::ServeConnRejected => "serve.connections.rejected",

@@ -5,8 +5,9 @@
 //! exact-per-byte test `t = (v & 0x7F..) + 0x7F..; nonzero = (t | v) & 0x80..`
 //! — the add cannot carry across bytes, so unlike the classic "haszero"
 //! trick it has no false positives — and gathers the eight high bits into a
-//! bitmap byte with a carry-free multiply. The SSE2/AVX2 tiers use
-//! `cmpeq`/`movemask` for the same effect at 16/32 bytes per step.
+//! bitmap byte with a carry-free multiply. The AVX2 tier uses
+//! `cmpeq`/`movemask` for the same effect at 32 bytes per step. The
+//! bitmap expanders have a SWAR form (a bitmap byte at a time) only.
 
 use crate::Tier;
 
@@ -28,10 +29,10 @@ pub(crate) fn nonzero_mask8(v: u64) -> u8 {
 
 /// Tier used by the bitmap-construction kernels under the current dispatch.
 pub fn chosen_bitmap() -> Tier {
-    crate::choose(&[Tier::Avx2, Tier::Sse2, Tier::Swar])
+    crate::choose(&[Tier::Avx2, Tier::Swar])
 }
 
-/// Tier used by the bitmap-expansion kernels (byte-granular fast path; the
+/// Tier used by the bitmap-expansion kernels (a bitmap byte at a time; the
 /// bit-sparse control flow does not vectorize further).
 pub fn chosen_expand() -> Tier {
     crate::choose(&[Tier::Swar])
@@ -39,7 +40,7 @@ pub fn chosen_expand() -> Tier {
 
 /// Tier used by the RLE run-length scan.
 pub fn chosen_run() -> Tier {
-    crate::choose(&[Tier::Avx2, Tier::Sse2, Tier::Swar])
+    crate::choose(&[Tier::Avx2, Tier::Swar])
 }
 
 /// Appends the bytes of `block` (≤ 8 bytes) whose mask bit is set.
@@ -60,8 +61,8 @@ fn push_kept8(block: &[u8], mask: u8, kept: &mut Vec<u8>) {
 }
 
 /// Scalar tail of the nonzero-bitmap scan, starting at index `start`
-/// (also the full scalar reference when `start == 0`). Semantics match
-/// `fpc_transforms::rze::zero_bitmap`: `bitmap` is pre-zeroed.
+/// (also the full scalar reference when `start == 0`): bit set ⇔ byte
+/// nonzero; `bitmap` is pre-zeroed.
 pub fn zero_bitmap_tail(data: &[u8], start: usize, bitmap: &mut [u8], kept: &mut Vec<u8>) {
     for (i, &b) in data.iter().enumerate().skip(start) {
         if b != 0 {
@@ -92,16 +93,15 @@ pub fn zero_bitmap(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::zero_bitmap_avx2(data, bitmap, kept),
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Sse2 => crate::x86::zero_bitmap_sse2(data, bitmap, kept),
         Tier::Swar => zero_bitmap_swar(data, bitmap, kept),
         _ => zero_bitmap_tail(data, 0, bitmap, kept),
     }
 }
 
 /// Scalar tail of the repeat-bitmap scan from index `start` with the given
-/// predecessor byte. Semantics match `fpc_transforms::rze::repeat_bitmap`:
-/// bit set ⇔ byte differs from its predecessor (index 0 vs 0x00).
+/// predecessor byte (the full scalar reference when `start == 0` and
+/// `prev == 0`): bit set ⇔ byte differs from its predecessor (index 0 vs
+/// 0x00).
 pub fn repeat_bitmap_tail(
     data: &[u8],
     start: usize,
@@ -143,21 +143,46 @@ pub fn repeat_bitmap(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::repeat_bitmap_avx2(data, bitmap, kept),
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Sse2 => crate::x86::repeat_bitmap_sse2(data, bitmap, kept),
         Tier::Swar => repeat_bitmap_swar(data, bitmap, kept),
         _ => repeat_bitmap_tail(data, 0, 0, bitmap, kept),
     }
 }
 
-/// Byte-granular repeat-bitmap expansion: reconstructs `count` bytes,
+/// Per-bit repeat-bitmap expansion of bytes `start..count`, continuing
+/// from predecessor byte `prev` with `pos` bytes of `src` already consumed
+/// (the full scalar reference when all three are zero). Returns the new
+/// `pos`, or `None` if `src` is exhausted.
+pub fn expand_repeat_tail(
+    bitmap: &[u8],
+    start: usize,
+    count: usize,
+    prev: u8,
+    src: &[u8],
+    pos: usize,
+    out: &mut Vec<u8>,
+) -> Option<usize> {
+    let (mut prev, mut pos) = (prev, pos);
+    for i in start..count {
+        if bitmap[i / 8] & (1 << (i % 8)) != 0 {
+            prev = *src.get(pos)?;
+            pos += 1;
+        }
+        out.push(prev);
+    }
+    Some(pos)
+}
+
+/// Dispatched repeat-bitmap expansion: reconstructs `count` bytes,
 /// consuming differing bytes from `src` and appending to `out`.
 ///
 /// Returns the number of `src` bytes consumed, or `None` if `src` is
-/// exhausted (the caller maps this to its own EOF error). On success the
-/// output is byte-identical to the scalar per-bit loop.
+/// exhausted (the caller maps this to its own EOF error).
 pub fn expand_repeat(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>) -> Option<usize> {
-    crate::record(chosen_expand());
+    let tier = chosen_expand();
+    crate::record(tier);
+    if tier == Tier::Scalar {
+        return expand_repeat_tail(bitmap, 0, count, 0, src, 0, out);
+    }
     let mut pos = 0usize;
     let mut prev = 0u8;
     let full = count / 8;
@@ -179,22 +204,42 @@ pub fn expand_repeat(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>)
             }
         }
     }
-    for i in full * 8..count {
+    expand_repeat_tail(bitmap, full * 8, count, prev, src, pos, out)
+}
+
+/// Per-bit nonzero expansion of bytes `start..count` with `pos` bytes of
+/// `src` already consumed (the full scalar reference when both are zero).
+/// Returns the new `pos`, or `None` if `src` is exhausted.
+pub fn expand_nonzero_tail(
+    bitmap: &[u8],
+    start: usize,
+    count: usize,
+    src: &[u8],
+    pos: usize,
+    out: &mut Vec<u8>,
+) -> Option<usize> {
+    let mut pos = pos;
+    for i in start..count {
         if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-            prev = *src.get(pos)?;
+            out.push(*src.get(pos)?);
             pos += 1;
+        } else {
+            out.push(0);
         }
-        out.push(prev);
     }
     Some(pos)
 }
 
-/// Byte-granular nonzero expansion: reconstructs `count` bytes, consuming
+/// Dispatched nonzero expansion: reconstructs `count` bytes, consuming
 /// nonzero bytes from `src` and filling zeros elsewhere.
 ///
 /// Returns `src` bytes consumed, or `None` on exhaustion.
 pub fn expand_nonzero(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>) -> Option<usize> {
-    crate::record(chosen_expand());
+    let tier = chosen_expand();
+    crate::record(tier);
+    if tier == Tier::Scalar {
+        return expand_nonzero_tail(bitmap, 0, count, src, 0, out);
+    }
     let mut pos = 0usize;
     let full = count / 8;
     for &m in bitmap.iter().take(full) {
@@ -214,15 +259,7 @@ pub fn expand_nonzero(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>
             }
         }
     }
-    for i in full * 8..count {
-        if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-            out.push(*src.get(pos)?);
-            pos += 1;
-        } else {
-            out.push(0);
-        }
-    }
-    Some(pos)
+    expand_nonzero_tail(bitmap, full * 8, count, src, pos, out)
 }
 
 /// Scalar reference run scan: length of the run of `data[start]` at `start`.
@@ -260,8 +297,6 @@ pub fn run_len(data: &[u8], start: usize) -> usize {
     match chosen_run() {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::run_len_avx2(data, start),
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Sse2 => crate::x86::run_len_sse2(data, start),
         Tier::Swar => run_len_swar(data, start),
         _ => run_len_scalar(data, start),
     }
@@ -357,12 +392,18 @@ mod tests {
             let used = expand_nonzero(&bm, data.len(), &kept, &mut out).unwrap();
             assert_eq!(used, kept.len());
             assert_eq!(out, data);
+            let mut out = Vec::new();
+            let used = expand_nonzero_tail(&bm, 0, data.len(), &kept, 0, &mut out).unwrap();
+            assert_eq!((used, &out), (kept.len(), &data), "scalar nonzero");
 
             let (bm, kept) = scalar_repeat(&data);
             let mut out = Vec::new();
             let used = expand_repeat(&bm, data.len(), &kept, &mut out).unwrap();
             assert_eq!(used, kept.len());
             assert_eq!(out, data);
+            let mut out = Vec::new();
+            let used = expand_repeat_tail(&bm, 0, data.len(), 0, &kept, 0, &mut out).unwrap();
+            assert_eq!((used, &out), (kept.len(), &data), "scalar repeat");
         }
     }
 
@@ -399,40 +440,28 @@ mod tests {
 
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[test]
-    fn x86_matches_scalar() {
+    fn avx2_matches_scalar() {
         use crate::x86;
+        if !Tier::Avx2.available() {
+            return;
+        }
         for data in samples() {
             let (bm, kept) = scalar_zero(&data);
             let mut bm2 = vec![0u8; data.len().div_ceil(8)];
             let mut kept2 = Vec::new();
-            x86::zero_bitmap_sse2(&data, &mut bm2, &mut kept2);
-            assert_eq!((&bm, &kept), (&bm2, &kept2), "sse2 zero len {}", data.len());
-            if Tier::Avx2.available() {
-                let mut bm3 = vec![0u8; data.len().div_ceil(8)];
-                let mut kept3 = Vec::new();
-                x86::zero_bitmap_avx2(&data, &mut bm3, &mut kept3);
-                assert_eq!((&bm, &kept), (&bm3, &kept3), "avx2 zero len {}", data.len());
-            }
+            x86::zero_bitmap_avx2(&data, &mut bm2, &mut kept2);
+            assert_eq!((&bm, &kept), (&bm2, &kept2), "avx2 zero len {}", data.len());
 
             let (bm, kept) = scalar_repeat(&data);
             let mut bm2 = vec![0u8; data.len().div_ceil(8)];
             let mut kept2 = Vec::new();
-            x86::repeat_bitmap_sse2(&data, &mut bm2, &mut kept2);
-            assert_eq!((&bm, &kept), (&bm2, &kept2), "sse2 rpt len {}", data.len());
-            if Tier::Avx2.available() {
-                let mut bm3 = vec![0u8; data.len().div_ceil(8)];
-                let mut kept3 = Vec::new();
-                x86::repeat_bitmap_avx2(&data, &mut bm3, &mut kept3);
-                assert_eq!((&bm, &kept), (&bm3, &kept3), "avx2 rpt len {}", data.len());
-            }
+            x86::repeat_bitmap_avx2(&data, &mut bm2, &mut kept2);
+            assert_eq!((&bm, &kept), (&bm2, &kept2), "avx2 rpt len {}", data.len());
 
             let mut i = 0;
             while i < data.len() {
                 let want = run_len_scalar(&data, i);
-                assert_eq!(x86::run_len_sse2(&data, i), want, "sse2 run at {i}");
-                if Tier::Avx2.available() {
-                    assert_eq!(x86::run_len_avx2(&data, i), want, "avx2 run at {i}");
-                }
+                assert_eq!(x86::run_len_avx2(&data, i), want, "avx2 run at {i}");
                 i += want;
             }
         }

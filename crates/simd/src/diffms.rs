@@ -2,50 +2,64 @@
 //!
 //! Encode subtracts each word from its successor (modulo word size) and
 //! zigzags the result; it runs right-to-left so the subtraction can be done
-//! in place. The vector tiers load overlapping `cur`/`prev` blocks and
+//! in place. The AVX2 kernels load overlapping `cur`/`prev` blocks and
 //! process whole blocks right-to-left, which touches exactly the same
 //! values in a compatible order (a block's stores never overlap a later
 //! block's loads).
 //!
 //! Decode is a zigzag decode followed by an inclusive prefix sum. Wrapping
 //! addition is associative, so the SSE2 log-step prefix sum is bit-identical
-//! to the sequential loop. A SWAR prefix sum would need carries to cross
-//! the packed lanes, so the SWAR tier only accelerates encode; decode falls
-//! back to scalar below SSE2.
+//! to the sequential loop; it runs at the x86 tier. A SWAR prefix sum would
+//! need carries to cross the packed lanes, so decode has no SWAR form and
+//! non-x86 hosts run the scalar loops.
 
-use crate::zigzag::{dec32, enc32, enc32_pair, enc64, pair, unpair};
 use crate::Tier;
 
-/// Per-lane 32-bit subtraction of two packed `u64`s (Hacker's Delight
-/// §2-18): borrow is blocked at the lane boundary by forcing the minuend's
-/// lane-MSB, then the true MSB is patched back in.
+/// Converts a 32-bit word from two's complement to magnitude-sign.
 #[inline]
-pub(crate) fn psub32(x: u64, y: u64) -> u64 {
-    const H: u64 = 0x8000_0000_8000_0000;
-    ((x | H).wrapping_sub(y & !H)) ^ ((x ^ !y) & H)
+pub(crate) fn enc32(v: u32) -> u32 {
+    (v << 1) ^ (((v as i32) >> 31) as u32)
+}
+
+/// Inverts [`enc32`].
+#[inline]
+pub(crate) fn dec32(v: u32) -> u32 {
+    (v >> 1) ^ (v & 1).wrapping_neg()
+}
+
+/// Converts a 64-bit word from two's complement to magnitude-sign.
+#[inline]
+pub(crate) fn enc64(v: u64) -> u64 {
+    (v << 1) ^ (((v as i64) >> 63) as u64)
+}
+
+/// Inverts [`enc64`].
+#[inline]
+pub(crate) fn dec64(v: u64) -> u64 {
+    (v >> 1) ^ (v & 1).wrapping_neg()
 }
 
 /// Tier used by the 32-bit encode kernel under the current dispatch.
 pub fn chosen_encode32() -> Tier {
-    crate::choose(&[Tier::Avx2, Tier::Sse2, Tier::Swar])
+    crate::choose(&[Tier::Avx2])
 }
 
-/// Tier used by the 32-bit decode kernel (prefix sum needs real lanes).
+/// Tier used by the 32-bit decode kernel (the SSE2 prefix sum).
 pub fn chosen_decode32() -> Tier {
-    crate::choose(&[Tier::Sse2])
+    crate::choose(&[Tier::Avx2])
 }
 
 /// Tier used by the 64-bit encode kernel.
 pub fn chosen_encode64() -> Tier {
-    crate::choose(&[Tier::Avx2, Tier::Sse2])
+    crate::choose(&[Tier::Avx2])
 }
 
-/// Tier used by the 64-bit decode kernel.
+/// Tier used by the 64-bit decode kernel (the SSE2 prefix sum).
 pub fn chosen_decode64() -> Tier {
-    crate::choose(&[Tier::Sse2])
+    crate::choose(&[Tier::Avx2])
 }
 
-/// Scalar reference: identical to `fpc_transforms::diffms::encode32`.
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
 pub fn encode32_scalar(values: &mut [u32]) {
     for i in (1..values.len()).rev() {
         values[i] = enc32(values[i].wrapping_sub(values[i - 1]));
@@ -55,7 +69,7 @@ pub fn encode32_scalar(values: &mut [u32]) {
     }
 }
 
-/// Scalar reference: identical to `fpc_transforms::diffms::decode32`.
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
 pub fn decode32_scalar(values: &mut [u32]) {
     if let Some(first) = values.first_mut() {
         *first = dec32(*first);
@@ -65,7 +79,7 @@ pub fn decode32_scalar(values: &mut [u32]) {
     }
 }
 
-/// Scalar reference: identical to `fpc_transforms::diffms::encode64`.
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
 pub fn encode64_scalar(values: &mut [u64]) {
     for i in (1..values.len()).rev() {
         values[i] = enc64(values[i].wrapping_sub(values[i - 1]));
@@ -75,33 +89,13 @@ pub fn encode64_scalar(values: &mut [u64]) {
     }
 }
 
-/// Scalar reference: identical to `fpc_transforms::diffms::decode64`.
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
 pub fn decode64_scalar(values: &mut [u64]) {
     if let Some(first) = values.first_mut() {
-        *first = crate::zigzag::dec64(*first);
+        *first = dec64(*first);
     }
     for i in 1..values.len() {
-        values[i] = crate::zigzag::dec64(values[i]).wrapping_add(values[i - 1]);
-    }
-}
-
-/// SWAR encode: two lanes per step, blocks processed right-to-left.
-pub fn encode32_swar(values: &mut [u32]) {
-    let mut i = values.len();
-    while i >= 3 {
-        i -= 2;
-        let cur = pair(values[i], values[i + 1]);
-        let prev = pair(values[i - 1], values[i]);
-        let (lo, hi) = unpair(enc32_pair(psub32(cur, prev)));
-        values[i] = lo;
-        values[i + 1] = hi;
-    }
-    while i > 1 {
-        i -= 1;
-        values[i] = enc32(values[i].wrapping_sub(values[i - 1]));
-    }
-    if let Some(first) = values.first_mut() {
-        *first = enc32(*first);
+        values[i] = dec64(values[i]).wrapping_add(values[i - 1]);
     }
 }
 
@@ -112,9 +106,6 @@ pub fn encode32(values: &mut [u32]) {
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::diffms_encode32_avx2(values),
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Sse2 => crate::x86::diffms_encode32_sse2(values),
-        Tier::Swar => encode32_swar(values),
         _ => encode32_scalar(values),
     }
 }
@@ -125,7 +116,7 @@ pub fn decode32(values: &mut [u32]) {
     crate::record(tier);
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Sse2 => crate::x86::diffms_decode32_sse2(values),
+        Tier::Avx2 => crate::x86::diffms_decode32_sse2(values),
         _ => decode32_scalar(values),
     }
 }
@@ -137,8 +128,6 @@ pub fn encode64(values: &mut [u64]) {
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::diffms_encode64_avx2(values),
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Sse2 => crate::x86::diffms_encode64_sse2(values),
         _ => encode64_scalar(values),
     }
 }
@@ -149,7 +138,7 @@ pub fn decode64(values: &mut [u64]) {
     crate::record(tier);
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Sse2 => crate::x86::diffms_decode64_sse2(values),
+        Tier::Avx2 => crate::x86::diffms_decode64_sse2(values),
         _ => decode64_scalar(values),
     }
 }
@@ -166,48 +155,15 @@ mod tests {
     }
 
     #[test]
-    fn psub32_matches_per_lane_wrapping_sub() {
-        let edge = [0u32, 1, 2, u32::MAX, 0x8000_0000, 0x7FFF_FFFF, 0xDEAD_BEEF];
-        for &a0 in &edge {
-            for &a1 in &edge {
-                for &b0 in &edge {
-                    for &b1 in &edge {
-                        let got = unpair(psub32(pair(a0, a1), pair(b0, b1)));
-                        let want = (a0.wrapping_sub(b0), a1.wrapping_sub(b1));
-                        assert_eq!(got, want, "{a0:#x},{a1:#x} - {b0:#x},{b1:#x}");
-                    }
-                }
-            }
-        }
-        let mut s = 0x1234_5678_9ABC_DEF0u64;
-        for _ in 0..10_000 {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = s;
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let y = s;
-            let (x0, x1) = unpair(x);
-            let (y0, y1) = unpair(y);
-            assert_eq!(
-                unpair(psub32(x, y)),
-                (x0.wrapping_sub(y0), x1.wrapping_sub(y1))
-            );
-        }
-    }
-
-    #[test]
-    fn swar_encode_matches_scalar_all_lengths() {
+    fn dispatched_matches_scalar_all_lengths() {
         for n in 0..40 {
             let orig = sample32(n);
             let mut a = orig.clone();
             let mut b = orig.clone();
-            encode32_scalar(&mut a);
-            encode32_swar(&mut b);
+            encode32(&mut a);
+            encode32_scalar(&mut b);
             assert_eq!(a, b, "len {n}");
-            decode32_scalar(&mut a);
+            decode32(&mut a);
             assert_eq!(a, orig, "roundtrip len {n}");
         }
     }
@@ -220,9 +176,6 @@ mod tests {
             let orig = sample32(n);
             let mut want = orig.clone();
             encode32_scalar(&mut want);
-            let mut got = orig.clone();
-            x86::diffms_encode32_sse2(&mut got);
-            assert_eq!(got, want, "sse2 enc32 len {n}");
             if Tier::Avx2.available() {
                 let mut got = orig.clone();
                 x86::diffms_encode32_avx2(&mut got);
@@ -238,9 +191,6 @@ mod tests {
                 .collect();
             let mut want = orig64.clone();
             encode64_scalar(&mut want);
-            let mut got = orig64.clone();
-            x86::diffms_encode64_sse2(&mut got);
-            assert_eq!(got, want, "sse2 enc64 len {n}");
             if Tier::Avx2.available() {
                 let mut got = orig64.clone();
                 x86::diffms_encode64_avx2(&mut got);

@@ -2,12 +2,11 @@
 //!
 //! The scalar reference is the Hacker's Delight §7-3 masked-swap network.
 //! The AVX2 tier holds the whole 32×32 matrix in four 256-bit registers and
-//! runs the network in-register. A SWAR formulation that runs the same
-//! network on two groups at once ([`transpose32_pair_swar`], `u64`-packed
-//! rows with a duplicated lane-safe mask: every shift is at most 16 and
-//! each 32-bit lane of the mask has its top `j` bits clear before
-//! `m ^= m << j`) is kept and differential-tested, but *not* dispatched —
-//! it measures slower than the scalar network (see [`chosen32`]).
+//! runs the network in-register. Every other tier runs the scalar network,
+//! which the compiler already keeps in registers: running two groups at
+//! once in `u64` rows (SWAR) measures slower than it (~0.9x on the
+//! 16 KiB-chunk microbench), since the pack/unpack costs more than the
+//! halved swap count saves.
 //!
 //! The 64×64 transpose already operates on whole `u64` words (it *is* the
 //! word-level SWAR formulation), so it has no separate fast path here.
@@ -15,19 +14,12 @@
 use crate::Tier;
 
 /// Tier used by the 32×32 transpose under the current dispatch.
-///
-/// Only AVX2 is in the candidate list: the paired-group SWAR formulation
-/// ([`transpose32_pair_swar`]) measures *slower* than the plain scalar
-/// network (~0.9x on the 16 KiB-chunk microbench — the u64 pack/unpack
-/// costs more than the halved swap count saves), and SSE2 has no
-/// profitable formulation below AVX2. Both fall back to the scalar
-/// network, which the compiler already keeps in registers.
 pub fn chosen32() -> Tier {
     crate::choose(&[Tier::Avx2])
 }
 
-/// Scalar reference: identical to
-/// `fpc_transforms::bit_transpose::transpose32_group`.
+/// Scalar reference: in-place 32×32 bit-matrix transpose of one group
+/// (re-exported as `fpc_transforms::bit_transpose::transpose32_group`).
 pub fn transpose32_group_scalar(a: &mut [u32; 32]) {
     let mut m: u32 = 0x0000_FFFF;
     let mut j = 16usize;
@@ -44,34 +36,9 @@ pub fn transpose32_group_scalar(a: &mut [u32; 32]) {
     }
 }
 
-/// Transposes two 32×32 groups at once, SWAR-packed into `u64` rows.
-pub fn transpose32_pair_swar(a: &mut [u32; 32], b: &mut [u32; 32]) {
-    let mut w = [0u64; 32];
-    for k in 0..32 {
-        w[k] = (a[k] as u64) | ((b[k] as u64) << 32);
-    }
-    let mut m: u64 = 0x0000_FFFF_0000_FFFF;
-    let mut j = 16usize;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 32 {
-            let t = (w[k] ^ (w[k + j] >> j)) & m;
-            w[k] ^= t;
-            w[k + j] ^= t << j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
-    for k in 0..32 {
-        a[k] = w[k] as u32;
-        b[k] = (w[k] >> 32) as u32;
-    }
-}
-
 /// Transposes every complete 32-word group of `values` in place at the
 /// dispatched tier; trailing words that do not fill a group are untouched
-/// (same contract as the scalar caller).
+/// (same contract as the scalar reference).
 pub fn transpose32(values: &mut [u32]) {
     let tier = chosen32();
     crate::record(tier);
@@ -94,6 +61,7 @@ pub fn transpose32(values: &mut [u32]) {
 mod tests {
     use super::*;
 
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     fn sample_group(seed: u32) -> [u32; 32] {
         let mut g = [0u32; 32];
         for (i, v) in g.iter_mut().enumerate() {
@@ -103,41 +71,6 @@ mod tests {
                 .rotate_left(i as u32);
         }
         g
-    }
-
-    #[test]
-    fn swar_pair_matches_scalar() {
-        for seed in 0..8 {
-            let mut a = sample_group(seed);
-            let mut b = sample_group(seed.wrapping_mul(0x85EB_CA6B));
-            let mut ra = a;
-            let mut rb = b;
-            transpose32_pair_swar(&mut a, &mut b);
-            transpose32_group_scalar(&mut ra);
-            transpose32_group_scalar(&mut rb);
-            assert_eq!(a, ra, "seed {seed} group a");
-            assert_eq!(b, rb, "seed {seed} group b");
-        }
-    }
-
-    #[test]
-    fn swar_pair_edge_patterns() {
-        for pat in [[0u32; 32], [u32::MAX; 32]] {
-            let mut a = pat;
-            let mut b = pat;
-            transpose32_pair_swar(&mut a, &mut b);
-            assert_eq!(a, pat);
-            assert_eq!(b, pat);
-        }
-        // A single bit in one group must not leak into the other.
-        let mut a = [0u32; 32];
-        a[5] = 1 << 17;
-        let mut b = [0u32; 32];
-        let mut r = a;
-        transpose32_pair_swar(&mut a, &mut b);
-        transpose32_group_scalar(&mut r);
-        assert_eq!(a, r);
-        assert_eq!(b, [0u32; 32]);
     }
 
     #[test]

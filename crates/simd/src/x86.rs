@@ -1,4 +1,6 @@
-//! `core::arch::x86_64` kernel implementations (SSE2 and AVX2).
+//! `core::arch::x86_64` kernel implementations: the AVX2 tier's kernels,
+//! plus the two SSE2 DIFFMS prefix-sum decoders that also run at that tier
+//! (SSE2 is part of the x86_64 baseline).
 //!
 //! Every `unsafe` block of the workspace's vector plumbing lives in this
 //! module. Each public function is a safe wrapper that asserts the required
@@ -13,224 +15,12 @@
 
 #![allow(clippy::missing_safety_doc)] // internal impls; safety = target_feature
 
+use crate::diffms::{dec32, dec64, enc32, enc64};
 use core::arch::x86_64::*;
 
 #[inline]
 fn have_avx2() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[inline]
-fn zigzag_enc32(v: u32) -> u32 {
-    (v << 1) ^ (((v as i32) >> 31) as u32)
-}
-
-#[inline]
-fn zigzag_dec32(v: u32) -> u32 {
-    (v >> 1) ^ (v & 1).wrapping_neg()
-}
-
-#[inline]
-fn zigzag_enc64(v: u64) -> u64 {
-    (v << 1) ^ (((v as i64) >> 63) as u64)
-}
-
-#[inline]
-fn zigzag_dec64(v: u64) -> u64 {
-    (v >> 1) ^ (v & 1).wrapping_neg()
-}
-
-// ---------------------------------------------------------------- zigzag --
-
-/// Zigzag-encodes a `u32` slice in place with AVX2 (8 lanes per step).
-pub fn zigzag_encode32_avx2(values: &mut [u32]) {
-    assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { zigzag_encode32_avx2_impl(values) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn zigzag_encode32_avx2_impl(values: &mut [u32]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let mut i = 0;
-    while i + 8 <= n {
-        let x = _mm256_loadu_si256(p.add(i) as *const __m256i);
-        let e = _mm256_xor_si256(_mm256_slli_epi32(x, 1), _mm256_srai_epi32(x, 31));
-        _mm256_storeu_si256(p.add(i) as *mut __m256i, e);
-        i += 8;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_enc32(*v);
-    }
-}
-
-/// Zigzag-decodes a `u32` slice in place with AVX2.
-pub fn zigzag_decode32_avx2(values: &mut [u32]) {
-    assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { zigzag_decode32_avx2_impl(values) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn zigzag_decode32_avx2_impl(values: &mut [u32]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let zero = _mm256_setzero_si256();
-    let one = _mm256_set1_epi32(1);
-    let mut i = 0;
-    while i + 8 <= n {
-        let x = _mm256_loadu_si256(p.add(i) as *const __m256i);
-        let sign = _mm256_sub_epi32(zero, _mm256_and_si256(x, one));
-        let d = _mm256_xor_si256(_mm256_srli_epi32(x, 1), sign);
-        _mm256_storeu_si256(p.add(i) as *mut __m256i, d);
-        i += 8;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_dec32(*v);
-    }
-}
-
-/// Zigzag-encodes a `u32` slice in place with SSE2 (4 lanes per step).
-pub fn zigzag_encode32_sse2(values: &mut [u32]) {
-    unsafe { zigzag_encode32_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn zigzag_encode32_sse2_impl(values: &mut [u32]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm_loadu_si128(p.add(i) as *const __m128i);
-        let e = _mm_xor_si128(_mm_slli_epi32(x, 1), _mm_srai_epi32(x, 31));
-        _mm_storeu_si128(p.add(i) as *mut __m128i, e);
-        i += 4;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_enc32(*v);
-    }
-}
-
-/// Zigzag-decodes a `u32` slice in place with SSE2.
-pub fn zigzag_decode32_sse2(values: &mut [u32]) {
-    unsafe { zigzag_decode32_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn zigzag_decode32_sse2_impl(values: &mut [u32]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let zero = _mm_setzero_si128();
-    let one = _mm_set1_epi32(1);
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm_loadu_si128(p.add(i) as *const __m128i);
-        let sign = _mm_sub_epi32(zero, _mm_and_si128(x, one));
-        let d = _mm_xor_si128(_mm_srli_epi32(x, 1), sign);
-        _mm_storeu_si128(p.add(i) as *mut __m128i, d);
-        i += 4;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_dec32(*v);
-    }
-}
-
-/// Zigzag-encodes a `u64` slice in place with AVX2 (4 lanes per step).
-pub fn zigzag_encode64_avx2(values: &mut [u64]) {
-    assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { zigzag_encode64_avx2_impl(values) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn zigzag_encode64_avx2_impl(values: &mut [u64]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let zero = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm256_loadu_si256(p.add(i) as *const __m256i);
-        // No 64-bit arithmetic shift in AVX2: a signed compare against zero
-        // yields the same all-ones/all-zeros sign mask.
-        let sign = _mm256_cmpgt_epi64(zero, x);
-        let e = _mm256_xor_si256(_mm256_slli_epi64(x, 1), sign);
-        _mm256_storeu_si256(p.add(i) as *mut __m256i, e);
-        i += 4;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_enc64(*v);
-    }
-}
-
-/// Zigzag-decodes a `u64` slice in place with AVX2.
-pub fn zigzag_decode64_avx2(values: &mut [u64]) {
-    assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { zigzag_decode64_avx2_impl(values) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn zigzag_decode64_avx2_impl(values: &mut [u64]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let zero = _mm256_setzero_si256();
-    let one = _mm256_set1_epi64x(1);
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm256_loadu_si256(p.add(i) as *const __m256i);
-        let sign = _mm256_sub_epi64(zero, _mm256_and_si256(x, one));
-        let d = _mm256_xor_si256(_mm256_srli_epi64(x, 1), sign);
-        _mm256_storeu_si256(p.add(i) as *mut __m256i, d);
-        i += 4;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_dec64(*v);
-    }
-}
-
-/// Zigzag-encodes a `u64` slice in place with SSE2 (2 lanes per step).
-pub fn zigzag_encode64_sse2(values: &mut [u64]) {
-    unsafe { zigzag_encode64_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn zigzag_encode64_sse2_impl(values: &mut [u64]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let mut i = 0;
-    while i + 2 <= n {
-        let x = _mm_loadu_si128(p.add(i) as *const __m128i);
-        // 64-bit arithmetic shift: replicate each lane's high 32-bit sign
-        // word into both halves.
-        let sign = _mm_shuffle_epi32(_mm_srai_epi32(x, 31), 0b1111_0101);
-        let e = _mm_xor_si128(_mm_slli_epi64(x, 1), sign);
-        _mm_storeu_si128(p.add(i) as *mut __m128i, e);
-        i += 2;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_enc64(*v);
-    }
-}
-
-/// Zigzag-decodes a `u64` slice in place with SSE2.
-pub fn zigzag_decode64_sse2(values: &mut [u64]) {
-    unsafe { zigzag_decode64_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn zigzag_decode64_sse2_impl(values: &mut [u64]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let zero = _mm_setzero_si128();
-    let one = _mm_set1_epi64x(1);
-    let mut i = 0;
-    while i + 2 <= n {
-        let x = _mm_loadu_si128(p.add(i) as *const __m128i);
-        let sign = _mm_sub_epi64(zero, _mm_and_si128(x, one));
-        let d = _mm_xor_si128(_mm_srli_epi64(x, 1), sign);
-        _mm_storeu_si128(p.add(i) as *mut __m128i, d);
-        i += 2;
-    }
-    for v in &mut values[i..] {
-        *v = zigzag_dec64(*v);
-    }
 }
 
 // ---------------------------------------------------------------- diffms --
@@ -259,37 +49,10 @@ unsafe fn diffms_encode32_avx2_impl(values: &mut [u32]) {
     }
     while i > 1 {
         i -= 1;
-        values[i] = zigzag_enc32(values[i].wrapping_sub(values[i - 1]));
+        values[i] = enc32(values[i].wrapping_sub(values[i - 1]));
     }
     if let Some(first) = values.first_mut() {
-        *first = zigzag_enc32(*first);
-    }
-}
-
-/// DIFFMS encode of a `u32` slice with SSE2.
-pub fn diffms_encode32_sse2(values: &mut [u32]) {
-    unsafe { diffms_encode32_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn diffms_encode32_sse2_impl(values: &mut [u32]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let mut i = n;
-    while i >= 5 {
-        i -= 4;
-        let cur = _mm_loadu_si128(p.add(i) as *const __m128i);
-        let prev = _mm_loadu_si128(p.add(i - 1) as *const __m128i);
-        let d = _mm_sub_epi32(cur, prev);
-        let e = _mm_xor_si128(_mm_slli_epi32(d, 1), _mm_srai_epi32(d, 31));
-        _mm_storeu_si128(p.add(i) as *mut __m128i, e);
-    }
-    while i > 1 {
-        i -= 1;
-        values[i] = zigzag_enc32(values[i].wrapping_sub(values[i - 1]));
-    }
-    if let Some(first) = values.first_mut() {
-        *first = zigzag_enc32(*first);
+        *first = enc32(*first);
     }
 }
 
@@ -307,7 +70,7 @@ unsafe fn diffms_decode32_sse2_impl(values: &mut [u32]) {
     if n == 0 {
         return;
     }
-    values[0] = zigzag_dec32(values[0]);
+    values[0] = dec32(values[0]);
     let p = values.as_mut_ptr();
     let zero = _mm_setzero_si128();
     let one = _mm_set1_epi32(1);
@@ -328,7 +91,7 @@ unsafe fn diffms_decode32_sse2_impl(values: &mut [u32]) {
     }
     let mut prev = _mm_cvtsi128_si32(run) as u32;
     for v in values.iter_mut().take(n).skip(i) {
-        *v = zigzag_dec32(*v).wrapping_add(prev);
+        *v = dec32(*v).wrapping_add(prev);
         prev = *v;
     }
 }
@@ -356,38 +119,10 @@ unsafe fn diffms_encode64_avx2_impl(values: &mut [u64]) {
     }
     while i > 1 {
         i -= 1;
-        values[i] = zigzag_enc64(values[i].wrapping_sub(values[i - 1]));
+        values[i] = enc64(values[i].wrapping_sub(values[i - 1]));
     }
     if let Some(first) = values.first_mut() {
-        *first = zigzag_enc64(*first);
-    }
-}
-
-/// DIFFMS encode of a `u64` slice with SSE2.
-pub fn diffms_encode64_sse2(values: &mut [u64]) {
-    unsafe { diffms_encode64_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn diffms_encode64_sse2_impl(values: &mut [u64]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let mut i = n;
-    while i >= 3 {
-        i -= 2;
-        let cur = _mm_loadu_si128(p.add(i) as *const __m128i);
-        let prev = _mm_loadu_si128(p.add(i - 1) as *const __m128i);
-        let d = _mm_sub_epi64(cur, prev);
-        let sign = _mm_shuffle_epi32(_mm_srai_epi32(d, 31), 0b1111_0101);
-        let e = _mm_xor_si128(_mm_slli_epi64(d, 1), sign);
-        _mm_storeu_si128(p.add(i) as *mut __m128i, e);
-    }
-    while i > 1 {
-        i -= 1;
-        values[i] = zigzag_enc64(values[i].wrapping_sub(values[i - 1]));
-    }
-    if let Some(first) = values.first_mut() {
-        *first = zigzag_enc64(*first);
+        *first = enc64(*first);
     }
 }
 
@@ -402,7 +137,7 @@ unsafe fn diffms_decode64_sse2_impl(values: &mut [u64]) {
     if n == 0 {
         return;
     }
-    values[0] = zigzag_dec64(values[0]);
+    values[0] = dec64(values[0]);
     let p = values.as_mut_ptr();
     let zero = _mm_setzero_si128();
     let one = _mm_set1_epi64x(1);
@@ -422,7 +157,7 @@ unsafe fn diffms_decode64_sse2_impl(values: &mut [u64]) {
     let lanes: [u64; 2] = core::mem::transmute(run);
     let mut prev = lanes[0];
     for v in values.iter_mut().take(n).skip(i) {
-        *v = zigzag_dec64(*v).wrapping_add(prev);
+        *v = dec64(*v).wrapping_add(prev);
         prev = *v;
     }
 }
@@ -537,26 +272,6 @@ unsafe fn zero_bitmap_avx2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u
     crate::bytescan::zero_bitmap_tail(data, i, bitmap, kept);
 }
 
-/// Builds the nonzero bitmap of `data` and collects nonzero bytes (SSE2).
-pub fn zero_bitmap_sse2(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
-    unsafe { zero_bitmap_sse2_impl(data, bitmap, kept) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn zero_bitmap_sse2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
-    let zero = _mm_setzero_si128();
-    let mut i = 0;
-    while i + 16 <= data.len() {
-        let v = _mm_loadu_si128(data.as_ptr().add(i) as *const __m128i);
-        let eq0 = _mm_cmpeq_epi8(v, zero);
-        let nz = !(_mm_movemask_epi8(eq0) as u32) & 0xFFFF;
-        bitmap[i / 8..i / 8 + 2].copy_from_slice(&(nz as u16).to_le_bytes());
-        push_kept(&data[i..i + 16], nz, kept);
-        i += 16;
-    }
-    crate::bytescan::zero_bitmap_tail(data, i, bitmap, kept);
-}
-
 /// Builds the differs-from-predecessor bitmap and collects differing bytes
 /// (AVX2). Byte 0 compares against 0x00, as in the scalar reference.
 pub fn repeat_bitmap_avx2(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
@@ -583,28 +298,6 @@ unsafe fn repeat_bitmap_avx2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec
         push_kept(&data[i..i + 32], differs, kept);
         prev = data[i + 31];
         i += 32;
-    }
-    crate::bytescan::repeat_bitmap_tail(data, i, prev, bitmap, kept);
-}
-
-/// Builds the differs-from-predecessor bitmap (SSE2).
-pub fn repeat_bitmap_sse2(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
-    unsafe { repeat_bitmap_sse2_impl(data, bitmap, kept) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn repeat_bitmap_sse2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
-    let mut prev = 0u8;
-    let mut i = 0;
-    while i + 16 <= data.len() {
-        let v = _mm_loadu_si128(data.as_ptr().add(i) as *const __m128i);
-        let shifted = _mm_or_si128(_mm_slli_si128(v, 1), _mm_cvtsi32_si128(prev as i32));
-        let eq = _mm_cmpeq_epi8(v, shifted);
-        let differs = !(_mm_movemask_epi8(eq) as u32) & 0xFFFF;
-        bitmap[i / 8..i / 8 + 2].copy_from_slice(&(differs as u16).to_le_bytes());
-        push_kept(&data[i..i + 16], differs, kept);
-        prev = data[i + 15];
-        i += 16;
     }
     crate::bytescan::repeat_bitmap_tail(data, i, prev, bitmap, kept);
 }
@@ -656,65 +349,9 @@ unsafe fn run_len_avx2_impl(data: &[u8], start: usize) -> usize {
     i - start
 }
 
-/// Length of the run of `data[start]` beginning at `start` (SSE2).
-pub fn run_len_sse2(data: &[u8], start: usize) -> usize {
-    unsafe { run_len_sse2_impl(data, start) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn run_len_sse2_impl(data: &[u8], start: usize) -> usize {
-    let b = data[start];
-    let needle = _mm_set1_epi8(b as i8);
-    let mut i = start + 1;
-    while i + 16 <= data.len() {
-        let v = _mm_loadu_si128(data.as_ptr().add(i) as *const __m128i);
-        let ne = !(_mm_movemask_epi8(_mm_cmpeq_epi8(v, needle)) as u32) & 0xFFFF;
-        if ne != 0 {
-            return i + ne.trailing_zeros() as usize - start;
-        }
-        i += 16;
-    }
-    while i < data.len() && data[i] == b {
-        i += 1;
-    }
-    i - start
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sse2_zigzag_matches_scalar() {
-        let mut a: Vec<u32> = (0..103u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let mut b = a.clone();
-        zigzag_encode32_sse2(&mut a);
-        for v in &mut b {
-            *v = zigzag_enc32(*v);
-        }
-        assert_eq!(a, b);
-        zigzag_decode32_sse2(&mut a);
-        for v in &mut b {
-            *v = zigzag_dec32(*v);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sse2_zigzag64_sign_shuffle() {
-        let mut a: Vec<u64> = vec![0, 1, u64::MAX, 1 << 63, (1 << 63) - 1, 0xDEAD_BEEF];
-        let mut b = a.clone();
-        zigzag_encode64_sse2(&mut a);
-        for v in &mut b {
-            *v = zigzag_enc64(*v);
-        }
-        assert_eq!(a, b);
-        zigzag_decode64_sse2(&mut a);
-        for v in &mut b {
-            *v = zigzag_dec64(*v);
-        }
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn avx2_transpose_is_involution() {

@@ -13,20 +13,15 @@
 
 use fpc_metrics::Stage;
 
-/// Transposes each complete group of 32 words in place (involution).
-///
-/// Dispatched: the group network below is the scalar reference (selected by
-/// `FPC_FORCE_SCALAR=1`); normal dispatch runs the bit-identical AVX2
-/// in-register network in `fpc_simd::transpose` where available.
+/// In-place 32×32 bit-matrix transpose of one group (Hacker's Delight
+/// §7-3): the scalar reference `fpc_simd::transpose` dispatches around.
+pub use fpc_simd::transpose::transpose32_group_scalar as transpose32_group;
+
+/// Transposes each complete group of 32 words in place (involution), with
+/// the kernel `fpc_simd::transpose` dispatches to.
 pub fn transpose32(values: &mut [u32]) {
     let t = fpc_metrics::timer(Stage::BitTranspose);
-    if fpc_simd::force_scalar() {
-        for group in values.chunks_exact_mut(32) {
-            transpose32_group(group.try_into().expect("chunks_exact(32)"));
-        }
-    } else {
-        fpc_simd::transpose::transpose32(values);
-    }
+    fpc_simd::transpose::transpose32(values);
     t.finish(values.len() as u64 * 4);
 }
 
@@ -37,23 +32,6 @@ pub fn transpose64(values: &mut [u64]) {
         transpose64_group(group.try_into().expect("chunks_exact(64)"));
     }
     t.finish(values.len() as u64 * 8);
-}
-
-/// In-place 32×32 bit-matrix transpose (Hacker's Delight §7-3).
-pub fn transpose32_group(a: &mut [u32; 32]) {
-    let mut m: u32 = 0x0000_FFFF;
-    let mut j = 16usize;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 32 {
-            let t = (a[k] ^ (a[k + j] >> j)) & m;
-            a[k] ^= t;
-            a[k + j] ^= t << j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
 }
 
 /// In-place 64×64 bit-matrix transpose.

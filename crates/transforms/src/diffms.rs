@@ -7,74 +7,36 @@
 //! stored in magnitude-sign (zigzag) format so that both small positive and
 //! small negative differences have many leading zero bits.
 //!
-//! The loops here are the scalar reference (selected by
-//! `FPC_FORCE_SCALAR=1`); normal dispatch runs the bit-identical vector
-//! kernels in `fpc_simd::diffms`.
+//! The kernels, scalar reference included, live in `fpc_simd::diffms`;
+//! this module times them.
 
-use crate::zigzag;
 use fpc_metrics::Stage;
 
 /// Applies DIFFMS in place to a chunk of 32-bit words.
 pub fn encode32(values: &mut [u32]) {
     let t = fpc_metrics::timer(Stage::DiffmsEncode);
-    if fpc_simd::force_scalar() {
-        for i in (1..values.len()).rev() {
-            values[i] = zigzag::encode32(values[i].wrapping_sub(values[i - 1]));
-        }
-        if let Some(first) = values.first_mut() {
-            *first = zigzag::encode32(*first);
-        }
-    } else {
-        fpc_simd::diffms::encode32(values);
-    }
+    fpc_simd::diffms::encode32(values);
     t.finish(values.len() as u64 * 4);
 }
 
 /// Inverts [`encode32`] in place.
 pub fn decode32(values: &mut [u32]) {
     let t = fpc_metrics::timer(Stage::DiffmsDecode);
-    if fpc_simd::force_scalar() {
-        if let Some(first) = values.first_mut() {
-            *first = zigzag::decode32(*first);
-        }
-        for i in 1..values.len() {
-            values[i] = zigzag::decode32(values[i]).wrapping_add(values[i - 1]);
-        }
-    } else {
-        fpc_simd::diffms::decode32(values);
-    }
+    fpc_simd::diffms::decode32(values);
     t.finish(values.len() as u64 * 4);
 }
 
 /// Applies DIFFMS in place to a chunk of 64-bit words.
 pub fn encode64(values: &mut [u64]) {
     let t = fpc_metrics::timer(Stage::DiffmsEncode);
-    if fpc_simd::force_scalar() {
-        for i in (1..values.len()).rev() {
-            values[i] = zigzag::encode64(values[i].wrapping_sub(values[i - 1]));
-        }
-        if let Some(first) = values.first_mut() {
-            *first = zigzag::encode64(*first);
-        }
-    } else {
-        fpc_simd::diffms::encode64(values);
-    }
+    fpc_simd::diffms::encode64(values);
     t.finish(values.len() as u64 * 8);
 }
 
 /// Inverts [`encode64`] in place.
 pub fn decode64(values: &mut [u64]) {
     let t = fpc_metrics::timer(Stage::DiffmsDecode);
-    if fpc_simd::force_scalar() {
-        if let Some(first) = values.first_mut() {
-            *first = zigzag::decode64(*first);
-        }
-        for i in 1..values.len() {
-            values[i] = zigzag::decode64(values[i]).wrapping_add(values[i - 1]);
-        }
-    } else {
-        fpc_simd::diffms::decode64(values);
-    }
+    fpc_simd::diffms::decode64(values);
     t.finish(values.len() as u64 * 8);
 }
 

@@ -447,6 +447,21 @@ pub fn decode_arrays(values: &[u64], distances: &[u64]) -> Result<Vec<u64>> {
 /// Fails if `payload` is not exactly the layout `original_len` implies or
 /// a distance points before the start of the output.
 pub fn decode_payload(payload: &[u8], original_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    let (values, distances, tail) = split_payload(payload, original_len)?;
+    out.reserve(original_len);
+    decode_lanes(values, distances, out)?;
+    out.extend_from_slice(tail);
+    Ok(())
+}
+
+/// Splits an [`encode_payload`] payload for `original_len` original bytes
+/// into its value bytes, distance bytes and raw tail, with checked
+/// arithmetic so a forged length cannot overflow.
+///
+/// # Errors
+///
+/// Fails if `payload` is not exactly the layout `original_len` implies.
+pub fn split_payload(payload: &[u8], original_len: usize) -> Result<(&[u8], &[u8], &[u8])> {
     let head = original_len / 8 * 8;
     let (values, rest) = payload
         .split_at_checked(head)
@@ -455,10 +470,7 @@ pub fn decode_payload(payload: &[u8], original_len: usize, out: &mut Vec<u8>) ->
         .split_at_checked(head)
         .filter(|(_, tail)| tail.len() == original_len - head)
         .ok_or(DecodeError::Corrupt("fcm payload length mismatch"))?;
-    out.reserve(original_len);
-    decode_lanes(values, distances, out)?;
-    out.extend_from_slice(tail);
-    Ok(())
+    Ok((values, distances, tail))
 }
 
 /// Appends the decoded words of equal-length `values`/`distances` to `out`.

@@ -25,21 +25,11 @@ fn bitmap_len(n: usize) -> usize {
 }
 
 /// Builds the level-0 bitmap (bit set ⇔ byte nonzero) and collects nonzero
-/// bytes. The loop is the scalar reference (`FPC_FORCE_SCALAR=1`); normal
-/// dispatch scans 8–32 bytes per step via `fpc_simd::bytescan`.
+/// bytes with `fpc_simd::bytescan`.
 fn zero_bitmap(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
     let mut bitmap = vec![0u8; bitmap_len(data.len())];
     let mut kept = Vec::new();
-    if fpc_simd::force_scalar() {
-        for (i, &b) in data.iter().enumerate() {
-            if b != 0 {
-                bitmap[i / 8] |= 1 << (i % 8);
-                kept.push(b);
-            }
-        }
-    } else {
-        fpc_simd::bytescan::zero_bitmap(data, &mut bitmap, &mut kept);
-    }
+    fpc_simd::bytescan::zero_bitmap(data, &mut bitmap, &mut kept);
     (bitmap, kept)
 }
 
@@ -48,24 +38,8 @@ fn zero_bitmap(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
 fn repeat_bitmap(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
     let mut bitmap = vec![0u8; bitmap_len(data.len())];
     let mut kept = Vec::new();
-    if fpc_simd::force_scalar() {
-        let mut prev = 0u8;
-        for (i, &b) in data.iter().enumerate() {
-            if b != prev {
-                bitmap[i / 8] |= 1 << (i % 8);
-                kept.push(b);
-            }
-            prev = b;
-        }
-    } else {
-        fpc_simd::bytescan::repeat_bitmap(data, &mut bitmap, &mut kept);
-    }
+    fpc_simd::bytescan::repeat_bitmap(data, &mut bitmap, &mut kept);
     (bitmap, kept)
-}
-
-#[inline]
-fn bit_at(bitmap: &[u8], i: usize) -> bool {
-    bitmap[i / 8] & (1 << (i % 8)) != 0
 }
 
 /// Compresses `data`, appending the encoded stream to `out`.
@@ -96,25 +70,13 @@ fn take<'a>(data: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
 }
 
 /// Reconstructs a `len`-byte level from its repeat bitmap, consuming
-/// differing bytes from `data`. The per-bit loop is the scalar reference;
-/// normal dispatch expands a bitmap byte at a time.
+/// differing bytes from `data`.
 fn expand_repeat(bitmap: &[u8], len: usize, data: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(len);
-    if fpc_simd::force_scalar() {
-        let mut prev = 0u8;
-        for i in 0..len {
-            if bit_at(bitmap, i) {
-                prev = *data.get(*pos).ok_or(DecodeError::UnexpectedEof)?;
-                *pos += 1;
-            }
-            out.push(prev);
-        }
-    } else {
-        let src = data.get(*pos..).unwrap_or(&[]);
-        let used = fpc_simd::bytescan::expand_repeat(bitmap, len, src, &mut out)
-            .ok_or(DecodeError::UnexpectedEof)?;
-        *pos += used;
-    }
+    let src = data.get(*pos..).unwrap_or(&[]);
+    let used = fpc_simd::bytescan::expand_repeat(bitmap, len, src, &mut out)
+        .ok_or(DecodeError::UnexpectedEof)?;
+    *pos += used;
     Ok(out)
 }
 
@@ -134,21 +96,10 @@ pub fn decode(data: &[u8], pos: &mut usize, n: usize, out: &mut Vec<u8>) -> Resu
     let bm1 = expand_repeat(&bm2, len1, data, pos)?;
     let bm0 = expand_repeat(&bm1, len0, data, pos)?;
     out.reserve(n);
-    if fpc_simd::force_scalar() {
-        for i in 0..n {
-            if bit_at(&bm0, i) {
-                out.push(*data.get(*pos).ok_or(DecodeError::UnexpectedEof)?);
-                *pos += 1;
-            } else {
-                out.push(0);
-            }
-        }
-    } else {
-        let src = data.get(*pos..).unwrap_or(&[]);
-        let used = fpc_simd::bytescan::expand_nonzero(&bm0, n, src, out)
-            .ok_or(DecodeError::UnexpectedEof)?;
-        *pos += used;
-    }
+    let src = data.get(*pos..).unwrap_or(&[]);
+    let used =
+        fpc_simd::bytescan::expand_nonzero(&bm0, n, src, out).ok_or(DecodeError::UnexpectedEof)?;
+    *pos += used;
     t.finish(n as u64);
     Ok(())
 }

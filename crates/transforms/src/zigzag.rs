@@ -31,48 +31,31 @@ pub fn decode64(v: u64) -> u64 {
     (v >> 1) ^ (v & 1).wrapping_neg()
 }
 
-/// Applies [`encode32`] to every element (dispatched; the loop below is the
-/// scalar reference selected by `FPC_FORCE_SCALAR=1`).
+/// Applies [`encode32`] to every element.
 pub fn encode32_slice(values: &mut [u32]) {
-    if fpc_simd::force_scalar() {
-        for v in values {
-            *v = encode32(*v);
-        }
-    } else {
-        fpc_simd::zigzag::encode32_slice(values);
+    for v in values {
+        *v = encode32(*v);
     }
 }
 
-/// Applies [`decode32`] to every element (dispatched).
+/// Applies [`decode32`] to every element.
 pub fn decode32_slice(values: &mut [u32]) {
-    if fpc_simd::force_scalar() {
-        for v in values {
-            *v = decode32(*v);
-        }
-    } else {
-        fpc_simd::zigzag::decode32_slice(values);
+    for v in values {
+        *v = decode32(*v);
     }
 }
 
-/// Applies [`encode64`] to every element (dispatched).
+/// Applies [`encode64`] to every element.
 pub fn encode64_slice(values: &mut [u64]) {
-    if fpc_simd::force_scalar() {
-        for v in values {
-            *v = encode64(*v);
-        }
-    } else {
-        fpc_simd::zigzag::encode64_slice(values);
+    for v in values {
+        *v = encode64(*v);
     }
 }
 
-/// Applies [`decode64`] to every element (dispatched).
+/// Applies [`decode64`] to every element.
 pub fn decode64_slice(values: &mut [u64]) {
-    if fpc_simd::force_scalar() {
-        for v in values {
-            *v = decode64(*v);
-        }
-    } else {
-        fpc_simd::zigzag::decode64_slice(values);
+    for v in values {
+        *v = decode64(*v);
     }
 }
 

@@ -34,7 +34,7 @@ pub use fpc_transforms as transforms;
 /// The entropy-coding substrate (huffman, rANS, LZ, RLE, varint, bitpack).
 pub use fpc_entropy as entropy;
 
-/// Runtime-dispatched SWAR/SSE2/AVX2 kernels behind the hot per-word loops.
+/// Runtime-dispatched SWAR/AVX2 kernels behind the hot per-word loops.
 pub use fpc_simd as simd;
 
 /// The simulated-GPU execution path (warp/block model, cost model).

@@ -468,15 +468,16 @@ fn words_as_bytes(words: &[u32]) -> Vec<u8> {
 /// Kernel-level differential: every dispatched fpc-simd entry point must
 /// produce byte-identical results to its scalar reference on adversarial
 /// inputs. This runs *within one process*, so it compares whatever tier the
-/// environment selects (AVX2 on CI's x86 runners, SWAR under
-/// `FPC_SIMD_TIER=swar` or Miri) against the scalar loops directly; the
-/// `differential-dispatch` CI job additionally diffs whole compressed
+/// host selects (AVX2 on CI's x86 runners, SWAR on aarch64) against the
+/// scalar loops directly. The SWAR byte scans that an AVX2 host never
+/// dispatches are called by name, so x86 CI checks every SWAR kernel too;
+/// the `differential-dispatch` CI job additionally diffs whole compressed
 /// streams across processes.
 #[test]
 fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
     use fpcompress::entropy::bitio::{BitReader, BitWriter};
     use fpcompress::entropy::bitpack::{min_width_u32, min_width_u64};
-    use fpcompress::simd::{bitpack, bytescan, diffms, transpose, zigzag};
+    use fpcompress::simd::{bitpack, bytescan, diffms, transpose};
 
     run_cases("fuzz/kernel-differential", 120, |rng, case| {
         // Lengths straddle the vector widths: empty, sub-lane, exact
@@ -491,24 +492,6 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
         let w64 = adversarial_u64(rng, case, n);
         let bytes = words_as_bytes(&w32);
         fpc_prng::fuzz::record_input(&bytes);
-
-        // zigzag: dispatched vs scalar, both directions, both widths.
-        let (mut a, mut b) = (w32.clone(), w32.clone());
-        zigzag::encode32_slice(&mut a);
-        zigzag::encode32_slice_scalar(&mut b);
-        assert_eq!(a, b, "zigzag enc32 diverged (n={n}, family {})", case % 5);
-        zigzag::decode32_slice(&mut a);
-        zigzag::decode32_slice_scalar(&mut b);
-        assert_eq!(a, w32, "zigzag dec32 not inverse");
-        assert_eq!(b, w32);
-        let (mut a, mut b) = (w64.clone(), w64.clone());
-        zigzag::encode64_slice(&mut a);
-        zigzag::encode64_slice_scalar(&mut b);
-        assert_eq!(a, b, "zigzag enc64 diverged");
-        zigzag::decode64_slice(&mut a);
-        zigzag::decode64_slice_scalar(&mut b);
-        assert_eq!(a, w64, "zigzag dec64 not inverse");
-        assert_eq!(b, w64);
 
         // DIFFMS: encode and decode, 32- and 64-bit.
         let (mut a, mut b) = (w32.clone(), w32.clone());
@@ -538,24 +521,38 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
         transpose::transpose32(&mut a);
         assert_eq!(a, w32, "transpose32 not an involution");
 
-        // RZE byte scans: dispatched bitmap builders vs the scalar tail
-        // helpers run over the whole input, then the expanders must invert
-        // them while consuming exactly the kept bytes.
+        // RZE byte scans: dispatched and SWAR bitmap builders vs the scalar
+        // tail helpers run over the whole input, then the expanders must
+        // invert them while consuming exactly the kept bytes.
         let bm_len = bytes.len().div_ceil(8);
         let (mut bm_a, mut kept_a) = (vec![0u8; bm_len], Vec::new());
         let (mut bm_b, mut kept_b) = (vec![0u8; bm_len], Vec::new());
+        let (mut bm_s, mut kept_s) = (vec![0u8; bm_len], Vec::new());
         bytescan::zero_bitmap(&bytes, &mut bm_a, &mut kept_a);
         bytescan::zero_bitmap_tail(&bytes, 0, &mut bm_b, &mut kept_b);
+        bytescan::zero_bitmap_swar(&bytes, &mut bm_s, &mut kept_s);
         assert_eq!((&bm_a, &kept_a), (&bm_b, &kept_b), "zero_bitmap diverged");
+        assert_eq!(
+            (&bm_s, &kept_s),
+            (&bm_b, &kept_b),
+            "zero_bitmap_swar diverged"
+        );
         let mut back = Vec::new();
         let used = bytescan::expand_nonzero(&bm_a, bytes.len(), &kept_a, &mut back).unwrap();
         assert_eq!(used, kept_a.len());
         assert_eq!(back, bytes, "expand_nonzero not inverse");
         let (mut bm_a, mut kept_a) = (vec![0u8; bm_len], Vec::new());
         let (mut bm_b, mut kept_b) = (vec![0u8; bm_len], Vec::new());
+        let (mut bm_s, mut kept_s) = (vec![0u8; bm_len], Vec::new());
         bytescan::repeat_bitmap(&bytes, &mut bm_a, &mut kept_a);
         bytescan::repeat_bitmap_tail(&bytes, 0, 0, &mut bm_b, &mut kept_b);
+        bytescan::repeat_bitmap_swar(&bytes, &mut bm_s, &mut kept_s);
         assert_eq!((&bm_a, &kept_a), (&bm_b, &kept_b), "repeat_bitmap diverged");
+        assert_eq!(
+            (&bm_s, &kept_s),
+            (&bm_b, &kept_b),
+            "repeat_bitmap_swar diverged"
+        );
         let mut back = Vec::new();
         let used = bytescan::expand_repeat(&bm_a, bytes.len(), &kept_a, &mut back).unwrap();
         assert_eq!(used, kept_a.len());
@@ -572,13 +569,20 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
             .is_none());
         }
 
-        // RLE run scan at every position of a run-heavy byte string.
-        let runs = bytes;
+        // RLE run scan at every seventh position of a run-heavy byte string:
+        // each input byte repeated 1..=13 times, so runs end at every
+        // offset of an 8- or 32-byte window.
+        let runs: Vec<u8> = bytes
+            .iter()
+            .flat_map(|&b| std::iter::repeat_n(b, usize::from(b % 13) + 1))
+            .collect();
         for i in (0..runs.len()).step_by(7) {
+            let want = bytescan::run_len_scalar(&runs, i);
+            assert_eq!(bytescan::run_len(&runs, i), want, "run_len diverged at {i}");
             assert_eq!(
-                bytescan::run_len(&runs, i),
-                bytescan::run_len_scalar(&runs, i),
-                "run_len diverged at {i}"
+                bytescan::run_len_swar(&runs, i),
+                want,
+                "run_len_swar diverged at {i}"
             );
         }
 
