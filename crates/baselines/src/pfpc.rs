@@ -61,7 +61,7 @@ impl Codec for Pfpc {
             .collect();
         let chunks: Vec<&[u64]> = words.chunks(CHUNK_VALUES).collect();
         let table_bits = self.table_bits;
-        let encoded = fpc_container::parallel_map(chunks.len(), self.threads, |i| {
+        let encoded = fpc_pool::run_indexed(chunks.len(), self.threads, |i| {
             let mut buf = Vec::with_capacity(chunks[i].len() * 4);
             fpc::encode_words(chunks[i], table_bits, &mut buf);
             buf
@@ -102,22 +102,21 @@ impl Codec for Pfpc {
             return Err(DecodeError::UnexpectedEof);
         }
         let table_bits = self.table_bits;
-        let decoded: Vec<Result<Vec<u64>>> =
-            fpc_container::parallel_map(nchunks, self.threads, |i| {
-                let chunk_count = if i + 1 == nchunks {
-                    count - (nchunks - 1) * CHUNK_VALUES
-                } else {
-                    CHUNK_VALUES
-                };
-                let body = &data[offsets[i]..offsets[i + 1]];
-                let mut p = 0usize;
-                let mut words = Vec::with_capacity(chunk_count);
-                fpc::decode_words(body, &mut p, chunk_count, table_bits, &mut words)?;
-                if p != body.len() {
-                    return Err(DecodeError::Corrupt("pfpc chunk not fully consumed"));
-                }
-                Ok(words)
-            });
+        let decoded: Vec<Result<Vec<u64>>> = fpc_pool::run_indexed(nchunks, self.threads, |i| {
+            let chunk_count = if i + 1 == nchunks {
+                count - (nchunks - 1) * CHUNK_VALUES
+            } else {
+                CHUNK_VALUES
+            };
+            let body = &data[offsets[i]..offsets[i + 1]];
+            let mut p = 0usize;
+            let mut words = Vec::with_capacity(chunk_count);
+            fpc::decode_words(body, &mut p, chunk_count, table_bits, &mut words)?;
+            if p != body.len() {
+                return Err(DecodeError::Corrupt("pfpc chunk not fully consumed"));
+            }
+            Ok(words)
+        });
         let mut out = Vec::with_capacity(fpc_entropy::prealloc_limit(total));
         for chunk in decoded {
             for w in chunk? {

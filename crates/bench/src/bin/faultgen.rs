@@ -128,16 +128,11 @@ fn main() -> ExitCode {
         }
     }
     if let Some(name) = flag("--algo") {
-        config.algo = match name.to_ascii_lowercase().as_str() {
-            "spspeed" => Algorithm::SpSpeed,
-            "spratio" => Algorithm::SpRatio,
-            "dpspeed" => Algorithm::DpSpeed,
-            "dpratio" => Algorithm::DpRatio,
-            other => {
-                eprintln!("faultgen: unknown algorithm '{other}'");
-                return usage();
-            }
+        let Some(algo) = Algorithm::from_name(name) else {
+            eprintln!("faultgen: unknown algorithm '{name}'");
+            return usage();
         };
+        config.algo = algo;
     }
     let out_dir = PathBuf::from(flag("--out").unwrap_or("results"));
     let rev = sanitize(&resolve_rev(flag("--rev")));

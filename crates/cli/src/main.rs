@@ -242,16 +242,11 @@ fn parse_threads(args: &[String]) -> Result<usize, CliError> {
 const ALGO_CHOICES: &str = "spspeed, spratio, dpspeed, dpratio, auto";
 
 fn parse_algo(name: &str) -> Result<Algorithm, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "spspeed" => Ok(Algorithm::SpSpeed),
-        "spratio" => Ok(Algorithm::SpRatio),
-        "dpspeed" => Ok(Algorithm::DpSpeed),
-        "dpratio" => Ok(Algorithm::DpRatio),
-        "auto" => Ok(Algorithm::Auto),
-        other => Err(CliError::usage(format!(
-            "unknown algorithm '{other}' (valid choices: {ALGO_CHOICES})"
-        ))),
-    }
+    Algorithm::from_name(name).ok_or_else(|| {
+        CliError::usage(format!(
+            "unknown algorithm '{name}' (valid choices: {ALGO_CHOICES})"
+        ))
+    })
 }
 
 fn read_file(path: &str) -> Result<Vec<u8>, CliError> {

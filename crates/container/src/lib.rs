@@ -46,7 +46,6 @@
 pub mod checksum;
 mod error;
 mod header;
-mod parallel;
 
 pub use error::Error;
 pub use header::{
@@ -56,8 +55,6 @@ pub use header::{
 
 use checksum::frame_checksum;
 use fpc_pool::OutSlot;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Default chunk size in bytes (paper §3: fits two buffers in GPU shared
 /// memory / CPU L1).
@@ -281,7 +278,7 @@ fn compress_impl(
     check_writable(&header)?;
     let t = fpc_metrics::timer(fpc_metrics::Stage::ContainerCompress);
     let chunks: Vec<&[u8]> = payload.chunks(header.chunk_size as usize).collect();
-    let encoded = parallel::run_indexed(chunks.len(), threads, |i| encode_chunk(chunks[i], codec));
+    let encoded = fpc_pool::run_indexed(chunks.len(), threads, |i| encode_chunk(chunks[i], codec));
 
     let mut asm = FrameAssembler::new();
     for chunk in encoded {
@@ -1374,29 +1371,6 @@ fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64, Error> {
     Ok(u64::from_le_bytes(*bytes))
 }
 
-/// Dynamic-assignment parallel map used by compress/decompress; exposed for
-/// reuse by the algorithm crates (e.g. the global FCM stage).
-pub fn parallel_map<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel::run_indexed(count, threads, f)
-}
-
-// Re-exported for tests of the scheduling behaviour.
-#[doc(hidden)]
-pub fn __test_dynamic_schedule(threads: usize) -> Vec<usize> {
-    let order = Mutex::new(Vec::new());
-    let counter = AtomicUsize::new(0);
-    parallel::run_indexed(64, threads, |i| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        order.lock().expect("poisoned").push(i);
-        i
-    });
-    order.into_inner().expect("poisoned")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2223,21 +2197,6 @@ mod tests {
         let region = Region::parse(&stream).unwrap();
         assert_eq!(region.chunks(), 0);
         assert!(region.chunk_codec_ids().is_empty());
-    }
-
-    #[test]
-    fn dynamic_schedule_covers_all_chunks() {
-        for threads in [1usize, 2, 7] {
-            let mut order = __test_dynamic_schedule(threads);
-            order.sort_unstable();
-            assert_eq!(order, (0..64).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, 4, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]

@@ -91,6 +91,15 @@ impl Algorithm {
         }
     }
 
+    /// Inverse of [`Algorithm::name`], ignoring ASCII case, so `spratio`,
+    /// `SPratio` and `SPRATIO` all parse. `None` for any other string.
+    pub fn from_name(name: &str) -> Option<Algorithm> {
+        Algorithm::ALL
+            .into_iter()
+            .chain([Algorithm::Auto])
+            .find(|algo| algo.name().eq_ignore_ascii_case(name))
+    }
+
     /// The stage names of the pipeline, in encode order (paper Figure 1).
     pub fn stages(self) -> &'static [&'static str] {
         match self {
@@ -640,6 +649,23 @@ mod tests {
         (0..n)
             .map(|i| (i as f64 * 0.0001).cos() * 3.0 - 1.0)
             .collect()
+    }
+
+    #[test]
+    fn from_name_roundtrips_every_variant_in_any_case() {
+        for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+            let name = algo.name();
+            for spelling in [
+                name.to_string(),
+                name.to_ascii_lowercase(),
+                name.to_ascii_uppercase(),
+            ] {
+                assert_eq!(Algorithm::from_name(&spelling), Some(algo), "{spelling}");
+            }
+        }
+        for bad in ["", "sp-speed", "spspeed ", "fpc", "raw"] {
+            assert_eq!(Algorithm::from_name(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! scope; these tests pin the pool's own semantics.
 
 use fpc_pool::{for_each_index, run_indexed};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -15,7 +16,7 @@ fn thread_count_edge_cases() {
     // 0 = all cores, 1 = inline, large = oversubscribed: all must produce
     // the same, index-ordered output.
     let expected: Vec<usize> = (0..777).map(|i| i * i).collect();
-    for threads in [0usize, 1, 2, 3, 7, 64, 1024] {
+    for threads in [0usize, 1, 2, 3, 7, 8, 64, 1024] {
         let out = run_indexed(777, threads, |i| i * i);
         assert_eq!(out, expected, "threads = {threads}");
     }
@@ -138,6 +139,18 @@ fn concurrent_jobs_from_many_threads() {
     });
     let errors = errors.into_inner().expect("collector");
     assert!(errors.is_empty(), "{errors:?}");
+}
+
+#[test]
+fn run_indexed_claims_each_index_once() {
+    let calls = Mutex::new(HashSet::new());
+    run_indexed(200, 8, |i| {
+        assert!(
+            calls.lock().expect("poisoned").insert(i),
+            "index {i} claimed twice"
+        );
+    });
+    assert_eq!(calls.into_inner().expect("poisoned").len(), 200);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! load generator.
 //!
 //! * **Protocol** — versioned, length-prefixed frames with a magic, a
-//!   request id, an op (compress / decompress / verify / ping), an
+//!   request id, an op (compress / decompress / verify / ping / range), an
 //!   algorithm id, and chunked payload frames, so no single allocation is
 //!   proportional to one oversized frame. See [`wire`] for the byte
 //!   layout and the structured error codes.

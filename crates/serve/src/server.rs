@@ -35,7 +35,7 @@
 //!   one byte per poll would otherwise hold a worker forever; the
 //!   deadline is checked on every read and cannot be evaded;
 //! * *memory-pressure watermark* — requests are shed with
-//!   [`ErrorCode::Busy`] once buffered bytes cross
+//!   [`ErrorCode::Busy`] once held request bytes cross
 //!   [`ServeConfig::shed_inflight`] (before the hard
 //!   [`ServeConfig::max_inflight`] cap, so shedding happens while
 //!   allocation still succeeds).
@@ -46,13 +46,12 @@
 //! worker finish its in-flight request, closes queued-but-unserved
 //! sockets, and joins all workers before [`Server::run`] returns.
 
-use crate::stream::{serve_streaming, Served};
+use crate::stream::{serve_request, Served};
 use crate::wire::{
-    read_frame, send_error, send_response, ErrorCode, FrameKind, Op, RangeRequest, RecvError,
-    RemoteVerify, WireError, DEFAULT_MAX_FRAME,
+    read_frame, send_error, ErrorCode, FrameKind, Op, RangeRequest, RecvError, RemoteVerify,
+    WireError, DEFAULT_MAX_FRAME,
 };
 use fpc_cache::ChunkCache;
-use fpc_core::{Algorithm, Compressor};
 use fpc_faults::io::FaultStream;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -65,7 +64,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads per codec job (0 = all cores), forwarded to
-    /// [`Compressor::with_threads`].
+    /// [`fpc_core::Compressor::with_threads`].
     pub threads: usize,
     /// Connection worker threads (= maximum concurrently served
     /// connections). 0 selects one per available core, but no fewer
@@ -366,7 +365,7 @@ pub(crate) struct InflightGuard<'a> {
 impl InflightGuard<'_> {
     /// Tries to grow the reservation by `n` bytes; `false` when the global
     /// cap would be exceeded (the caller sheds with `Busy`).
-    pub(crate) fn try_grow(&mut self, n: u64, cap: u64) -> bool {
+    fn try_grow(&mut self, n: u64, cap: u64) -> bool {
         let prev = self.inflight.fetch_add(n, Ordering::Relaxed);
         if prev.saturating_add(n) > cap {
             self.inflight.fetch_sub(n, Ordering::Relaxed);
@@ -376,19 +375,9 @@ impl InflightGuard<'_> {
         true
     }
 
-    /// Bytes this connection currently has reserved.
-    pub(crate) fn reserved(&self) -> u64 {
-        self.reserved
-    }
-
-    /// Bytes reserved across all connections right now.
-    pub(crate) fn current(&self) -> u64 {
-        self.inflight.load(Ordering::Relaxed)
-    }
-
     /// Lowers the reservation to `target` (no-op if already at or below),
-    /// returning the bytes to the global budget immediately. The streaming
-    /// path uses this to track an engine whose footprint shrinks as output
+    /// returning the bytes to the global budget immediately. The request
+    /// loop uses this to track an engine whose footprint shrinks as output
     /// is drained.
     pub(crate) fn shrink_to(&mut self, target: u64) {
         if target < self.reserved {
@@ -397,21 +386,39 @@ impl InflightGuard<'_> {
             self.reserved = target;
         }
     }
+
+    /// Re-syncs the reservation to the `held` bytes a request's engine
+    /// holds now. Growth is refused with `Busy` past the shed watermark
+    /// (shedding while allocation still succeeds rather than riding the
+    /// hard cap) or past the hard [`ServeConfig::max_inflight`] cap.
+    pub(crate) fn resync(&mut self, held: u64, config: &ServeConfig) -> Result<(), WireError> {
+        if held <= self.reserved {
+            self.shrink_to(held);
+            return Ok(());
+        }
+        let delta = held - self.reserved;
+        let current = self.inflight.load(Ordering::Relaxed);
+        if current.saturating_add(delta) > config.effective_shed() {
+            fpc_metrics::incr(fpc_metrics::Counter::ServeShedMemory, 1);
+            Err(WireError::new(
+                ErrorCode::Busy,
+                "server under memory pressure; retry later",
+            ))
+        } else if !self.try_grow(delta, config.max_inflight) {
+            Err(WireError::new(
+                ErrorCode::Busy,
+                "server inflight-bytes cap reached; retry later",
+            ))
+        } else {
+            Ok(())
+        }
+    }
 }
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.inflight.fetch_sub(self.reserved, Ordering::Relaxed);
     }
-}
-
-/// How receiving a request body ended.
-enum Body {
-    /// Fully buffered payload.
-    Complete(Vec<u8>),
-    /// The payload tripped a cap; the rest of its frames were drained
-    /// without buffering so the connection can still carry the reply.
-    Rejected(WireError),
 }
 
 /// Bounds reads by a wall-clock deadline: the clock is checked before
@@ -478,9 +485,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             );
             return disconnect(&mut writer, &RecvError::Wire(err));
         }
-        // Buffer the body under the per-request and global caps. A capped
-        // request is drained frame-by-frame (bounded memory) so the
-        // structured error below still reaches a well-behaved client.
         let mut guard = InflightGuard {
             inflight: &shared.inflight,
             reserved: 0,
@@ -490,58 +494,19 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             inner: &mut reader,
             deadline,
         };
-        // Compress/decompress stream chunk by chunk through the engines;
-        // the other ops need their whole (small) operand buffered.
-        if matches!(Op::from_u8(header.op), Some(Op::Compress | Op::Decompress)) {
-            match serve_streaming(
-                &mut bounded,
-                &mut writer,
-                &header,
-                config,
-                &mut guard,
-                shared.cache.as_ref(),
-            )? {
-                Served::Continue => continue,
-                Served::Disconnect(e) => {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        fpc_metrics::incr(fpc_metrics::Counter::ServeReapedStalled, 1);
-                    }
-                    return disconnect(&mut writer, &e);
-                }
+        let served = serve_request(
+            &mut bounded,
+            &mut writer,
+            &header,
+            config,
+            &mut guard,
+            shared.cache.as_ref(),
+        )?;
+        if let Served::Disconnect(e) = served {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                fpc_metrics::incr(fpc_metrics::Counter::ServeReapedStalled, 1);
             }
-        }
-        let body = match recv_body(&mut bounded, config, &mut guard) {
-            Ok(body) => body,
-            Err(e) => {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    fpc_metrics::incr(fpc_metrics::Counter::ServeReapedStalled, 1);
-                }
-                return disconnect(&mut writer, &e);
-            }
-        };
-        fpc_metrics::incr(fpc_metrics::Counter::ServeRequests, 1);
-        let reply = match body {
-            Body::Rejected(err) => Err(err),
-            Body::Complete(payload) => {
-                fpc_metrics::incr(fpc_metrics::Counter::ServeBytesIn, payload.len() as u64);
-                dispatch(
-                    header.op,
-                    header.algo,
-                    payload,
-                    config.threads,
-                    shared.cache.as_ref(),
-                )
-            }
-        };
-        match reply {
-            Ok(response) => {
-                fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, response.len() as u64);
-                send_response(&mut writer, header.op, header.request_id, &response)?;
-            }
-            Err(err) => {
-                fpc_metrics::incr(fpc_metrics::Counter::ServeErrors, 1);
-                send_error(&mut writer, header.request_id, &err)?;
-            }
+            return disconnect(&mut writer, &e);
         }
     }
 }
@@ -570,104 +535,26 @@ fn disconnect(writer: &mut impl Write, err: &RecvError) -> io::Result<()> {
     Ok(())
 }
 
-/// Receives `Data`* + `End`, enforcing the per-request cap, the
-/// shed watermark, and the hard global cap.
-fn recv_body(
-    reader: &mut impl io::Read,
-    config: &ServeConfig,
-    guard: &mut InflightGuard<'_>,
-) -> Result<Body, RecvError> {
-    let mut payload = Vec::new();
-    let mut total: u64 = 0;
-    let mut rejection: Option<WireError> = None;
-    let shed = config.effective_shed();
-    loop {
-        let (header, chunk) = read_frame(reader, config.max_frame)?;
-        match header.kind {
-            FrameKind::Data => {
-                total += chunk.len() as u64;
-                if rejection.is_some() {
-                    continue; // draining: count but never buffer
-                }
-                if total > config.max_request {
-                    payload = Vec::new();
-                    rejection = Some(WireError::new(
-                        ErrorCode::PayloadTooLarge,
-                        format!(
-                            "request payload exceeds the per-request cap of {} bytes",
-                            config.max_request
-                        ),
-                    ));
-                } else if guard
-                    .inflight
-                    .load(Ordering::Relaxed)
-                    .saturating_add(chunk.len() as u64)
-                    > shed
-                {
-                    // Memory-pressure watermark: shed while allocation
-                    // still succeeds rather than riding the hard cap.
-                    fpc_metrics::incr(fpc_metrics::Counter::ServeShedMemory, 1);
-                    payload = Vec::new();
-                    rejection = Some(WireError::new(
-                        ErrorCode::Busy,
-                        "server under memory pressure; retry later",
-                    ));
-                } else if !guard.try_grow(chunk.len() as u64, config.max_inflight) {
-                    payload = Vec::new();
-                    rejection = Some(WireError::new(
-                        ErrorCode::Busy,
-                        "server inflight-bytes cap reached; retry later",
-                    ));
-                } else {
-                    payload.extend_from_slice(&chunk);
-                }
-            }
-            FrameKind::End => {
-                return Ok(match rejection {
-                    Some(err) => Body::Rejected(err),
-                    None => Body::Complete(payload),
-                });
-            }
-            other => {
-                return Err(RecvError::Wire(WireError::new(
-                    ErrorCode::BadFrame,
-                    format!("expected data/end, got kind {}", other as u8),
-                )));
-            }
-        }
-    }
+/// The ops whose whole operand is buffered before [`dispatch`] answers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Buffered {
+    Verify,
+    Ping,
+    Range,
 }
 
-/// Runs one validated request through the codecs. `Range` requests go
-/// through the hot-chunk cache when one is configured, so repeated reads
-/// over the same stream (and streamed decompresses of it) share decoded
-/// chunks — a warm `fpcc remote range` never decodes a chunk twice.
-fn dispatch(
-    op: u8,
-    algo: u8,
+/// Answers one buffered request. `Range` requests go through the
+/// hot-chunk cache when one is configured, so repeated reads over the
+/// same stream (and streamed decompresses of it) share decoded chunks — a
+/// warm `fpcc remote range` never decodes a chunk twice.
+pub(crate) fn dispatch(
+    op: Buffered,
     payload: Vec<u8>,
     threads: usize,
     cache: Option<&Arc<ChunkCache>>,
 ) -> Result<Vec<u8>, WireError> {
-    let op = Op::from_u8(op)
-        .ok_or_else(|| WireError::new(ErrorCode::UnknownOp, format!("unknown op byte {op}")))?;
-    let bytes = payload.len() as u64;
-    let timer = fpc_metrics::timer(stage_for(op));
-    let result = match op {
-        Op::Compress => {
-            let algo = Algorithm::from_id(algo).map_err(|_| {
-                WireError::new(
-                    ErrorCode::UnknownAlgorithm,
-                    format!("unknown algorithm id {algo}"),
-                )
-            })?;
-            Ok(Compressor::new(algo)
-                .with_threads(threads)
-                .compress_bytes(&payload))
-        }
-        Op::Decompress => fpc_core::decompress_bytes_with(&payload, threads)
-            .map_err(|e| WireError::new(ErrorCode::CorruptStream, e.to_string())),
-        Op::Verify => match fpc_container::verify(&payload) {
+    match op {
+        Buffered::Verify => match fpc_container::verify(&payload) {
             Ok((header, report)) => Ok(RemoteVerify {
                 format_version: header.version,
                 checksummed: report.checksummed,
@@ -683,8 +570,8 @@ fn dispatch(
             .encode()),
             Err(e) => Err(WireError::new(ErrorCode::CorruptStream, e.to_string())),
         },
-        Op::Ping => Ok(payload),
-        Op::Range => RangeRequest::decode(&payload).and_then(|(range, stream)| {
+        Buffered::Ping => Ok(payload),
+        Buffered::Range => RangeRequest::decode(&payload).and_then(|(range, stream)| {
             match cache {
                 Some(cache) => fpc_core::decompress_range_cached_with(
                     stream,
@@ -702,9 +589,7 @@ fn dispatch(
                 e => WireError::new(ErrorCode::CorruptStream, e.to_string()),
             })
         }),
-    };
-    timer.finish(bytes);
-    result
+    }
 }
 
 pub(crate) fn stage_for(op: Op) -> fpc_metrics::Stage {
@@ -724,6 +609,7 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpc_core::{Algorithm, Compressor};
 
     #[test]
     fn config_defaults_resolve() {
@@ -757,27 +643,29 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_rejects_unknown_op_and_algo() {
-        let e = dispatch(99, 0, Vec::new(), 1, None).unwrap_err();
-        assert_eq!(e.code, ErrorCode::UnknownOp);
-        let e = dispatch(Op::Compress as u8, 0xAB, vec![0; 8], 1, None).unwrap_err();
-        assert_eq!(e.code, ErrorCode::UnknownAlgorithm);
-        let e = dispatch(
-            Op::Decompress as u8,
-            ALGO_NONE_BYTE,
-            b"garbage".to_vec(),
-            1,
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(e.code, ErrorCode::CorruptStream);
+    fn resync_sheds_at_the_watermark_and_always_shrinks() {
+        let inflight = AtomicU64::new(0);
+        let config = ServeConfig {
+            max_inflight: 1000,
+            shed_inflight: 600,
+            ..ServeConfig::default()
+        };
+        let mut g = InflightGuard {
+            inflight: &inflight,
+            reserved: 0,
+        };
+        g.resync(600, &config).expect("at the watermark");
+        let e = g.resync(601, &config).unwrap_err();
+        assert_eq!(e.code, ErrorCode::Busy);
+        assert!(e.message.contains("memory pressure"), "{e}");
+        assert_eq!(g.reserved, 600, "a refused growth reserves nothing");
+        g.resync(100, &config).expect("shrinking never sheds");
+        assert_eq!(inflight.load(Ordering::Relaxed), 100);
     }
-
-    const ALGO_NONE_BYTE: u8 = crate::wire::ALGO_NONE;
 
     #[test]
     fn dispatch_ping_echoes() {
-        let out = dispatch(Op::Ping as u8, ALGO_NONE_BYTE, b"hello".to_vec(), 1, None).unwrap();
+        let out = dispatch(Buffered::Ping, b"hello".to_vec(), 1, None).unwrap();
         assert_eq!(out, b"hello");
     }
 
@@ -791,42 +679,21 @@ mod tests {
             offset: 70_000,
             len: 5_000,
         };
-        let out = dispatch(
-            Op::Range as u8,
-            ALGO_NONE_BYTE,
-            req.encode(&stream),
-            1,
-            None,
-        )
-        .unwrap();
+        let out = dispatch(Buffered::Range, req.encode(&stream), 1, None).unwrap();
         assert_eq!(out, &data[70_000..75_000]);
         // Out-of-range requests map to the dedicated structured code.
         let req = RangeRequest {
             offset: data.len() as u64,
             len: 1,
         };
-        let e = dispatch(
-            Op::Range as u8,
-            ALGO_NONE_BYTE,
-            req.encode(&stream),
-            1,
-            None,
-        )
-        .unwrap_err();
+        let e = dispatch(Buffered::Range, req.encode(&stream), 1, None).unwrap_err();
         assert_eq!(e.code, ErrorCode::RangeOutOfBounds);
         // A short payload (no full prefix) is a bad frame, and a damaged
         // stream after the prefix is a corrupt stream.
-        let e = dispatch(Op::Range as u8, ALGO_NONE_BYTE, vec![0; 7], 1, None).unwrap_err();
+        let e = dispatch(Buffered::Range, vec![0; 7], 1, None).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadFrame);
         let req = RangeRequest { offset: 0, len: 1 };
-        let e = dispatch(
-            Op::Range as u8,
-            ALGO_NONE_BYTE,
-            req.encode(b"junk"),
-            1,
-            None,
-        )
-        .unwrap_err();
+        let e = dispatch(Buffered::Range, req.encode(b"junk"), 1, None).unwrap_err();
         assert_eq!(e.code, ErrorCode::CorruptStream);
     }
 }

@@ -1,22 +1,27 @@
-//! Streaming request handlers: compress/decompress a request chunk by
-//! chunk as its `Data` frames arrive, instead of buffering the whole
-//! payload first.
+//! The request loop: every request — compress, decompress, verify, ping,
+//! range, and unknown ops — reads its `Data`* + `End` frames here, under
+//! one copy of the per-request cap, the shed watermark and the hard
+//! inflight cap.
+//!
+//! Compress and decompress feed their streaming engines as frames arrive
+//! instead of buffering the whole payload first. Verify, ping and range
+//! need their whole operand, so their engine buffers it and answers at
+//! `End` through [`dispatch`].
 //!
 //! Per-connection memory is bounded by what the engine actually *holds*
 //! ([`StreamingCompressor::held_bytes`] /
-//! [`StreamingDecompressor::held_bytes`]): at most one partial input
-//! chunk plus compressed bodies on the compress path, and the chunk
-//! table plus one in-flight chunk on the decompress path — so a
-//! decompress request far larger than the inflight watermark completes,
-//! where the old buffer-everything path would have shed it. DPratio is
-//! the documented exception (its global FCM stage buffers the payload;
-//! `held_bytes` reports that honestly and the watermark sheds oversized
-//! DPratio requests exactly as before).
+//! [`StreamingDecompressor::held_bytes`], or the buffered operand's
+//! length): at most one partial input chunk plus compressed bodies on the
+//! compress path, and the chunk table plus one in-flight chunk on the
+//! decompress path — so a decompress request far larger than the
+//! inflight watermark completes. DPratio is the documented exception (its
+//! global FCM stage buffers the payload; `held_bytes` reports that
+//! honestly and the watermark sheds oversized DPratio requests).
 //!
-//! The [`InflightGuard`](crate::server) reservation is re-synced to the
-//! engine's held bytes after every frame, so the shed watermark and the
-//! hard inflight cap apply to memory the server actually uses — a
-//! streamed 1 GiB decompress accounts for kilobytes, not a gigabyte.
+//! The [`InflightGuard`] reservation is re-synced to the engine's held
+//! bytes after every frame, so the shed watermark and the hard inflight
+//! cap apply to memory the server actually uses — a streamed 1 GiB
+//! decompress accounts for kilobytes, not a gigabyte.
 //!
 //! Decompress responses start flowing while the request is still
 //! arriving: decoded chunks leave as `Data` frames after the `Response`
@@ -25,11 +30,15 @@
 //! large response costs frames-per-megabyte, not frames-per-chunk. A
 //! failure after output went out (damaged chunk mid stream) is
 //! reported with an `Error` frame *in place of* `End`, which clients
-//! must treat as terminal. Compress responses necessarily wait for
-//! `End`: the container places its chunk table before the bodies, so
-//! the stream can only be assembled once the input length is known.
+//! must treat as terminal. Every other reply waits for `End`: the
+//! container places its chunk table before the bodies, so a compressed
+//! stream can only be assembled once the input length is known.
+//!
+//! The request/error/byte counters and the per-op stage timer are
+//! recorded here and nowhere else; the timer spans the request frame to
+//! the reply.
 
-use crate::server::{stage_for, InflightGuard, ServeConfig};
+use crate::server::{dispatch, stage_for, Buffered, InflightGuard, ServeConfig};
 use crate::wire::{
     begin_response, end_message, read_frame, send_data, send_error, send_response, ErrorCode,
     FrameHeader, FrameKind, Op, RecvError, WireError, DATA_CHUNK,
@@ -39,7 +48,7 @@ use fpc_core::{Algorithm, StreamingCompressor, StreamingDecompressor};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-/// How a streamed request left the connection.
+/// How a request left the connection.
 pub(crate) enum Served {
     /// A reply (response or structured error) was sent; the connection
     /// continues to the next request.
@@ -48,16 +57,31 @@ pub(crate) enum Served {
     Disconnect(RecvError),
 }
 
+/// A request in flight: an engine still taking `Data` frames, or a
+/// rejection whose remaining frames are drained without buffering so the
+/// reply still reaches the client.
+#[allow(clippy::large_enum_variant)] // one per request, on the stack; never collected
+enum State {
+    Running(Engine, fpc_metrics::Timer),
+    Rejected(WireError),
+}
+
 enum Engine {
     Compress(StreamingCompressor),
     Decompress(StreamingDecompressor),
+    /// The whole operand, answered at `End` by [`dispatch`].
+    Buffer(Buffered, Vec<u8>),
 }
 
 impl Engine {
-    fn feed(&mut self, bytes: &[u8]) -> Result<(), fpc_core::Error> {
+    fn feed(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         match self {
-            Engine::Compress(e) => e.feed(bytes),
-            Engine::Decompress(e) => e.feed(bytes),
+            Engine::Compress(e) => e.feed(bytes).map_err(corrupt),
+            Engine::Decompress(e) => e.feed(bytes).map_err(corrupt),
+            Engine::Buffer(_, payload) => {
+                payload.extend_from_slice(bytes);
+                Ok(())
+            }
         }
     }
 
@@ -65,14 +89,55 @@ impl Engine {
         match self {
             Engine::Compress(e) => e.held_bytes(),
             Engine::Decompress(e) => e.held_bytes(),
+            Engine::Buffer(_, payload) => payload.len() as u64,
         }
     }
 }
 
-/// Serves one `compress`/`decompress` request incrementally. The request
-/// frame is already consumed; this reads `Data`* + `End`, feeding the
-/// engine as frames arrive.
-pub(crate) fn serve_streaming(
+impl State {
+    /// Builds the engine for `request`. An unknown op or algorithm id is
+    /// rejected before any payload arrives.
+    fn open(request: &FrameHeader, config: &ServeConfig, cache: Option<&Arc<ChunkCache>>) -> State {
+        let Some(op) = Op::from_u8(request.op) else {
+            return State::Rejected(WireError::new(
+                ErrorCode::UnknownOp,
+                format!("unknown op byte {}", request.op),
+            ));
+        };
+        let timer = fpc_metrics::timer(stage_for(op));
+        let engine = match op {
+            Op::Compress => {
+                let Ok(algo) = Algorithm::from_id(request.algo) else {
+                    return State::Rejected(WireError::new(
+                        ErrorCode::UnknownAlgorithm,
+                        format!("unknown algorithm id {}", request.algo),
+                    ));
+                };
+                let mut e = StreamingCompressor::new(algo, config.threads);
+                if let Some(cache) = cache {
+                    e = e.with_cache(Arc::clone(cache));
+                }
+                Engine::Compress(e)
+            }
+            Op::Decompress => {
+                let mut e = StreamingDecompressor::new();
+                if let Some(cache) = cache {
+                    e = e.with_cache(Arc::clone(cache));
+                }
+                Engine::Decompress(e)
+            }
+            Op::Verify => Engine::Buffer(Buffered::Verify, Vec::new()),
+            Op::Ping => Engine::Buffer(Buffered::Ping, Vec::new()),
+            Op::Range => Engine::Buffer(Buffered::Range, Vec::new()),
+        };
+        State::Running(engine, timer)
+    }
+}
+
+/// Serves one request. The request frame is already consumed; this reads
+/// `Data`* + `End`, feeding the engine as frames arrive, and sends the
+/// reply.
+pub(crate) fn serve_request(
     reader: &mut impl Read,
     writer: &mut impl Write,
     request: &FrameHeader,
@@ -80,40 +145,8 @@ pub(crate) fn serve_streaming(
     guard: &mut InflightGuard<'_>,
     cache: Option<&Arc<ChunkCache>>,
 ) -> io::Result<Served> {
-    let op = Op::from_u8(request.op).expect("router sends only compress/decompress here");
-    let id = request.request_id;
-    let timer = fpc_metrics::timer(stage_for(op));
-    let shed = config.effective_shed();
-
-    // Engine construction can already fail (unknown algorithm id): keep
-    // the rejection and drain the body so the reply still lands.
-    let mut rejection: Option<WireError> = None;
-    let mut engine = match op {
-        Op::Decompress => {
-            let mut e = StreamingDecompressor::new();
-            if let Some(cache) = cache {
-                e = e.with_cache(Arc::clone(cache));
-            }
-            Some(Engine::Decompress(e))
-        }
-        _ => match Algorithm::from_id(request.algo) {
-            Ok(algo) => {
-                let mut e = StreamingCompressor::new(algo, config.threads);
-                if let Some(cache) = cache {
-                    e = e.with_cache(Arc::clone(cache));
-                }
-                Some(Engine::Compress(e))
-            }
-            Err(_) => {
-                rejection = Some(WireError::new(
-                    ErrorCode::UnknownAlgorithm,
-                    format!("unknown algorithm id {}", request.algo),
-                ));
-                None
-            }
-        },
-    };
-
+    let (op, id) = (request.op, request.request_id);
+    let mut state = State::open(request, config, cache);
     let mut total: u64 = 0;
     let mut response_started = false;
     // Decoded output staged here until a full DATA_CHUNK accumulates.
@@ -126,54 +159,31 @@ pub(crate) fn serve_streaming(
         match header.kind {
             FrameKind::Data => {
                 total += chunk.len() as u64;
-                if rejection.is_some() {
+                let State::Running(engine, _) = &mut state else {
                     continue; // draining: count but never buffer
-                }
-                if total > config.max_request {
-                    rejection = Some(WireError::new(
+                };
+                let fed = if total > config.max_request {
+                    Err(WireError::new(
                         ErrorCode::PayloadTooLarge,
                         format!(
                             "request payload exceeds the per-request cap of {} bytes",
                             config.max_request
                         ),
-                    ));
-                    release(&mut engine, guard);
-                    continue;
-                }
-                let eng = engine.as_mut().expect("no rejection implies an engine");
-                fpc_metrics::incr(fpc_metrics::Counter::ServeBytesIn, chunk.len() as u64);
-                if let Err(e) = eng.feed(&chunk) {
-                    rejection = Some(WireError::new(ErrorCode::CorruptStream, e.to_string()));
-                    release(&mut engine, guard);
-                    continue;
-                }
+                    ))
+                } else {
+                    fpc_metrics::incr(fpc_metrics::Counter::ServeBytesIn, chunk.len() as u64);
+                    engine.feed(&chunk)
+                };
                 // Decoded output leaves the server the moment it exists,
                 // keeping held bytes at O(chunk).
-                if let Engine::Decompress(dec) = eng {
+                if let (Ok(()), Engine::Decompress(dec)) = (&fed, &mut *engine) {
                     response_started =
                         drain_output(writer, dec, op, id, response_started, &mut outbuf)?;
                 }
-                // Re-sync the inflight reservation to what the engine
-                // actually holds now.
-                let held = eng.held_bytes();
-                if held > guard.reserved() {
-                    let delta = held - guard.reserved();
-                    if guard.current().saturating_add(delta) > shed {
-                        fpc_metrics::incr(fpc_metrics::Counter::ServeShedMemory, 1);
-                        rejection = Some(WireError::new(
-                            ErrorCode::Busy,
-                            "server under memory pressure; retry later",
-                        ));
-                        release(&mut engine, guard);
-                    } else if !guard.try_grow(delta, config.max_inflight) {
-                        rejection = Some(WireError::new(
-                            ErrorCode::Busy,
-                            "server inflight-bytes cap reached; retry later",
-                        ));
-                        release(&mut engine, guard);
-                    }
-                } else {
-                    guard.shrink_to(held);
+                if let Err(err) = fed.and_then(|()| guard.resync(engine.held_bytes(), config)) {
+                    // Dropping the engine frees everything it held.
+                    state = State::Rejected(err);
+                    guard.shrink_to(0);
                 }
             }
             FrameKind::End => break,
@@ -187,57 +197,52 @@ pub(crate) fn serve_streaming(
     }
     fpc_metrics::incr(fpc_metrics::Counter::ServeRequests, 1);
 
-    if let Some(err) = rejection {
-        fpc_metrics::incr(fpc_metrics::Counter::ServeErrors, 1);
-        // If decoded output already went out, the Error frame lands in
-        // place of End and the client treats it as terminal.
-        send_error(writer, id, &err)?;
-        return Ok(Served::Continue);
-    }
-    match engine.expect("no rejection implies an engine") {
-        Engine::Compress(eng) => match eng.finish() {
-            Ok(stream) => {
-                fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, stream.len() as u64);
-                send_response(writer, op as u8, id, &stream)?;
-            }
-            Err(e) => {
-                fpc_metrics::incr(fpc_metrics::Counter::ServeErrors, 1);
-                send_error(
-                    writer,
-                    id,
-                    &WireError::new(ErrorCode::CorruptStream, e.to_string()),
-                )?;
-            }
-        },
-        Engine::Decompress(mut eng) => match eng.finish() {
-            Ok(()) => {
-                if !response_started {
-                    begin_response(writer, op as u8, id)?;
+    let (reply, timer) = match state {
+        State::Rejected(err) => (Err(err), None),
+        State::Running(engine, timer) => {
+            let reply = match engine {
+                Engine::Compress(eng) => eng.finish().map(Some).map_err(corrupt),
+                Engine::Buffer(buffered, payload) => {
+                    dispatch(buffered, payload, config.threads, cache).map(Some)
                 }
-                drain_output(writer, &mut eng, op, id, true, &mut outbuf)?;
-                flush_staged(writer, op, id, &mut outbuf)?;
-                end_message(writer, op as u8, id)?;
-            }
-            Err(e) => {
-                fpc_metrics::incr(fpc_metrics::Counter::ServeErrors, 1);
-                send_error(
-                    writer,
-                    id,
-                    &WireError::new(ErrorCode::CorruptStream, e.to_string()),
-                )?;
-            }
-        },
+                Engine::Decompress(mut eng) => match eng.finish() {
+                    Ok(()) => {
+                        if !response_started {
+                            begin_response(writer, op, id)?;
+                        }
+                        drain_output(writer, &mut eng, op, id, true, &mut outbuf)?;
+                        flush_staged(writer, op, id, &mut outbuf)?;
+                        end_message(writer, op, id)?;
+                        Ok(None)
+                    }
+                    Err(e) => Err(corrupt(e)),
+                },
+            };
+            (reply, Some(timer))
+        }
+    };
+    match reply {
+        Ok(Some(body)) => {
+            fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, body.len() as u64);
+            send_response(writer, op, id, &body)?;
+        }
+        // The decompressed output already went out as `Data` frames.
+        Ok(None) => {}
+        Err(err) => {
+            fpc_metrics::incr(fpc_metrics::Counter::ServeErrors, 1);
+            // If decoded output already went out, the Error frame lands in
+            // place of End and the client treats it as terminal.
+            send_error(writer, id, &err)?;
+        }
     }
-    guard.shrink_to(0);
-    timer.finish(total);
+    if let Some(timer) = timer {
+        timer.finish(total);
+    }
     Ok(Served::Continue)
 }
 
-/// Drops the engine (freeing everything it held) and settles the
-/// inflight account.
-fn release(engine: &mut Option<Engine>, guard: &mut InflightGuard<'_>) {
-    *engine = None;
-    guard.shrink_to(0);
+fn corrupt(e: fpc_core::Error) -> WireError {
+    WireError::new(ErrorCode::CorruptStream, e.to_string())
 }
 
 /// Stages every decoded block the engine has ready and writes each full
@@ -249,7 +254,7 @@ fn release(engine: &mut Option<Engine>, guard: &mut InflightGuard<'_>) {
 fn drain_output(
     writer: &mut impl Write,
     eng: &mut StreamingDecompressor,
-    op: Op,
+    op: u8,
     id: u64,
     mut started: bool,
     outbuf: &mut Vec<u8>,
@@ -258,11 +263,11 @@ fn drain_output(
         outbuf.extend_from_slice(&block);
         while outbuf.len() >= DATA_CHUNK {
             if !started {
-                begin_response(writer, op as u8, id)?;
+                begin_response(writer, op, id)?;
                 started = true;
             }
             fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, DATA_CHUNK as u64);
-            send_data(writer, op as u8, id, &outbuf[..DATA_CHUNK])?;
+            send_data(writer, op, id, &outbuf[..DATA_CHUNK])?;
             outbuf.drain(..DATA_CHUNK);
         }
     }
@@ -270,10 +275,10 @@ fn drain_output(
 }
 
 /// Writes the staged sub-`DATA_CHUNK` tail, if any.
-fn flush_staged(writer: &mut impl Write, op: Op, id: u64, outbuf: &mut Vec<u8>) -> io::Result<()> {
+fn flush_staged(writer: &mut impl Write, op: u8, id: u64, outbuf: &mut Vec<u8>) -> io::Result<()> {
     if !outbuf.is_empty() {
         fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, outbuf.len() as u64);
-        send_data(writer, op as u8, id, outbuf)?;
+        send_data(writer, op, id, outbuf)?;
         outbuf.clear();
     }
     Ok(())

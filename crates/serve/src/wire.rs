@@ -9,7 +9,7 @@
 //!      0     4  magic       "FPCW"
 //!      4     1  version     1
 //!      5     1  kind        1=Request 2=Data 3=End 4=Response 5=Error
-//!      6     1  op          1=compress 2=decompress 3=verify 4=ping
+//!      6     1  op          1=compress 2=decompress 3=verify 4=ping 5=range
 //!      7     1  algo        container algorithm id, or 0xFF (none)
 //!      8     8  request_id  u64 LE, chosen by the client, echoed back
 //!     16     4  flags       u32 LE, must be zero in v1

@@ -85,6 +85,20 @@ fn expect_error(stream: &mut TcpStream, want: ErrorCode) {
     assert_eq!(err.code, want, "unexpected error code: {err}");
 }
 
+/// Expects a client call to fail with the server-reported `want` code.
+fn expect_remote<T: std::fmt::Debug>(
+    result: Result<T, ClientError>,
+    want: ErrorCode,
+) -> fpc_serve::WireError {
+    match result {
+        Err(ClientError::Remote(e)) => {
+            assert_eq!(e.code, want, "{e}");
+            e
+        }
+        other => panic!("expected a remote {want:?}, got {other:?}"),
+    }
+}
+
 #[test]
 fn remote_roundtrip_is_byte_identical_for_every_algorithm() {
     let fixture = Fixture::start(ServeConfig::default());
@@ -290,6 +304,14 @@ fn payload_over_cap_is_rejected_but_connection_survives() {
         stream,
         Compressor::new(Algorithm::SpSpeed).compress_bytes(&small)
     );
+    // The buffered ops answer to the same cap on the same connection.
+    let big = Compressor::new(Algorithm::SpSpeed).compress_bytes(&sample(16_384));
+    assert!(big.len() > 4096, "operand must exceed the cap");
+    expect_remote(client.verify(&big), ErrorCode::PayloadTooLarge);
+    expect_remote(client.range(&big, 0, 16), ErrorCode::PayloadTooLarge);
+    assert!(client.verify(&stream).expect("in-cap verify").is_clean());
+    let slice = client.range(&stream, 100, 200).expect("in-cap range");
+    assert_eq!(slice, &small[100..300]);
 }
 
 #[test]
@@ -423,6 +445,18 @@ fn memory_watermark_sheds_with_busy_before_the_hard_cap() {
         stream,
         Compressor::new(Algorithm::SpSpeed).compress_bytes(&small)
     );
+    // Buffered operands count against the same watermark.
+    let big = Compressor::new(Algorithm::SpSpeed).compress_bytes(&sample(16_384));
+    assert!(big.len() > 1024, "operand must exceed the watermark");
+    for err in [
+        expect_remote(client.verify(&big), ErrorCode::Busy),
+        expect_remote(client.range(&big, 0, 16), ErrorCode::Busy),
+    ] {
+        assert!(err.message.contains("memory pressure"), "{}", err.message);
+    }
+    assert!(client.verify(&stream).expect("verify under it").is_clean());
+    let slice = client.range(&stream, 64, 128).expect("range under it");
+    assert_eq!(slice, &small[64..192]);
 }
 
 #[test]
