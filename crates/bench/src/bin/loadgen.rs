@@ -18,10 +18,9 @@
 //! Exit codes: 0 clean run, 1 at least one failed request, 2 usage error,
 //! 3 cannot reach the server or write the report.
 
+use fpc_bench::bench_file::BenchFile;
 use fpc_bench::loadgen::{run, run_cache_compare, CacheCompareConfig, LoadgenConfig};
 use fpc_core::Algorithm;
-use fpc_metrics::json::Value;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -31,53 +30,6 @@ fn usage() -> ExitCode {
          [--warmup N] [--out DIR] [--rev REV]"
     );
     ExitCode::from(2)
-}
-
-fn resolve_rev(explicit: Option<&str>) -> String {
-    if let Some(rev) = explicit {
-        return rev.to_string();
-    }
-    for var in ["FPC_REV", "GITHUB_SHA"] {
-        if let Ok(v) = std::env::var(var) {
-            let v = v.trim().to_string();
-            if !v.is_empty() {
-                return v.chars().take(12).collect();
-            }
-        }
-    }
-    if let Ok(out) = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-    {
-        if out.status.success() {
-            if let Ok(s) = String::from_utf8(out.stdout) {
-                let s = s.trim().to_string();
-                if !s.is_empty() {
-                    return s;
-                }
-            }
-        }
-    }
-    "local".to_string()
-}
-
-/// Keeps revision labels filesystem-safe.
-fn sanitize(rev: &str) -> String {
-    let cleaned: String = rev
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if cleaned.is_empty() {
-        "local".to_string()
-    } else {
-        cleaned
-    }
 }
 
 fn main() -> ExitCode {
@@ -157,8 +109,7 @@ fn main() -> ExitCode {
         };
         config.algo = algo;
     }
-    let out_dir = PathBuf::from(flag("--out").unwrap_or("results"));
-    let rev = sanitize(&resolve_rev(flag("--rev")));
+    let out = BenchFile::new(flag("--out").unwrap_or("results"), flag("--rev"));
 
     // Either one run against a live server, or the in-process cache A/B.
     let (loadgen_value, summary, errors) = if let Some(cache_bytes) = cache_compare {
@@ -235,28 +186,13 @@ fn main() -> ExitCode {
         let errors = report.errors;
         (report.to_value(), summary, errors)
     };
-    let created_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let value = Value::Obj(vec![
-        (
-            "schema".into(),
-            Value::from(fpc_metrics::report::BENCH_SCHEMA),
-        ),
-        ("rev".into(), Value::from(rev.as_str())),
-        ("created_unix".into(), Value::from(created_unix)),
-        ("loadgen".into(), loadgen_value),
-    ]);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("[loadgen] cannot create {}: {e}", out_dir.display());
-        return ExitCode::from(3);
-    }
-    let path = out_dir.join(format!("BENCH_{rev}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_json_pretty()) {
-        eprintln!("[loadgen] cannot write {}: {e}", path.display());
-        return ExitCode::from(3);
-    }
+    let path = match out.write(&out.envelope("loadgen", loadgen_value)) {
+        Ok(path) => path,
+        Err(e) => {
+            eprintln!("[loadgen] {e}");
+            return ExitCode::from(3);
+        }
+    };
     eprintln!("[loadgen] wrote {}", path.display());
     println!("{summary}");
     if errors > 0 {

@@ -28,10 +28,10 @@
 //! `compare` exits 1 listing every regression (see `fpc_bench::perf` for
 //! the thresholds and the calibration normalization).
 
+use fpc_bench::bench_file::BenchFile;
 use fpc_bench::perf;
 use fpc_metrics::json::Value;
 use fpc_metrics::report::render_value;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -44,55 +44,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn resolve_rev(explicit: Option<&str>) -> String {
-    if let Some(rev) = explicit {
-        return rev.to_string();
-    }
-    for var in ["FPC_REV", "GITHUB_SHA"] {
-        if let Ok(v) = std::env::var(var) {
-            let v = v.trim().to_string();
-            if !v.is_empty() {
-                // Full SHAs make unwieldy file names; 12 hex chars is
-                // plenty unique.
-                return v.chars().take(12).collect();
-            }
-        }
-    }
-    if let Ok(out) = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-    {
-        if out.status.success() {
-            if let Ok(s) = String::from_utf8(out.stdout) {
-                let s = s.trim().to_string();
-                if !s.is_empty() {
-                    return s;
-                }
-            }
-        }
-    }
-    "local".to_string()
-}
-
-/// Keeps revision labels filesystem-safe.
-fn sanitize(rev: &str) -> String {
-    let cleaned: String = rev
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if cleaned.is_empty() {
-        "local".to_string()
-    } else {
-        cleaned
-    }
-}
-
 fn cmd_run(args: &[String]) -> ExitCode {
     let flag = |name: &str| {
         args.iter()
@@ -100,8 +51,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             .and_then(|i| args.get(i + 1))
             .map(String::as_str)
     };
-    let out_dir = PathBuf::from(flag("--out").unwrap_or("results"));
-    let rev = sanitize(&resolve_rev(flag("--rev")));
+    let out = BenchFile::new(flag("--out").unwrap_or("results"), flag("--rev"));
     // Default to 2 workers: the gate must exercise the pool's parallel
     // path (and its telemetry) even on single-core CI runners, where
     // `0 = all cores` would fall back to the serial path.
@@ -118,18 +68,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
              per-stage breakdowns will be empty"
         );
     }
-    eprintln!("[perf] measuring rev={rev} threads={threads}...");
-    let report = perf::run(&rev, threads);
+    eprintln!("[perf] measuring rev={} threads={threads}...", out.rev);
+    let report = perf::run(&out.rev, threads);
     let value = report.to_value();
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("[perf] cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    let path = out_dir.join(format!("BENCH_{rev}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_json_pretty()) {
-        eprintln!("[perf] cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
+    let path = match out.write(&value) {
+        Ok(path) => path,
+        Err(e) => {
+            eprintln!("[perf] {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     eprintln!("[perf] wrote {}", path.display());
     match render_value(&value) {
         Ok(text) => print!("{text}"),

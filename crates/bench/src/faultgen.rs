@@ -3,7 +3,7 @@
 //! For every cell in `seeds × fault matrix`, the harness installs a
 //! deterministic `fpc-faults` plan, boots an in-process server with
 //! aggressive degradation thresholds, and drives remote compress,
-//! decompress, and range requests through a [`ResilientClient`] — both
+//! decompress, and range requests through a retrying [`Client`] — both
 //! sides of every socket run through the fault layer. Three invariants are
 //! asserted, cell by cell, under a watchdog:
 //!
@@ -24,7 +24,7 @@
 
 use fpc_core::{Algorithm, Compressor};
 use fpc_metrics::json::Value;
-use fpc_serve::{ResilientClient, RetryPolicy, ServeConfig, Server};
+use fpc_serve::{Client, RetryPolicy, ServeConfig, Server};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -332,7 +332,7 @@ fn drive_cell(
         seed,
     };
     let (mut ok, mut gaveups, mut mismatches) = (0u64, 0u64, 0u64);
-    match ResilientClient::connect(addr.to_string(), Some(Duration::from_secs(2)), policy) {
+    match Client::connect_with_policy(addr, Some(Duration::from_secs(2)), policy) {
         Ok(mut client) => {
             // A chunk-unaligned mid-payload slice for the range requests.
             let (offset, len) = (data.len() as u64 / 3 + 17, data.len() as u64 / 5);

@@ -18,6 +18,7 @@
 //! Run `cargo run -p fpc-bench --release --bin harness -- all` to
 //! regenerate every experiment; see `figures` for the experiment index.
 
+pub mod bench_file;
 pub mod entries;
 pub mod faultgen;
 pub mod figures;

@@ -30,7 +30,7 @@
 
 use fpc_baselines::Meta;
 use fpc_core::{Algorithm, Compressor};
-use fpc_serve::{ClientError, ErrorCode, ResilientClient, RetryPolicy, ServeConfig, Server};
+use fpc_serve::{Client, ClientError, ErrorCode, RetryPolicy, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -638,8 +638,12 @@ fn cmd_serve(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn connect(args: &[String]) -> Result<ResilientClient, CliError> {
-    let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_ADDR);
+fn remote_addr(args: &[String]) -> &str {
+    flag_value(args, "--addr").unwrap_or(DEFAULT_ADDR)
+}
+
+fn connect(args: &[String]) -> Result<Client, CliError> {
+    let addr = remote_addr(args);
     let timeout = match flag_value(args, "--timeout-secs") {
         None => Some(Duration::from_secs(30)),
         Some(v) => {
@@ -662,8 +666,8 @@ fn connect(args: &[String]) -> Result<ResilientClient, CliError> {
             .map_err(|_| CliError::usage("invalid --deadline-secs"))?;
         policy.deadline = (secs > 0).then(|| Duration::from_secs(secs));
     }
-    ResilientClient::connect(addr, timeout, policy)
-        .map_err(|e| CliError::io(format!("connecting {addr}: {e}")))
+    Client::connect_with_policy(addr, timeout, policy)
+        .map_err(|e| CliError::io(format!("connecting {addr}: {}", ClientError::Io(e))))
 }
 
 fn cmd_remote(args: &[String]) -> CliResult {
@@ -773,6 +777,6 @@ fn cmd_remote_ping(args: &[String]) -> CliResult {
     let mut client = connect(args)?;
     let start = std::time::Instant::now();
     client.ping(b"fpcc")?;
-    println!("pong from {} in {:.1?}", client.addr(), start.elapsed());
+    println!("pong from {} in {:.1?}", remote_addr(args), start.elapsed());
     Ok(())
 }

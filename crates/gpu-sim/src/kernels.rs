@@ -14,7 +14,7 @@ use crate::WARP_SIZE;
 use fpc_container::{ChunkCodec, Error};
 use fpc_core::{DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec};
 use fpc_entropy::{bitpack, varint};
-use fpc_transforms::{mplg, words, zigzag};
+use fpc_transforms::{mplg, raze, words, zigzag};
 
 /// Maximum elements a block scan handles at once.
 const SCAN_BLOCK: usize = WARP_SIZE * WARP_SIZE;
@@ -365,7 +365,7 @@ fn rare_choose(values: &[u64]) -> usize {
         hist[((v ^ prev).leading_zeros() / 8) as usize] += 1;
         prev = v;
     }
-    raze_choose(&hist, values.len())
+    raze::choose_split(&hist, values.len())
 }
 
 /// GPU-style SPspeed chunk codec (DIFFMS ∥-encode + warp-max MPLG).
@@ -484,7 +484,7 @@ impl ChunkCodec for GpuDpRatioChunkCodec {
             bins[(v.leading_zeros() / 8) as usize].fetch_add(1, Ordering::Relaxed);
         }
         let hist: [usize; 9] = std::array::from_fn(|i| bins[i].load(Ordering::Relaxed));
-        let kb = raze_choose(&hist, diffed.len());
+        let kb = raze::choose_split(&hist, diffed.len());
         let mut razed = Vec::with_capacity(chunk.len());
         raze_encode_ballot(&diffed, kb, &mut razed);
         let (w2, t2) = words::bytes_to_u64(&razed);
@@ -503,33 +503,6 @@ impl ChunkCodec for GpuDpRatioChunkCodec {
         // Byte format identical to the scalar codec; its decoder applies.
         DpRatioChunkCodec { fixed_split: None }.decode_chunk(data, expected_len, out)
     }
-}
-
-/// Recomputes the adaptive RAZE split the scalar encoder would choose.
-fn raze_choose(hist: &[usize; 9], n: usize) -> usize {
-    // Must match `raze::choose_split` exactly; verified by the
-    // byte-identity tests below. Reimplemented here because the scalar
-    // helper is crate-private; kept in sync via the equality assertions.
-    let mut cnt = [0usize; 9];
-    cnt[8] = hist[8];
-    for j in (0..8).rev() {
-        cnt[j] = cnt[j + 1] + hist[j];
-    }
-    let overhead = |m: usize| m.div_ceil(8) + m.div_ceil(64) + m.div_ceil(512) + 4;
-    let mut best = (usize::MAX, 0usize);
-    let mut zeros = 0usize;
-    #[allow(clippy::needless_range_loop)] // kb is the split being costed, not just an index
-    for kb in 0..=8usize {
-        if kb > 0 {
-            zeros += cnt[kb];
-        }
-        let top = n * kb;
-        let cost = n * (8 - kb) + (top - zeros) + overhead(top);
-        if cost < best.0 {
-            best = (cost, kb);
-        }
-    }
-    best.1
 }
 
 pub(crate) fn map_decode(e: fpc_transforms::DecodeError) -> Error {
@@ -570,7 +543,7 @@ pub fn scalar_counterparts() -> Vec<CodecPair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpc_transforms::{raze, rze};
+    use fpc_transforms::rze;
 
     fn chunk_cases() -> Vec<Vec<u8>> {
         let smooth_f32: Vec<u8> = (0..4096)
@@ -684,18 +657,5 @@ mod tests {
         let mut cpu_out = Vec::new();
         rze::encode(&data, &mut cpu_out);
         assert_eq!(gpu_out, cpu_out);
-    }
-
-    #[test]
-    fn raze_choose_matches_scalar_choice() {
-        // Encoding through both paths yields the same stored split byte.
-        let values: Vec<u64> = (0..2048u64).map(|i| (i * i) << 8).collect();
-        let mut scalar = Vec::new();
-        raze::encode(&values, &mut scalar);
-        let mut hist = [0usize; 9];
-        for &v in &values {
-            hist[(v.leading_zeros() / 8) as usize] += 1;
-        }
-        assert_eq!(raze_choose(&hist, values.len()), scalar[0] as usize);
     }
 }

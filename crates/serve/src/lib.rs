@@ -2,8 +2,8 @@
 //!
 //! Puts the four FPcompress algorithms behind a socket: a dependency-free
 //! (std-only) server speaking the [`wire`] `fpc-wire-v1` framed protocol,
-//! plus a blocking [`Client`] used by `fpcc remote` and the bench
-//! load generator.
+//! plus the one blocking [`Client`], used by `fpcc remote`, the bench
+//! load generator and the fault sweep.
 //!
 //! * **Protocol** — versioned, length-prefixed frames with a magic, a
 //!   request id, an op (compress / decompress / verify / ping / range), an
@@ -14,6 +14,9 @@
 //!   worker pool; codec work runs through the process-wide `fpc-pool`
 //!   executor. Hostile inputs (bad magic, oversized frames, over-cap
 //!   payloads) get structured errors, never panics. See [`server`].
+//! * **Client** — reuses one connection, re-dials it when it breaks, and
+//!   retries transient failures under a [`RetryPolicy`] with one request
+//!   id per call ([`Client::connect`] makes one attempt). See [`client`].
 //! * **Observability** — with the `metrics` feature, connections,
 //!   rejected connections, queue wait, request/error counts, payload
 //!   bytes, and per-op latency histograms land in the standard
@@ -49,7 +52,7 @@ mod stream;
 pub mod wire;
 
 pub use client::{Client, ClientError};
-pub use retry::{ResilientClient, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use server::{ServeConfig, Server};
 pub use wire::{ErrorCode, Op, RangeRequest, RemoteVerify, WireError};
 
@@ -84,11 +87,4 @@ pub fn shutdown_signal_flag() -> &'static AtomicBool {
         }
     }
     &SHUTDOWN_SIGNAL
-}
-
-/// Former name of [`shutdown_signal_flag`]; the flag now fires on
-/// SIGTERM as well as SIGINT.
-#[deprecated(note = "renamed to shutdown_signal_flag (also handles SIGTERM)")]
-pub fn sigint_flag() -> &'static AtomicBool {
-    shutdown_signal_flag()
 }

@@ -1,27 +1,8 @@
-//! Resilient remote client: bounded retries with jittered exponential
-//! backoff, per-request deadlines, and idempotent request ids on top of
-//! [`Client`].
+//! The retry policy behind [`Client`](crate::Client): bounded attempts,
+//! jittered exponential backoff and a per-request deadline.
 //!
-//! Every `fpc-wire-v1` operation is a pure function of its operand, so a
-//! request can be re-issued — on the same connection or a fresh one —
-//! without changing the outcome: an eventually-successful retry returns
-//! bytes identical to a first-attempt success. [`ResilientClient`] keeps
-//! one *logical* request id per user-level call across all its transport
-//! attempts, making retries observable (and de-duplicatable) server-side.
-//!
-//! # What retries, what doesn't
-//!
-//! Transient (retried): transport errors ([`ClientError::Io`]), protocol
-//! desync ([`ClientError::Protocol`] — the stream is unusable but a fresh
-//! connection is clean), and the server's own *try-again* codes
-//! ([`ErrorCode::Busy`], [`ErrorCode::Timeout`], [`ErrorCode::Io`]).
-//! Everything else — corrupt operand, unknown algorithm/op, over-cap
-//! payload — is deterministic: retrying cannot change the answer, so it
-//! fails fast.
-//!
-//! After a `Remote` error the connection is still protocol-clean and is
-//! kept; after `Io`/`Protocol` it is dropped and the next attempt
-//! re-dials.
+//! Which failures retry, and what happens to the connection after each
+//! kind, is described on the [`client`](crate::client) module.
 //!
 //! # Backoff
 //!
@@ -31,12 +12,11 @@
 //! PRNG seeded per client, so a seeded harness replays identical retry
 //! timing.
 
-use crate::client::{Client, ClientError};
-use crate::wire::{ErrorCode, Op, RangeRequest, RemoteVerify, ALGO_NONE};
-use fpc_core::Algorithm;
+use crate::client::ClientError;
+use crate::wire::ErrorCode;
 use std::time::{Duration, Instant};
 
-/// Retry/deadline policy for a [`ResilientClient`].
+/// Retry/deadline policy for a [`Client`](crate::Client).
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per request (first try included); minimum 1.
@@ -73,200 +53,22 @@ impl RetryPolicy {
             ..RetryPolicy::default()
         }
     }
-}
 
-/// `true` when retrying `err` on a fresh attempt could plausibly succeed.
-pub fn is_transient(err: &ClientError) -> bool {
-    match err {
-        ClientError::Io(_) => true,
-        // The reply stream desynced; the request itself may be fine on a
-        // clean connection (idempotency makes the re-send safe).
-        ClientError::Protocol(_) => true,
-        ClientError::Remote(e) => {
-            matches!(e.code, ErrorCode::Busy | ErrorCode::Timeout | ErrorCode::Io)
-        }
-    }
-}
-
-/// A [`Client`] wrapper that owns reconnection and retry.
-///
-/// Mirrors the `Client` surface (compress / decompress / verify / ping);
-/// each call is one *logical* request that may span several transport
-/// attempts and connections.
-pub struct ResilientClient {
-    addr: String,
-    timeout: Option<Duration>,
-    policy: RetryPolicy,
-    rng: fpc_prng::Rng,
-    next_logical: u64,
-    conn: Option<Client>,
-}
-
-impl ResilientClient {
-    /// Creates a client for `addr`, dialing eagerly so configuration
-    /// errors (bad address, server down *and* retries exhausted) surface
-    /// immediately. `timeout` applies to connect and to every socket
-    /// read/write.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] when no connection could be established within
-    /// the policy's attempt budget.
-    pub fn connect(
-        addr: impl Into<String>,
-        timeout: Option<Duration>,
-        policy: RetryPolicy,
-    ) -> Result<ResilientClient, ClientError> {
-        let mut client = ResilientClient {
-            addr: addr.into(),
-            timeout,
-            policy,
-            rng: fpc_prng::Rng::seed_from_u64(0),
-            next_logical: 1,
-            conn: None,
-        };
-        client.rng = fpc_prng::Rng::seed_from_u64(client.policy.seed);
-        let started = Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            match Client::connect(&client.addr, client.timeout) {
-                Ok(conn) => {
-                    client.conn = Some(conn);
-                    return Ok(client);
-                }
-                Err(e) => {
-                    attempt += 1;
-                    if !client.backoff_or_give_up(attempt, started) {
-                        return Err(ClientError::Io(e));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The configured server address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Compresses `data` remotely with retries; on success the stream is
-    /// byte-identical to local compression regardless of how many
-    /// attempts it took.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's [`ClientError`] once the budget is exhausted,
-    /// or immediately for non-transient failures.
-    pub fn compress(&mut self, algo: Algorithm, data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.run(Op::Compress, algo.id(), data)
-    }
-
-    /// Decompresses a container stream remotely with retries.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResilientClient::compress`]; a damaged operand fails fast
-    /// with `corrupt-stream` (retrying cannot repair data).
-    pub fn decompress(&mut self, stream: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.run(Op::Decompress, ALGO_NONE, stream)
-    }
-
-    /// Checksum-audits a container stream remotely with retries.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResilientClient::compress`].
-    pub fn verify(&mut self, stream: &[u8]) -> Result<RemoteVerify, ClientError> {
-        let payload = self.run(Op::Verify, ALGO_NONE, stream)?;
-        RemoteVerify::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
-    }
-
-    /// Decodes a byte range of a container stream remotely with retries.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResilientClient::compress`]; an out-of-bounds range fails fast
-    /// with `range-out-of-bounds` (retrying cannot grow the data).
-    pub fn range(&mut self, stream: &[u8], offset: u64, len: u64) -> Result<Vec<u8>, ClientError> {
-        let payload = RangeRequest { offset, len }.encode(stream);
-        let body = self.run(Op::Range, ALGO_NONE, &payload)?;
-        if body.len() as u64 != len {
-            return Err(ClientError::Protocol(format!(
-                "range response of {} bytes while awaiting {len}",
-                body.len()
-            )));
-        }
-        Ok(body)
-    }
-
-    /// Liveness probe with retries; the server echoes `payload`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResilientClient::compress`].
-    pub fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        let echoed = self.run(Op::Ping, ALGO_NONE, payload)?;
-        if echoed == payload {
-            Ok(echoed)
-        } else {
-            Err(ClientError::Protocol("ping echo mismatch".into()))
-        }
-    }
-
-    /// Runs one logical request through the retry loop.
-    fn run(&mut self, op: Op, algo: u8, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        // One logical id across every attempt: the server sees retries of
-        // the same request under the same idempotency key.
-        let id = self.next_logical;
-        self.next_logical += 1;
-        let started = Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            let conn = match self.conn.as_mut() {
-                Some(conn) => conn,
-                None => match Client::connect(&self.addr, self.timeout) {
-                    Ok(conn) => {
-                        fpc_metrics::incr(fpc_metrics::Counter::RemoteRetryReconnects, 1);
-                        self.conn.insert(conn)
-                    }
-                    Err(e) => {
-                        attempt += 1;
-                        if self.backoff_or_give_up(attempt, started) {
-                            continue;
-                        }
-                        return Err(ClientError::Io(e));
-                    }
-                },
-            };
-            match conn.request_with_id(op, algo, id, payload) {
-                Ok(body) => return Ok(body),
-                Err(err) => {
-                    // After Io/Protocol the stream state is unknown;
-                    // only a structured Remote error leaves it clean.
-                    if !matches!(err, ClientError::Remote(_)) {
-                        self.conn = None;
-                    }
-                    if !is_transient(&err) {
-                        return Err(err);
-                    }
-                    attempt += 1;
-                    if !self.backoff_or_give_up(attempt, started) {
-                        return Err(err);
-                    }
-                }
-            }
-        }
-    }
-
-    /// After `attempt` failures: sleeps the jittered backoff and returns
-    /// `true` to continue, or records a giveup and returns `false` when
-    /// the attempt budget or deadline is spent.
-    fn backoff_or_give_up(&mut self, attempt: u32, started: Instant) -> bool {
-        if attempt >= self.policy.attempts.max(1) {
+    /// After `attempt` failures of a request begun at `started`: sleeps
+    /// the jittered backoff and returns `true` to continue, or records a
+    /// giveup and returns `false` when the attempt budget or deadline is
+    /// spent.
+    pub(crate) fn backoff_or_give_up(
+        &self,
+        rng: &mut fpc_prng::Rng,
+        attempt: u32,
+        started: Instant,
+    ) -> bool {
+        if attempt >= self.attempts.max(1) {
             fpc_metrics::incr(fpc_metrics::Counter::RemoteRetryGiveups, 1);
             return false;
         }
-        let remaining = match self.policy.deadline {
+        let remaining = match self.deadline {
             Some(deadline) => match deadline.checked_sub(started.elapsed()) {
                 Some(rest) if !rest.is_zero() => Some(rest),
                 _ => {
@@ -277,14 +79,13 @@ impl ResilientClient {
             None => None,
         };
         let exp = self
-            .policy
             .base_backoff
             .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(self.policy.max_backoff);
+            .min(self.max_backoff);
         // Full jitter over [exp/2, exp) so synchronized clients desync.
         let nanos = exp.as_nanos().min(u128::from(u64::MAX)) as u64;
         let low = nanos / 2;
-        let jittered = Duration::from_nanos(self.rng.gen_range(low..nanos.max(low + 1)));
+        let jittered = Duration::from_nanos(rng.gen_range(low..nanos.max(low + 1)));
         let sleep = match remaining {
             // A backoff that consumes the entire remaining budget leaves no
             // time for the retry it precedes: the next attempt would start
@@ -307,10 +108,24 @@ impl ResilientClient {
     }
 }
 
+/// `true` when retrying `err` on a fresh attempt could plausibly succeed.
+pub fn is_transient(err: &ClientError) -> bool {
+    match err {
+        ClientError::Io(_) => true,
+        // The reply stream desynced; the request itself may be fine on a
+        // clean connection (idempotency makes the re-send safe).
+        ClientError::Protocol(_) => true,
+        ClientError::Remote(e) => {
+            matches!(e.code, ErrorCode::Busy | ErrorCode::Timeout | ErrorCode::Io)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::WireError;
+    use crate::Client;
 
     #[test]
     fn transience_classification_matches_the_contract() {
@@ -354,10 +169,9 @@ mod tests {
             deadline: Some(Duration::from_millis(500)),
             ..RetryPolicy::default()
         };
-        let err = ResilientClient::connect("127.0.0.1:9", Some(Duration::from_millis(200)), policy)
+        Client::connect_with_policy("127.0.0.1:9", Some(Duration::from_millis(200)), policy)
             .err()
             .expect("nothing listens on the discard port");
-        assert!(matches!(err, ClientError::Io(_)));
     }
 
     #[test]
@@ -375,11 +189,10 @@ mod tests {
             ..RetryPolicy::default()
         };
         let started = Instant::now();
-        let err = ResilientClient::connect("127.0.0.1:9", Some(Duration::from_millis(100)), policy)
+        Client::connect_with_policy("127.0.0.1:9", Some(Duration::from_millis(100)), policy)
             .err()
             .expect("nothing listens on the discard port");
         let elapsed = started.elapsed();
-        assert!(matches!(err, ClientError::Io(_)));
         assert!(
             elapsed < Duration::from_secs(2),
             "deadline-bounded connect took {elapsed:?}; the backoff slept past the budget"

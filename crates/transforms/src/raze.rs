@@ -31,7 +31,12 @@ pub(crate) fn bitmap_overhead(m: usize) -> usize {
 /// Given a histogram over leading-zero-byte counts (`hist[b]` = number of
 /// values with exactly `b` leading zero/repeat bytes), returns the byte
 /// split `kb ∈ 0..=8` minimizing the estimated encoded size for `n` values.
-pub(crate) fn choose_split(hist: &[usize; 9], n: usize) -> usize {
+///
+/// This is the adaptive split RAZE and RARE store in their first byte.
+/// An encoder that builds the histogram some other way (gpu-sim counts
+/// it with atomic increments) calls this to pick the same split, and so
+/// writes the same stream.
+pub fn choose_split(hist: &[usize; 9], n: usize) -> usize {
     // cnt[j] = number of values with at least j leading zero bytes
     // (the paper's prefix sum over histogram bins).
     let mut cnt = [0usize; 9];

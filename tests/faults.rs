@@ -9,7 +9,7 @@
 //! unarmed `serve.rs` tests running in sibling threads.
 
 use fpc_core::{Algorithm, Compressor};
-use fpc_serve::{Client, ResilientClient, RetryPolicy, ServeConfig, Server};
+use fpc_serve::{Client, RetryPolicy, ServeConfig, Server};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -78,7 +78,7 @@ fn sample(len_f32: u32) -> Vec<u8> {
 }
 
 #[test]
-fn resilient_client_stays_byte_identical_under_socket_faults() {
+fn retrying_client_stays_byte_identical_under_socket_faults() {
     if !fpc_faults::ENABLED {
         return; // hooks compiled out; nothing to inject
     }
@@ -93,8 +93,8 @@ fn resilient_client_stays_byte_identical_under_socket_faults() {
     )
     .expect("plan");
     let guard = fpc_faults::install(plan);
-    let mut client = ResilientClient::connect(
-        fixture.addr.to_string(),
+    let mut client = Client::connect_with_policy(
+        fixture.addr,
         Some(Duration::from_secs(2)),
         RetryPolicy {
             attempts: 12,
@@ -104,7 +104,7 @@ fn resilient_client_stays_byte_identical_under_socket_faults() {
             seed: 123,
         },
     )
-    .expect("resilient connect under faults");
+    .expect("retrying connect under faults");
     // Every request must *eventually* succeed with exactly the bytes a
     // fault-free run produces — retries are invisible to the caller.
     for round in 0..4 {
@@ -130,27 +130,41 @@ fn plain_client_fails_under_certain_disconnect_and_recovers_when_disarmed() {
     let _serial = fault_lock();
     let fixture = Fixture::start();
     let data = sample(4_000);
+    let mut broken = None;
     {
         let _guard = fpc_faults::install(fpc_faults::Plan::single(
             fpc_faults::FaultKind::Disconnect,
             1.0,
             9,
         ));
-        // With certainty-one disconnects and no retry layer, the request
-        // must fail with an error — never hang, never panic.
-        let failed = match Client::connect(fixture.addr, Some(Duration::from_secs(2))) {
-            Ok(mut c) => c.compress(Algorithm::SpSpeed, &data).is_err(),
-            Err(_) => true,
-        };
-        assert!(failed, "certain disconnects cannot succeed");
+        // With certainty-one disconnects and no retries, the request
+        // must fail with an error — never hang, never panic. (A connect
+        // that is itself cut fails cleanly too.)
+        if let Ok(mut c) = Client::connect(fixture.addr, Some(Duration::from_secs(2))) {
+            assert!(
+                c.compress(Algorithm::SpSpeed, &data).is_err(),
+                "certain disconnects cannot succeed"
+            );
+            broken = Some(c);
+        }
     }
-    // Plan dropped: the very next plain connection works end to end.
+    let expected = Compressor::new(Algorithm::SpSpeed).compress_bytes(&data);
+    // Plan dropped: the client whose connection broke re-dials on its
+    // next call instead of failing again on the dead socket...
+    if let Some(mut c) = broken {
+        assert_eq!(
+            c.compress(Algorithm::SpSpeed, &data)
+                .expect("re-dial after disarm"),
+            expected
+        );
+    }
+    // ...and the very next fresh connection works end to end.
     let mut client = Client::connect(fixture.addr, Some(Duration::from_secs(10))).expect("connect");
     assert_eq!(
         client
             .compress(Algorithm::SpSpeed, &data)
             .expect("compress"),
-        Compressor::new(Algorithm::SpSpeed).compress_bytes(&data)
+        expected
     );
 }
 

@@ -4,10 +4,10 @@
 
 use fpc_core::{Algorithm, Compressor};
 use fpc_serve::wire::{
-    read_frame, send_request, write_frame, FrameHeader, FrameKind, RecvError, ALGO_NONE,
-    DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC,
+    read_frame, send_error, send_request, send_response, write_frame, FrameHeader, FrameKind,
+    RecvError, ALGO_NONE, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC,
 };
-use fpc_serve::{Client, ClientError, ErrorCode, Op, ServeConfig, Server};
+use fpc_serve::{Client, ClientError, ErrorCode, Op, RetryPolicy, ServeConfig, Server};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
@@ -380,6 +380,102 @@ fn idle_connections_are_reaped_with_a_structured_timeout() {
 }
 
 #[test]
+fn clients_redial_after_an_idle_reap() {
+    let fixture = Fixture::start(ServeConfig {
+        idle_timeout: Some(Duration::from_millis(300)),
+        ..ServeConfig::default()
+    });
+    let timeout = Some(Duration::from_secs(10));
+    let mut retrying = Client::connect_with_policy(fixture.addr, timeout, RetryPolicy::default())
+        .expect("connect");
+    let mut single = Client::connect(fixture.addr, timeout).expect("connect");
+    let data = sample(4_000);
+    let local = Compressor::new(Algorithm::SpSpeed).compress_bytes(&data);
+    for client in [&mut retrying, &mut single] {
+        assert_eq!(
+            client.compress(Algorithm::SpSpeed, &data).expect("first"),
+            local
+        );
+    }
+    // Both connections sit idle past the reap: the server sends each a
+    // connection-level Timeout and closes it.
+    std::thread::sleep(Duration::from_millis(900));
+    // A retrying client re-dials inside the call: no error reaches the
+    // caller, and the bytes match.
+    assert_eq!(
+        retrying
+            .compress(Algorithm::SpSpeed, &data)
+            .expect("retried across the reap"),
+        local
+    );
+    // A client without retries sees the reap exactly once, then re-dials
+    // on its next call instead of failing again on the dead socket.
+    single
+        .compress(Algorithm::SpSpeed, &data)
+        .expect_err("the reaped connection must fail once");
+    assert_eq!(
+        single
+            .compress(Algorithm::SpSpeed, &data)
+            .expect("re-dialed"),
+        local
+    );
+    single.ping(b"same new connection").expect("ping");
+}
+
+/// Reads one complete request off a raw stream: its id and payload.
+fn read_request(stream: &mut TcpStream) -> (u64, Vec<u8>) {
+    let (header, _) = read_frame(stream, DEFAULT_MAX_FRAME).expect("request frame");
+    assert_eq!(header.kind, FrameKind::Request);
+    let mut payload = Vec::new();
+    loop {
+        let (frame, chunk) = read_frame(stream, DEFAULT_MAX_FRAME).expect("request body");
+        match frame.kind {
+            FrameKind::Data => payload.extend_from_slice(&chunk),
+            FrameKind::End => return (header.request_id, payload),
+            other => panic!("unexpected {other:?} in a request"),
+        }
+    }
+}
+
+#[test]
+fn only_an_error_answering_the_request_keeps_the_connection() {
+    // A scripted peer. Connection one answers its first request with an
+    // error under that request's id, then its second with an id-0 error
+    // (how the server reports a connection-level verdict before it
+    // closes), and then holds the socket open without reading.
+    // Connection two echoes. A client that dropped the connection after
+    // the first error, or kept it after the second, would wait on a peer
+    // that never answers until its socket timeout.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let peer = std::thread::spawn(move || {
+        let accept = || {
+            let (stream, _) = listener.accept().expect("accept");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            stream
+        };
+        let mut first = accept();
+        let (id, _) = read_request(&mut first);
+        let poison = fpc_serve::WireError::new(ErrorCode::CorruptStream, "answers the request");
+        send_error(&mut first, id, &poison).expect("send");
+        read_request(&mut first);
+        let verdict = fpc_serve::WireError::new(ErrorCode::Timeout, "connection-level");
+        send_error(&mut first, 0, &verdict).expect("send");
+        let mut second = accept();
+        let (id, payload) = read_request(&mut second);
+        send_response(&mut second, Op::Ping as u8, id, &payload).expect("send");
+        first
+    });
+    let mut client = Client::connect(addr, Some(Duration::from_secs(2))).expect("connect");
+    expect_remote(client.ping(b"one"), ErrorCode::CorruptStream);
+    expect_remote(client.ping(b"two"), ErrorCode::Timeout);
+    assert_eq!(client.ping(b"three").expect("re-dialed"), b"three");
+    drop(peer.join().expect("peer"));
+}
+
+#[test]
 fn slow_loris_bodies_hit_the_progress_deadline() {
     let fixture = Fixture::start(ServeConfig {
         progress_deadline: Some(Duration::from_millis(400)),
@@ -460,30 +556,30 @@ fn memory_watermark_sheds_with_busy_before_the_hard_cap() {
 }
 
 #[test]
-fn resilient_client_matches_plain_client_and_fails_fast_on_poison() {
+fn retrying_client_matches_plain_client_and_fails_fast_on_poison() {
     let fixture = Fixture::start(ServeConfig::default());
-    let mut client = fpc_serve::ResilientClient::connect(
-        fixture.addr.to_string(),
+    let mut client = Client::connect_with_policy(
+        fixture.addr,
         Some(Duration::from_secs(10)),
-        fpc_serve::RetryPolicy::default(),
+        RetryPolicy::default(),
     )
-    .expect("resilient connect");
+    .expect("retrying connect");
     let data = sample(20_000);
     for algo in Algorithm::ALL {
         let local = Compressor::new(algo).compress_bytes(&data);
         assert_eq!(
             client.compress(algo, &data).expect("compress"),
             local,
-            "{algo}: resilient stream differs from local"
+            "{algo}: retrying stream differs from local"
         );
         assert_eq!(client.decompress(&local).expect("decompress"), data);
     }
     assert_eq!(client.ping(b"rc-ping").expect("ping"), b"rc-ping");
-    // The resilient range path returns the same bytes as a local slice,
+    // The retrying range path returns the same bytes as a local slice,
     // and an out-of-bounds range is non-transient (fails fast).
     let stream = Compressor::new(Algorithm::DpSpeed).compress_bytes(&data);
     assert_eq!(
-        client.range(&stream, 999, 4_001).expect("resilient range"),
+        client.range(&stream, 999, 4_001).expect("retrying range"),
         &data[999..5_000]
     );
     let err = client
