@@ -200,7 +200,7 @@ fn cmd_auto(args: &[String]) -> ExitCode {
             "\nauto-dominance PASS: AUTO holds the best fixed ratio within \
              {:.0}% at >= {:.0}% of speed-tier throughput",
             perf::AUTO_RATIO_SLACK * 100.0,
-            perf::auto_speed_floor() * 100.0
+            perf::AUTO_SPEED_FLOOR * 100.0
         );
         ExitCode::SUCCESS
     } else {

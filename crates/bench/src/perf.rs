@@ -52,9 +52,8 @@ pub const AUTO_RATIO_SLACK: f64 = 0.01;
 /// RARE/FCM work no selection strategy can avoid — so the floor is set
 /// below the blend's steady state (~17% of the speed tier on the mixed
 /// suites) to catch selection-overhead regressions, not the intrinsic cost
-/// of ratio-tier picks. Override with `FPC_AUTO_SPEED_FLOOR` (a fraction
-/// in (0, 1]).
-pub const DEFAULT_AUTO_SPEED_FLOOR: f64 = 0.10;
+/// of ratio-tier picks.
+pub const AUTO_SPEED_FLOOR: f64 = 0.10;
 
 /// Measured performance of one algorithm over the smoke suites.
 #[derive(Debug, Clone)]
@@ -224,16 +223,6 @@ pub fn measure_algorithms(threads: usize) -> Vec<AlgoPerf> {
         .collect()
 }
 
-/// Reads the `FPC_AUTO_SPEED_FLOOR` fraction
-/// ([`DEFAULT_AUTO_SPEED_FLOOR`] when unset or unparsable).
-pub fn auto_speed_floor() -> f64 {
-    std::env::var("FPC_AUTO_SPEED_FLOOR")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|f| f.is_finite() && *f > 0.0 && *f <= 1.0)
-        .unwrap_or(DEFAULT_AUTO_SPEED_FLOOR)
-}
-
 /// Measures AUTO and every fixed algorithm over the mixed-stream suites
 /// and aggregates AUTO's per-chunk codec picks from the chunk tables.
 pub fn measure_auto(threads: usize) -> AutoReport {
@@ -298,7 +287,7 @@ pub fn measure_auto(threads: usize) -> AutoReport {
 
 /// The `auto-dominance` gate: AUTO must match the best fixed algorithm's
 /// compression ratio within [`AUTO_RATIO_SLACK`] and keep at least
-/// [`auto_speed_floor`] of the speed-tier compression throughput on the
+/// [`AUTO_SPEED_FLOOR`] of the speed-tier compression throughput on the
 /// mixed-stream suites.
 ///
 /// Returns the list of violation descriptions (empty = gate passes).
@@ -322,14 +311,13 @@ pub fn auto_gate(report: &AutoReport) -> Vec<String> {
     }
     match report.speed_tier_gbps() {
         Some(tier) => {
-            let frac = auto_speed_floor();
-            let floor = tier * frac;
+            let floor = tier * AUTO_SPEED_FLOOR;
             if report.auto_perf.compress_gbps < floor {
                 failures.push(format!(
                     "AUTO compress {:.3} GB/s is below {:.0}% of the \
                      speed-tier throughput ({tier:.3} GB/s)",
                     report.auto_perf.compress_gbps,
-                    frac * 100.0
+                    AUTO_SPEED_FLOOR * 100.0
                 ));
             }
         }
@@ -898,7 +886,7 @@ mod tests {
 
     #[test]
     fn auto_gate_fails_below_speed_floor() {
-        // AUTO at 5% of the speed tier (default floor is 10%).
+        // AUTO at 5% of the speed tier (the floor is 10%).
         let r = auto_report(1.5, 0.1, 1.5, 2.0);
         let failures = auto_gate(&r);
         assert!(
@@ -935,10 +923,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_speed_floor_defaults() {
-        if std::env::var("FPC_AUTO_SPEED_FLOOR").is_err() {
-            assert_eq!(auto_speed_floor(), DEFAULT_AUTO_SPEED_FLOOR);
-        }
+    fn auto_gate_holds_exactly_at_the_speed_floor() {
+        let tier = 2.0;
+        let at = auto_report(1.5, tier * AUTO_SPEED_FLOOR, 1.5, tier);
+        assert_eq!(auto_gate(&at), Vec::<String>::new());
+        let below = auto_report(1.5, tier * AUTO_SPEED_FLOOR * 0.99, 1.5, tier);
+        assert_eq!(auto_gate(&below).len(), 1, "{:?}", auto_gate(&below));
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Per-stage pipeline anatomy: how much each transformation contributes.
 //!
 //! The paper motivates each stage qualitatively (§3); this module makes the
-//! contribution measurable by running an algorithm's pipeline stage by
-//! stage over the chunked input and recording the data volume after every
-//! stage. Size-preserving stages (DIFFMS, BIT) show up with unchanged
-//! volume — their value is enabling the coding stages that follow — while
-//! MPLG/RZE/RAZE/RARE show the actual shrink and FCM shows its deliberate
-//! 2× expansion.
+//! contribution measurable by recording the data volume after every stage
+//! of an algorithm's pipeline over the chunked input. The volumes are read
+//! off what the compressor really emits — DPratio's FCM payload, each
+//! chunk's codec output and the RAZE length the DPratio chunk records — so
+//! they cannot drift from the streams. Size-preserving stages (DIFFMS, BIT)
+//! show up with unchanged volume — their value is enabling the coding
+//! stages that follow — while MPLG/RZE/RAZE/RARE show the actual shrink and
+//! FCM shows its deliberate 2× expansion.
 
-use crate::Algorithm;
+use crate::{Algorithm, AlgorithmCodec, PipelineOptions};
 use fpc_entropy::varint;
-use fpc_transforms::{bit_transpose, diffms, fcm, mplg, rare, raze, rze, words};
+use fpc_transforms::fcm;
 
 /// Data volume after one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,79 +66,52 @@ impl core::fmt::Display for Anatomy {
 ///
 /// The final stage's volume equals the concatenated chunk payload the real
 /// compressor would produce (before container framing and the raw-chunk
-/// fallback).
+/// fallback; AUTO, whose only stage is the per-chunk pick, counts each
+/// chunk at most at its raw size).
 pub fn analyze_bytes(data: &[u8], algorithm: Algorithm) -> Anatomy {
-    let chunk_size = fpc_container::DEFAULT_CHUNK_SIZE;
-    let mut stages: Vec<StageVolume> = Vec::new();
-    let add = |stages: &mut Vec<StageVolume>, stage: &'static str, bytes: usize| match stages
-        .iter_mut()
-        .find(|s| s.stage == stage)
-    {
-        Some(s) => s.bytes += bytes,
-        None => stages.push(StageVolume { stage, bytes }),
+    let fcm_payload;
+    let payload = if algorithm == Algorithm::DpRatio {
+        fcm_payload = fcm::encode_payload(data, fcm::MATCH_WINDOW, 1);
+        &fcm_payload
+    } else {
+        data
     };
-
-    match algorithm {
-        Algorithm::SpSpeed | Algorithm::DpSpeed => {
-            for chunk in data.chunks(chunk_size.max(1)) {
-                if algorithm == Algorithm::SpSpeed {
-                    let (mut w, tail) = words::bytes_to_u32(chunk);
-                    diffms::encode32(&mut w);
-                    add(&mut stages, "DIFFMS", w.len() * 4 + tail.len());
-                    let mut out = Vec::new();
-                    mplg::encode32(&w, &mut out);
-                    add(&mut stages, "MPLG", out.len() + tail.len());
-                } else {
-                    let (mut w, tail) = words::bytes_to_u64(chunk);
-                    diffms::encode64(&mut w);
-                    add(&mut stages, "DIFFMS", w.len() * 8 + tail.len());
-                    let mut out = Vec::new();
-                    mplg::encode64(&w, &mut out);
-                    add(&mut stages, "MPLG", out.len() + tail.len());
+    let names = algorithm.stages();
+    let mut stages: Vec<StageVolume> = names
+        .iter()
+        .map(|&stage| StageVolume {
+            stage,
+            // The one whole-input stage; the rest add up chunk by chunk.
+            bytes: if stage == "FCM" { payload.len() } else { 0 },
+        })
+        .collect();
+    let codec = algorithm.codec(&PipelineOptions::default());
+    let mut enc = Vec::new();
+    for chunk in payload.chunks(fpc_container::DEFAULT_CHUNK_SIZE) {
+        enc.clear();
+        let coded = match &codec {
+            AlgorithmCodec::Fixed(c) => {
+                c.encode_chunk(chunk, &mut enc);
+                enc.len()
+            }
+            AlgorithmCodec::Adaptive(c) => {
+                fpc_container::AdaptiveChunkCodec::encode_chunk(c, chunk, &mut enc);
+                enc.len().min(chunk.len())
+            }
+        };
+        for (i, volume) in stages.iter_mut().enumerate() {
+            volume.bytes += match volume.stage {
+                _ if i == names.len() - 1 => coded,
+                "FCM" => 0,
+                // The DPratio chunk records its RAZE stream's length; the
+                // chunk's partial word rides along verbatim.
+                "RAZE" => {
+                    let razed = varint::read_usize(&enc, &mut 0).expect("the codec writes it");
+                    razed + chunk.len() % 8
                 }
-            }
-        }
-        Algorithm::SpRatio => {
-            for chunk in data.chunks(chunk_size.max(1)) {
-                let (mut w, tail) = words::bytes_to_u32(chunk);
-                diffms::encode32(&mut w);
-                add(&mut stages, "DIFFMS", w.len() * 4 + tail.len());
-                bit_transpose::transpose32(&mut w);
-                add(&mut stages, "BIT", w.len() * 4 + tail.len());
-                let mut bytes = Vec::new();
-                words::u32_to_bytes(&w, &mut bytes);
-                let mut out = Vec::new();
-                rze::encode(&bytes, &mut out);
-                add(&mut stages, "RZE", out.len() + tail.len());
-            }
-        }
-        Algorithm::DpRatio => {
-            let payload = fcm::encode_payload(data, fcm::MATCH_WINDOW, 1);
-            add(&mut stages, "FCM", payload.len());
-            for chunk in payload.chunks(chunk_size.max(1)) {
-                let (mut cw, ctail) = words::bytes_to_u64(chunk);
-                diffms::encode64(&mut cw);
-                add(&mut stages, "DIFFMS", cw.len() * 8 + ctail.len());
-                let mut razed = Vec::new();
-                raze::encode(&cw, &mut razed);
-                add(&mut stages, "RAZE", razed.len() + ctail.len());
-                let (w2, t2) = words::bytes_to_u64(&razed);
-                let mut out = Vec::new();
-                varint::write_usize(&mut out, razed.len());
-                rare::encode(&w2, &mut out);
-                add(&mut stages, "RARE", out.len() + t2.len() + ctail.len());
-            }
-        }
-        Algorithm::Auto => {
-            // The adaptive mode has no fixed stage sequence; its anatomy is
-            // the per-chunk winner volume (capped at raw, mirroring the
-            // container's store-raw fallback).
-            let auto = crate::AutoCodec::default();
-            for chunk in data.chunks(chunk_size.max(1)) {
-                let mut enc = Vec::new();
-                fpc_container::AdaptiveChunkCodec::encode_chunk(&auto, chunk, &mut enc);
-                add(&mut stages, "AUTO", enc.len().min(chunk.len()));
-            }
+                // DIFFMS and BIT preserve size.
+                _ => chunk.len(),
+            };
         }
     }
     Anatomy {

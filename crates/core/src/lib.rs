@@ -34,7 +34,7 @@ pub mod analysis;
 pub mod auto;
 mod error;
 mod options;
-mod pipeline;
+pub mod pipeline;
 pub mod streaming;
 
 pub use analysis::{analyze_bytes, Anatomy};
@@ -123,6 +123,26 @@ impl Algorithm {
     /// Whether this is one of the single-precision algorithms.
     pub fn is_single_precision(self) -> bool {
         self.element_width() == 4
+    }
+
+    /// The element width a typed compress of `width`-byte values stamps
+    /// into the header: `width`, once checked against the algorithm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fixed algorithm targets the other precision; AUTO takes
+    /// both.
+    pub fn typed_width(self, width: u8) -> u8 {
+        let (other, typed) = if width == 4 {
+            ("double", "compress_f64")
+        } else {
+            ("single", "compress_f32")
+        };
+        assert!(
+            self == Algorithm::Auto || self.element_width() == width,
+            "{self} targets {other}-precision data; use {typed} or compress_bytes"
+        );
+        width
     }
 
     /// Container algorithm identifier.
@@ -270,35 +290,17 @@ impl Compressor {
     /// Only AUTO is width-agnostic; the fixed algorithms always pass their
     /// own width.
     fn compress_bytes_width(&self, data: &[u8], element_width: u8) -> Vec<u8> {
-        let algo = self.algorithm;
-        let mut header = Header::new(
-            algo.id(),
+        compress_stream(
+            self.algorithm,
             element_width,
-            data.len() as u64,
-            data.len() as u64,
-        );
-        header.chunk_size = self.chunk_size as u32;
-        let fcm_payload;
-        let payload = if algo == Algorithm::DpRatio {
-            // Global FCM stage (paper §3.2): the only stage that sees the
-            // whole input, run on the same thread budget as the chunks.
-            // It doubles the payload; the chunked stages then compress
-            // the value and distance arrays.
-            fcm_payload = fcm::encode_payload(data, self.options.fcm_window, self.threads);
-            header.payload_len = fcm_payload.len() as u64;
-            &fcm_payload
-        } else {
-            data
-        };
-        match algo.codec(&self.options) {
-            AlgorithmCodec::Fixed(c) => {
-                fpc_container::compress(header, payload, c.as_ref(), self.threads)
-            }
-            AlgorithmCodec::Adaptive(c) => {
-                fpc_container::compress_adaptive(header, payload, &c, self.threads)
-            }
-        }
-        .expect("header matches payload")
+            self.chunk_size,
+            data,
+            &self.algorithm.codec(&self.options),
+            self.threads,
+            // The global FCM stage (paper §3.2), the only stage that sees
+            // the whole input, runs on the same thread budget as the chunks.
+            |data| fcm::encode_payload(data, self.options.fcm_window, self.threads),
+        )
     }
 
     /// Compresses single-precision values.
@@ -309,12 +311,8 @@ impl Compressor {
     /// [`Compressor::compress_bytes`] to force a width-agnostic encoding.
     /// AUTO accepts both precisions.
     pub fn compress_f32(&self, data: &[f32]) -> Vec<u8> {
-        assert!(
-            self.algorithm.is_single_precision() || self.algorithm == Algorithm::Auto,
-            "{} targets double-precision data; use compress_f64 or compress_bytes",
-            self.algorithm
-        );
-        self.compress_bytes_width(&words::f32_slice_to_bytes(data), 4)
+        let width = self.algorithm.typed_width(4);
+        self.compress_bytes_width(&words::f32_slice_to_bytes(data), width)
     }
 
     /// Compresses double-precision values.
@@ -325,12 +323,8 @@ impl Compressor {
     /// [`Compressor::compress_bytes`] to force a width-agnostic encoding.
     /// AUTO accepts both precisions.
     pub fn compress_f64(&self, data: &[f64]) -> Vec<u8> {
-        assert!(
-            !self.algorithm.is_single_precision(),
-            "{} targets single-precision data; use compress_f32 or compress_bytes",
-            self.algorithm
-        );
-        self.compress_bytes(&words::f64_slice_to_bytes(data))
+        let width = self.algorithm.typed_width(8);
+        self.compress_bytes_width(&words::f64_slice_to_bytes(data), width)
     }
 
     /// Decompresses any FPcompress stream to raw bytes.
@@ -349,7 +343,7 @@ impl Compressor {
     /// Fails on corrupt streams or if the stream does not hold
     /// single-precision data.
     pub fn decompress_f32(&self, stream: &[u8]) -> Result<Vec<f32>> {
-        decompress_f32_with(stream, self.threads)
+        decompress_f32_via(stream, |stream| decompress_bytes_with(stream, self.threads))
     }
 
     /// Decompresses a double-precision stream.
@@ -359,7 +353,7 @@ impl Compressor {
     /// Fails on corrupt streams or if the stream does not hold
     /// double-precision data.
     pub fn decompress_f64(&self, stream: &[u8]) -> Result<Vec<f64>> {
-        decompress_f64_with(stream, self.threads)
+        decompress_f64_via(stream, |stream| decompress_bytes_with(stream, self.threads))
     }
 }
 
@@ -378,16 +372,88 @@ pub fn decompress_bytes(stream: &[u8]) -> Result<Vec<u8>> {
 ///
 /// Fails on corrupt or truncated streams.
 pub fn decompress_bytes_with(stream: &[u8], threads: usize) -> Result<Vec<u8>> {
+    decompress_stream(
+        stream,
+        threads,
+        |algorithm| algorithm.codec(&PipelineOptions::default()),
+        fcm_decode,
+    )
+}
+
+/// The stream plumbing every compressor shares: the header, DPratio's
+/// global FCM stage through `fcm_encode`, then `codec` over the chunks.
+/// [`Compressor`] and gpu-sim differ only in the codec and the FCM encoder
+/// they pass, so their streams cannot drift apart.
+///
+/// # Panics
+///
+/// If `chunk_size` is zero or above [`fpc_container::MAX_CHUNK_SIZE`].
+pub fn compress_stream(
+    algorithm: Algorithm,
+    element_width: u8,
+    chunk_size: usize,
+    data: &[u8],
+    codec: &AlgorithmCodec,
+    threads: usize,
+    fcm_encode: impl FnOnce(&[u8]) -> Vec<u8>,
+) -> Vec<u8> {
+    assert!(
+        chunk_size > 0 && chunk_size <= fpc_container::MAX_CHUNK_SIZE,
+        "chunk size out of range"
+    );
+    let fcm_payload;
+    let payload = if algorithm == Algorithm::DpRatio {
+        // FCM doubles the payload; the chunked stages then compress the
+        // value and distance arrays.
+        fcm_payload = fcm_encode(data);
+        &fcm_payload
+    } else {
+        data
+    };
+    let mut header = Header::new(
+        algorithm.id(),
+        element_width,
+        data.len() as u64,
+        payload.len() as u64,
+    );
+    header.chunk_size = chunk_size as u32;
+    match codec {
+        AlgorithmCodec::Fixed(c) => fpc_container::compress(header, payload, c.as_ref(), threads),
+        AlgorithmCodec::Adaptive(c) => {
+            fpc_container::compress_adaptive(header, payload, c, threads)
+        }
+    }
+    .expect("header matches payload")
+}
+
+/// The decode plumbing every decompressor shares: the codec `codec_for`
+/// picks for the stream's algorithm, then the one finisher per algorithm —
+/// DPratio's FCM inverse through `fcm_decode` (given the payload and the
+/// original length), and the length check for everything else.
+///
+/// # Errors
+///
+/// Fails on corrupt or truncated streams.
+pub fn decompress_stream(
+    stream: &[u8],
+    threads: usize,
+    codec_for: impl FnOnce(Algorithm) -> AlgorithmCodec,
+    fcm_decode: impl FnOnce(&[u8], usize) -> fpc_transforms::Result<Vec<u8>>,
+) -> Result<Vec<u8>> {
     let header = fpc_container::read_header(stream)?;
     let algorithm = Algorithm::from_id(header.algorithm)?;
-    let (_, payload) = match algorithm.codec(&PipelineOptions::default()) {
+    let (_, payload) = match codec_for(algorithm) {
         AlgorithmCodec::Fixed(c) => fpc_container::decompress(stream, c.as_ref(), threads)?,
         AlgorithmCodec::Adaptive(c) => fpc_container::decompress_adaptive(stream, &c, threads)?,
     };
     if algorithm == Algorithm::DpRatio {
-        finish_fcm(header, &payload)
+        finish_fcm(header, &payload, fcm_decode)
+    } else if payload.len() as u64 != header.original_len {
+        Err(Error::Container(fpc_container::Error::Corrupt(
+            "payload length disagrees with header",
+        )))
     } else {
-        finish_plain(header, payload)
+        Ok(payload)
     }
 }
 
@@ -397,22 +463,7 @@ pub fn decompress_bytes_with(stream: &[u8], threads: usize) -> Result<Vec<u8>> {
 ///
 /// Fails on corrupt streams or element-width mismatch.
 pub fn decompress_f32(stream: &[u8]) -> Result<Vec<f32>> {
-    decompress_f32_with(stream, 0)
-}
-
-fn decompress_f32_with(stream: &[u8], threads: usize) -> Result<Vec<f32>> {
-    let header = fpc_container::read_header(stream)?;
-    if header.element_width != 4 {
-        return Err(Error::ElementMismatch {
-            expected: 4,
-            actual: header.element_width,
-        });
-    }
-    let bytes = decompress_bytes_with(stream, threads)?;
-    words::bytes_to_f32_vec(&bytes).ok_or(Error::LengthIndivisible {
-        len: bytes.len() as u64,
-        width: 4,
-    })
+    decompress_f32_via(stream, decompress_bytes)
 }
 
 /// Decompresses a double-precision stream.
@@ -421,41 +472,74 @@ fn decompress_f32_with(stream: &[u8], threads: usize) -> Result<Vec<f32>> {
 ///
 /// Fails on corrupt streams or element-width mismatch.
 pub fn decompress_f64(stream: &[u8]) -> Result<Vec<f64>> {
-    decompress_f64_with(stream, 0)
+    decompress_f64_via(stream, decompress_bytes)
 }
 
-fn decompress_f64_with(stream: &[u8], threads: usize) -> Result<Vec<f64>> {
+/// Decompresses a single-precision stream with `decode`, after the
+/// element-width check every typed decoder shares.
+///
+/// # Errors
+///
+/// Fails on element-width mismatch, a length that is not whole values, or
+/// whatever `decode` fails on.
+pub fn decompress_f32_via(
+    stream: &[u8],
+    decode: impl FnOnce(&[u8]) -> Result<Vec<u8>>,
+) -> Result<Vec<f32>> {
+    decode_typed(stream, 4, decode, words::bytes_to_f32_vec)
+}
+
+/// Decompresses a double-precision stream with `decode`, after the
+/// element-width check every typed decoder shares.
+///
+/// # Errors
+///
+/// As [`decompress_f32_via`].
+pub fn decompress_f64_via(
+    stream: &[u8],
+    decode: impl FnOnce(&[u8]) -> Result<Vec<u8>>,
+) -> Result<Vec<f64>> {
+    decode_typed(stream, 8, decode, words::bytes_to_f64_vec)
+}
+
+fn decode_typed<T>(
+    stream: &[u8],
+    width: u8,
+    decode: impl FnOnce(&[u8]) -> Result<Vec<u8>>,
+    convert: fn(&[u8]) -> Option<Vec<T>>,
+) -> Result<Vec<T>> {
     let header = fpc_container::read_header(stream)?;
-    if header.element_width != 8 {
+    if header.element_width != width {
         return Err(Error::ElementMismatch {
-            expected: 8,
+            expected: width,
             actual: header.element_width,
         });
     }
-    let bytes = decompress_bytes_with(stream, threads)?;
-    words::bytes_to_f64_vec(&bytes).ok_or(Error::LengthIndivisible {
+    let bytes = decode(stream)?;
+    convert(&bytes).ok_or(Error::LengthIndivisible {
         len: bytes.len() as u64,
-        width: 8,
+        width,
     })
 }
 
-/// Inverts DPratio's global FCM stage over the decoded chunk payload — the
-/// one finisher the one-shot and streaming decoders share.
-fn finish_fcm(header: Header, payload: &[u8]) -> Result<Vec<u8>> {
-    let original_len = usize::try_from(header.original_len)
-        .map_err(|_| Error::Container(fpc_container::Error::Corrupt("length overflow")))?;
+/// The CPU inverse of DPratio's global FCM stage.
+fn fcm_decode(payload: &[u8], original_len: usize) -> fpc_transforms::Result<Vec<u8>> {
     let mut out = Vec::new();
-    fcm::decode_payload(payload, original_len, &mut out).map_err(pipeline::map_decode)?;
+    fcm::decode_payload(payload, original_len, &mut out)?;
     Ok(out)
 }
 
-fn finish_plain(header: Header, payload: Vec<u8>) -> Result<Vec<u8>> {
-    if payload.len() as u64 != header.original_len {
-        return Err(Error::Container(fpc_container::Error::Corrupt(
-            "payload length disagrees with header",
-        )));
-    }
-    Ok(payload)
+/// Inverts DPratio's global FCM stage over the decoded chunk payload with
+/// `decode` — the one finisher the one-shot, streaming and gpu-sim
+/// decoders share.
+fn finish_fcm(
+    header: Header,
+    payload: &[u8],
+    decode: impl FnOnce(&[u8], usize) -> fpc_transforms::Result<Vec<u8>>,
+) -> Result<Vec<u8>> {
+    let original_len = usize::try_from(header.original_len)
+        .map_err(|_| Error::Container(fpc_container::Error::Corrupt("length overflow")))?;
+    decode(payload, original_len).map_err(|e| Error::Container(pipeline::map_decode(e)))
 }
 
 /// Decompresses only the bytes in `[offset, offset + len)` of the original

@@ -3,14 +3,16 @@
 //!
 //! Each codec corresponds to the chunked portion of one algorithm's pipeline
 //! (paper Figure 1). DPratio's global FCM stage runs outside the chunk loop
-//! in `lib.rs`.
+//! in `lib.rs`. gpu-sim's kernel codecs end their decoders with the same
+//! [`finish_chunk`] and report transform errors through [`map_decode`], so
+//! both paths reject a malformed chunk body the same way.
 
 use fpc_container::{ChunkCodec, Error};
 use fpc_entropy::varint;
 use fpc_transforms::{bit_transpose, diffms, mplg, rare, raze, rze, words, DecodeError};
 
 /// Maps transformation-level decode errors onto container errors.
-pub(crate) fn map_decode(e: DecodeError) -> Error {
+pub fn map_decode(e: DecodeError) -> Error {
     match e {
         DecodeError::UnexpectedEof => Error::UnexpectedEof,
         DecodeError::InvalidHeader(what) | DecodeError::Corrupt(what) => Error::Corrupt(what),
@@ -26,7 +28,20 @@ fn take<'a>(data: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8], Err
     Ok(slice)
 }
 
-fn expect_consumed(data: &[u8], pos: usize) -> Result<(), Error> {
+/// The last step of every chunk decoder: appends the `tail_len` verbatim
+/// tail bytes at `pos` to `out` and rejects any byte after them.
+///
+/// # Errors
+///
+/// [`Error::UnexpectedEof`] if the tail is cut short, [`Error::Corrupt`] if
+/// bytes follow it.
+pub fn finish_chunk(
+    data: &[u8],
+    mut pos: usize,
+    tail_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), Error> {
+    out.extend_from_slice(take(data, &mut pos, tail_len)?);
     if pos == data.len() {
         Ok(())
     } else {
@@ -62,8 +77,7 @@ impl ChunkCodec for SpSpeedCodec {
         mplg::decode32(data, &mut pos, count, &mut w).map_err(map_decode)?;
         diffms::decode32(&mut w);
         words::u32_to_bytes(&w, out);
-        out.extend_from_slice(take(data, &mut pos, tail_len)?);
-        expect_consumed(data, pos)
+        finish_chunk(data, pos, tail_len, out)
     }
 }
 
@@ -95,8 +109,7 @@ impl ChunkCodec for DpSpeedCodec {
         mplg::decode64(data, &mut pos, count, &mut w).map_err(map_decode)?;
         diffms::decode64(&mut w);
         words::u64_to_bytes(&w, out);
-        out.extend_from_slice(take(data, &mut pos, tail_len)?);
-        expect_consumed(data, pos)
+        finish_chunk(data, pos, tail_len, out)
     }
 }
 
@@ -131,8 +144,7 @@ impl ChunkCodec for SpRatioCodec {
         bit_transpose::transpose32(&mut w);
         diffms::decode32(&mut w);
         words::u32_to_bytes(&w, out);
-        out.extend_from_slice(take(data, &mut pos, tail_len)?);
-        expect_consumed(data, pos)
+        finish_chunk(data, pos, tail_len, out)
     }
 }
 
@@ -194,8 +206,7 @@ impl ChunkCodec for DpRatioChunkCodec {
         }
         diffms::decode64(&mut w);
         words::u64_to_bytes(&w, out);
-        out.extend_from_slice(take(data, &mut pos, ctail_len)?);
-        expect_consumed(data, pos)
+        finish_chunk(data, pos, ctail_len, out)
     }
 }
 

@@ -449,7 +449,11 @@ impl StreamingDecompressor {
             self.on_header(&header)?;
         }
         if self.algorithm() == Some(Algorithm::DpRatio) {
-            let out = crate::finish_fcm(header, &std::mem::take(&mut self.fcm_payload))?;
+            let out = crate::finish_fcm(
+                header,
+                &std::mem::take(&mut self.fcm_payload),
+                crate::fcm_decode,
+            )?;
             self.produced += out.len() as u64;
             self.ready_bytes += out.len() as u64;
             self.ready.push_back(out);

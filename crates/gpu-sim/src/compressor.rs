@@ -1,12 +1,17 @@
-//! The simulated-GPU compressor: `fpc-core`-compatible streams produced by
-//! the GPU-style kernels.
+//! The simulated-GPU compressor: `fpc-core` streams produced by the
+//! GPU-style kernels.
+//!
+//! Everything but the kernels is `fpc-core`'s: the stream plumbing
+//! ([`fpc_core::compress_stream`], [`fpc_core::decompress_stream`]), the
+//! typed width checks, and the FCM payload layout. This file holds only the
+//! algorithm-to-kernel table and the two parallel FCM formulations.
 
 use crate::device::DeviceProfile;
 use crate::kernels::{GpuDpRatioChunkCodec, GpuDpSpeedCodec, GpuSpRatioCodec, GpuSpSpeedCodec};
 use crate::{radix, unionfind};
-use fpc_container::Header;
-use fpc_core::{Algorithm, Error};
-use fpc_transforms::{fcm, words};
+use fpc_container::ChunkCodec;
+use fpc_core::{Algorithm, AlgorithmCodec, Error, PipelineOptions};
+use fpc_transforms::{fcm, words, DecodeError};
 
 /// Compresses and decompresses with the simulated GPU execution path.
 ///
@@ -54,49 +59,7 @@ impl GpuCompressor {
 
     /// Compresses raw little-endian bytes (same stream as the CPU path).
     pub fn compress_bytes(&self, data: &[u8]) -> Vec<u8> {
-        let algo = self.algorithm;
-        if algo == Algorithm::Auto {
-            // AUTO's per-chunk selection has no GPU-specific kernels; the
-            // CPU path already produces the canonical adaptive stream.
-            return fpc_core::Compressor::new(Algorithm::Auto)
-                .with_threads(self.threads)
-                .compress_bytes(data);
-        }
-        let mut header = Header::new(
-            algo.id(),
-            algo.element_width(),
-            data.len() as u64,
-            data.len() as u64,
-        );
-        match algo {
-            Algorithm::SpSpeed => {
-                fpc_container::compress(header, data, &GpuSpSpeedCodec, self.threads)
-                    .expect("header matches payload")
-            }
-            Algorithm::SpRatio => {
-                fpc_container::compress(header, data, &GpuSpRatioCodec, self.threads)
-                    .expect("header matches payload")
-            }
-            Algorithm::DpSpeed => {
-                fpc_container::compress(header, data, &GpuDpSpeedCodec, self.threads)
-                    .expect("header matches payload")
-            }
-            Algorithm::DpRatio => {
-                // Global FCM with the CUB-style radix sort (paper §3.2).
-                let (w, tail) = words::bytes_to_u64(data);
-                let mut pairs = fcm::hash_pairs(&w);
-                radix::sort_pairs(&mut pairs);
-                let enc = fcm::resolve_matches(&w, &pairs, fcm::MATCH_WINDOW);
-                let mut payload = Vec::with_capacity(w.len() * 16 + tail.len());
-                words::u64_to_bytes(&enc.values, &mut payload);
-                words::u64_to_bytes(&enc.distances, &mut payload);
-                payload.extend_from_slice(tail);
-                header.payload_len = payload.len() as u64;
-                fpc_container::compress(header, &payload, &GpuDpRatioChunkCodec, self.threads)
-                    .expect("header matches payload")
-            }
-            Algorithm::Auto => unreachable!("delegated to the CPU path above"),
-        }
+        self.compress_width(data, self.algorithm.element_width())
     }
 
     /// Compresses single-precision values.
@@ -105,18 +68,8 @@ impl GpuCompressor {
     ///
     /// Panics if the configured algorithm targets double precision.
     pub fn compress_f32(&self, data: &[f32]) -> Vec<u8> {
-        assert!(
-            self.algorithm.is_single_precision() || self.algorithm == Algorithm::Auto,
-            "{} targets doubles",
-            self.algorithm
-        );
-        if self.algorithm == Algorithm::Auto {
-            // Delegate at the typed level so the header records width 4.
-            return fpc_core::Compressor::new(Algorithm::Auto)
-                .with_threads(self.threads)
-                .compress_f32(data);
-        }
-        self.compress_bytes(&words::f32_slice_to_bytes(data))
+        let width = self.algorithm.typed_width(4);
+        self.compress_width(&words::f32_slice_to_bytes(data), width)
     }
 
     /// Compresses double-precision values.
@@ -125,12 +78,22 @@ impl GpuCompressor {
     ///
     /// Panics if the configured algorithm targets single precision.
     pub fn compress_f64(&self, data: &[f64]) -> Vec<u8> {
-        assert!(
-            !self.algorithm.is_single_precision(),
-            "{} targets singles",
-            self.algorithm
-        );
-        self.compress_bytes(&words::f64_slice_to_bytes(data))
+        let width = self.algorithm.typed_width(8);
+        self.compress_width(&words::f64_slice_to_bytes(data), width)
+    }
+
+    /// DPratio's global FCM stage runs the paper's sort-based encoder with
+    /// the CUB-style radix sort (§3.2).
+    fn compress_width(&self, data: &[u8], element_width: u8) -> Vec<u8> {
+        fpc_core::compress_stream(
+            self.algorithm,
+            element_width,
+            fpc_container::DEFAULT_CHUNK_SIZE,
+            data,
+            &codec(self.algorithm),
+            self.threads,
+            |data| fcm::encode_payload_sorted(data, fcm::MATCH_WINDOW, radix::sort_pairs),
+        )
     }
 
     /// Decompresses any FPcompress stream with the GPU-style decoders
@@ -141,49 +104,13 @@ impl GpuCompressor {
     ///
     /// Fails on corrupt or truncated streams.
     pub fn decompress_bytes(&self, stream: &[u8]) -> Result<Vec<u8>, Error> {
-        let header = fpc_container::read_header(stream)?;
-        let algorithm = Algorithm::from_id(header.algorithm)?;
-        match algorithm {
-            Algorithm::SpSpeed => {
-                let (_, payload) =
-                    fpc_container::decompress(stream, &GpuSpSpeedCodec, self.threads)?;
-                Ok(payload)
-            }
-            Algorithm::SpRatio => {
-                let (_, payload) =
-                    fpc_container::decompress(stream, &GpuSpRatioCodec, self.threads)?;
-                Ok(payload)
-            }
-            Algorithm::DpSpeed => {
-                let (_, payload) =
-                    fpc_container::decompress(stream, &GpuDpSpeedCodec, self.threads)?;
-                Ok(payload)
-            }
-            Algorithm::DpRatio => {
-                let (_, payload) =
-                    fpc_container::decompress(stream, &GpuDpRatioChunkCodec, self.threads)?;
-                let original_len = usize::try_from(header.original_len).map_err(|_| {
-                    Error::Container(fpc_container::Error::Corrupt("length overflow"))
-                })?;
-                let (values, distances, tail) = fcm::split_payload(&payload, original_len)
-                    .map_err(|e| Error::Container(crate::kernels::map_decode(e)))?;
-                let (values, _) = words::bytes_to_u64(values);
-                let (distances, _) = words::bytes_to_u64(distances);
-                let threads = if self.threads == 0 { 8 } else { self.threads };
-                let decoded = unionfind::decode(&values, &distances, threads).map_err(|_| {
-                    Error::Container(fpc_container::Error::Corrupt("fcm distance before start"))
-                })?;
-                let mut out = Vec::with_capacity(original_len);
-                words::u64_to_bytes(&decoded, &mut out);
-                out.extend_from_slice(tail);
-                Ok(out)
-            }
-            Algorithm::Auto => {
-                // Adaptive streams decode through the CPU dispatcher; the
-                // per-chunk kernels are shared with the fixed paths.
-                fpc_core::decompress_bytes_with(stream, self.threads)
-            }
-        }
+        let threads = if self.threads == 0 { 8 } else { self.threads };
+        fpc_core::decompress_stream(stream, self.threads, codec, |payload, original_len| {
+            fcm::decode_payload_with(payload, original_len, |values, distances| {
+                unionfind::decode(values, distances, threads)
+                    .map_err(|_| DecodeError::Corrupt("fcm distance before start"))
+            })
+        })
     }
 
     /// Decompresses a single-precision stream.
@@ -192,18 +119,7 @@ impl GpuCompressor {
     ///
     /// Fails on corrupt streams or width mismatch.
     pub fn decompress_f32(&self, stream: &[u8]) -> Result<Vec<f32>, Error> {
-        let header = fpc_container::read_header(stream)?;
-        if header.element_width != 4 {
-            return Err(Error::ElementMismatch {
-                expected: 4,
-                actual: header.element_width,
-            });
-        }
-        let bytes = self.decompress_bytes(stream)?;
-        words::bytes_to_f32_vec(&bytes).ok_or(Error::LengthIndivisible {
-            len: bytes.len() as u64,
-            width: 4,
-        })
+        fpc_core::decompress_f32_via(stream, |stream| self.decompress_bytes(stream))
     }
 
     /// Decompresses a double-precision stream.
@@ -212,19 +128,22 @@ impl GpuCompressor {
     ///
     /// Fails on corrupt streams or width mismatch.
     pub fn decompress_f64(&self, stream: &[u8]) -> Result<Vec<f64>, Error> {
-        let header = fpc_container::read_header(stream)?;
-        if header.element_width != 8 {
-            return Err(Error::ElementMismatch {
-                expected: 8,
-                actual: header.element_width,
-            });
-        }
-        let bytes = self.decompress_bytes(stream)?;
-        words::bytes_to_f64_vec(&bytes).ok_or(Error::LengthIndivisible {
-            len: bytes.len() as u64,
-            width: 8,
-        })
+        fpc_core::decompress_f64_via(stream, |stream| self.decompress_bytes(stream))
     }
+}
+
+/// The one algorithm-to-kernel table, for both directions. AUTO's
+/// per-chunk selection has no GPU kernels of its own, so it runs the CPU
+/// selector, which produces the canonical adaptive stream.
+pub(crate) fn codec(algorithm: Algorithm) -> AlgorithmCodec {
+    let kernel: Box<dyn ChunkCodec + Send + Sync> = match algorithm {
+        Algorithm::SpSpeed => Box::new(GpuSpSpeedCodec),
+        Algorithm::SpRatio => Box::new(GpuSpRatioCodec),
+        Algorithm::DpSpeed => Box::new(GpuDpSpeedCodec),
+        Algorithm::DpRatio => Box::new(GpuDpRatioChunkCodec),
+        Algorithm::Auto => return algorithm.codec(&PipelineOptions::default()),
+    };
+    AlgorithmCodec::Fixed(kernel)
 }
 
 #[cfg(test)]

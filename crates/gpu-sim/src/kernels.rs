@@ -12,9 +12,10 @@ use crate::scan::block_inclusive_scan;
 use crate::warp::{ballot, reduce_max_u64, transpose32 as warp_transpose32};
 use crate::WARP_SIZE;
 use fpc_container::{ChunkCodec, Error};
-use fpc_core::{DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec};
+use fpc_core::pipeline::{finish_chunk, map_decode};
+use fpc_core::{Algorithm, AlgorithmCodec, DpRatioChunkCodec, PipelineOptions};
 use fpc_entropy::{bitpack, varint};
-use fpc_transforms::{mplg, raze, words, zigzag};
+use fpc_transforms::{mplg, rare, raze, words, zigzag};
 
 /// Maximum elements a block scan handles at once.
 const SCAN_BLOCK: usize = WARP_SIZE * WARP_SIZE;
@@ -357,17 +358,6 @@ fn rare_encode_ballot(values: &[u64], kb: usize, out: &mut Vec<u8>) {
     rze_encode_ballot(&tops, out);
 }
 
-/// Recomputes the adaptive RARE split (leading-repeat-byte histogram).
-fn rare_choose(values: &[u64]) -> usize {
-    let mut hist = [0usize; 9];
-    let mut prev = 0u64;
-    for &v in values {
-        hist[((v ^ prev).leading_zeros() / 8) as usize] += 1;
-        prev = v;
-    }
-    raze::choose_split(&hist, values.len())
-}
-
 /// GPU-style SPspeed chunk codec (DIFFMS ∥-encode + warp-max MPLG).
 #[derive(Debug, Clone, Copy)]
 pub struct GpuSpSpeedCodec;
@@ -393,9 +383,7 @@ impl ChunkCodec for GpuSpSpeedCodec {
         mplg::decode32(data, &mut pos, count, &mut w).map_err(map_decode)?;
         diffms_decode32_scan(&mut w);
         words::u32_to_bytes(&w, out);
-        let tail = data.get(pos..pos + tail_len).ok_or(Error::UnexpectedEof)?;
-        out.extend_from_slice(tail);
-        Ok(())
+        finish_chunk(data, pos, tail_len, out)
     }
 }
 
@@ -424,9 +412,7 @@ impl ChunkCodec for GpuDpSpeedCodec {
         mplg::decode64(data, &mut pos, count, &mut w).map_err(map_decode)?;
         diffms_decode64_scan(&mut w);
         words::u64_to_bytes(&w, out);
-        let tail = data.get(pos..pos + tail_len).ok_or(Error::UnexpectedEof)?;
-        out.extend_from_slice(tail);
-        Ok(())
+        finish_chunk(data, pos, tail_len, out)
     }
 }
 
@@ -460,9 +446,7 @@ impl ChunkCodec for GpuSpRatioCodec {
         bit_transpose32_warp(&mut w);
         diffms_decode32_scan(&mut w);
         words::u32_to_bytes(&w, out);
-        let tail = data.get(pos..pos + tail_len).ok_or(Error::UnexpectedEof)?;
-        out.extend_from_slice(tail);
-        Ok(())
+        finish_chunk(data, pos, tail_len, out)
     }
 }
 
@@ -489,7 +473,7 @@ impl ChunkCodec for GpuDpRatioChunkCodec {
         raze_encode_ballot(&diffed, kb, &mut razed);
         let (w2, t2) = words::bytes_to_u64(&razed);
         varint::write_usize(out, razed.len());
-        rare_encode_ballot(&w2, rare_choose(&w2), out);
+        rare_encode_ballot(&w2, rare::choose_split(&w2), out);
         out.extend_from_slice(t2);
         out.extend_from_slice(ctail);
     }
@@ -505,39 +489,28 @@ impl ChunkCodec for GpuDpRatioChunkCodec {
     }
 }
 
-pub(crate) fn map_decode(e: fpc_transforms::DecodeError) -> Error {
-    match e {
-        fpc_transforms::DecodeError::UnexpectedEof => Error::UnexpectedEof,
-        fpc_transforms::DecodeError::InvalidHeader(w) | fpc_transforms::DecodeError::Corrupt(w) => {
-            Error::Corrupt(w)
-        }
-    }
-}
-
 /// A (GPU codec, scalar codec, name) triple for byte-identity checks.
-pub type CodecPair = (Box<dyn ChunkCodec>, Box<dyn ChunkCodec>, &'static str);
+pub type CodecPair = (
+    Box<dyn ChunkCodec + Send + Sync>,
+    Box<dyn ChunkCodec + Send + Sync>,
+    &'static str,
+);
 
-/// Returns the scalar (CPU) codec corresponding to a GPU codec, for
+/// Each algorithm's GPU kernel codec next to its scalar (CPU) codec, for
 /// byte-identity checks.
 pub fn scalar_counterparts() -> Vec<CodecPair> {
-    vec![
-        (
-            Box::new(GpuSpSpeedCodec),
-            Box::new(SpSpeedCodec { fallback: true }),
-            "SPspeed",
-        ),
-        (Box::new(GpuSpRatioCodec), Box::new(SpRatioCodec), "SPratio"),
-        (
-            Box::new(GpuDpSpeedCodec),
-            Box::new(DpSpeedCodec { fallback: true }),
-            "DPspeed",
-        ),
-        (
-            Box::new(GpuDpRatioChunkCodec),
-            Box::new(DpRatioChunkCodec { fixed_split: None }),
-            "DPratio-chunk",
-        ),
-    ]
+    let fixed = |codec| match codec {
+        AlgorithmCodec::Fixed(codec) => codec,
+        AlgorithmCodec::Adaptive(_) => unreachable!("the paper's algorithms are fixed pipelines"),
+    };
+    Algorithm::ALL
+        .into_iter()
+        .map(|algo| {
+            let gpu = fixed(crate::compressor::codec(algo));
+            let cpu = fixed(algo.codec(&PipelineOptions::default()));
+            (gpu, cpu, algo.name())
+        })
+        .collect()
 }
 
 #[cfg(test)]

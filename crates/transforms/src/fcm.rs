@@ -20,10 +20,11 @@
 //! # CPU formulation: prev links instead of the sort
 //!
 //! [`hash_pairs`] + sort + [`resolve_matches`] is the paper's GPU model
-//! (gpu-sim runs it with its radix sort, and the tests use it as the
-//! oracle). The CPU encoders reach the same output without sorting. In the
-//! array sorted by (hash, index), the pairs preceding index `i` with `i`'s
-//! hash are exactly the earlier indices with an equal hash, nearest first.
+//! (gpu-sim runs it through [`encode_payload_sorted`] with its radix
+//! sort, and the tests use it as the oracle). The CPU encoders reach the
+//! same output without sorting. In the array sorted by (hash, index),
+//! the pairs preceding index `i` with `i`'s hash are exactly the earlier
+//! indices with an equal hash, nearest first.
 //! So one index-order pass over a hash table that remembers the last index
 //! seen per hash builds `prev[i]`, the last `j < i` with an equal 64-bit
 //! hash, and following at most `window` links from `i` visits the same
@@ -168,12 +169,47 @@ pub fn encode_with_window(data: &[u64], window: usize) -> Encoded {
 ///
 /// If `data` holds more than [`MAX_WORDS`] words.
 pub fn encode_payload(data: &[u8], window: usize, threads: usize) -> Vec<u8> {
+    payload_layout(data, |head, values, distances| {
+        encode_lanes(head, window, threads, values, distances);
+    })
+}
+
+/// [`encode_payload`] by the paper's sort-based encoder (§3.2):
+/// [`hash_pairs`], then `sort` over the (hash, index) pairs, then
+/// [`resolve_matches`]. The sort is the caller's (gpu-sim passes its radix
+/// sort); the bytes are [`encode_payload`]'s.
+///
+/// # Panics
+///
+/// If `data` holds more than [`MAX_WORDS`] words.
+pub fn encode_payload_sorted(
+    data: &[u8],
+    window: usize,
+    sort: impl FnOnce(&mut Vec<(u64, u32)>),
+) -> Vec<u8> {
+    payload_layout(data, |head, values, distances| {
+        let (words, _) = crate::words::bytes_to_u64(head);
+        let mut pairs = hash_pairs(&words);
+        sort(&mut pairs);
+        let enc = resolve_matches(&words, &pairs, window);
+        for (i, (&v, &d)) in enc.values.iter().zip(&enc.distances).enumerate() {
+            u8::store(values, i, v);
+            u8::store(distances, i, d);
+        }
+    })
+}
+
+/// DPratio's payload layout, the one place it is written: the value array
+/// and the distance array, both little-endian and filled by `fill` from
+/// the whole words of `data`, then the `data.len() % 8` tail bytes
+/// verbatim. [`split_payload`] is its inverse.
+fn payload_layout(data: &[u8], fill: impl FnOnce(&[u8], &mut [u8], &mut [u8])) -> Vec<u8> {
     check_len(data.len() / 8);
     let (head, tail) = data.split_at(data.len() / 8 * 8);
     let mut payload = vec![0u8; head.len() * 2 + tail.len()];
     let (values, rest) = payload.split_at_mut(head.len());
     let (distances, payload_tail) = rest.split_at_mut(head.len());
-    encode_lanes(head, window, threads, values, distances);
+    fill(head, values, distances);
     payload_tail.copy_from_slice(tail);
     payload
 }
@@ -454,14 +490,34 @@ pub fn decode_payload(payload: &[u8], original_len: usize, out: &mut Vec<u8>) ->
     Ok(())
 }
 
-/// Splits an [`encode_payload`] payload for `original_len` original bytes
-/// into its value bytes, distance bytes and raw tail, with checked
-/// arithmetic so a forged length cannot overflow.
+/// Inverts [`encode_payload`] with the word decoder supplied by the
+/// caller: `decode` gets the value and distance words and returns the
+/// original words (gpu-sim passes its parallel union-find decode).
 ///
 /// # Errors
 ///
-/// Fails if `payload` is not exactly the layout `original_len` implies.
-pub fn split_payload(payload: &[u8], original_len: usize) -> Result<(&[u8], &[u8], &[u8])> {
+/// Fails if `payload` is not exactly the layout `original_len` implies, or
+/// with `decode`'s error.
+pub fn decode_payload_with(
+    payload: &[u8],
+    original_len: usize,
+    decode: impl FnOnce(&[u64], &[u64]) -> Result<Vec<u64>>,
+) -> Result<Vec<u8>> {
+    let (values, distances, tail) = split_payload(payload, original_len)?;
+    let decoded = decode(
+        &crate::words::bytes_to_u64(values).0,
+        &crate::words::bytes_to_u64(distances).0,
+    )?;
+    let mut out = Vec::with_capacity(original_len);
+    crate::words::u64_to_bytes(&decoded, &mut out);
+    out.extend_from_slice(tail);
+    Ok(out)
+}
+
+/// Splits a [`payload_layout`] payload for `original_len` original bytes
+/// into its value bytes, distance bytes and raw tail, with checked
+/// arithmetic so a forged length cannot overflow.
+fn split_payload(payload: &[u8], original_len: usize) -> Result<(&[u8], &[u8], &[u8])> {
     let head = original_len / 8 * 8;
     let (values, rest) = payload
         .split_at_checked(head)

@@ -15,27 +15,27 @@
 //! Wire format per chunk: 1 byte `k/8`, raw bottom bytes, RZE-coded
 //! XOR-differenced top bytes.
 
-use crate::raze::{bitmap_overhead, bottom_bytes, choose_split, reassemble, top_bytes};
+use crate::raze::{self, bottom_bytes, reassemble, top_bytes};
 use crate::{rze, DecodeError, Result};
 use fpc_metrics::Stage;
 
-// Re-exported internals shared with RAZE live in `raze`; RARE only differs
-// in the differencing applied to the top bytes and the histogram statistic.
-#[allow(unused_imports)]
-use bitmap_overhead as _shared_overhead;
-
 /// Encodes a chunk of 64-bit words, appending to `out`.
 pub fn encode(values: &[u64], out: &mut Vec<u8>) {
-    // Histogram of leading *repeated* bytes relative to the prior value
-    // (prior of the first value is 0).
+    encode_with_split(values, out, choose_split(values));
+}
+
+/// The adaptive split RARE stores in its first byte: RAZE's cost model
+/// ([`raze::choose_split`]) over the histogram of how many leading bytes
+/// each value repeats from the one before it (the first value's
+/// predecessor is 0). gpu-sim calls it too, so both write the same stream.
+pub fn choose_split(values: &[u64]) -> usize {
     let mut hist = [0usize; 9];
     let mut prev = 0u64;
     for &v in values {
         hist[((v ^ prev).leading_zeros() / 8) as usize] += 1;
         prev = v;
     }
-    let kb = choose_split(&hist, values.len());
-    encode_with_split(values, out, kb);
+    raze::choose_split(&hist, values.len())
 }
 
 /// Encodes with a caller-chosen byte split instead of the adaptive one

@@ -294,8 +294,8 @@ fn streamed_decode(
 /// reproduce, and its output (`None` = error or damage reported).
 type PathResult = (String, (u64, u64), Option<Vec<u8>>);
 
-/// Runs `stream` through every in-process decode path: one-shot, tolerant,
-/// uncached range and cached range (cold, warm, and against `warm`, a
+/// Runs `stream` through every in-process decode path: one-shot, gpu-sim,
+/// tolerant, uncached range and cached range (cold, warm, and against `warm`, a
 /// cache filled from the undamaged stream) for each of `ranges`, and
 /// `StreamingDecompressor` fed whole, one byte at a time, and split at the
 /// `splits` offsets, uncached and cached. The paths that take a thread
@@ -323,6 +323,14 @@ fn every_decode_path(
                 format!("one-shot t{t}"),
                 whole,
                 decompress_bytes_with(stream, t).ok(),
+            ),
+            (
+                format!("gpu-sim t{t}"),
+                whole,
+                GpuCompressor::new(algo)
+                    .with_threads(t)
+                    .decompress_bytes(stream)
+                    .ok(),
             ),
             (
                 format!("tolerant t{t}"),
