@@ -6,15 +6,9 @@
 //!     run [--out DIR] [--rev REV] [--threads N]
 //! cargo run -p fpc-bench --release --bin perf -- \
 //!     compare <baseline.json> <fresh.json>
-//! cargo run -p fpc-bench --release --features metrics --bin perf -- \
-//!     range [--threads N]
 //! cargo run -p fpc-bench --release --bin perf -- \
 //!     auto [--threads N]
 //! ```
-//!
-//! `range` prints the seekable-decode microbench: full decompression of a
-//! 64-chunk container vs. a single-chunk `decompress_range_with`, with the
-//! `container.range.*` chunk counts when metrics are compiled in.
 //!
 //! `auto` is the `auto-dominance` gate: AUTO and every fixed algorithm are
 //! measured over the mixed-stream suites; exits 1 if AUTO's ratio falls
@@ -38,7 +32,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: perf run [--out DIR] [--rev REV] [--threads N]\n       \
          perf compare <baseline.json> <fresh.json>\n       \
-         perf range [--threads N]\n       \
          perf auto [--threads N]"
     );
     ExitCode::from(2)
@@ -134,32 +127,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_range(args: &[String]) -> ExitCode {
-    let threads: usize = match args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse())
-        .transpose()
-    {
-        Ok(t) => t.unwrap_or(2),
-        Err(_) => {
-            eprintln!("--threads expects a non-negative integer");
-            return ExitCode::from(2);
-        }
-    };
-    if !fpc_metrics::ENABLED {
-        eprintln!(
-            "[perf] note: built without --features metrics; \
-             chunks-touched counts will read n/a"
-        );
-    }
-    eprintln!("[perf] range microbench (64-chunk container, threads={threads})...");
-    let rows = fpc_bench::rangebench::run(threads);
-    print!("{}", fpc_bench::rangebench::render(&rows));
-    ExitCode::SUCCESS
-}
-
 fn cmd_auto(args: &[String]) -> ExitCode {
     let threads: usize = match args
         .iter()
@@ -217,7 +184,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("range") => cmd_range(&args[1..]),
         Some("auto") => cmd_auto(&args[1..]),
         _ => usage(),
     }

@@ -28,7 +28,6 @@ pub mod microbench;
 pub mod pareto;
 pub mod perf;
 pub mod plot;
-pub mod rangebench;
 pub mod report;
 pub mod synth;
 

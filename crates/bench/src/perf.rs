@@ -4,9 +4,8 @@
 //! A report captures, for each of the paper's four algorithms, the ratio
 //! and throughput over the small synthetic suites plus — when the binary is
 //! built with `--features metrics` — the per-stage breakdown and pool
-//! telemetry recorded while measuring. An executor microbench (persistent
-//! pool vs. spawn-per-call, the same workload as `benches/executor.rs`)
-//! rides along.
+//! telemetry recorded while measuring. An executor microbench (the
+//! persistent pool on many small chunks) rides along.
 //!
 //! Because CI runners differ wildly in absolute speed, every report also
 //! stores a `calibration_gbps` figure from a fixed scalar loop. The
@@ -73,14 +72,11 @@ pub struct AlgoPerf {
     pub metrics: Value,
 }
 
-/// Executor microbench result: the persistent pool against the
-/// spawn-per-call executor the repository originally shipped with.
+/// Executor microbench result.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutorPerf {
     /// Chunked-checksum throughput through `fpc_pool::run_indexed`.
     pub pool_gbps: f64,
-    /// Same workload through scoped spawn-per-call threads.
-    pub spawn_gbps: f64,
 }
 
 /// AUTO-vs-fixed measurement over the mixed-stream suites (the workload
@@ -326,7 +322,7 @@ pub fn auto_gate(report: &AutoReport) -> Vec<String> {
     failures
 }
 
-/// Simulated per-chunk codec work (identical to `benches/executor.rs`).
+/// Simulated per-chunk codec work.
 fn chunk_work(chunk: &[u8]) -> u64 {
     let mut acc = 0u64;
     for &b in chunk {
@@ -335,45 +331,8 @@ fn chunk_work(chunk: &[u8]) -> u64 {
     acc
 }
 
-/// The seed executor: spawns scoped OS threads on every call.
-fn spawn_per_call<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let threads = threads.max(1).min(count.max(1));
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let mut slots: Vec<Mutex<Option<T>>> = Vec::with_capacity(count);
-    slots.resize_with(count, || Mutex::new(None));
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index claimed")
-        })
-        .collect()
-}
-
-/// Times the pool and the spawn-per-call executor on the chunked-checksum
-/// workload from `benches/executor.rs` (256 chunks x 1 KiB per call).
+/// Times the pool on a chunked-checksum workload (256 chunks x 1 KiB per
+/// call).
 pub fn executor_bench(threads: usize) -> ExecutorPerf {
     const CHUNKS: usize = 256;
     const CHUNK_BYTES: usize = 1024;
@@ -382,32 +341,21 @@ pub fn executor_bench(threads: usize) -> ExecutorPerf {
     let data: Vec<u8> = (0..CHUNKS * CHUNK_BYTES)
         .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[0])
         .collect();
-    let run = |exec: &dyn Fn() -> u64| -> f64 {
-        std::hint::black_box(exec()); // warm-up
-        let start = Instant::now();
-        for _ in 0..CALLS {
-            std::hint::black_box(exec());
-        }
-        let secs = start.elapsed().as_secs_f64();
-        (CALLS * CHUNKS * CHUNK_BYTES) as f64 / 1e9 / secs.max(1e-12)
-    };
-    let pool_gbps = run(&|| {
+    let call = || {
         fpc_pool::run_indexed(CHUNKS, threads, |i| {
             chunk_work(&data[i * CHUNK_BYTES..(i + 1) * CHUNK_BYTES])
         })
         .iter()
         .fold(0u64, |a, &x| a ^ x)
-    });
-    let spawn_gbps = run(&|| {
-        spawn_per_call(CHUNKS, threads, |i| {
-            chunk_work(&data[i * CHUNK_BYTES..(i + 1) * CHUNK_BYTES])
-        })
-        .iter()
-        .fold(0u64, |a, &x| a ^ x)
-    });
+    };
+    std::hint::black_box(call()); // warm-up
+    let start = Instant::now();
+    for _ in 0..CALLS {
+        std::hint::black_box(call());
+    }
+    let secs = start.elapsed().as_secs_f64();
     ExecutorPerf {
-        pool_gbps: pool_gbps / div,
-        spawn_gbps: spawn_gbps / div,
+        pool_gbps: (CALLS * CHUNKS * CHUNK_BYTES) as f64 / 1e9 / secs.max(1e-12) / div,
     }
 }
 
@@ -512,10 +460,10 @@ impl BenchReport {
             ("auto".into(), self.auto.to_value()),
             (
                 "executor".into(),
-                Value::Obj(vec![
-                    ("pool_gbps".into(), Value::from(self.executor.pool_gbps)),
-                    ("spawn_gbps".into(), Value::from(self.executor.spawn_gbps)),
-                ]),
+                Value::Obj(vec![(
+                    "pool_gbps".into(),
+                    Value::from(self.executor.pool_gbps),
+                )]),
             ),
         ])
     }
@@ -742,10 +690,7 @@ mod tests {
                 })
                 .collect(),
             auto: auto_report(ratio, gbps, ratio, gbps),
-            executor: ExecutorPerf {
-                pool_gbps: gbps,
-                spawn_gbps: gbps / 2.0,
-            },
+            executor: ExecutorPerf { pool_gbps: gbps },
         };
         r.to_value()
     }
@@ -830,7 +775,7 @@ mod tests {
     #[test]
     fn executor_bench_produces_numbers() {
         let e = executor_bench(1);
-        assert!(e.pool_gbps > 0.0 && e.spawn_gbps > 0.0);
+        assert!(e.pool_gbps > 0.0);
     }
 
     #[test]

@@ -737,8 +737,6 @@ pub struct StreamChunk {
     pub raw: bool,
     /// Original (decoded) chunk length.
     pub expected_len: usize,
-    /// Stored checksum (0 for v1 streams).
-    pub checksum: u64,
     /// Compressed (or raw) chunk bytes.
     pub body: Vec<u8>,
 }
@@ -811,11 +809,6 @@ impl StreamingDecoder {
         self.buf.len()
     }
 
-    /// Total stream length implied by the chunk table, if known yet.
-    pub fn total_len(&self) -> Option<u64> {
-        self.meta.as_ref().map(|m| m.stream_len() as u64)
-    }
-
     /// Pops the next chunk if all of its bytes have arrived, verifying its
     /// stored checksum (v2) and the raw-length invariant. Consumed bytes
     /// are released from the internal buffer.
@@ -848,7 +841,6 @@ impl StreamingDecoder {
             codec_id: meta.codec_id(i),
             raw: meta.raw(i),
             expected_len: meta.expected_len(i),
-            checksum: meta.checksums.get(i).copied().unwrap_or(0),
             body,
         }))
     }

@@ -190,12 +190,6 @@ impl StreamingCompressor {
         self
     }
 
-    /// Whether this algorithm truly streams (`false` only for DPratio,
-    /// which buffers the whole input for its global FCM stage).
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.state, CompState::Chunked { .. })
-    }
-
     /// Bytes currently held by the engine: the partial input chunk plus
     /// compressed bodies awaiting assembly (or the whole buffered input
     /// for DPratio).
@@ -355,12 +349,6 @@ impl StreamingDecompressor {
     /// transformed payload.
     pub fn held_bytes(&self) -> u64 {
         self.dec.buffered_bytes() as u64 + self.ready_bytes + self.fcm_payload.len() as u64
-    }
-
-    /// Whether the stream's algorithm decodes incrementally (`false` for
-    /// DPratio, whose output is only available at finish).
-    pub fn is_streaming(&self) -> bool {
-        self.algorithm() != Some(Algorithm::DpRatio)
     }
 
     fn on_header(&mut self, header: &Header) -> Result<()> {

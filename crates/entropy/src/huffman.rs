@@ -33,11 +33,6 @@ impl CodeBook {
         Self { lengths, codes }
     }
 
-    /// Code length (bits) for `sym`; 0 means the symbol has no code.
-    pub fn len_of(&self, sym: usize) -> u8 {
-        self.lengths.get(sym).copied().unwrap_or(0)
-    }
-
     /// Per-symbol code lengths.
     pub fn lengths(&self) -> &[u8] {
         &self.lengths

@@ -52,11 +52,6 @@ impl<S> FaultStream<S> {
         &self.inner
     }
 
-    /// The wrapped stream, mutably.
-    pub fn get_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Unwraps back to the inner stream.
     pub fn into_inner(self) -> S {
         self.inner

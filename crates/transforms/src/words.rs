@@ -56,16 +56,6 @@ pub fn u32_to_f32(bits: &[u32]) -> Vec<f32> {
     bits.iter().map(|&b| f32::from_bits(b)).collect()
 }
 
-/// Reinterprets `f64` values as their IEEE-754 bit patterns.
-pub fn f64_to_u64(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-/// Reinterprets bit patterns as `f64` values.
-pub fn u64_to_f64(bits: &[u64]) -> Vec<f64> {
-    bits.iter().map(|&b| f64::from_bits(b)).collect()
-}
-
 /// Serializes `f32` values to little-endian bytes.
 pub fn f32_slice_to_bytes(values: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 4);

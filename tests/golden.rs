@@ -76,8 +76,10 @@ fn algorithm_geo_means_are_stable() {
 }
 
 /// The compressed streams themselves are deterministic: same input, same
-/// bytes, forever. Pin a checksum of one stream per algorithm so format
-/// changes are deliberate (they require a version bump in the container).
+/// bytes, forever. Pin the FNV-1a checksum of one stream per algorithm
+/// (plus AUTO on both inputs) so format changes are deliberate (they
+/// require a version bump in the container), and check the stream depends
+/// neither on the thread count nor on the run.
 #[test]
 fn stream_bytes_are_deterministic() {
     fn fnv(data: &[u8]) -> u64 {
@@ -94,9 +96,22 @@ fn stream_bytes_are_deterministic() {
     let dp: Vec<u8> = (0..10_000)
         .flat_map(|i| (1.0f64 + i as f64 * 1e-9).to_bits().to_le_bytes())
         .collect();
-    for algo in Algorithm::ALL {
-        let data = if algo.is_single_precision() { &sp } else { &dp };
+    let cases = [
+        (Algorithm::SpSpeed, &sp, 0xa791_465d_8fc5_92e5u64),
+        (Algorithm::SpRatio, &sp, 0xcd2b_950f_0c7f_bd5a),
+        (Algorithm::DpSpeed, &dp, 0xac4d_aaa7_1b2d_833e),
+        (Algorithm::DpRatio, &dp, 0xaa9d_fabc_e8bf_cd59),
+        (Algorithm::Auto, &sp, 0x43f9_7134_9194_0192),
+        (Algorithm::Auto, &dp, 0x8024_e431_c330_d686),
+    ];
+    for (algo, data, golden) in cases {
         let a = Compressor::new(algo).with_threads(1).compress_bytes(data);
+        assert_eq!(
+            fnv(&a),
+            golden,
+            "{algo}: stream checksum changed; a format change needs a container \
+             version bump and a new golden value"
+        );
         let b = Compressor::new(algo).with_threads(4).compress_bytes(data);
         assert_eq!(fnv(&a), fnv(&b), "{algo}: stream depends on thread count");
         // Compress twice: identical.

@@ -159,3 +159,68 @@ fn compressed_output_is_identical_to_uninstrumented_build() {
         );
     }
 }
+
+/// Range selectivity: on a 64-chunk stream a sub-chunk range decodes one
+/// chunk (two if it straddled a boundary), which the counters prove and the
+/// per-stage byte totals confirm against a full decode. DPratio's payload
+/// is not chunk-addressable, so its range path decodes the whole stream
+/// and slices, and never counts a touched chunk.
+#[test]
+fn single_chunk_range_touches_at_most_two_chunks_of_sixty_four() {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let chunk = container::DEFAULT_CHUNK_SIZE as u64;
+    let (offset, len) = (31 * chunk + 100, 1_000u64);
+    let counter = |name: &str| {
+        fpc_metrics::snapshot()
+            .counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    let stage_bytes = || -> u64 { fpc_metrics::snapshot().stages.iter().map(|s| s.bytes).sum() };
+    for algo in Algorithm::ALL {
+        // 1 MiB either way: 64 chunks at the default chunk size.
+        let data: Vec<u8> = if algo.is_single_precision() {
+            (0..262_144)
+                .flat_map(|i| ((i as f32 * 1e-3).sin() * 7.0).to_bits().to_le_bytes())
+                .collect()
+        } else {
+            (0..131_072)
+                .flat_map(|i| ((i as f64 * 1e-3).cos() * 3.0).to_bits().to_le_bytes())
+                .collect()
+        };
+        let stream = Compressor::new(algo).with_threads(1).compress_bytes(&data);
+
+        fpc_metrics::reset();
+        fpcompress::core::decompress_bytes_with(&stream, 1).unwrap();
+        let full_bytes = stage_bytes();
+
+        fpc_metrics::reset();
+        let got = fpcompress::core::decompress_range_with(&stream, offset, len, 1).unwrap();
+        assert_eq!(
+            got,
+            &data[offset as usize..(offset + len) as usize],
+            "{algo}"
+        );
+        let (touched, range_bytes) = (counter("container.range.chunks.touched"), stage_bytes());
+        if !fpc_metrics::ENABLED {
+            continue;
+        }
+        if algo == Algorithm::DpRatio {
+            assert_eq!(
+                touched, 0,
+                "{algo}: the full-decode fallback touched chunks"
+            );
+            continue;
+        }
+        assert_eq!(counter("container.range.chunks.total"), 64, "{algo}");
+        assert!(
+            (1..=2).contains(&touched),
+            "{algo}: a sub-chunk range decoded {touched} of 64 chunks"
+        );
+        assert!(
+            range_bytes * 16 <= full_bytes,
+            "{algo}: range decode staged {range_bytes} bytes, full decode {full_bytes}"
+        );
+    }
+}

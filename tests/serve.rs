@@ -739,7 +739,6 @@ fn loadgen_over_eight_connections_completes_clean() {
         payload_bytes: 128 << 10,
         algo: Algorithm::SpSpeed,
         timeout: Some(Duration::from_secs(30)),
-        ..fpc_bench::loadgen::LoadgenConfig::default()
     };
     let report = fpc_bench::loadgen::run(&config).expect("loadgen");
     assert_eq!(report.errors, 0, "loadgen saw failed requests");
