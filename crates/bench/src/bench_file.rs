@@ -1,4 +1,4 @@
-//! Where the `perf`, `loadgen` and `faultgen` bins write their reports:
+//! Where the `loadgen` and `faultgen` bins write their reports:
 //! `DIR/BENCH_<rev>.json` (schema `fpc-bench-v1`).
 
 use fpc_metrics::json::Value;

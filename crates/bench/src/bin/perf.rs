@@ -1,13 +1,8 @@
-//! Perf-smoke driver: measures a `BENCH_<rev>.json` report or gates a
-//! fresh report against a committed baseline.
+//! The CI performance gates.
 //!
 //! ```text
-//! cargo run -p fpc-bench --release --features metrics --bin perf -- \
-//!     run [--out DIR] [--rev REV] [--threads N]
-//! cargo run -p fpc-bench --release --bin perf -- \
-//!     compare <baseline.json> <fresh.json>
-//! cargo run -p fpc-bench --release --bin perf -- \
-//!     auto [--threads N]
+//! cargo run -p fpc-bench --release --bin perf -- auto
+//! cargo run -p fpc-bench --release --bin perf -- gate <parent-fpcbench> <change-fpcbench>
 //! ```
 //!
 //! `auto` is the `auto-dominance` gate: AUTO and every fixed algorithm are
@@ -15,134 +10,75 @@
 //! more than 1% below the best fixed algorithm or its throughput drops
 //! below the speed-tier floor (see `fpc_bench::perf::auto_gate`).
 //!
-//! `run` writes `DIR/BENCH_<rev>.json` (default `results/`) and prints the
-//! rendered report. The revision defaults to `$FPC_REV`, then
-//! `$GITHUB_SHA`, then `git rev-parse --short HEAD`, then `local`.
-//!
-//! `compare` exits 1 listing every regression (see `fpc_bench::perf` for
-//! the thresholds and the calibration normalization).
+//! `gate` is the `perf-smoke` gate. It takes two fpcbench binaries, one
+//! built at the parent commit and one at the change, and runs each
+//! workload in `fpc_bench::perf::GATE_WORKLOADS` as interleaved pairs with
+//! the same seed on both sides. It prints every run's result line, then
+//! the medians of each gated metric, and exits 1 on any failed or
+//! incorrect run, missing metric, or median drop beyond the thresholds
+//! (see `fpc_bench::perf::gate_verdict`).
 
-use fpc_bench::bench_file::BenchFile;
 use fpc_bench::perf;
-use fpc_metrics::json::Value;
-use fpc_metrics::report::render_value;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: perf run [--out DIR] [--rev REV] [--threads N]\n       \
-         perf compare <baseline.json> <fresh.json>\n       \
-         perf auto [--threads N]"
-    );
+    eprintln!("usage: perf auto\n       perf gate <parent-fpcbench> <change-fpcbench>");
     ExitCode::from(2)
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
-    let out = BenchFile::new(flag("--out").unwrap_or("results"), flag("--rev"));
-    // Default to 2 workers: the gate must exercise the pool's parallel
-    // path (and its telemetry) even on single-core CI runners, where
-    // `0 = all cores` would fall back to the serial path.
-    let threads: usize = match flag("--threads").map(str::parse).transpose() {
-        Ok(t) => t.unwrap_or(2),
-        Err(_) => {
-            eprintln!("--threads expects a non-negative integer");
-            return ExitCode::from(2);
-        }
-    };
-    if !fpc_metrics::ENABLED {
-        eprintln!(
-            "[perf] note: built without --features metrics; \
-             per-stage breakdowns will be empty"
-        );
-    }
-    eprintln!("[perf] measuring rev={} threads={threads}...", out.rev);
-    let report = perf::run(&out.rev, threads);
-    let value = report.to_value();
-    let path = match out.write(&value) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("[perf] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!("[perf] wrote {}", path.display());
-    match render_value(&value) {
-        Ok(text) => print!("{text}"),
-        Err(e) => eprintln!("[perf] render error: {e}"),
-    }
-    ExitCode::SUCCESS
-}
-
-fn load(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Value::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn cmd_compare(args: &[String]) -> ExitCode {
-    let [baseline_path, fresh_path] = args else {
-        return usage();
-    };
-    let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("[perf] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Informational: per-stage throughput movement (normalized by the
-    // calibration ratio). The gate below only acts on whole-algorithm
-    // numbers; this log is what shows e.g. a vectorized stage's speedup.
-    let deltas = perf::stage_deltas(&baseline, &fresh);
-    if !deltas.is_empty() {
-        println!("per-stage deltas (baseline -> fresh, normalized):");
-        for d in &deltas {
-            println!("  {d}");
-        }
-    }
-    match perf::compare(&baseline, &fresh) {
-        Ok(failures) if failures.is_empty() => {
-            println!(
-                "perf gate PASS ({baseline_path} vs {fresh_path}): \
-                 no regression beyond thresholds"
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(failures) => {
-            println!("perf gate FAIL ({baseline_path} vs {fresh_path}):");
-            for f in &failures {
-                println!("  - {f}");
+fn cmd_gate(parent_bin: &str, change_bin: &str) -> ExitCode {
+    let bins = [("parent", parent_bin), ("change", change_bin)];
+    let mut lines = Vec::new();
+    let mut failures = Vec::new();
+    for workload in perf::GATE_WORKLOADS {
+        let mut runs = [Vec::new(), Vec::new()];
+        for seed in 1..=perf::GATE_PAIRS {
+            // Alternate which side goes first, so drift over the gate
+            // does not favour one side.
+            let order = if seed % 2 == 1 { [0, 1] } else { [1, 0] };
+            for side in order {
+                let (name, bin) = bins[side];
+                eprintln!("[perf] {workload} seed {seed}: {name}");
+                match perf::fpcbench_result(bin, workload, seed) {
+                    Ok(result) => {
+                        println!("{workload} {name} seed={seed} {}", result.to_json());
+                        runs[side].push(result);
+                    }
+                    Err(e) => failures.push(e),
+                }
             }
-            ExitCode::FAILURE
         }
-        Err(e) => {
-            eprintln!("[perf] {e}");
-            ExitCode::FAILURE
+        let verdict = perf::gate_verdict(workload, &runs[0], &runs[1]);
+        lines.extend(verdict.lines);
+        failures.extend(verdict.failures);
+    }
+    println!("\nmedians over {} pairs:", perf::GATE_PAIRS);
+    for line in &lines {
+        println!("  {line}");
+    }
+    if failures.is_empty() {
+        println!(
+            "perf gate PASS: no median more than {:.0}% (throughput) or {:.0}% (ratio) \
+             below the parent",
+            perf::THROUGHPUT_DROP * 100.0,
+            perf::RATIO_TOLERANCE * 100.0
+        );
+        ExitCode::SUCCESS
+    } else {
+        println!("perf gate FAIL:");
+        for f in &failures {
+            println!("  - {f}");
         }
+        ExitCode::FAILURE
     }
 }
 
-fn cmd_auto(args: &[String]) -> ExitCode {
-    let threads: usize = match args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse())
-        .transpose()
-    {
-        Ok(t) => t.unwrap_or(2),
-        Err(_) => {
-            eprintln!("--threads expects a non-negative integer");
-            return ExitCode::from(2);
-        }
-    };
-    eprintln!("[perf] auto-dominance over the mixed-stream suites (threads={threads})...");
-    let report = perf::measure_auto(threads);
+fn cmd_auto() -> ExitCode {
+    eprintln!(
+        "[perf] auto-dominance over the mixed-stream suites (threads={})...",
+        perf::AUTO_THREADS
+    );
+    let report = perf::measure_auto();
     println!(
         "{:<10} {:>8} {:>15} {:>17}",
         "algorithm", "ratio", "compress GB/s", "decompress GB/s"
@@ -181,10 +117,9 @@ fn cmd_auto(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("auto") => cmd_auto(&args[1..]),
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["auto"] => cmd_auto(),
+        ["gate", parent, change] => cmd_gate(parent, change),
         _ => usage(),
     }
 }

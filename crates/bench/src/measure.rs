@@ -69,7 +69,7 @@ fn meta_for(dims: Dims, element_width: u8) -> Meta {
     }
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
+pub(crate) fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     xs[xs.len() / 2]
 }

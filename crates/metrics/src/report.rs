@@ -262,121 +262,15 @@ fn format_nanos(nanos: u64) -> String {
 pub fn render_value(v: &Value) -> Result<String, String> {
     match v.get("schema").and_then(Value::as_str) {
         Some(METRICS_SCHEMA) => Ok(MetricsReport::from_value(v)?.render_text()),
-        Some(BENCH_SCHEMA) => render_bench(v),
+        Some(BENCH_SCHEMA) => Ok(render_bench(v)),
         _ => Ok(v.to_json_pretty()),
     }
 }
 
-fn render_bench(v: &Value) -> Result<String, String> {
+fn render_bench(v: &Value) -> String {
     let mut out = String::new();
     let rev = v.get("rev").and_then(Value::as_str).unwrap_or("?");
-    let threads = v.get("threads").and_then(Value::as_u64).unwrap_or(0);
-    let calib = v.get("calibration_gbps").and_then(Value::as_f64);
-    let _ = write!(out, "bench report rev={rev} threads={threads}");
-    if let Some(c) = calib {
-        let _ = write!(out, " calibration={c:.3} GB/s");
-    }
-    out.push('\n');
-    if let Some(simd) = v.get("simd") {
-        let active = simd.get("active").and_then(Value::as_str).unwrap_or("?");
-        let _ = write!(out, "simd dispatch: active={active}");
-        if let Some(Value::Obj(kernels)) = simd.get("kernels") {
-            for (kernel, tier) in kernels {
-                if let Some(t) = tier.as_str() {
-                    let _ = write!(out, " {kernel}={t}");
-                }
-            }
-        }
-        out.push('\n');
-    }
-    if let Some(algos) = v.get("algorithms").and_then(Value::as_arr) {
-        let _ = writeln!(
-            out,
-            "\n{:<10} {:>8} {:>15} {:>17} {:>14}",
-            "algorithm", "ratio", "compress GB/s", "decompress GB/s", "bytes"
-        );
-        for a in algos {
-            let name = a.get("name").and_then(Value::as_str).unwrap_or("?");
-            let num = |k: &str| {
-                a.get(k)
-                    .and_then(Value::as_f64)
-                    .map(|x| format!("{x:.3}"))
-                    .unwrap_or_else(|| "-".into())
-            };
-            let bytes = a
-                .get("bytes")
-                .and_then(Value::as_u64)
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "-".into());
-            let _ = writeln!(
-                out,
-                "{:<10} {:>8} {:>15} {:>17} {:>14}",
-                name,
-                num("ratio"),
-                num("compress_gbps"),
-                num("decompress_gbps"),
-                bytes
-            );
-        }
-        // Per-algorithm stage breakdowns, where present.
-        for a in algos {
-            let Some(m) = a.get("metrics") else { continue };
-            let report = MetricsReport::from_value(m)?;
-            if report.stages.is_empty() && report.counters.is_empty() {
-                continue;
-            }
-            let name = a.get("name").and_then(Value::as_str).unwrap_or("?");
-            let _ = writeln!(out, "\n--- {name} stage breakdown ---");
-            out.push_str(&report.render_text());
-        }
-    }
-    if let Some(auto) = v.get("auto") {
-        let _ = writeln!(out, "\nauto (adaptive codec, mixed-stream suites):");
-        for k in ["ratio", "compress_gbps", "decompress_gbps"] {
-            if let Some(x) = auto.get(k).and_then(Value::as_f64) {
-                let _ = writeln!(out, "  {k:<18} {x:.3}");
-            }
-        }
-        if let Some(b) = auto.get("bytes").and_then(Value::as_u64) {
-            let _ = writeln!(out, "  {:<18} {b}", "bytes");
-        }
-        if let Some(Value::Obj(picks)) = auto.get("picks") {
-            let _ = writeln!(out, "  chunk picks:");
-            for (name, val) in picks {
-                if let Some(n) = val.as_u64() {
-                    let _ = writeln!(out, "    {name:<16} {n}");
-                }
-            }
-        }
-        if let Some(fixed) = auto.get("fixed").and_then(Value::as_arr) {
-            let _ = writeln!(out, "  fixed algorithms on the same suites:");
-            for f in fixed {
-                let name = f.get("name").and_then(Value::as_str).unwrap_or("?");
-                let num = |k: &str| {
-                    f.get(k)
-                        .and_then(Value::as_f64)
-                        .map(|x| format!("{x:.3}"))
-                        .unwrap_or_else(|| "-".into())
-                };
-                let _ = writeln!(
-                    out,
-                    "    {name:<12} ratio={} compress={} GB/s",
-                    num("ratio"),
-                    num("compress_gbps")
-                );
-            }
-        }
-    }
-    if let Some(exec) = v.get("executor") {
-        let _ = writeln!(out, "\nexecutor microbench:");
-        if let Value::Obj(members) = exec {
-            for (k, val) in members {
-                if let Some(x) = val.as_f64() {
-                    let _ = writeln!(out, "  {k:<20} {x:.3}");
-                }
-            }
-        }
-    }
+    let _ = writeln!(out, "bench report rev={rev}");
     if let Some(lg) = v.get("loadgen") {
         let _ = writeln!(out, "\nloadgen:");
         if let Value::Obj(members) = lg {
@@ -430,7 +324,7 @@ fn render_bench(v: &Value) -> Result<String, String> {
             }
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -497,17 +391,17 @@ mod tests {
         assert!(render_value(&metrics).unwrap().contains("RZE.encode"));
 
         let bench = Value::parse(
-            r#"{"schema":"fpc-bench-v1","rev":"abc","threads":4,
-                "calibration_gbps":1.5,
-                "algorithms":[{"name":"SPspeed","ratio":1.4,
-                  "compress_gbps":2.0,"decompress_gbps":3.0,"bytes":1000}],
-                "executor":{"pool_gbps":5.0,"spawn_gbps":1.0}}"#,
+            r#"{"schema":"fpc-bench-v1","rev":"abc","created_unix":0,
+                "loadgen":{"conns":8,"algo":"spratio","ops":64,
+                  "throughput_gbps":0.5125}}"#,
         )
         .unwrap();
         let text = render_value(&bench).unwrap();
         assert!(text.contains("rev=abc"));
-        assert!(text.contains("SPspeed"));
-        assert!(text.contains("pool_gbps"));
+        assert!(text.contains("loadgen:"));
+        assert!(text.contains("algo               spratio"), "{text}");
+        assert!(text.contains("ops                64"), "{text}");
+        assert!(text.contains("throughput_gbps    0.512"), "{text}");
 
         let other = Value::parse(r#"{"x":1}"#).unwrap();
         assert!(render_value(&other).unwrap().contains("\"x\""));

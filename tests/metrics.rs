@@ -1,6 +1,6 @@
 //! Metrics subsystem integration: thread-safety of the global counters,
 //! true no-op behavior with the feature off, and the JSON surface shared
-//! by `fpcc --metrics json`, `fpcc stats`, and the perf harness.
+//! by `fpcc --metrics json`, `fpcc stats`, and the faultgen report.
 //!
 //! Every test works in both feature states: with `metrics` off it asserts
 //! the snapshot stays structurally valid and empty; with `metrics` on it
