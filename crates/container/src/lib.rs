@@ -7,13 +7,17 @@
 //! specifically calls out that, unlike nvCOMP, its compressors concatenate.
 //!
 //! On compression, chunks are assigned to worker threads *dynamically*
-//! (an atomic work counter), mirroring the paper's OpenMP scheduling; the
-//! ordered concatenation the paper implements with a write-position chain
-//! is reproduced here by indexed reassembly. On decompression, a prefix sum
-//! over the chunk-size table yields every chunk's read position, after
-//! which all chunks decode independently in parallel, and the worker that
-//! decodes chunk `i` writes it straight into the one output buffer at
-//! `i × chunk_size`, as the paper's decompressor does. The output grows a
+//! (an atomic work counter), mirroring the paper's OpenMP scheduling, and
+//! written as the paper's compressor writes them: each worker encodes a
+//! group of chunks into its scratch arena, takes the group's write
+//! position from a decoupled look-back over the lengths of earlier groups
+//! (§3.1), and copies the bodies straight to that offset of the one
+//! output buffer; the chunk table goes in front last. On decompression, a
+//! prefix sum over the chunk-size table yields every chunk's read
+//! position, after which all chunks decode independently in parallel, and
+//! the worker that decodes chunk `i` writes it straight into the one
+//! output buffer at `i × chunk_size`, as the paper's decompressor does.
+//! Both directions walk the payload one window at a time. The output grows a
 //! window of at least [`WINDOW_BYTES`] at a time, so a stream that claims
 //! a huge payload allocates at most one window beyond the chunks that
 //! actually decoded.
@@ -54,7 +58,9 @@ pub use header::{
 };
 
 use checksum::frame_checksum;
-use fpc_pool::OutSlot;
+use fpc_pool::{OutSlot, Span};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Default chunk size in bytes (paper §3: fits two buffers in GPU shared
 /// memory / CPU L1).
@@ -63,8 +69,9 @@ pub const DEFAULT_CHUNK_SIZE: usize = 16 * 1024;
 /// Upper bound on accepted chunk sizes when decoding untrusted streams.
 pub const MAX_CHUNK_SIZE: usize = 16 * 1024 * 1024;
 
-/// Decoded output grows by this many bytes at a time, rounded up to whole
-/// chunks (one chunk when chunks are larger).
+/// Decoded output grows, and one-shot compress encodes, by this many
+/// payload bytes at a time, rounded up to whole chunks (one chunk when
+/// chunks are larger). Each window is one pool job.
 pub const WINDOW_BYTES: usize = 4 * 1024 * 1024;
 
 const RAW_FLAG: u32 = 0x8000_0000;
@@ -165,6 +172,18 @@ impl Codec<'_> {
                 Err(Error::Corrupt("stream carries no per-chunk codec table"))
             }
             _ => Ok(()),
+        }
+    }
+
+    /// Appends `chunk`'s encoding to `out` and returns the codec id to
+    /// record (0 for a fixed codec).
+    fn encode(&self, chunk: &[u8], out: &mut Vec<u8>) -> u8 {
+        match self {
+            Codec::Fixed(c) => {
+                c.encode_chunk(chunk, out);
+                0
+            }
+            Codec::Adaptive(c) => c.encode_chunk(chunk, out),
         }
     }
 
@@ -277,16 +296,102 @@ fn compress_impl(
     }
     check_writable(&header)?;
     let t = fpc_metrics::timer(fpc_metrics::Stage::ContainerCompress);
-    let chunks: Vec<&[u8]> = payload.chunks(header.chunk_size as usize).collect();
-    let encoded = fpc_pool::run_indexed(chunks.len(), threads, |i| encode_chunk(chunks[i], codec));
-
-    let mut asm = FrameAssembler::new();
-    for chunk in encoded {
-        asm.push(chunk)?;
+    let chunk_size = header.chunk_size as usize;
+    let count = payload.len().div_ceil(chunk_size);
+    let with_checksums = header.version >= VERSION;
+    let table: Vec<SharedEntry> = (0..count).map(|_| SharedEntry::default()).collect();
+    // No body is longer than its chunk (the raw fallback), so the
+    // metadata plus the payload bounds the stream: the bodies go straight
+    // into reserved capacity behind a placeholder for the metadata.
+    let meta_len = meta_len(&header, count);
+    let mut out = Vec::with_capacity(meta_len + payload.len());
+    out.resize(meta_len, 0);
+    let window = WINDOW_BYTES.div_ceil(chunk_size);
+    for first in (0..count).step_by(window) {
+        let chunks = window.min(count - first);
+        fpc_pool::fill_spans(&mut out, chunks, threads, |group, span| {
+            let group = first + group.start..first + group.end;
+            encode_group(
+                payload,
+                chunk_size,
+                group,
+                codec,
+                with_checksums,
+                &table,
+                span,
+            )
+        })?;
     }
-    let out = asm.finish(header)?;
+    let mut meta = Vec::with_capacity(meta_len);
+    write_meta(&mut meta, &header, count, |i| table[i].load());
+    out[..meta_len].copy_from_slice(&meta);
+    out.shrink_to_fit();
     t.finish(payload.len() as u64);
     Ok(out)
+}
+
+/// Encodes chunks `group` of `payload` back to back into the worker's
+/// scratch arena and records each in `table`, then places the group's
+/// bodies in the output and copies them there once, while they are still
+/// in cache. The arena goes back to one chunk's capacity afterwards, so a
+/// thread that helped with a job does not keep a group's worth of memory.
+fn encode_group(
+    payload: &[u8],
+    chunk_size: usize,
+    group: Range<usize>,
+    codec: Codec<'_>,
+    with_checksums: bool,
+    table: &[SharedEntry],
+    span: &mut Span<'_>,
+) -> Result<(), Error> {
+    let bytes = &payload[group.start * chunk_size..(group.end * chunk_size).min(payload.len())];
+    let chunks = || group.clone().zip(bytes.chunks(chunk_size));
+    fpc_pool::with_scratch(|arena| {
+        let mut encode = || {
+            arena.reserve(bytes.len() + chunk_size);
+            let mut total = 0;
+            for (i, chunk) in chunks() {
+                let start = arena.len();
+                let picked = codec.encode(chunk, arena);
+                // Worst-case cap: a chunk the codec does not shrink is
+                // stored raw, with codec id 0 (decode never dispatches on
+                // it, the raw flag short-circuits), and keeps nothing in
+                // the arena.
+                let raw = arena.len() - start >= chunk.len();
+                if raw {
+                    arena.truncate(start);
+                }
+                let body = if raw { chunk } else { &arena[start..] };
+                table[i].store(TableEntry {
+                    word: size_word(body.len(), raw)?,
+                    codec_id: if raw { 0 } else { picked },
+                    checksum: if with_checksums {
+                        frame_checksum(body)
+                    } else {
+                        0
+                    },
+                });
+                total += body.len();
+            }
+            let slot = span.place(total);
+            let mut at = 0;
+            for (i, chunk) in chunks() {
+                let entry = table[i].load();
+                let body = if entry.raw() {
+                    chunk
+                } else {
+                    at += entry.len();
+                    &arena[at - entry.len()..at]
+                };
+                put_body(i, body, with_checksums, |bytes| slot.push(bytes));
+            }
+            Ok(())
+        };
+        let result = encode();
+        arena.clear();
+        arena.shrink_to(chunk_size);
+        result
+    })
 }
 
 /// Rejects headers no frame can be written for: an unknown version or a
@@ -302,6 +407,150 @@ fn check_writable(header: &Header) -> Result<(), Error> {
         });
     }
     Ok(())
+}
+
+/// The chunk-table word for a body of `len` bytes: the length, with
+/// [`RAW_FLAG`] for a raw chunk.
+fn size_word(len: usize, raw: bool) -> Result<u32, Error> {
+    if len as u64 > u64::from(SIZE_MASK) {
+        return Err(Error::LengthOverflow {
+            what: "chunk size field",
+            requested: len as u64,
+            available: u64::from(SIZE_MASK),
+        });
+    }
+    Ok(len as u32 | if raw { RAW_FLAG } else { 0 })
+}
+
+/// What the frame metadata records about one chunk.
+#[derive(Clone, Copy)]
+struct TableEntry {
+    /// Body length, with [`RAW_FLAG`] for raw chunks.
+    word: u32,
+    codec_id: u8,
+    /// XXH64 of the body (written only by v2 frames).
+    checksum: u64,
+}
+
+impl TableEntry {
+    fn len(&self) -> usize {
+        (self.word & SIZE_MASK) as usize
+    }
+
+    fn raw(&self) -> bool {
+        self.word & RAW_FLAG != 0
+    }
+}
+
+/// A [`TableEntry`] filled in by whichever pool worker encodes its chunk.
+/// Relaxed is enough: the job's completion orders every store before the
+/// table is written.
+#[derive(Default)]
+struct SharedEntry {
+    word: AtomicU32,
+    codec_id: AtomicU8,
+    checksum: AtomicU64,
+}
+
+impl SharedEntry {
+    fn store(&self, entry: TableEntry) {
+        self.word.store(entry.word, Ordering::Relaxed);
+        self.codec_id.store(entry.codec_id, Ordering::Relaxed);
+        self.checksum.store(entry.checksum, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> TableEntry {
+        TableEntry {
+            word: self.word.load(Ordering::Relaxed),
+            codec_id: self.codec_id.load(Ordering::Relaxed),
+            checksum: self.checksum.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Length of the metadata [`write_meta`] writes for `count` chunks.
+fn meta_len(header: &Header, count: usize) -> usize {
+    let sums = if header.version >= VERSION { 8 } else { 0 };
+    let ids = usize::from(header.flags & FLAG_CHUNK_CODECS != 0);
+    header.encoded_len() + 4 + count * (4 + ids + sums) + sums
+}
+
+/// The one frame-metadata writer, behind [`compress`] and
+/// [`FrameAssembler::finish`]: appends everything before the chunk bodies
+/// in the layout `header` describes (the header, the chunk count and
+/// table, the codec ids under [`FLAG_CHUNK_CODECS`], and for v2 the chunk
+/// and table checksums), then counts the chunks into the container
+/// metrics.
+fn write_meta(
+    out: &mut Vec<u8>,
+    header: &Header,
+    count: usize,
+    entry: impl Fn(usize) -> TableEntry,
+) {
+    let with_checksums = header.version >= VERSION;
+    let adaptive = header.flags & FLAG_CHUNK_CODECS != 0;
+    header.write(out);
+    let table_start = out.len();
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    for i in 0..count {
+        out.extend_from_slice(&entry(i).word.to_le_bytes());
+    }
+    if adaptive {
+        // The per-chunk codec ids live between the size entries and the
+        // chunk checksums, so the v2 table checksum covers them.
+        out.extend((0..count).map(|i| entry(i).codec_id));
+    }
+    if with_checksums {
+        for i in 0..count {
+            out.extend_from_slice(&entry(i).checksum.to_le_bytes());
+        }
+        let table_sum = frame_checksum(&out[table_start..]);
+        out.extend_from_slice(&table_sum.to_le_bytes());
+    }
+    if !fpc_metrics::ENABLED {
+        return;
+    }
+    fpc_metrics::incr(fpc_metrics::Counter::ContainerChunks, count as u64);
+    let raw = (0..count).filter(|&i| entry(i).raw()).count();
+    fpc_metrics::incr(fpc_metrics::Counter::ContainerRawChunks, raw as u64);
+    if adaptive {
+        for i in 0..count {
+            let entry = entry(i);
+            let counter = if entry.raw() {
+                Some(fpc_metrics::Counter::AutoPickRaw)
+            } else {
+                match entry.codec_id {
+                    header::ALGO_SP_SPEED => Some(fpc_metrics::Counter::AutoPickSpSpeed),
+                    header::ALGO_SP_RATIO => Some(fpc_metrics::Counter::AutoPickSpRatio),
+                    header::ALGO_DP_SPEED => Some(fpc_metrics::Counter::AutoPickDpSpeed),
+                    header::ALGO_DP_RATIO => Some(fpc_metrics::Counter::AutoPickDpRatio),
+                    _ => None, // custom codec namespaces have no counter
+                }
+            };
+            if let Some(counter) = counter {
+                fpc_metrics::incr(counter, 1);
+            }
+        }
+    }
+}
+
+/// Writes chunk `index`'s `body` through `put`, in order.
+///
+/// Fault hook: deterministic bit-rot on the body *after* its checksum was
+/// taken, modeling storage or transport damage the v2 integrity layer must
+/// catch at decode. It is keyed by chunk index, so neither the thread
+/// schedule, nor the path that wrote the stream, nor a cache hit can
+/// change which chunks rot.
+fn put_body(index: usize, body: &[u8], with_checksums: bool, mut put: impl FnMut(&[u8])) {
+    match fpc_faults::chunk_damage(index as u64) {
+        Some((pos, mask)) if with_checksums && !body.is_empty() => {
+            let at = (pos % body.len() as u64) as usize;
+            put(&body[..at]);
+            put(&[body[at] ^ mask]);
+            put(&body[at + 1..]);
+        }
+        _ => put(body),
+    }
 }
 
 /// One chunk's encoded form: everything the chunk table records about it
@@ -334,18 +583,9 @@ pub fn encode_chunk(chunk: &[u8], codec: Codec<'_>) -> EncodedChunk {
     // exact-size result out: the codec sees a reused allocation, the
     // emitted bytes are identical to a fresh-`Vec` encode.
     fpc_pool::with_scratch(|enc| {
-        enc.clear();
-        let picked = match codec {
-            Codec::Fixed(c) => {
-                c.encode_chunk(chunk, enc);
-                0
-            }
-            Codec::Adaptive(c) => c.encode_chunk(chunk, enc),
-        };
+        let picked = codec.encode(chunk, enc);
         let (raw, codec_id, body) = if enc.len() >= chunk.len() {
-            // Worst-case cap: store the original bytes, flagged raw.
-            // Codec id 0 marks the pick as void; decode never
-            // dispatches on it because the raw flag short-circuits.
+            // The worst-case cap, as in `encode_group`.
             (true, 0u8, chunk.to_vec())
         } else {
             (false, picked, enc.to_vec())
@@ -361,16 +601,18 @@ pub fn encode_chunk(chunk: &[u8], codec: Codec<'_>) -> EncodedChunk {
 
 /// Assembles [`EncodedChunk`]s into a complete container stream,
 /// byte-identical to [`compress`]/[`compress_adaptive`] over the same
-/// payload — it *is* the assembly stage of both, and the entry point for
-/// callers that produce chunks incrementally (streaming servers, caches).
+/// payload: the streaming writer, for callers that produce chunks
+/// incrementally (streaming servers, caches). Both share one metadata
+/// writer.
 ///
 /// The header passed to [`FrameAssembler::finish`] alone picks the frame
 /// layout: its version selects v2 (checksummed) or v1 framing, and
 /// [`FLAG_CHUNK_CODECS`] adds the codec-id column.
 ///
-/// The fault-injection chunk-damage hook is applied here, keyed by chunk
-/// index, so where a chunk's bytes came from (fresh encode, cache hit)
-/// cannot change which chunks rot.
+/// The fault-injection chunk-damage hook is applied at write time, keyed
+/// by chunk index, on this path and the one-shot one alike, so where a
+/// chunk's bytes came from (fresh encode, cache hit) cannot change which
+/// chunks rot.
 #[derive(Default)]
 pub struct FrameAssembler {
     chunks: Vec<EncodedChunk>,
@@ -390,13 +632,7 @@ impl FrameAssembler {
     ///
     /// Fails when the body exceeds the chunk table's 31-bit size field.
     pub fn push(&mut self, chunk: EncodedChunk) -> Result<(), Error> {
-        if chunk.body.len() as u64 > SIZE_MASK as u64 {
-            return Err(Error::LengthOverflow {
-                what: "chunk size field",
-                requested: chunk.body.len() as u64,
-                available: SIZE_MASK as u64,
-            });
-        }
+        size_word(chunk.body.len(), chunk.raw)?;
         self.body_bytes += chunk.body.len() as u64;
         self.chunks.push(chunk);
         Ok(())
@@ -422,74 +658,25 @@ impl FrameAssembler {
     /// `payload_len`).
     pub fn finish(self, header: Header) -> Result<Vec<u8>, Error> {
         check_writable(&header)?;
-        let expected = (header.payload_len as usize).div_ceil(header.chunk_size as usize);
-        if self.chunks.len() != expected {
+        let count = self.chunks.len();
+        if count != (header.payload_len as usize).div_ceil(header.chunk_size as usize) {
             return Err(Error::Corrupt("chunk count does not match payload length"));
         }
+        let mut out = Vec::with_capacity(meta_len(&header, count) + self.body_bytes as usize);
+        write_meta(&mut out, &header, count, |i| {
+            let chunk = &self.chunks[i];
+            TableEntry {
+                // `push` checked the length against the size field.
+                word: chunk.body.len() as u32 | if chunk.raw { RAW_FLAG } else { 0 },
+                codec_id: chunk.codec_id,
+                checksum: chunk.checksum,
+            }
+        });
         let with_checksums = header.version >= VERSION;
-        let adaptive = header.flags & FLAG_CHUNK_CODECS != 0;
-        let encoded = self.chunks;
-
-        let mut out = Vec::with_capacity(self.body_bytes as usize + 16 * encoded.len() + 64);
-        header.write(&mut out);
-        let table_start = out.len();
-        out.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-        for chunk in &encoded {
-            let entry = chunk.body.len() as u32 | if chunk.raw { RAW_FLAG } else { 0 };
-            out.extend_from_slice(&entry.to_le_bytes());
-        }
-        if adaptive {
-            // The per-chunk codec ids live between the size entries and the
-            // chunk checksums, so the v2 table checksum covers them.
-            for chunk in &encoded {
-                out.push(chunk.codec_id);
-            }
-        }
-        if with_checksums {
-            for chunk in &encoded {
-                out.extend_from_slice(&chunk.checksum.to_le_bytes());
-            }
-            let table_sum = frame_checksum(&out[table_start..]);
-            out.extend_from_slice(&table_sum.to_le_bytes());
-        }
-        for (i, chunk) in encoded.iter().enumerate() {
-            // Fault hook: deterministic bit-rot on the encoded body *after*
-            // its checksum, modeling storage/transport damage the v2
-            // integrity layer must catch at decode. Index-keyed, so neither
-            // the thread schedule nor a cache hit can change which chunks
-            // rot.
-            match fpc_faults::chunk_damage(i as u64) {
-                Some((pos, mask)) if with_checksums && !chunk.body.is_empty() => {
-                    let at = (pos % chunk.body.len() as u64) as usize;
-                    let start = out.len();
-                    out.extend_from_slice(&chunk.body);
-                    out[start + at] ^= mask;
-                }
-                _ => out.extend_from_slice(&chunk.body),
-            }
-        }
-        fpc_metrics::incr(fpc_metrics::Counter::ContainerChunks, encoded.len() as u64);
-        fpc_metrics::incr(
-            fpc_metrics::Counter::ContainerRawChunks,
-            encoded.iter().filter(|c| c.raw).count() as u64,
-        );
-        if adaptive {
-            for chunk in &encoded {
-                let counter = if chunk.raw {
-                    Some(fpc_metrics::Counter::AutoPickRaw)
-                } else {
-                    match chunk.codec_id {
-                        header::ALGO_SP_SPEED => Some(fpc_metrics::Counter::AutoPickSpSpeed),
-                        header::ALGO_SP_RATIO => Some(fpc_metrics::Counter::AutoPickSpRatio),
-                        header::ALGO_DP_SPEED => Some(fpc_metrics::Counter::AutoPickDpSpeed),
-                        header::ALGO_DP_RATIO => Some(fpc_metrics::Counter::AutoPickDpRatio),
-                        _ => None, // custom codec namespaces have no counter
-                    }
-                };
-                if let Some(counter) = counter {
-                    fpc_metrics::incr(counter, 1);
-                }
-            }
+        for (i, chunk) in self.chunks.iter().enumerate() {
+            put_body(i, &chunk.body, with_checksums, |bytes| {
+                out.extend_from_slice(bytes)
+            });
         }
         Ok(out)
     }

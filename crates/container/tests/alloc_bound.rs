@@ -2,79 +2,23 @@
 //! window at a time, so a stream that claims a huge payload allocates at
 //! most one window beyond the chunks that actually decoded.
 //!
-//! A counting global allocator records the live-byte high-water mark. It
-//! is process-wide, so this binary holds exactly one test.
+//! A counting global allocator (`counting`) records the live-byte
+//! high-water mark. It is process-wide, so this binary holds exactly one
+//! test.
+
+mod counting;
 
 use fpc_container::checksum::frame_checksum;
 use fpc_container::{
     decompress, decompress_tolerant, ChunkCodec, Codec, EncodedChunk, Error, FrameAssembler,
     Header, ALGO_SP_SPEED, MAX_CHUNK_SIZE, WINDOW_BYTES,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let now = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(now, Ordering::Relaxed);
-}
-
-fn shrank(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        shrank(layout.size());
-    }
-
-    /// Counted as the size change: the bound is on live bytes.
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            if new_size >= layout.size() {
-                grew(new_size - layout.size());
-            } else {
-                shrank(layout.size() - new_size);
-            }
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Runs `f` and returns its result with the most bytes that were live at
 /// once during the call, above what was live when it started.
 fn high_water<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let result = f();
-    (result, PEAK.load(Ordering::Relaxed) - base)
+    let (result, usage) = counting::usage(f);
+    (result, usage.peak)
 }
 
 /// Chunks whose one-byte body decodes to `expected_len` copies of it.

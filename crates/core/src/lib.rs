@@ -44,6 +44,8 @@ pub use options::PipelineOptions;
 pub use pipeline::{DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec};
 pub use streaming::{StreamingCompressor, StreamingDecompressor};
 
+use std::borrow::Cow;
+
 use fpc_container::{
     ChunkCodec, Codec, Header, Region, ALGO_AUTO, ALGO_DP_RATIO, ALGO_DP_SPEED, ALGO_SP_RATIO,
     ALGO_SP_SPEED,
@@ -289,7 +291,14 @@ impl Compressor {
     /// Compresses with an explicit element width stamped into the header.
     /// Only AUTO is width-agnostic; the fixed algorithms always pass their
     /// own width.
-    fn compress_bytes_width(&self, data: &[u8], element_width: u8) -> Vec<u8> {
+    ///
+    /// Owned `data` is freed as soon as DPratio's FCM stage has built the
+    /// payload (the buffered streaming compressor hands over its input).
+    pub(crate) fn compress_bytes_width<'d>(
+        &self,
+        data: impl Into<Cow<'d, [u8]>>,
+        element_width: u8,
+    ) -> Vec<u8> {
         compress_stream(
             self.algorithm,
             element_width,
@@ -312,7 +321,7 @@ impl Compressor {
     /// AUTO accepts both precisions.
     pub fn compress_f32(&self, data: &[f32]) -> Vec<u8> {
         let width = self.algorithm.typed_width(4);
-        self.compress_bytes_width(&words::f32_slice_to_bytes(data), width)
+        self.compress_bytes_width(words::f32_slice_to_bytes(data), width)
     }
 
     /// Compresses double-precision values.
@@ -324,7 +333,7 @@ impl Compressor {
     /// AUTO accepts both precisions.
     pub fn compress_f64(&self, data: &[f64]) -> Vec<u8> {
         let width = self.algorithm.typed_width(8);
-        self.compress_bytes_width(&words::f64_slice_to_bytes(data), width)
+        self.compress_bytes_width(words::f64_slice_to_bytes(data), width)
     }
 
     /// Decompresses any FPcompress stream to raw bytes.
@@ -385,14 +394,17 @@ pub fn decompress_bytes_with(stream: &[u8], threads: usize) -> Result<Vec<u8>> {
 /// [`Compressor`] and gpu-sim differ only in the codec and the FCM encoder
 /// they pass, so their streams cannot drift apart.
 ///
+/// `data` may be borrowed or owned; owned input is freed as soon as the
+/// FCM stage has built DPratio's payload, before the chunks are encoded.
+///
 /// # Panics
 ///
 /// If `chunk_size` is zero or above [`fpc_container::MAX_CHUNK_SIZE`].
-pub fn compress_stream(
+pub fn compress_stream<'d>(
     algorithm: Algorithm,
     element_width: u8,
     chunk_size: usize,
-    data: &[u8],
+    data: impl Into<Cow<'d, [u8]>>,
     codec: &AlgorithmCodec,
     threads: usize,
     fcm_encode: impl FnOnce(&[u8]) -> Vec<u8>,
@@ -401,26 +413,28 @@ pub fn compress_stream(
         chunk_size > 0 && chunk_size <= fpc_container::MAX_CHUNK_SIZE,
         "chunk size out of range"
     );
-    let fcm_payload;
+    let data = data.into();
+    let original_len = data.len() as u64;
     let payload = if algorithm == Algorithm::DpRatio {
         // FCM doubles the payload; the chunked stages then compress the
         // value and distance arrays.
-        fcm_payload = fcm_encode(data);
-        &fcm_payload
+        let fcm_payload = fcm_encode(&data);
+        drop(data);
+        Cow::Owned(fcm_payload)
     } else {
         data
     };
     let mut header = Header::new(
         algorithm.id(),
         element_width,
-        data.len() as u64,
+        original_len,
         payload.len() as u64,
     );
     header.chunk_size = chunk_size as u32;
     match codec {
-        AlgorithmCodec::Fixed(c) => fpc_container::compress(header, payload, c.as_ref(), threads),
+        AlgorithmCodec::Fixed(c) => fpc_container::compress(header, &payload, c.as_ref(), threads),
         AlgorithmCodec::Adaptive(c) => {
-            fpc_container::compress_adaptive(header, payload, c, threads)
+            fpc_container::compress_adaptive(header, &payload, c, threads)
         }
     }
     .expect("header matches payload")

@@ -6,9 +6,10 @@
 //! socket, a pipe) and the engine processes whole 16 KiB chunks as soon as
 //! they complete, holding only O(chunk table + one chunk) instead of the
 //! whole payload. The produced/accepted streams are **byte-identical** to
-//! the whole-buffer entry points — both run the same per-chunk codecs
-//! through the container's [`fpc_container::FrameAssembler`] /
-//! [`fpc_container::StreamingDecoder`] machinery — and a [`ChunkCache`]
+//! the whole-buffer entry points — both run the same per-chunk codecs, and
+//! the container's [`fpc_container::FrameAssembler`] /
+//! [`fpc_container::StreamingDecoder`] share the one-shot paths' frame
+//! writer and parser — and a [`ChunkCache`]
 //! hit substitutes a previously computed result for the identical bytes,
 //! so caching cannot change output either.
 //!
@@ -271,9 +272,12 @@ impl StreamingCompressor {
     pub fn finish(self) -> Result<Vec<u8>> {
         match self.state {
             CompState::Buffered(buf) => {
-                let mut c = Compressor::new(self.algo).with_threads(self.threads);
-                c = c.with_options(self.options);
-                Ok(c.compress_bytes(&buf))
+                let c = Compressor::new(self.algo)
+                    .with_threads(self.threads)
+                    .with_options(self.options);
+                // Handing over the buffer frees it once the FCM stage has
+                // built the payload, before the stream is reserved.
+                Ok(c.compress_bytes_width(buf, self.algo.element_width()))
             }
             CompState::Chunked {
                 codec,

@@ -4,12 +4,12 @@
 //! and shared memory) for DIFFMS decoding, and "Merrill and Garland's
 //! variable look-back strategy" to pass compressed-chunk write positions
 //! between thread blocks (§3.1). Both are reproduced here: the block scan
-//! deterministically, the look-back scan with real threads and the actual
-//! published state machine (`Invalid` → `Aggregate` → `Prefix`).
+//! deterministically, the look-back scan with real threads on the published
+//! state machine (`Invalid` → `Aggregate` → `Prefix`) of
+//! [`fpc_pool::LookBack`].
 
 use crate::warp::{inclusive_scan_add, shfl_up};
 use crate::WARP_SIZE;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Block-level inclusive prefix sum (wrapping addition) over up to
 /// 32 × 32 = 1024 elements, composed from warp scans exactly as a CUDA
@@ -43,10 +43,6 @@ pub fn block_inclusive_scan(values: &mut [u64]) {
     }
 }
 
-const STATE_INVALID: u8 = 0;
-const STATE_AGGREGATE: u8 = 1;
-const STATE_PREFIX: u8 = 2;
-
 /// Exclusive prefix sum across "thread blocks" using the decoupled
 /// look-back protocol. `aggregates[i]` is block `i`'s local total; the
 /// result is each block's exclusive prefix (its write position).
@@ -55,63 +51,19 @@ const STATE_PREFIX: u8 = 2;
 /// block indices from an atomic counter (any order), publish their
 /// aggregate immediately, and then look back through predecessor
 /// descriptors until a published inclusive prefix is found — the actual
-/// single-pass protocol.
-///
-/// Liveness under the pool's batched claiming: a block waits only on
-/// *strictly lower* indices, claims are monotonic, and each worker
-/// processes its batch in ascending order, so every awaited index is
-/// either already published or owned by a live worker — the wait graph is
-/// acyclic. The wait loop spins briefly then yields, so the protocol also
-/// makes progress when workers outnumber cores.
+/// single-pass protocol, [`fpc_pool::LookBack`], which the container's
+/// one-shot compress also uses to place chunk bodies. Totals saturate.
 pub fn decoupled_lookback_exclusive(aggregates: &[u64], threads: usize) -> Vec<u64> {
     let n = aggregates.len();
     if n == 0 {
         return Vec::new();
     }
     let t = fpc_metrics::timer(fpc_metrics::Stage::GpuScan);
-    let states: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(STATE_INVALID)).collect();
-    let published_agg: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let published_prefix: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let exclusive: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-
-    fpc_pool::for_each_index(n, threads, |b| {
-        // Publish our aggregate so successors can make progress.
-        published_agg[b].store(aggregates[b], Ordering::Relaxed);
-        states[b].store(STATE_AGGREGATE, Ordering::Release);
-        // Look back over predecessors, accumulating aggregates
-        // until a full inclusive prefix is found.
-        let mut running = 0u64;
-        let mut look = b;
-        while look > 0 {
-            look -= 1;
-            let mut spins = 0u32;
-            loop {
-                match states[look].load(Ordering::Acquire) {
-                    STATE_PREFIX => {
-                        running =
-                            running.wrapping_add(published_prefix[look].load(Ordering::Relaxed));
-                        look = 0; // terminate outer loop
-                        break;
-                    }
-                    STATE_AGGREGATE => {
-                        running = running.wrapping_add(published_agg[look].load(Ordering::Relaxed));
-                        break;
-                    }
-                    _ if spins < 128 => {
-                        spins += 1;
-                        std::hint::spin_loop();
-                    }
-                    _ => std::thread::yield_now(),
-                }
-            }
-        }
-        exclusive[b].store(running, Ordering::Relaxed);
-        // Publish our inclusive prefix to shorten successors' walks.
-        published_prefix[b].store(running.wrapping_add(aggregates[b]), Ordering::Relaxed);
-        states[b].store(STATE_PREFIX, Ordering::Release);
+    let chain = fpc_pool::LookBack::new(n);
+    let out = fpc_pool::run_indexed(n, threads, |b| {
+        let aggregate = usize::try_from(aggregates[b]).unwrap_or(usize::MAX);
+        chain.publish(b, aggregate) as u64
     });
-
-    let out: Vec<u64> = exclusive.into_iter().map(AtomicU64::into_inner).collect();
     t.finish(n as u64 * 8);
     out
 }

@@ -35,6 +35,10 @@
 //! * **In-place output slots.** [`fill_slots`] lets each worker write its
 //!   part of one output buffer directly, at an offset fixed by its index,
 //!   instead of returning a `Vec` the caller then copies.
+//! * **In-place variable-length spans.** [`fill_spans`] does the same for
+//!   outputs whose lengths are known only after the work: each group's
+//!   offset comes from a decoupled look-back ([`LookBack`]) over earlier
+//!   groups' lengths (the paper's write-position chain, §3.1).
 //!
 //! # Closure contract
 //!
@@ -49,8 +53,9 @@
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Runs `f(0..count)` across up to `threads` workers (0 = all cores) and
@@ -253,32 +258,236 @@ where
             // the allocation.
             ptr: unsafe { spare.at(start) },
             len: end - start,
-            filled: false,
+            written: 0,
             _out: PhantomData,
         };
         let result = fill(j, &mut slot);
-        if !slot.filled {
-            // SAFETY: as for `OutSlot::fill`.
-            unsafe { std::ptr::write_bytes(slot.ptr, 0, slot.len) };
-        }
+        slot.zero_rest();
         result
     });
     // SAFETY: `run_indexed` returned (it re-throws any panic before this
     // point), so every slot's closure ran and every slot was written by
-    // `OutSlot::fill` or zeroed above; the slots tile `old_len..old_len +
-    // len` exactly, so every new byte is initialized.
+    // `OutSlot` or zeroed above; the slots tile `old_len..old_len + len`
+    // exactly, so every new byte is initialized.
     unsafe { out.set_len(old_len + len) };
     results
 }
 
-/// The spare capacity [`fill_slots`] hands out.
+/// Grows `out` by the variable-length outputs of `items` items, in item
+/// order, each written in place into spare capacity by the worker that
+/// produced it.
+///
+/// `0..items` is cut into contiguous groups, one per claim batch of
+/// [`run_indexed`]: `4 × effective_threads(threads, items)` of them, or
+/// one per item when there are fewer items. A worker therefore holds one
+/// group at a time and never waits on a group later in its own batch.
+/// `group(range, span)` runs once per group, on whichever worker claims
+/// it: it prepares the group's bytes (in its [`with_scratch`] arena, say),
+/// calls [`Span::place`] with their length and writes them into the
+/// returned [`OutSlot`] while they are still in cache. `place` publishes
+/// the length at once and then looks back over earlier groups until it
+/// knows their total, so no group waits for an earlier one to finish
+/// writing. Bytes a slot leaves unwritten read as zeros; a group that
+/// never places adds no bytes.
+///
+/// The spans go into the spare capacity `out` already has, so the caller
+/// reserves for the worst case and `out` never reallocates. It grows by
+/// the sum of the placed lengths.
+///
+/// Returns the error of the lowest-index group that failed. Scheduling
+/// is as for [`run_indexed`]; after a panic `out` keeps its old length.
+///
+/// # Panics
+///
+/// If the placed lengths add up to more than the spare capacity, and as
+/// for [`run_indexed`].
+pub fn fill_spans<E, F>(out: &mut Vec<u8>, items: usize, threads: usize, group: F) -> Result<(), E>
+where
+    E: Send,
+    F: Fn(Range<usize>, &mut Span<'_>) -> Result<(), E> + Sync,
+{
+    let groups = (4 * effective_threads(threads, items)).min(items);
+    if groups == 0 {
+        return Ok(());
+    }
+    let (per, extra) = (items / groups, items % groups);
+    let first = |g: usize| g * per + g.min(extra);
+    let (old_len, spare_len) = (out.len(), out.capacity() - out.len());
+    let spare = SpareBytes(out.as_mut_ptr().wrapping_add(old_len));
+    let chain = LookBack::new(groups);
+    let results = run_indexed(groups, threads, |g| {
+        let mut span = Span {
+            index: g,
+            chain: &chain,
+            spare: &spare,
+            spare_len,
+            slot: None,
+        };
+        let result = group(first(g)..first(g + 1), &mut span);
+        span.placed().zero_rest();
+        result
+    });
+    // Every group placed (`Span::placed`), so the last group's prefix is
+    // the total, and `place` checked it against the spare capacity.
+    let total = chain.items[groups - 1].prefix.load(Ordering::Relaxed);
+    // SAFETY: `run_indexed` returned, so every group's closure ran and
+    // its slot was written through `OutSlot` or zeroed above. The slots
+    // sit at the exclusive prefix sums of their lengths, so they tile
+    // `old_len..old_len + total` exactly and every new byte is
+    // initialized; `total` fits the spare capacity (checked by `place`).
+    unsafe { out.set_len(old_len + total) };
+    results.into_iter().collect()
+}
+
+const AGGREGATE: u8 = 1;
+const PREFIX: u8 = 2;
+
+/// One item's published state in a [`LookBack`]: 0 until it publishes,
+/// then `AGGREGATE` (its own length is known) and `PREFIX` (the total
+/// through it is known).
+#[derive(Default)]
+struct Published {
+    state: AtomicU8,
+    aggregate: AtomicUsize,
+    prefix: AtomicUsize,
+}
+
+/// Merrill and Garland's decoupled look-back, the single-pass exclusive
+/// prefix sum the paper uses to pass compressed-chunk write positions
+/// between thread blocks (§3.1). [`fill_spans`] places its groups with it,
+/// and gpu-sim's look-back scan runs on it.
+///
+/// Each of `count` items publishes its length once, from whichever pool
+/// worker runs it, and learns its offset: the total length of the items
+/// before it. An item publishes its own length first, so the items after
+/// it can sum past it before its offset is known.
+pub struct LookBack {
+    items: Vec<Published>,
+    /// Set when a group panics before it publishes, so later groups stop
+    /// waiting for it (the pool skips the indices after a panic).
+    abandoned: AtomicBool,
+}
+
+impl LookBack {
+    /// A chain of `count` items, none published.
+    pub fn new(count: usize) -> LookBack {
+        LookBack {
+            items: (0..count).map(|_| Published::default()).collect(),
+            abandoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Publishes item `index`'s length and returns its offset, the total
+    /// length of items `0..index` (saturating). Waits only on lower
+    /// indices, spinning briefly and then yielding. Call it from the pool
+    /// job that runs every item once: claims are monotonic and a worker
+    /// runs its batch in ascending order, so each awaited item is
+    /// published already or runs on a live worker.
+    ///
+    /// Each `Release` store of a `state` publishes the `aggregate` or
+    /// `prefix` stored before it; the `Acquire` load that reads the state
+    /// pairs with it, so the relaxed value loads after it see them.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of range, or an earlier [`fill_spans`] group
+    /// panicked before it published.
+    pub fn publish(&self, index: usize, len: usize) -> usize {
+        let me = &self.items[index];
+        me.aggregate.store(len, Ordering::Relaxed);
+        me.state.store(AGGREGATE, Ordering::Release);
+        let mut offset = 0usize;
+        'walk: for earlier in self.items[..index].iter().rev() {
+            let mut spins = 0u32;
+            loop {
+                match earlier.state.load(Ordering::Acquire) {
+                    PREFIX => {
+                        offset = offset.saturating_add(earlier.prefix.load(Ordering::Relaxed));
+                        break 'walk;
+                    }
+                    AGGREGATE => {
+                        offset = offset.saturating_add(earlier.aggregate.load(Ordering::Relaxed));
+                        break;
+                    }
+                    _ if self.abandoned.load(Ordering::Relaxed) => {
+                        panic!("an earlier span's group panicked")
+                    }
+                    _ if spins < 128 => {
+                        spins += 1;
+                        std::hint::spin_loop();
+                    }
+                    _ => std::thread::yield_now(),
+                }
+            }
+        }
+        me.prefix
+            .store(offset.saturating_add(len), Ordering::Relaxed);
+        me.state.store(PREFIX, Ordering::Release);
+        offset
+    }
+}
+
+/// One group's claim on a [`fill_spans`] output.
+pub struct Span<'a> {
+    index: usize,
+    chain: &'a LookBack,
+    spare: &'a SpareBytes,
+    spare_len: usize,
+    slot: Option<OutSlot<'a>>,
+}
+
+impl<'a> Span<'a> {
+    /// Publishes that this group's output is `len` bytes, waits until the
+    /// groups before it have published theirs, and returns the group's
+    /// window of the output: `len` bytes right after theirs.
+    ///
+    /// # Panics
+    ///
+    /// If called twice, or if the output would run past the spare
+    /// capacity.
+    pub fn place(&mut self, len: usize) -> &mut OutSlot<'a> {
+        assert!(self.slot.is_none(), "a group places its span once");
+        let offset = self.chain.publish(self.index, len);
+        assert!(
+            offset.saturating_add(len) <= self.spare_len,
+            "spans overrun the reserved capacity"
+        );
+        self.slot.insert(OutSlot {
+            // SAFETY: `offset + len <= spare_len`, checked above, so the
+            // offset stays inside the allocation.
+            ptr: unsafe { self.spare.at(offset) },
+            len,
+            written: 0,
+            _out: PhantomData,
+        })
+    }
+
+    /// The placed slot, placing an empty one if the group never placed.
+    fn placed(&mut self) -> &mut OutSlot<'a> {
+        if self.slot.is_none() {
+            self.place(0);
+        }
+        self.slot.as_mut().expect("placed above")
+    }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.chain.abandoned.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The spare capacity [`fill_slots`] and [`fill_spans`] hand out.
 struct SpareBytes(*mut u8);
 
-// SAFETY: workers only derive slot pointers from the one field, and the
-// slot edges in `fill_slots` give every index a disjoint byte range, each
-// claimed by exactly one worker (the claim protocol of `run_indexed`);
-// `out` stays mutably borrowed by `fill_slots`, so nothing else reads or
-// writes the spare bytes until the job retires.
+// SAFETY: workers only derive slot pointers from the one field. The slot
+// edges in `fill_slots`, and the look-back prefix sums in `fill_spans`,
+// give every index a disjoint byte range, each claimed by exactly one
+// worker (the claim protocol of `run_indexed`); `out` stays mutably
+// borrowed by the caller, so nothing else reads or writes the spare bytes
+// until the job retires.
 unsafe impl Sync for SpareBytes {}
 
 impl SpareBytes {
@@ -293,11 +502,12 @@ impl SpareBytes {
 }
 
 /// One worker's disjoint, not yet initialized window of a [`fill_slots`]
-/// output.
+/// or [`fill_spans`] output, written front to back.
 pub struct OutSlot<'a> {
     ptr: *mut u8,
     len: usize,
-    filled: bool,
+    /// Bytes written so far, from the front.
+    written: usize,
     _out: PhantomData<&'a mut [u8]>,
 }
 
@@ -319,12 +529,33 @@ impl OutSlot<'_> {
     /// If `bytes.len() != self.len()`.
     pub fn fill(&mut self, bytes: &[u8]) {
         assert_eq!(bytes.len(), self.len, "slot length");
+        self.written = 0;
+        self.push(bytes);
+    }
+
+    /// Writes `bytes` right after what the slot holds so far.
+    ///
+    /// # Panics
+    ///
+    /// If they do not fit in the rest of the slot.
+    pub fn push(&mut self, bytes: &[u8]) {
+        assert!(bytes.len() <= self.len - self.written, "slot overflow");
         // SAFETY: `ptr..ptr + len` lies in `out`'s spare capacity and
-        // belongs to this slot alone (see `SpareBytes`). `bytes` cannot
-        // overlap it: the caller holds no reference into spare capacity,
-        // and other slots are only reachable through their own `OutSlot`.
-        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr, self.len) };
-        self.filled = true;
+        // belongs to this slot alone (see `SpareBytes`), and the assert
+        // keeps the write inside it. `bytes` cannot overlap it: the caller
+        // holds no reference into spare capacity, and other slots are only
+        // reachable through their own `OutSlot`.
+        unsafe {
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr.add(self.written), bytes.len())
+        };
+        self.written += bytes.len();
+    }
+
+    /// Zero-fills the bytes no write reached.
+    fn zero_rest(&mut self) {
+        // SAFETY: as for `push`; `written <= len`.
+        unsafe { std::ptr::write_bytes(self.ptr.add(self.written), 0, self.len - self.written) };
+        self.written = self.len;
     }
 }
 
@@ -702,6 +933,126 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert_eq!(out, [7, 7]);
+    }
+
+    /// Runs `fill_spans` over `items` items where group `range` writes
+    /// `bytes(range)` (fully, or only its first half when `partial`), and
+    /// returns the output plus the ranges the groups saw, in order.
+    fn spans(
+        items: usize,
+        threads: usize,
+        partial: impl Fn(&Range<usize>) -> bool + Sync,
+    ) -> (Vec<u8>, Vec<Range<usize>>) {
+        let bytes = |r: &Range<usize>| vec![r.start as u8 + 1; r.len() * 3 % 7];
+        let seen = Mutex::new(Vec::new());
+        let mut out = vec![0xAA; 3];
+        out.reserve(items * 7);
+        let result: Result<(), ()> = fill_spans(&mut out, items, threads, |range, span| {
+            let body = bytes(&range);
+            let slot = span.place(body.len());
+            assert_eq!(slot.len(), body.len());
+            if partial(&range) {
+                slot.push(&body[..body.len() / 2]);
+            } else {
+                slot.fill(&body);
+            }
+            lock(&seen).push(range);
+            Ok(())
+        });
+        assert_eq!(result, Ok(()));
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|r| r.start);
+        let mut want = vec![0xAA; 3];
+        for range in &seen {
+            let body = bytes(range);
+            let kept = if partial(range) {
+                body.len() / 2
+            } else {
+                body.len()
+            };
+            want.extend_from_slice(&body[..kept]);
+            want.resize(want.len() + body.len() - kept, 0);
+        }
+        assert_eq!(out, want, "items {items} threads {threads}");
+        (out, seen)
+    }
+
+    /// Small enough to run under Miri, like the `fill_slots` tests.
+    #[test]
+    fn fill_spans_concatenates_groups_in_order() {
+        for threads in [1usize, 2, 3] {
+            for items in [0usize, 1, 5, 13] {
+                let (_, ranges) = spans(items, threads, |r| r.start % 3 == 1);
+                // One group per claim batch, tiling the items in order.
+                let groups = (4 * effective_threads(threads, items)).min(items);
+                assert_eq!(ranges.len(), groups);
+                let mut next = 0;
+                for range in ranges {
+                    assert_eq!(range.start, next);
+                    assert!(!range.is_empty());
+                    next = range.end;
+                }
+                assert_eq!(next, items);
+            }
+        }
+    }
+
+    #[test]
+    fn fill_spans_reports_the_lowest_error_and_skips_unplaced_groups() {
+        for threads in [1usize, 2, 3] {
+            let placed = AtomicUsize::new(0);
+            let mut out = Vec::with_capacity(64);
+            let result = fill_spans(&mut out, 12, threads, |range, span| {
+                if range.contains(&5) || range.contains(&9) {
+                    // Fails without placing: adds no bytes.
+                    return Err(range.start);
+                }
+                span.place(2).fill(&[range.start as u8; 2]);
+                placed.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            });
+            let Err(start) = result else {
+                panic!("threads {threads}: the failures must surface")
+            };
+            assert!(start <= 5, "threads {threads}: not the lowest error");
+            assert_eq!(out.len(), 2 * placed.load(Ordering::Relaxed));
+        }
+    }
+
+    #[test]
+    fn fill_spans_panic_keeps_old_length() {
+        let mut out = Vec::with_capacity(64);
+        out.push(5u8);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            fill_spans::<(), _>(&mut out, 8, 2, |range, span| {
+                // A group that panics before placing must not leave later
+                // groups waiting for its length.
+                assert_ne!(range.start, 1, "group 1 panics");
+                span.place(1).fill(&[1]);
+                Ok(())
+            })
+        }));
+        let payload = caught.expect_err("the panic propagates");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            message.contains("group 1 panics"),
+            "first panic wins: {message}"
+        );
+        assert_eq!(out, [5]);
+    }
+
+    #[test]
+    fn fill_spans_refuses_to_overrun_the_reserved_capacity() {
+        let mut out = Vec::with_capacity(4);
+        let spare = out.capacity();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            fill_spans::<(), _>(&mut out, 3, 2, |_, span| {
+                span.place(spare / 2 + 1).fill(&vec![9; spare / 2 + 1]);
+                Ok(())
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(out.is_empty());
     }
 
     #[test]

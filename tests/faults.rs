@@ -257,3 +257,62 @@ fn injection_is_deterministic_per_seed_across_reconnects() {
     assert_eq!(a, b, "same seed must replay the same fault decisions");
     assert_ne!(a, c, "different seeds should diverge (astronomically sure)");
 }
+
+#[test]
+fn chunk_damage_flips_the_same_bytes_on_the_one_shot_and_streaming_paths() {
+    if !fpc_faults::ENABLED {
+        return;
+    }
+    let _serial = fault_lock();
+    // 1.2 MB -> 74 chunks, several pool groups at two threads.
+    let data = sample(300_000);
+    for algo in [Algorithm::SpSpeed, Algorithm::Auto] {
+        let clean = Compressor::new(algo).with_threads(2).compress_bytes(&data);
+        let (one_shot, streamed) = {
+            let _guard =
+                fpc_faults::install(fpc_faults::Plan::parse("chunk-damage=0.3:22").expect("plan"));
+            let one_shot = Compressor::new(algo).with_threads(2).compress_bytes(&data);
+            let mut streaming = fpcompress::core::StreamingCompressor::new(algo, 2);
+            for piece in data.chunks(10_007) {
+                streaming.feed(piece).expect("feed");
+            }
+            (one_shot, streaming.finish().expect("finish"))
+        };
+        assert!(
+            one_shot == streamed,
+            "{algo}: the paths damaged different bytes"
+        );
+        // Each damaged chunk differs from the clean stream in exactly one
+        // byte: the flip, placed after the checksum was taken.
+        let (_, report) = fpcompress::container::verify(&one_shot).expect("verify");
+        let flipped = clean.iter().zip(&one_shot).filter(|(a, b)| a != b).count();
+        assert_eq!(clean.len(), one_shot.len());
+        assert_eq!(flipped, report.damaged.len(), "{algo}");
+        assert!(
+            !report.damaged.is_empty() && report.damaged.len() < report.chunks,
+            "{algo}: seed 22 at p=0.3 should damage some chunks and spare others"
+        );
+    }
+}
+
+#[test]
+fn oversubscribed_compress_under_pool_delay_completes_byte_identically() {
+    if !fpc_faults::ENABLED {
+        return;
+    }
+    let _serial = fault_lock();
+    // Three windows, so three look-back jobs whose groups are delayed at
+    // random while more threads than cores are asked for.
+    let data = sample((3 * fpcompress::container::WINDOW_BYTES / 4) as u32);
+    let want = Compressor::new(Algorithm::SpSpeed)
+        .with_threads(1)
+        .compress_bytes(&data);
+    let got = {
+        let _guard =
+            fpc_faults::install(fpc_faults::Plan::parse("pool-delay=0.5:9").expect("plan"));
+        Compressor::new(Algorithm::SpSpeed)
+            .with_threads(8)
+            .compress_bytes(&data)
+    };
+    assert!(got == want, "pool delays changed the stream");
+}

@@ -91,6 +91,64 @@ fn concurrent_compressions_account_every_byte() {
 }
 
 #[test]
+fn one_shot_auto_counts_exactly_what_the_chunk_table_records() {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    // Smooth single- and double-precision stretches plus noise, so AUTO
+    // picks several codecs and stores some chunks raw.
+    let mut data = sample(64 * 1024);
+    data.extend((0..32 * 1024).flat_map(|i| ((i as f64 * 1e-4).cos()).to_bits().to_le_bytes()));
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    data.extend((0..64 * 1024).map(|_| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 56) as u8
+    }));
+    fpc_metrics::reset();
+    let stream = Compressor::new(Algorithm::Auto)
+        .with_threads(2)
+        .compress_bytes(&data);
+    let counters = fpc_metrics::snapshot().counters;
+    if !fpc_metrics::ENABLED {
+        return;
+    }
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    let region = container::Region::parse(&stream).unwrap();
+    let raw: Vec<bool> = (0..region.chunks()).map(|i| region.chunk_raw(i)).collect();
+    let raw_count = raw.iter().filter(|&&r| r).count() as u64;
+    assert!(raw_count > 0, "the noise must be stored raw");
+    assert_eq!(counter("container.chunks"), region.chunks() as u64);
+    assert_eq!(counter("container.chunks.raw"), raw_count);
+    assert_eq!(counter("container.auto.pick.raw"), raw_count);
+    let mut picked = 0;
+    for (id, name) in [
+        (container::ALGO_SP_SPEED, "spspeed"),
+        (container::ALGO_SP_RATIO, "spratio"),
+        (container::ALGO_DP_SPEED, "dpspeed"),
+        (container::ALGO_DP_RATIO, "dpratio"),
+    ] {
+        let recorded = region
+            .chunk_codec_ids()
+            .iter()
+            .zip(&raw)
+            .filter(|&(&codec, &raw)| codec == id && !raw)
+            .count() as u64;
+        assert_eq!(
+            counter(&format!("container.auto.pick.{name}")),
+            recorded,
+            "{name}"
+        );
+        picked += recorded;
+    }
+    assert_eq!(picked + raw_count, region.chunks() as u64);
+}
+
+#[test]
 fn snapshot_roundtrips_through_stats_renderer() {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     fpc_metrics::reset();
