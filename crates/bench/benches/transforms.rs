@@ -105,6 +105,13 @@ fn main() {
             rze::encode(&bytes, &mut out);
             out
         });
+        let mut enc = Vec::new();
+        rze::encode(&bytes, &mut enc);
+        group.bench("rze_decode", || {
+            let (mut pos, mut out) = (0, Vec::with_capacity(bytes.len()));
+            rze::decode(&enc, &mut pos, bytes.len(), &mut out).expect("valid chunk");
+            out
+        });
     }
     {
         let mut diffed = chunk_u64();
@@ -114,12 +121,26 @@ fn main() {
             raze::encode(&diffed, &mut out);
             out
         });
+        let mut enc = Vec::new();
+        raze::encode(&diffed, &mut enc);
+        group.bench("raze_decode", || {
+            let (mut pos, mut out) = (0, Vec::with_capacity(CHUNK_U64));
+            raze::decode(&enc, &mut pos, CHUNK_U64, &mut out).expect("valid chunk");
+            out
+        });
     }
     {
         let w = chunk_u64();
         group.bench("rare_encode", || {
             let mut out = Vec::with_capacity(16384);
             rare::encode(&w, &mut out);
+            out
+        });
+        let mut enc = Vec::new();
+        rare::encode(&w, &mut enc);
+        group.bench("rare_decode", || {
+            let (mut pos, mut out) = (0, Vec::with_capacity(CHUNK_U64));
+            rare::decode(&enc, &mut pos, CHUNK_U64, &mut out).expect("valid chunk");
             out
         });
     }

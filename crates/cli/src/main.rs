@@ -7,7 +7,7 @@
 //! fpcc info       <file>
 //! fpcc verify     <file>                  # checksum audit, no decompression
 //! fpcc survey     --width 4|8 [--threads N] <file>  # run every applicable codec
-//! fpcc gen        --precision sp|dp --out DIR   # synthetic datasets + manifest
+//! fpcc gen        [--precision sp|dp] [--scale small|full] [--out DIR]  # datasets + manifest
 //! fpcc anatomy    --algo spratio <file>    # per-stage volume breakdown
 //! fpcc stats      <report.json>            # pretty-print a metrics/bench JSON
 //! fpcc serve      [--addr A] [--threads N] [--max-conns M]  # fpc-wire-v1 server
@@ -127,7 +127,7 @@ fn main() -> ExitCode {
                  info       <file>\n\
                  verify     <file>   # per-chunk checksum audit, exit 4 on damage\n\
                  survey     --width <4|8> [--threads N] <file>\n\
-                 gen        --precision <sp|dp> --out <dir>\n\
+                 gen        [--precision <sp|dp>] [--scale <small|full>] [--out <dir>]\n\
                  anatomy    --algo <name> <file>   # per-stage volume breakdown\n\
                  stats      <report.json>   # pretty-print a metrics/bench JSON report\n\
                  serve      [--addr HOST:PORT] [--threads N] [--max-conns M] [--max-frame BYTES]\n\
@@ -535,7 +535,23 @@ fn cmd_anatomy(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// `fpcc gen`'s usage, printed with any argument error.
+const GEN_USAGE: &str = "usage: fpcc gen [--precision sp|dp] [--scale small|full] [--out DIR]";
+
 fn cmd_gen(args: &[String]) -> CliResult {
+    let bad = |what: String| CliError::usage(format!("{what}\n{GEN_USAGE}"));
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--precision" | "--scale" | "--out" | "--metrics" => {
+                if rest.next().is_none() {
+                    return Err(bad(format!("{arg} needs a value")));
+                }
+            }
+            flag if flag.starts_with('-') => return Err(bad(format!("unknown flag '{flag}'"))),
+            other => return Err(bad(format!("unexpected argument '{other}'"))),
+        }
+    }
     let precision = flag_value(args, "--precision").unwrap_or("sp");
     let out_dir = PathBuf::from(flag_value(args, "--out").unwrap_or("datasets"));
     let scale = match flag_value(args, "--scale").unwrap_or("small") {

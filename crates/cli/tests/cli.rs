@@ -424,3 +424,25 @@ fn gen_writes_datasets() {
     assert!(entries.len() >= 10, "only {} dataset files", entries.len());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn gen_rejects_unknown_flags_and_stray_arguments_without_writing() {
+    for (tag, args) in [
+        ("genhelp", &["gen", "--help"][..]),
+        ("genstray", &["gen", "--precision", "sp", "extra"][..]),
+        ("gennoval", &["gen", "--out"][..]),
+    ] {
+        let dir = temp_dir(tag);
+        let output = fpcc()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run gen");
+        assert_eq!(output.status.code(), Some(2), "{args:?} is a usage error");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("usage: fpcc gen"), "{args:?}: {stderr}");
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("read dir").collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -6,8 +6,11 @@
 //! — the add cannot carry across bytes, so unlike the classic "haszero"
 //! trick it has no false positives — and gathers the eight high bits into a
 //! bitmap byte with a carry-free multiply. The AVX2 tier uses
-//! `cmpeq`/`movemask` for the same effect at 32 bytes per step. The
-//! bitmap expanders have a SWAR form (a bitmap byte at a time) only.
+//! `cmpeq`/`movemask` for the same effect at 32 bytes per step, and
+//! compacts the kept bytes of each 8-byte block through a 256-entry
+//! `pshufb` table. The bitmap expanders have a SWAR form (a bitmap byte at
+//! a time, fast paths for all-clear and all-set bytes) and an x86 form
+//! that expands every bitmap byte through a shuffle table.
 
 use crate::Tier;
 
@@ -32,10 +35,9 @@ pub fn chosen_bitmap() -> Tier {
     crate::choose(&[Tier::Avx2, Tier::Swar])
 }
 
-/// Tier used by the bitmap-expansion kernels (a bitmap byte at a time; the
-/// bit-sparse control flow does not vectorize further).
+/// Tier used by the bitmap-expansion kernels.
 pub fn chosen_expand() -> Tier {
-    crate::choose(&[Tier::Swar])
+    crate::choose(&[Tier::Avx2, Tier::Swar])
 }
 
 /// Tier used by the RLE run-length scan.
@@ -180,9 +182,22 @@ pub fn expand_repeat_tail(
 pub fn expand_repeat(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>) -> Option<usize> {
     let tier = chosen_expand();
     crate::record(tier);
-    if tier == Tier::Scalar {
-        return expand_repeat_tail(bitmap, 0, count, 0, src, 0, out);
+    match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx2 => crate::x86::expand_avx2(bitmap, count, Some(0), src, out),
+        Tier::Swar => expand_repeat_swar(bitmap, count, src, out),
+        _ => expand_repeat_tail(bitmap, 0, count, 0, src, 0, out),
     }
+}
+
+/// SWAR repeat-bitmap expansion: a bitmap byte at a time, with fast paths
+/// for all-clear and all-set bytes.
+pub fn expand_repeat_swar(
+    bitmap: &[u8],
+    count: usize,
+    src: &[u8],
+    out: &mut Vec<u8>,
+) -> Option<usize> {
     let mut pos = 0usize;
     let mut prev = 0u8;
     let full = count / 8;
@@ -237,9 +252,22 @@ pub fn expand_nonzero_tail(
 pub fn expand_nonzero(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>) -> Option<usize> {
     let tier = chosen_expand();
     crate::record(tier);
-    if tier == Tier::Scalar {
-        return expand_nonzero_tail(bitmap, 0, count, src, 0, out);
+    match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx2 => crate::x86::expand_avx2(bitmap, count, None, src, out),
+        Tier::Swar => expand_nonzero_swar(bitmap, count, src, out),
+        _ => expand_nonzero_tail(bitmap, 0, count, src, 0, out),
     }
+}
+
+/// SWAR nonzero expansion: a bitmap byte at a time, with fast paths for
+/// all-clear and all-set bytes.
+pub fn expand_nonzero_swar(
+    bitmap: &[u8],
+    count: usize,
+    src: &[u8],
+    out: &mut Vec<u8>,
+) -> Option<usize> {
     let mut pos = 0usize;
     let full = count / 8;
     for &m in bitmap.iter().take(full) {
@@ -464,6 +492,115 @@ mod tests {
                 assert_eq!(x86::run_len_avx2(&data, i), want, "avx2 run at {i}");
                 i += want;
             }
+        }
+    }
+
+    /// `len` bytes whose 8-byte blocks have, in turn, every bitmap byte
+    /// (in the order `k * 167 mod 256`): nonzero bitmaps, or with `repeat`
+    /// repeat bitmaps (byte 0 compared against 0x00).
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    fn bytes_with_every_mask(len: usize, repeat: bool) -> Vec<u8> {
+        let mut prev = 0u8;
+        (0..len)
+            .map(|i| {
+                let mask = ((i / 8) * 167 % 256) as u8;
+                let set = mask & (1 << (i % 8)) != 0;
+                let b = match (set, repeat) {
+                    (true, true) => prev.wrapping_add(1 + (i % 255) as u8),
+                    (false, true) => prev,
+                    (true, false) => (i % 255 + 1) as u8,
+                    (false, false) => 0,
+                };
+                prev = b;
+                b
+            })
+            .collect()
+    }
+
+    /// Compaction and expansion kernels, called by name, against the scalar
+    /// references: every bitmap byte in both modes, lengths 0..=80 and
+    /// 16384 ± 1, carried predecessors 0x00/0x01/0xFF, bitmap bits set past
+    /// `count`, and truncations of `src`. Each case compares `Some`/`None`,
+    /// the consumed count and the whole output vector, whose prefix the
+    /// kernel must leave untouched.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn avx2_block_kernels_match_scalar_exhaustively() {
+        use crate::x86;
+        if !Tier::Avx2.available() {
+            return;
+        }
+        let prefix = [0xA5u8; 5];
+        let lens = (0..=80).chain([16383, 16384, 16385]);
+        for (len, repeat) in lens.flat_map(|n| [(n, false), (n, true)]) {
+            let data = bytes_with_every_mask(len, repeat);
+            let (bm, kept) = if repeat {
+                scalar_repeat(&data)
+            } else {
+                scalar_zero(&data)
+            };
+            let mut bm2 = vec![0u8; bm.len()];
+            let mut kept2 = prefix.to_vec();
+            if repeat {
+                x86::repeat_bitmap_avx2(&data, &mut bm2, &mut kept2);
+            } else {
+                x86::zero_bitmap_avx2(&data, &mut bm2, &mut kept2);
+            }
+            assert_eq!(bm2, bm, "compact bitmap len {len} repeat {repeat}");
+            assert_eq!(kept2[..5], prefix, "compact prefix len {len}");
+            assert_eq!(kept2[5..], kept, "compact kept len {len} repeat {repeat}");
+
+            // The scan's bitmap, then the same with every bit past `len` set.
+            let mut noisy = bm.clone();
+            if len % 8 != 0 {
+                *noisy.last_mut().unwrap() |= 0xFF << (len % 8);
+            }
+            noisy.extend([0xFF; 3]);
+            let cuts: Vec<usize> = if len <= 80 {
+                (0..=kept.len()).collect()
+            } else {
+                let n = kept.len();
+                (0..=16)
+                    .chain((0..n).step_by(251))
+                    .chain(n - 16..=n)
+                    .collect()
+            };
+            let preds: &[Option<u8>] = if repeat {
+                &[Some(0x00), Some(0x01), Some(0xFF)]
+            } else {
+                &[None]
+            };
+            for (bitmap, &pred, &cut) in [&bm, &noisy]
+                .into_iter()
+                .flat_map(|b| preds.iter().map(move |p| (b, p)))
+                .flat_map(|(b, p)| cuts.iter().map(move |c| (b, p, c)))
+            {
+                let src = &kept[..cut];
+                let mut want = prefix.to_vec();
+                let want_used = match pred {
+                    Some(p) => expand_repeat_tail(bitmap, 0, len, p, src, 0, &mut want),
+                    None => expand_nonzero_tail(bitmap, 0, len, src, 0, &mut want),
+                };
+                let mut got = prefix.to_vec();
+                let used = x86::expand_avx2(bitmap, len, pred, src, &mut got);
+                let case = format!("len {len} pred {pred:?} cut {cut}/{}", kept.len());
+                assert_eq!(used, want_used, "expand result, {case}");
+                assert_eq!(got, want, "expand output, {case}");
+            }
+        }
+        // Every bitmap byte against a source with exactly its set bits.
+        let bitmap: Vec<u8> = (0..=255).collect();
+        let src: Vec<u8> = (0..1024u32).map(|i| (i % 251 + 1) as u8).collect();
+        for pred in [None, Some(0x00), Some(0x01), Some(0xFF)] {
+            let mut want = Vec::new();
+            let want_used = match pred {
+                Some(p) => expand_repeat_tail(&bitmap, 0, 2048, p, &src, 0, &mut want),
+                None => expand_nonzero_tail(&bitmap, 0, 2048, &src, 0, &mut want),
+            };
+            let mut got = Vec::new();
+            let used = x86::expand_avx2(&bitmap, 2048, pred, &src, &mut got);
+            assert_eq!((used, &got), (want_used, &want), "all masks, {pred:?}");
+            assert_eq!(used, Some(1024));
         }
     }
 }

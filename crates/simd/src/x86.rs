@@ -11,7 +11,10 @@
 //!
 //! All kernels use unaligned loads/stores (`loadu`/`storeu`) and finish
 //! trailing elements with the same scalar ops as the reference loops, so
-//! output is byte-identical to scalar for every slice length.
+//! output is byte-identical to scalar for every slice length. The RZE
+//! bitmap kernels move bytes in 8-byte blocks through 256-entry `pshufb`
+//! tables (SSSE3, which `avx2` implies): compaction stores whole blocks
+//! and advances by the popcount, expansion loads whole blocks.
 
 #![allow(clippy::missing_safety_doc)] // internal impls; safety = target_feature
 
@@ -249,42 +252,131 @@ unsafe fn swap_step<const J: i32, const BLEND: i32>(
 
 // -------------------------------------------------------------- bytescan --
 
+/// 256 `pshufb` controls indexed by one bitmap byte, one 8-byte lane list
+/// per entry. Cache-line aligned so no entry straddles two lines.
+#[repr(align(64))]
+struct ShuffleTable([[u8; 8]; 256]);
+
+/// Compaction: entry `m` lists the positions of `m`'s set bits in ascending
+/// order. Lanes past the popcount are overwritten or cut off afterwards.
+static COMPACT: ShuffleTable = {
+    let mut t = [[0u8; 8]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut k, mut n) = (0, 0);
+        while k < 8 {
+            if m & (1 << k) != 0 {
+                t[m][n] = k as u8;
+                n += 1;
+            }
+            k += 1;
+        }
+        m += 1;
+    }
+    ShuffleTable(t)
+};
+
+/// Nonzero expansion: a set bit takes the next source byte, a clear bit is
+/// zero (`0x80` zeroes the lane).
+static EXPAND_NONZERO: ShuffleTable = expand_table(false);
+
+/// Repeat expansion: every byte repeats the last source byte taken at or
+/// before it; before the block's first set bit that is the carried
+/// predecessor, which the kernel keeps in lane 8.
+static EXPAND_REPEAT: ShuffleTable = expand_table(true);
+
+const fn expand_table(repeat: bool) -> ShuffleTable {
+    let mut t = [[0u8; 8]; 256];
+    let mut m = 0;
+    while m < 256 {
+        // `taken`: source bytes consumed by lanes 0..=k.
+        let (mut k, mut taken) = (0, 0u8);
+        while k < 8 {
+            if m & (1 << k) != 0 {
+                taken += 1;
+                t[m][k] = taken - 1;
+            } else if !repeat {
+                t[m][k] = 0x80;
+            } else if taken == 0 {
+                t[m][k] = 8;
+            } else {
+                t[m][k] = taken - 1;
+            }
+            k += 1;
+        }
+        m += 1;
+    }
+    ShuffleTable(t)
+}
+
+/// Set bits per bitmap byte. `POPCNT` is not implied by `avx2`, so under
+/// that feature alone `count_ones` compiles to a bit-twiddling sequence.
+static POPCOUNT: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut m = 0;
+    while m < 256 {
+        t[m] = (m as u8).count_ones() as u8;
+        m += 1;
+    }
+    t
+};
+
 /// Builds the nonzero bitmap of `data` and collects nonzero bytes (AVX2).
 ///
 /// `bitmap` must be zeroed and at least `data.len().div_ceil(8)` long.
 pub fn zero_bitmap_avx2(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
     assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { zero_bitmap_avx2_impl(data, bitmap, kept) }
+    let blocks = data.len() / 32 * 32;
+    assert!(bitmap.len() >= blocks / 8, "bitmap too short");
+    kept.reserve(data.len());
+    // SAFETY: AVX2 was detected above; the bitmap holds the blocks' bytes
+    // and `kept` has spare capacity for every block byte.
+    unsafe { zero_bitmap_avx2_impl(&data[..blocks], bitmap, kept) }
+    crate::bytescan::zero_bitmap_tail(data, blocks, bitmap, kept);
 }
 
+/// # Safety
+///
+/// AVX2 must be available, `data` must be whole 32-byte blocks, `bitmap`
+/// must hold `data.len() / 8` bytes, and `kept` must have `data.len()`
+/// bytes of spare capacity.
 #[target_feature(enable = "avx2")]
 unsafe fn zero_bitmap_avx2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
     let zero = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 32 <= data.len() {
-        let v = _mm256_loadu_si256(data.as_ptr().add(i) as *const __m256i);
-        let eq0 = _mm256_cmpeq_epi8(v, zero);
-        let nz = !(_mm256_movemask_epi8(eq0) as u32);
-        bitmap[i / 8..i / 8 + 4].copy_from_slice(&nz.to_le_bytes());
-        push_kept(&data[i..i + 32], nz, kept);
-        i += 32;
+    let dst = kept.as_mut_ptr().add(kept.len());
+    let mut w = 0;
+    for (i, block) in data.chunks_exact(32).enumerate() {
+        let v = _mm256_loadu_si256(block.as_ptr() as *const __m256i);
+        let nz = !(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)) as u32);
+        bitmap[i * 4..i * 4 + 4].copy_from_slice(&nz.to_le_bytes());
+        w = compact32(block.as_ptr(), nz, dst, w);
     }
-    crate::bytescan::zero_bitmap_tail(data, i, bitmap, kept);
+    kept.set_len(kept.len() + w);
 }
 
 /// Builds the differs-from-predecessor bitmap and collects differing bytes
 /// (AVX2). Byte 0 compares against 0x00, as in the scalar reference.
 pub fn repeat_bitmap_avx2(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
     assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { repeat_bitmap_avx2_impl(data, bitmap, kept) }
+    let blocks = data.len() / 32 * 32;
+    assert!(bitmap.len() >= blocks / 8, "bitmap too short");
+    kept.reserve(data.len());
+    // SAFETY: as in `zero_bitmap_avx2`.
+    unsafe { repeat_bitmap_avx2_impl(&data[..blocks], bitmap, kept) }
+    let prev = blocks.checked_sub(1).map_or(0, |i| data[i]);
+    crate::bytescan::repeat_bitmap_tail(data, blocks, prev, bitmap, kept);
 }
 
+/// # Safety
+///
+/// As for [`zero_bitmap_avx2_impl`].
 #[target_feature(enable = "avx2")]
 unsafe fn repeat_bitmap_avx2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
+    let dst = kept.as_mut_ptr().add(kept.len());
+    let mut w = 0;
     let mut prev = 0u8;
-    let mut i = 0;
-    while i + 32 <= data.len() {
-        let v = _mm256_loadu_si256(data.as_ptr().add(i) as *const __m256i);
+    for (i, block) in data.chunks_exact(32).enumerate() {
+        let v = _mm256_loadu_si256(block.as_ptr() as *const __m256i);
         // Shift the whole vector one byte toward high addresses, pulling the
         // low lane's top byte across the 128-bit boundary, then seed byte 0
         // with the carry byte from the previous block.
@@ -294,34 +386,146 @@ unsafe fn repeat_bitmap_avx2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec
         let shifted = _mm256_or_si256(shifted, carry);
         let eq = _mm256_cmpeq_epi8(v, shifted);
         let differs = !(_mm256_movemask_epi8(eq) as u32);
-        bitmap[i / 8..i / 8 + 4].copy_from_slice(&differs.to_le_bytes());
-        push_kept(&data[i..i + 32], differs, kept);
-        prev = data[i + 31];
-        i += 32;
+        bitmap[i * 4..i * 4 + 4].copy_from_slice(&differs.to_le_bytes());
+        w = compact32(block.as_ptr(), differs, dst, w);
+        prev = block[31];
     }
-    crate::bytescan::repeat_bitmap_tail(data, i, prev, bitmap, kept);
+    kept.set_len(kept.len() + w);
 }
 
-/// Appends the bytes of `block` whose mask bit is set (bit k ⇔ byte k).
+/// Writes the bytes of the 32-byte block at `src` whose `mask` bit is set
+/// to `dst + w` onward and returns the new write offset. Each 8-byte
+/// sub-block is shuffled through [`COMPACT`] and stored whole; the offset
+/// then advances by the sub-block's popcount, so later stores overwrite
+/// the unkept lanes.
+///
+/// # Safety
+///
+/// AVX2 must be available, `src` must be readable for 32 bytes, and `dst`
+/// writable for `w + 32` bytes (kept bytes never outnumber scanned bytes).
 #[inline]
-fn push_kept(block: &[u8], mask: u32, kept: &mut Vec<u8>) {
-    if mask == 0 {
-        return;
+#[target_feature(enable = "avx2")]
+unsafe fn compact32(src: *const u8, mask: u32, dst: *mut u8, mut w: usize) -> usize {
+    for k in 0..4 {
+        let m = (mask >> (8 * k)) as u8 as usize;
+        let block = _mm_loadl_epi64(src.add(8 * k) as *const __m128i);
+        let ctl = _mm_loadl_epi64(COMPACT.0[m].as_ptr() as *const __m128i);
+        _mm_storel_epi64(dst.add(w) as *mut __m128i, _mm_shuffle_epi8(block, ctl));
+        w += POPCOUNT[m] as usize;
     }
-    let full = if block.len() == 32 {
-        u32::MAX
+    w
+}
+
+/// Expands the bitmap-coded bytes `0..count` onto `out` (AVX2): `None` for
+/// `repeat` reconstructs a nonzero bitmap (clear bit ⇔ zero byte), and
+/// `Some(prev)` a repeat bitmap (clear bit ⇔ repeat of the previous byte,
+/// starting from `prev`). Set bits consume `src` bytes in order.
+///
+/// Returns what the scalar references `expand_nonzero_tail` /
+/// `expand_repeat_tail` return (from `start = 0, pos = 0`) and appends the
+/// same bytes, also on hostile input: when the whole bytes of `bitmap`
+/// below `count` have more set bits than `src` holds, or `bitmap` is
+/// short, it runs the scalar reference itself.
+pub fn expand_avx2(
+    bitmap: &[u8],
+    count: usize,
+    repeat: Option<u8>,
+    src: &[u8],
+    out: &mut Vec<u8>,
+) -> Option<usize> {
+    use crate::bytescan::{expand_nonzero_tail, expand_repeat_tail};
+    assert!(have_avx2(), "AVX2 unavailable");
+    let full = count / 8;
+    let fits = bitmap
+        .get(..full)
+        .is_some_and(|blocks| set_bits(blocks) <= src.len());
+    // Where the block loop stops, the scalar tail goes on: from the start
+    // when the input does not fit.
+    let (start, prev, pos) = if fits {
+        out.reserve(count);
+        // SAFETY: AVX2 was detected above; `out` has spare capacity for
+        // the `8 * full` bytes written, and the blocks' set bits fit in
+        // `src`.
+        unsafe {
+            let dst = out.as_mut_ptr().add(out.len());
+            let (pos, prev) = match repeat {
+                Some(prev) => expand_avx2_impl::<true>(&bitmap[..full], prev, src, dst),
+                None => expand_avx2_impl::<false>(&bitmap[..full], 0, src, dst),
+            };
+            out.set_len(out.len() + full * 8);
+            (full * 8, prev, pos)
+        }
     } else {
-        (1u32 << block.len()) - 1
+        (0, repeat.unwrap_or(0), 0)
     };
-    if mask == full {
-        kept.extend_from_slice(block);
-        return;
+    match repeat {
+        Some(_) => expand_repeat_tail(bitmap, start, count, prev, src, pos, out),
+        None => expand_nonzero_tail(bitmap, start, count, src, pos, out),
     }
-    let mut m = mask;
-    while m != 0 {
-        kept.push(block[m.trailing_zeros() as usize]);
-        m &= m - 1;
+}
+
+/// Number of set bits in `bytes`.
+fn set_bits(bytes: &[u8]) -> usize {
+    let mut words = bytes.chunks_exact(8);
+    let n: u32 = words
+        .by_ref()
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")).count_ones())
+        .sum();
+    let rest: u32 = words.remainder().iter().map(|b| b.count_ones()).sum();
+    (n + rest) as usize
+}
+
+/// Writes `8 * bitmap.len()` expanded bytes to `dst` and returns the `src`
+/// bytes consumed and the last byte written (`prev` if none). Per bitmap
+/// byte: load the next 8 source bytes (in repeat mode with the predecessor
+/// in lane 8), shuffle them through the mode's table, store 8 bytes, and
+/// advance by the popcount.
+///
+/// # Safety
+///
+/// AVX2 must be available, `dst` must be writable for `8 * bitmap.len()`
+/// bytes, and `src` must hold at least as many bytes as `bitmap` has set
+/// bits.
+#[target_feature(enable = "avx2")]
+unsafe fn expand_avx2_impl<const REPEAT: bool>(
+    bitmap: &[u8],
+    prev: u8,
+    src: &[u8],
+    dst: *mut u8,
+) -> (usize, u8) {
+    let table = if REPEAT {
+        &EXPAND_REPEAT
+    } else {
+        &EXPAND_NONZERO
+    };
+    // Byte 0 of `carry` is the predecessor; it is built in registers, as a
+    // stack-built source would stall on store forwarding every block.
+    let mut carry = _mm_cvtsi32_si128(i32::from(prev));
+    let mut pos = 0;
+    for (b, &m) in bitmap.iter().enumerate() {
+        let m = m as usize;
+        let block = if src.len() - pos >= 8 {
+            _mm_loadl_epi64(src.as_ptr().add(pos) as *const __m128i)
+        } else {
+            // The final short block: never load past the end of `src`.
+            let mut last = [0u8; 8];
+            last[..src.len() - pos].copy_from_slice(&src[pos..]);
+            _mm_loadl_epi64(last.as_ptr() as *const __m128i)
+        };
+        let ctl = _mm_loadl_epi64(table.0[m].as_ptr() as *const __m128i);
+        let block = if REPEAT {
+            _mm_unpacklo_epi64(block, carry)
+        } else {
+            block
+        };
+        let bytes = _mm_shuffle_epi8(block, ctl);
+        _mm_storel_epi64(dst.add(8 * b) as *mut __m128i, bytes);
+        if REPEAT {
+            carry = _mm_srli_si128(bytes, 7);
+        }
+        pos += POPCOUNT[m] as usize;
     }
+    (pos, _mm_cvtsi128_si32(carry) as u8)
 }
 
 /// Length of the run of `data[start]` beginning at `start` (AVX2).

@@ -15,7 +15,7 @@
 //! Wire format per chunk: 1 byte `k/8`, raw bottom bytes, RZE-coded
 //! XOR-differenced top bytes.
 
-use crate::raze::{self, bottom_bytes, reassemble, top_bytes};
+use crate::raze::{self, reassemble, split};
 use crate::{rze, DecodeError, Result};
 use fpc_metrics::Stage;
 
@@ -51,15 +51,9 @@ pub fn encode_with_split(values: &[u64], out: &mut Vec<u8>, kb: usize) {
     // so RARE time includes (and overlaps) RZE time.
     let t = fpc_metrics::timer(Stage::RareEncode);
     out.push(kb as u8);
-    bottom_bytes(values, kb, out);
     // XOR-difference the top parts so repeats become zeros.
-    let mut diffed = Vec::with_capacity(values.len());
-    let mut prev = 0u64;
-    for &v in values {
-        diffed.push(v ^ prev);
-        prev = v;
-    }
-    rze::encode(&top_bytes(&diffed, kb), out);
+    let tops = split(values, kb, u64::MAX, out);
+    rze::encode(&tops, out);
     t.finish(values.len() as u64 * 8);
 }
 
@@ -86,25 +80,11 @@ pub fn decode(data: &[u8], pos: &mut usize, count: usize, out: &mut Vec<u64>) ->
     if bottoms_end > data.len() {
         return Err(DecodeError::UnexpectedEof);
     }
-    let bottoms = data[*pos..bottoms_end].to_vec();
+    let bottoms = &data[*pos..bottoms_end];
     *pos = bottoms_end;
     let mut tops = Vec::with_capacity(count * kb);
     rze::decode(data, pos, count * kb, &mut tops)?;
-    // `reassemble` gives XOR-differenced words with raw bottoms mixed in;
-    // rebuild the true words by undoing the XOR on the top part only.
-    let diffed = reassemble(&bottoms, &tops, kb, count);
-    let top_mask = if kb == 0 {
-        0u64
-    } else {
-        u64::MAX << (8 * (8 - kb))
-    };
-    let mut prev = 0u64;
-    out.reserve(count);
-    for d in diffed {
-        let v = (d & !top_mask) | ((d ^ prev) & top_mask);
-        out.push(v);
-        prev = v;
-    }
+    reassemble(bottoms, &tops, kb, count, u64::MAX, out);
     t.finish(count as u64 * 8);
     Ok(())
 }

@@ -62,43 +62,94 @@ pub fn choose_split(hist: &[usize; 9], n: usize) -> usize {
     best_kb
 }
 
-/// Extracts the top `kb` bytes of each value (most significant first).
-pub(crate) fn top_bytes(values: &[u64], kb: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * kb);
-    for &v in values {
-        for j in 0..kb {
-            out.push((v >> (8 * (7 - j))) as u8);
-        }
+/// Splits each value at byte `kb`: appends its low `8 - kb` bytes
+/// (little-endian) to `bottoms`, and returns the top `kb` bytes (most
+/// significant first) of `v ^ (p & xor_mask)`, where `p` is the previous
+/// value (0 for the first). RAZE passes `xor_mask = 0`; RARE passes
+/// `u64::MAX` so repeated top bytes become zero bytes.
+///
+/// # Panics
+///
+/// Panics if `kb > 8`.
+pub(crate) fn split(values: &[u64], kb: usize, xor_mask: u64, bottoms: &mut Vec<u8>) -> Vec<u8> {
+    match kb {
+        0 => split_at::<0>(values, xor_mask, bottoms),
+        1 => split_at::<1>(values, xor_mask, bottoms),
+        2 => split_at::<2>(values, xor_mask, bottoms),
+        3 => split_at::<3>(values, xor_mask, bottoms),
+        4 => split_at::<4>(values, xor_mask, bottoms),
+        5 => split_at::<5>(values, xor_mask, bottoms),
+        6 => split_at::<6>(values, xor_mask, bottoms),
+        7 => split_at::<7>(values, xor_mask, bottoms),
+        8 => split_at::<8>(values, xor_mask, bottoms),
+        _ => panic!("split must be at most 8 bytes"),
     }
-    out
 }
 
-/// Appends the low `8 - kb` bytes of each value (little-endian).
-pub(crate) fn bottom_bytes(values: &[u64], kb: usize, out: &mut Vec<u8>) {
-    let nb = 8 - kb;
-    out.reserve(values.len() * nb);
-    for &v in values {
-        for i in 0..nb {
-            out.push((v >> (8 * i)) as u8);
-        }
+fn split_at<const KB: usize>(values: &[u64], xor_mask: u64, bottoms: &mut Vec<u8>) -> Vec<u8> {
+    let start = bottoms.len();
+    bottoms.resize(start + values.len() * (8 - KB), 0);
+    let low = &mut bottoms[start..];
+    let mut tops = vec![0u8; values.len() * KB];
+    let mut prev = 0u64;
+    for (i, &v) in values.iter().enumerate() {
+        low[i * (8 - KB)..(i + 1) * (8 - KB)].copy_from_slice(&v.to_le_bytes()[..8 - KB]);
+        let top = v ^ (prev & xor_mask);
+        tops[i * KB..(i + 1) * KB].copy_from_slice(&top.to_be_bytes()[..KB]);
+        prev = v;
+    }
+    tops
+}
+
+/// Inverse of [`split`]: appends `n` values rebuilt from their `bottoms`
+/// and `tops` to `out`, undoing the XOR with the same `xor_mask`.
+///
+/// # Panics
+///
+/// Panics if `kb > 8` or either byte slice is shorter than `n` values need.
+pub(crate) fn reassemble(
+    bottoms: &[u8],
+    tops: &[u8],
+    kb: usize,
+    n: usize,
+    xor_mask: u64,
+    out: &mut Vec<u64>,
+) {
+    match kb {
+        0 => reassemble_at::<0>(bottoms, tops, n, xor_mask, out),
+        1 => reassemble_at::<1>(bottoms, tops, n, xor_mask, out),
+        2 => reassemble_at::<2>(bottoms, tops, n, xor_mask, out),
+        3 => reassemble_at::<3>(bottoms, tops, n, xor_mask, out),
+        4 => reassemble_at::<4>(bottoms, tops, n, xor_mask, out),
+        5 => reassemble_at::<5>(bottoms, tops, n, xor_mask, out),
+        6 => reassemble_at::<6>(bottoms, tops, n, xor_mask, out),
+        7 => reassemble_at::<7>(bottoms, tops, n, xor_mask, out),
+        8 => reassemble_at::<8>(bottoms, tops, n, xor_mask, out),
+        _ => panic!("split must be at most 8 bytes"),
     }
 }
 
-/// Reassembles values from bottoms and tops.
-pub(crate) fn reassemble(bottoms: &[u8], tops: &[u8], kb: usize, n: usize) -> Vec<u64> {
-    let nb = 8 - kb;
-    let mut out = Vec::with_capacity(n);
+fn reassemble_at<const KB: usize>(
+    bottoms: &[u8],
+    tops: &[u8],
+    n: usize,
+    xor_mask: u64,
+    out: &mut Vec<u64>,
+) {
+    let (bottoms, tops) = (&bottoms[..n * (8 - KB)], &tops[..n * KB]);
+    // Only top bytes were XORed; the bottoms are stored raw.
+    let mask = xor_mask & u64::MAX.checked_shl(8 * (8 - KB) as u32).unwrap_or(0);
+    out.reserve(n);
+    let mut prev = 0u64;
     for i in 0..n {
-        let mut v = 0u64;
-        for j in 0..kb {
-            v |= u64::from(tops[i * kb + j]) << (8 * (7 - j));
-        }
-        for b in 0..nb {
-            v |= u64::from(bottoms[i * nb + b]) << (8 * b);
-        }
+        let mut be = [0u8; 8];
+        be[..KB].copy_from_slice(&tops[i * KB..(i + 1) * KB]);
+        let mut le = [0u8; 8];
+        le[..8 - KB].copy_from_slice(&bottoms[i * (8 - KB)..(i + 1) * (8 - KB)]);
+        let v = (u64::from_be_bytes(be) | u64::from_le_bytes(le)) ^ (prev & mask);
         out.push(v);
+        prev = v;
     }
-    out
 }
 
 /// Encodes a chunk of 64-bit words, appending to `out`.
@@ -124,8 +175,8 @@ pub fn encode_with_split(values: &[u64], out: &mut Vec<u8>, kb: usize) {
     // so RAZE time includes (and overlaps) RZE time.
     let t = fpc_metrics::timer(Stage::RazeEncode);
     out.push(kb as u8);
-    bottom_bytes(values, kb, out);
-    rze::encode(&top_bytes(values, kb), out);
+    let tops = split(values, kb, 0, out);
+    rze::encode(&tops, out);
     t.finish(values.len() as u64 * 8);
 }
 
@@ -158,11 +209,11 @@ pub fn decode(data: &[u8], pos: &mut usize, count: usize, out: &mut Vec<u64>) ->
     if bottoms_end > data.len() {
         return Err(DecodeError::UnexpectedEof);
     }
-    let bottoms = data[*pos..bottoms_end].to_vec();
+    let bottoms = &data[*pos..bottoms_end];
     *pos = bottoms_end;
     let mut tops = Vec::with_capacity(count * kb);
     rze::decode(data, pos, count * kb, &mut tops)?;
-    out.extend(reassemble(&bottoms, &tops, kb, count));
+    reassemble(bottoms, &tops, kb, count, 0, out);
     t.finish(count as u64 * 8);
     Ok(())
 }

@@ -104,8 +104,9 @@ pub fn decode(data: &[u8], pos: &mut usize, n: usize, out: &mut Vec<u8>) -> Resu
     Ok(())
 }
 
-/// Exact encoded size without materializing the stream (used by the
-/// adaptive RAZE/RARE stages to pick their split point).
+/// Exact encoded size without materializing the stream. (The adaptive
+/// RAZE/RARE stages do not call it: they pick their split with
+/// [`raze::choose_split`](crate::raze::choose_split) over a histogram.)
 pub fn encoded_len(data: &[u8]) -> usize {
     let (bm0, nonzero) = zero_bitmap(data);
     let (bm1, nr0) = repeat_bitmap(&bm0);

@@ -522,8 +522,9 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
         assert_eq!(a, w32, "transpose32 not an involution");
 
         // RZE byte scans: dispatched and SWAR bitmap builders vs the scalar
-        // tail helpers run over the whole input, then the expanders must
-        // invert them while consuming exactly the kept bytes.
+        // tail helpers run over the whole input, then the dispatched and
+        // SWAR expanders must invert them while consuming exactly the kept
+        // bytes.
         let bm_len = bytes.len().div_ceil(8);
         let (mut bm_a, mut kept_a) = (vec![0u8; bm_len], Vec::new());
         let (mut bm_b, mut kept_b) = (vec![0u8; bm_len], Vec::new());
@@ -541,6 +542,10 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
         let used = bytescan::expand_nonzero(&bm_a, bytes.len(), &kept_a, &mut back).unwrap();
         assert_eq!(used, kept_a.len());
         assert_eq!(back, bytes, "expand_nonzero not inverse");
+        let mut back = Vec::new();
+        let used = bytescan::expand_nonzero_swar(&bm_a, bytes.len(), &kept_a, &mut back);
+        assert_eq!(used, Some(kept_a.len()));
+        assert_eq!(back, bytes, "expand_nonzero_swar not inverse");
         let (mut bm_a, mut kept_a) = (vec![0u8; bm_len], Vec::new());
         let (mut bm_b, mut kept_b) = (vec![0u8; bm_len], Vec::new());
         let (mut bm_s, mut kept_s) = (vec![0u8; bm_len], Vec::new());
@@ -557,6 +562,10 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
         let used = bytescan::expand_repeat(&bm_a, bytes.len(), &kept_a, &mut back).unwrap();
         assert_eq!(used, kept_a.len());
         assert_eq!(back, bytes, "expand_repeat not inverse");
+        let mut back = Vec::new();
+        let used = bytescan::expand_repeat_swar(&bm_a, bytes.len(), &kept_a, &mut back);
+        assert_eq!(used, Some(kept_a.len()));
+        assert_eq!(back, bytes, "expand_repeat_swar not inverse");
         // Truncated kept-byte stream must be refused, never panic.
         if !kept_a.is_empty() {
             let mut sink = Vec::new();
