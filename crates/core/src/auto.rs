@@ -23,13 +23,16 @@
 //! pipeline, chunk-local window — keeping every chunk independently
 //! decodable.
 
-use crate::pipeline::{map_decode, DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec};
+use crate::pipeline::{
+    map_decode, DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec, SCRATCH_RETAIN,
+};
 use crate::PipelineOptions;
 use fpc_container::{
     AdaptiveChunkCodec, ChunkCodec, Error, ALGO_DP_RATIO, ALGO_DP_SPEED, ALGO_SP_RATIO,
     ALGO_SP_SPEED,
 };
 use fpc_transforms::fcm;
+use std::cell::RefCell;
 
 /// Prefix-sample length (bytes) used to estimate per-candidate encoded
 /// sizes on large chunks. A multiple of 8 so both word widths sample whole
@@ -182,50 +185,61 @@ impl AutoCodec {
     }
 }
 
-impl AdaptiveChunkCodec for AutoCodec {
-    fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) -> u8 {
+thread_local! {
+    /// The best and the current trial encode of the chunk being chosen
+    /// for: reused across candidates and chunks, swapped when the current
+    /// one wins.
+    static TRIALS: RefCell<(Vec<u8>, Vec<u8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+impl AutoCodec {
+    /// Picks the candidate for `chunk`, leaving its encoding in `best`.
+    fn select(&self, chunk: &[u8], best: &mut Vec<u8>, cur: &mut Vec<u8>) -> u8 {
         let candidates = self.candidates();
-        // Small chunks: the sample would cover most of the chunk anyway, so
-        // trial-encode every candidate in full.
-        if chunk.len() <= 2 * SAMPLE_LEN {
-            let mut best: Option<(u8, Vec<u8>)> = None;
-            for (id, codec) in candidates {
-                let mut enc = Vec::new();
-                codec.encode_chunk(chunk, &mut enc);
-                if best.as_ref().is_none_or(|(_, b)| enc.len() < b.len()) {
-                    best = Some((id, enc));
-                }
-            }
-            let (id, enc) = best.expect("candidate set is non-empty");
-            out.extend_from_slice(&enc);
-            return id;
-        }
         // Large chunks: estimate from a prefix sample, then trial-encode
         // only the shortlist of estimates within SHORTLIST_PERCENT of the
-        // best one.
-        let sample = &chunk[..SAMPLE_LEN];
-        let mut estimates = [0usize; 4];
-        for (slot, (_, codec)) in estimates.iter_mut().zip(candidates) {
-            let mut enc = Vec::new();
-            codec.encode_chunk(sample, &mut enc);
-            *slot = enc.len() * chunk.len() / sample.len();
+        // best one. Small chunks: the sample would cover most of the chunk
+        // anyway, so trial-encode every candidate in full.
+        let mut shortlist = [true; 4];
+        if chunk.len() > 2 * SAMPLE_LEN {
+            let sample = &chunk[..SAMPLE_LEN];
+            let mut estimates = [0usize; 4];
+            for (slot, (_, codec)) in estimates.iter_mut().zip(candidates) {
+                cur.clear();
+                codec.encode_chunk(sample, cur);
+                *slot = cur.len() * chunk.len() / sample.len();
+            }
+            let best_estimate = *estimates.iter().min().expect("four estimates");
+            let cutoff = best_estimate + best_estimate * SHORTLIST_PERCENT / 100;
+            shortlist = estimates.map(|estimate| estimate <= cutoff);
         }
-        let best_estimate = *estimates.iter().min().expect("four estimates");
-        let cutoff = best_estimate + best_estimate * SHORTLIST_PERCENT / 100;
-        let mut best: Option<(u8, Vec<u8>)> = None;
-        for ((id, codec), estimate) in candidates.into_iter().zip(estimates) {
-            if estimate > cutoff {
+        let mut pick = None;
+        for ((id, codec), listed) in candidates.into_iter().zip(shortlist) {
+            if !listed {
                 continue;
             }
-            let mut enc = Vec::new();
-            codec.encode_chunk(chunk, &mut enc);
-            if best.as_ref().is_none_or(|(_, b)| enc.len() < b.len()) {
-                best = Some((id, enc));
+            cur.clear();
+            codec.encode_chunk(chunk, cur);
+            if pick.is_none() || cur.len() < best.len() {
+                std::mem::swap(best, cur);
+                pick = Some(id);
             }
         }
-        let (id, enc) = best.expect("the best estimate is always on the shortlist");
-        out.extend_from_slice(&enc);
-        id
+        pick.expect("the best estimate is always on the shortlist")
+    }
+}
+
+impl AdaptiveChunkCodec for AutoCodec {
+    fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) -> u8 {
+        TRIALS.with_borrow_mut(|(best, cur)| {
+            let id = self.select(chunk, best, cur);
+            out.extend_from_slice(best);
+            if best.capacity() + cur.capacity() > SCRATCH_RETAIN {
+                *best = Vec::new();
+                *cur = Vec::new();
+            }
+            id
+        })
     }
 
     fn knows_codec(&self, codec_id: u8) -> bool {

@@ -3,13 +3,64 @@
 //!
 //! Each codec corresponds to the chunked portion of one algorithm's pipeline
 //! (paper Figure 1). DPratio's global FCM stage runs outside the chunk loop
-//! in `lib.rs`. gpu-sim's kernel codecs end their decoders with the same
+//! in `lib.rs`.
+//!
+//! Every encoder reads its words straight from the chunk bytes through the
+//! fused load + DIFFMS kernel. The speed codecs run DIFFMS and MPLG one
+//! MPLG subchunk at a time through a stack buffer (`mplg::encode32_le`),
+//! as the paper's GPU kernels do in shared memory; the ratio codecs, whose
+//! later stages need the whole chunk, use this thread's [`Scratch`].
+//!
+//! gpu-sim's kernel codecs end their decoders with the same
 //! [`finish_chunk`] and report transform errors through [`map_decode`], so
 //! both paths reject a malformed chunk body the same way.
 
 use fpc_container::{ChunkCodec, Error};
 use fpc_entropy::varint;
 use fpc_transforms::{bit_transpose, diffms, mplg, rare, raze, rze, words, DecodeError};
+use std::cell::RefCell;
+
+/// Per-thread word and byte buffers for the ratio codecs' encoders.
+///
+/// They cannot borrow `fpc_pool::with_scratch`: the container already
+/// holds that arena as the chunk's output while a codec runs, and a
+/// re-entrant call there falls back to a fresh allocation.
+struct Scratch {
+    words32: Vec<u32>,
+    words64: Vec<u64>,
+    bytes: Vec<u8>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Scratch {
+            words32: Vec::new(),
+            words64: Vec::new(),
+            bytes: Vec::new(),
+        }
+    }
+}
+
+/// Bytes of scratch a thread keeps between chunks; a larger chunk's
+/// buffers are freed after use.
+pub(crate) const SCRATCH_RETAIN: usize = 1 << 20;
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
+}
+
+/// Hands `f` this thread's [`Scratch`]. Encoders never nest (AUTO runs its
+/// candidates one after another), so the borrow is never contended.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with_borrow_mut(|s| {
+        let out = f(s);
+        let kept = s.words32.capacity() * 4 + s.words64.capacity() * 8 + s.bytes.capacity();
+        if kept > SCRATCH_RETAIN {
+            *s = Scratch::new();
+        }
+        out
+    })
+}
 
 /// Maps transformation-level decode errors onto container errors.
 pub fn map_decode(e: DecodeError) -> Error {
@@ -58,10 +109,8 @@ pub struct SpSpeedCodec {
 
 impl ChunkCodec for SpSpeedCodec {
     fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) {
-        let (mut w, tail) = words::bytes_to_u32(chunk);
-        diffms::encode32(&mut w);
-        mplg::encode32_with(&w, out, self.fallback);
-        out.extend_from_slice(tail);
+        mplg::encode32_le(chunk, out, self.fallback);
+        out.extend_from_slice(&chunk[chunk.len() / 4 * 4..]);
     }
 
     fn decode_chunk(
@@ -90,10 +139,8 @@ pub struct DpSpeedCodec {
 
 impl ChunkCodec for DpSpeedCodec {
     fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) {
-        let (mut w, tail) = words::bytes_to_u64(chunk);
-        diffms::encode64(&mut w);
-        mplg::encode64_with(&w, out, self.fallback);
-        out.extend_from_slice(tail);
+        mplg::encode64_le(chunk, out, self.fallback);
+        out.extend_from_slice(&chunk[chunk.len() / 8 * 8..]);
     }
 
     fn decode_chunk(
@@ -119,12 +166,15 @@ pub struct SpRatioCodec;
 
 impl ChunkCodec for SpRatioCodec {
     fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) {
-        let (mut w, tail) = words::bytes_to_u32(chunk);
-        diffms::encode32(&mut w);
-        bit_transpose::transpose32(&mut w);
-        let mut transposed = Vec::with_capacity(w.len() * 4);
-        words::u32_to_bytes(&w, &mut transposed);
-        rze::encode(&transposed, out);
+        let (head, tail) = chunk.split_at(chunk.len() / 4 * 4);
+        with_scratch(|s| {
+            s.words32.resize(head.len() / 4, 0);
+            diffms::encode32_le(0, head, &mut s.words32);
+            bit_transpose::transpose32(&mut s.words32);
+            s.bytes.clear();
+            words::u32_to_bytes(&s.words32, &mut s.bytes);
+            rze::encode(&s.bytes, out);
+        });
         out.extend_from_slice(tail);
     }
 
@@ -161,20 +211,24 @@ pub struct DpRatioChunkCodec {
 
 impl ChunkCodec for DpRatioChunkCodec {
     fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>) {
-        let (mut w, ctail) = words::bytes_to_u64(chunk);
-        diffms::encode64(&mut w);
-        let mut razed = Vec::with_capacity(chunk.len());
-        match self.fixed_split {
-            Some(kb) => raze::encode_with_split(&w, &mut razed, kb as usize),
-            None => raze::encode(&w, &mut razed),
-        }
-        let (w2, t2) = words::bytes_to_u64(&razed);
-        varint::write_usize(out, razed.len());
-        match self.fixed_split {
-            Some(kb) => rare::encode_with_split(&w2, out, kb as usize),
-            None => rare::encode(&w2, out),
-        }
-        out.extend_from_slice(t2);
+        let (head, ctail) = chunk.split_at(chunk.len() / 8 * 8);
+        with_scratch(|s| {
+            s.words64.resize(head.len() / 8, 0);
+            diffms::encode64_le(0, head, &mut s.words64);
+            s.bytes.clear();
+            match self.fixed_split {
+                Some(kb) => raze::encode_with_split(&s.words64, &mut s.bytes, kb as usize),
+                None => raze::encode(&s.words64, &mut s.bytes),
+            }
+            // RARE reads the RAZE stream as words; they reuse the buffer.
+            let t2 = words::load_u64(&s.bytes, &mut s.words64);
+            varint::write_usize(out, s.bytes.len());
+            match self.fixed_split {
+                Some(kb) => rare::encode_with_split(&s.words64, out, kb as usize),
+                None => rare::encode(&s.words64, out),
+            }
+            out.extend_from_slice(t2);
+        });
         out.extend_from_slice(ctail);
     }
 

@@ -38,6 +38,17 @@ impl BitWriter {
         }
     }
 
+    /// Creates a writer that appends to the bytes already in `out`;
+    /// [`BitWriter::finish`] hands the vector back with the new bytes after
+    /// them, without allocating a buffer of its own.
+    pub fn append_to(out: Vec<u8>) -> Self {
+        Self {
+            out,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
     /// Appends the low `count` bits of `value` (0..=64 bits).
     ///
     /// # Panics

@@ -39,11 +39,12 @@ pub fn pack_u32(values: &[u32], width: u32, out: &mut Vec<u8>) {
     } else {
         (1u32 << width) - 1
     };
-    let mut w = BitWriter::with_capacity((values.len() * width as usize).div_ceil(8));
+    out.reserve((values.len() * width as usize).div_ceil(8));
+    let mut w = BitWriter::append_to(std::mem::take(out));
     for &v in values {
         w.write_bits(u64::from(v & mask), width);
     }
-    w.finish_into(out);
+    *out = w.finish();
 }
 
 /// Unpacks `count` values of `width` bits from `data`, appending to `out`.
@@ -93,11 +94,12 @@ pub fn pack_u64(values: &[u64], width: u32, out: &mut Vec<u8>) {
     } else {
         (1u64 << width) - 1
     };
-    let mut w = BitWriter::with_capacity((values.len() * width as usize).div_ceil(8));
+    out.reserve((values.len() * width as usize).div_ceil(8));
+    let mut w = BitWriter::append_to(std::mem::take(out));
     for &v in values {
         w.write_bits(v & mask, width);
     }
-    w.finish_into(out);
+    *out = w.finish();
 }
 
 /// Unpacks `count` values of `width` bits from `data`, appending to `out`.

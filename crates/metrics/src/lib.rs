@@ -20,10 +20,11 @@
 //!   while other threads record, with relaxed (not linearizable)
 //!   consistency.
 //!
-//! Nested stages overlap by design: e.g. RAZE/RARE embed an RZE pass, so
-//! `RZE.*` time is also inside `RAZE.*`/`RARE.*` time. Per-stage numbers
-//! answer "where do the nanoseconds go", not "do the stages sum to the
-//! total".
+//! Transform stages are exclusive: a stage that embeds another runs it
+//! under [`Timer::exclude`] (RAZE/RARE around their RZE pass), so the
+//! transform times add up. The whole-container and service stages
+//! (`container.*`, `serve.*`) enclose the transforms and overlap them by
+//! design.
 //!
 //! The [`json`] and [`report`] modules are compiled unconditionally so
 //! tooling (`fpcc stats`, the bench harness's `BENCH_*.json`) can parse and
@@ -466,6 +467,16 @@ mod imp {
         pub fn stop(self) {
             self.finish(0);
         }
+
+        /// Runs `f` without charging its time to this stage: an embedded
+        /// stage with its own timer is then not counted twice.
+        #[inline]
+        pub fn exclude<R>(&mut self, f: impl FnOnce() -> R) -> R {
+            let inner = Instant::now();
+            let out = f();
+            self.start += inner.elapsed();
+            out
+        }
     }
 
     /// A reusable monotonic stopwatch (for queue-wait style measurements
@@ -573,6 +584,12 @@ mod imp {
         /// No-op.
         #[inline(always)]
         pub fn stop(self) {}
+
+        /// Runs `f`.
+        #[inline(always)]
+        pub fn exclude<R>(&mut self, f: impl FnOnce() -> R) -> R {
+            f()
+        }
     }
 
     /// No-op stopwatch (zero-sized; `metrics` feature disabled).
@@ -659,6 +676,17 @@ mod tests {
             .find(|c| c.name == "pool.jobs")
             .expect("counter recorded");
         assert_eq!(jobs.value, 3);
+        // Time spent in an excluded call is not charged to the stage.
+        let mut t = timer(Stage::RareEncode);
+        t.exclude(|| std::thread::sleep(std::time::Duration::from_millis(50)));
+        t.finish(8);
+        let report = snapshot();
+        let rare = report
+            .stages
+            .iter()
+            .find(|s| s.name == "RARE.encode")
+            .expect("stage recorded");
+        assert!(rare.nanos < 25_000_000, "{} ns charged", rare.nanos);
         reset();
         assert!(snapshot().stages.is_empty());
     }

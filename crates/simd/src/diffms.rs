@@ -7,6 +7,12 @@
 //! values in a compatible order (a block's stores never overlap a later
 //! block's loads).
 //!
+//! The `_le` encoders fuse the little-endian load into the pass: they read
+//! words from a byte slice into a separate destination, carrying the
+//! preceding word in `prev`, so a caller can encode a chunk one block at a
+//! time without first copying it into a word buffer. Source and destination
+//! never alias, so these run left-to-right.
+//!
 //! Decode is a zigzag decode followed by an inclusive prefix sum. Wrapping
 //! addition is associative, so the SSE2 log-step prefix sum is bit-identical
 //! to the sequential loop; it runs at the x86 tier. A SWAR prefix sum would
@@ -60,6 +66,36 @@ pub fn chosen_decode64() -> Tier {
 }
 
 /// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
+///
+/// # Panics
+///
+/// Panics if `src` holds fewer than `dst.len()` words.
+pub fn encode32_le_scalar(mut prev: u32, src: &[u8], dst: &mut [u32]) -> u32 {
+    let src = &src[..dst.len() * 4];
+    for (d, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
+        let cur = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        *d = enc32(cur.wrapping_sub(prev));
+        prev = cur;
+    }
+    prev
+}
+
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
+///
+/// # Panics
+///
+/// Panics if `src` holds fewer than `dst.len()` words.
+pub fn encode64_le_scalar(mut prev: u64, src: &[u8], dst: &mut [u64]) -> u64 {
+    let src = &src[..dst.len() * 8];
+    for (d, c) in dst.iter_mut().zip(src.chunks_exact(8)) {
+        let cur = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+        *d = enc64(cur.wrapping_sub(prev));
+        prev = cur;
+    }
+    prev
+}
+
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
 pub fn encode32_scalar(values: &mut [u32]) {
     for i in (1..values.len()).rev() {
         values[i] = enc32(values[i].wrapping_sub(values[i - 1]));
@@ -110,6 +146,28 @@ pub fn encode32(values: &mut [u32]) {
     }
 }
 
+/// Dispatched fused load + DIFFMS encode: reads `dst.len()` little-endian
+/// words from the front of `src`, differences each against its predecessor
+/// (`prev` for the first) and stores the zigzagged results in `dst`.
+///
+/// Returns the last word read (`prev` if `dst` is empty), which is the
+/// `prev` of the next block of the same sequence. Encoding a sequence block
+/// by block from `prev = 0` gives exactly what [`encode32`] gives on the
+/// whole sequence.
+///
+/// # Panics
+///
+/// Panics if `src` holds fewer than `dst.len()` words.
+pub fn encode32_le(prev: u32, src: &[u8], dst: &mut [u32]) -> u32 {
+    let tier = chosen_encode32();
+    crate::record(tier);
+    match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx2 => crate::x86::diffms_encode32_le_avx2(prev, src, dst),
+        _ => encode32_le_scalar(prev, src, dst),
+    }
+}
+
 /// Dispatched in-place DIFFMS decode of a `u32` slice.
 pub fn decode32(values: &mut [u32]) {
     let tier = chosen_decode32();
@@ -129,6 +187,21 @@ pub fn encode64(values: &mut [u64]) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::diffms_encode64_avx2(values),
         _ => encode64_scalar(values),
+    }
+}
+
+/// The 64-bit twin of [`encode32_le`].
+///
+/// # Panics
+///
+/// Panics if `src` holds fewer than `dst.len()` words.
+pub fn encode64_le(prev: u64, src: &[u8], dst: &mut [u64]) -> u64 {
+    let tier = chosen_encode64();
+    crate::record(tier);
+    match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx2 => crate::x86::diffms_encode64_le_avx2(prev, src, dst),
+        _ => encode64_le_scalar(prev, src, dst),
     }
 }
 

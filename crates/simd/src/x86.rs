@@ -59,6 +59,49 @@ unsafe fn diffms_encode32_avx2_impl(values: &mut [u32]) {
     }
 }
 
+/// Fused little-endian load + DIFFMS encode of `dst.len()` `u32` words
+/// from `src` with AVX2 (see `diffms::encode32_le`). Source and destination
+/// are distinct, so blocks run left-to-right; each loads its words and
+/// their predecessors straight from the bytes.
+pub fn diffms_encode32_le_avx2(prev: u32, src: &[u8], dst: &mut [u32]) -> u32 {
+    assert!(have_avx2(), "AVX2 unavailable");
+    let n = dst.len();
+    let src = &src[..n * 4];
+    let word =
+        |i: usize| u32::from_le_bytes([src[4 * i], src[4 * i + 1], src[4 * i + 2], src[4 * i + 3]]);
+    let Some(first) = dst.first_mut() else {
+        return prev;
+    };
+    *first = enc32(word(0).wrapping_sub(prev));
+    // SAFETY: AVX2 was checked above; every block reads bytes
+    // 4(i-1)..4(i+8) of `src` and writes words i..i+8 of `dst`, with
+    // i + 8 <= n, inside both slices.
+    let mut i = unsafe { diffms_encode32_le_avx2_impl(src, dst) };
+    while i < n {
+        dst[i] = enc32(word(i).wrapping_sub(word(i - 1)));
+        i += 1;
+    }
+    word(n - 1)
+}
+
+/// Encodes words `1..` in whole 8-word blocks; returns where it stopped.
+#[target_feature(enable = "avx2")]
+unsafe fn diffms_encode32_le_avx2_impl(src: &[u8], dst: &mut [u32]) -> usize {
+    let n = dst.len();
+    let s = src.as_ptr();
+    let d = dst.as_mut_ptr();
+    let mut i = 1;
+    while i + 8 <= n {
+        let cur = _mm256_loadu_si256(s.add(4 * i) as *const __m256i);
+        let prev = _mm256_loadu_si256(s.add(4 * (i - 1)) as *const __m256i);
+        let x = _mm256_sub_epi32(cur, prev);
+        let e = _mm256_xor_si256(_mm256_slli_epi32(x, 1), _mm256_srai_epi32(x, 31));
+        _mm256_storeu_si256(d.add(i) as *mut __m256i, e);
+        i += 8;
+    }
+    i
+}
+
 /// DIFFMS decode (zigzag + prefix sum) of a `u32` slice with SSE2.
 ///
 /// Wrapping addition is associative, so the vectorized prefix sum is
@@ -127,6 +170,51 @@ unsafe fn diffms_encode64_avx2_impl(values: &mut [u64]) {
     if let Some(first) = values.first_mut() {
         *first = enc64(*first);
     }
+}
+
+/// Fused little-endian load + DIFFMS encode of `dst.len()` `u64` words
+/// from `src` with AVX2 (see `diffms::encode64_le`).
+pub fn diffms_encode64_le_avx2(prev: u64, src: &[u8], dst: &mut [u64]) -> u64 {
+    assert!(have_avx2(), "AVX2 unavailable");
+    let n = dst.len();
+    let src = &src[..n * 8];
+    let word = |i: usize| {
+        let b = &src[8 * i..8 * i + 8];
+        u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+    };
+    let Some(first) = dst.first_mut() else {
+        return prev;
+    };
+    *first = enc64(word(0).wrapping_sub(prev));
+    // SAFETY: AVX2 was checked above; every block reads bytes
+    // 8(i-1)..8(i+4) of `src` and writes words i..i+4 of `dst`, with
+    // i + 4 <= n, inside both slices.
+    let mut i = unsafe { diffms_encode64_le_avx2_impl(src, dst) };
+    while i < n {
+        dst[i] = enc64(word(i).wrapping_sub(word(i - 1)));
+        i += 1;
+    }
+    word(n - 1)
+}
+
+/// Encodes words `1..` in whole 4-word blocks; returns where it stopped.
+#[target_feature(enable = "avx2")]
+unsafe fn diffms_encode64_le_avx2_impl(src: &[u8], dst: &mut [u64]) -> usize {
+    let n = dst.len();
+    let s = src.as_ptr();
+    let d = dst.as_mut_ptr();
+    let zero = _mm256_setzero_si256();
+    let mut i = 1;
+    while i + 4 <= n {
+        let cur = _mm256_loadu_si256(s.add(8 * i) as *const __m256i);
+        let prev = _mm256_loadu_si256(s.add(8 * (i - 1)) as *const __m256i);
+        let x = _mm256_sub_epi64(cur, prev);
+        let sign = _mm256_cmpgt_epi64(zero, x);
+        let e = _mm256_xor_si256(_mm256_slli_epi64(x, 1), sign);
+        _mm256_storeu_si256(d.add(i) as *mut __m256i, e);
+        i += 4;
+    }
+    i
 }
 
 /// DIFFMS decode of a `u64` slice with SSE2 (2-lane prefix sum).

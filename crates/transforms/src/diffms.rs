@@ -8,7 +8,9 @@
 //! small negative differences have many leading zero bits.
 //!
 //! The kernels, scalar reference included, live in `fpc_simd::diffms`;
-//! this module times them.
+//! this module times them. [`encode32_le`]/[`encode64_le`] fuse the
+//! little-endian load into the encode, so chunk codecs read their words
+//! straight from the chunk bytes, one block at a time.
 
 use fpc_metrics::Stage;
 
@@ -17,6 +19,21 @@ pub fn encode32(values: &mut [u32]) {
     let t = fpc_metrics::timer(Stage::DiffmsEncode);
     fpc_simd::diffms::encode32(values);
     t.finish(values.len() as u64 * 4);
+}
+
+/// Fused load + DIFFMS encode: `dst.len()` little-endian words read from
+/// the front of `src`, differenced against their predecessors (`prev` for
+/// the first) and zigzagged into `dst`. Returns the last word read, the
+/// `prev` of the next block (see `fpc_simd::diffms::encode32_le`).
+///
+/// # Panics
+///
+/// Panics if `src` holds fewer than `dst.len()` words.
+pub fn encode32_le(prev: u32, src: &[u8], dst: &mut [u32]) -> u32 {
+    let t = fpc_metrics::timer(Stage::DiffmsEncode);
+    let last = fpc_simd::diffms::encode32_le(prev, src, dst);
+    t.finish(dst.len() as u64 * 4);
+    last
 }
 
 /// Inverts [`encode32`] in place.
@@ -31,6 +48,18 @@ pub fn encode64(values: &mut [u64]) {
     let t = fpc_metrics::timer(Stage::DiffmsEncode);
     fpc_simd::diffms::encode64(values);
     t.finish(values.len() as u64 * 8);
+}
+
+/// The 64-bit twin of [`encode32_le`].
+///
+/// # Panics
+///
+/// Panics if `src` holds fewer than `dst.len()` words.
+pub fn encode64_le(prev: u64, src: &[u8], dst: &mut [u64]) -> u64 {
+    let t = fpc_metrics::timer(Stage::DiffmsEncode);
+    let last = fpc_simd::diffms::encode64_le(prev, src, dst);
+    t.finish(dst.len() as u64 * 8);
+    last
 }
 
 /// Inverts [`encode64`] in place.

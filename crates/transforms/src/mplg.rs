@@ -33,29 +33,53 @@ pub fn encode32(values: &[u32], out: &mut Vec<u8>) {
 /// decoder is unaffected because the fallback is flag-driven).
 pub fn encode32_with(values: &[u32], out: &mut Vec<u8>, fallback: bool) {
     let t = fpc_metrics::timer(Stage::MplgEncode);
-    let mut buf = [0u32; SUBCHUNK_VALUES_32];
     for sub in values.chunks(SUBCHUNK_VALUES_32) {
-        let mut width = bitpack::min_width_u32(sub);
-        let mut flag = 0u8;
-        let packed: &[u32] = if width == 32 && fallback {
-            let b = &mut buf[..sub.len()];
-            b.copy_from_slice(sub);
-            zigzag::encode32_slice(b);
-            let w2 = bitpack::min_width_u32(b);
-            if w2 < 32 {
-                flag = FLAG_CONVERTED;
-                width = w2;
-                b
-            } else {
-                sub
-            }
-        } else {
-            sub
-        };
-        out.push(flag | width as u8);
-        bitpack::pack_u32(packed, width, out);
+        encode_subchunk32(sub, out, fallback);
     }
     t.finish(values.len() as u64 * 4);
+}
+
+/// DIFFMS then MPLG over the little-endian 32-bit words of `bytes`
+/// (bytes past the last whole word are ignored), fused: each subchunk's
+/// words are loaded and DIFFMS-encoded straight from the bytes into a
+/// stack buffer and packed from there. The output is what
+/// `diffms::encode32` followed by [`encode32_with`] gives on the
+/// same words, and no chunk-sized word buffer exists.
+///
+/// The pass records under `MPLG.encode` once per call: DIFFMS runs inside
+/// it, and a clock read per subchunk would cost as much as the subchunk.
+pub fn encode32_le(bytes: &[u8], out: &mut Vec<u8>, fallback: bool) {
+    let t = fpc_metrics::timer(Stage::MplgEncode);
+    let head = &bytes[..bytes.len() / 4 * 4];
+    let mut buf = [0u32; SUBCHUNK_VALUES_32];
+    let mut prev = 0;
+    for sub in head.chunks(SUBCHUNK_VALUES_32 * 4) {
+        let words = &mut buf[..sub.len() / 4];
+        prev = fpc_simd::diffms::encode32_le(prev, sub, words);
+        encode_subchunk32(words, out, fallback);
+    }
+    t.finish(head.len() as u64);
+}
+
+/// Encodes one subchunk: its header byte, then its packed values.
+fn encode_subchunk32(sub: &[u32], out: &mut Vec<u8>, fallback: bool) {
+    let width = bitpack::min_width_u32(sub);
+    if width == 32 && fallback {
+        // Rare: only subchunks whose maximum has no leading zeros pay for
+        // (and zero) the copy.
+        let mut buf = [0u32; SUBCHUNK_VALUES_32];
+        let b = &mut buf[..sub.len()];
+        b.copy_from_slice(sub);
+        zigzag::encode32_slice(b);
+        let w2 = bitpack::min_width_u32(b);
+        if w2 < 32 {
+            out.push(FLAG_CONVERTED | w2 as u8);
+            bitpack::pack_u32(b, w2, out);
+            return;
+        }
+    }
+    out.push(width as u8);
+    bitpack::pack_u32(sub, width, out);
 }
 
 /// Decodes `count` 32-bit words from `data` starting at `*pos`.
@@ -101,29 +125,53 @@ pub fn encode64(values: &[u64], out: &mut Vec<u8>) {
 /// [`encode64`] with the zigzag-fallback enhancement toggleable.
 pub fn encode64_with(values: &[u64], out: &mut Vec<u8>, fallback: bool) {
     let t = fpc_metrics::timer(Stage::MplgEncode);
-    let mut buf = [0u64; SUBCHUNK_VALUES_64];
     for sub in values.chunks(SUBCHUNK_VALUES_64) {
-        let mut width = bitpack::min_width_u64(sub);
-        let mut flag = 0u8;
-        let packed: &[u64] = if width == 64 && fallback {
-            let b = &mut buf[..sub.len()];
-            b.copy_from_slice(sub);
-            zigzag::encode64_slice(b);
-            let w2 = bitpack::min_width_u64(b);
-            if w2 < 64 {
-                flag = FLAG_CONVERTED;
-                width = w2;
-                b
-            } else {
-                sub
-            }
-        } else {
-            sub
-        };
-        out.push(flag | width as u8);
-        bitpack::pack_u64(packed, width, out);
+        encode_subchunk64(sub, out, fallback);
     }
     t.finish(values.len() as u64 * 8);
+}
+
+/// DIFFMS then MPLG over the little-endian 64-bit words of `bytes`
+/// (bytes past the last whole word are ignored), fused: each subchunk's
+/// words are loaded and DIFFMS-encoded straight from the bytes into a
+/// stack buffer and packed from there. The output is what
+/// `diffms::encode64` followed by [`encode64_with`] gives on the
+/// same words, and no chunk-sized word buffer exists.
+///
+/// The pass records under `MPLG.encode` once per call: DIFFMS runs inside
+/// it, and a clock read per subchunk would cost as much as the subchunk.
+pub fn encode64_le(bytes: &[u8], out: &mut Vec<u8>, fallback: bool) {
+    let t = fpc_metrics::timer(Stage::MplgEncode);
+    let head = &bytes[..bytes.len() / 8 * 8];
+    let mut buf = [0u64; SUBCHUNK_VALUES_64];
+    let mut prev = 0;
+    for sub in head.chunks(SUBCHUNK_VALUES_64 * 8) {
+        let words = &mut buf[..sub.len() / 8];
+        prev = fpc_simd::diffms::encode64_le(prev, sub, words);
+        encode_subchunk64(words, out, fallback);
+    }
+    t.finish(head.len() as u64);
+}
+
+/// Encodes one subchunk: its header byte, then its packed values.
+fn encode_subchunk64(sub: &[u64], out: &mut Vec<u8>, fallback: bool) {
+    let width = bitpack::min_width_u64(sub);
+    if width == 64 && fallback {
+        // Rare: only subchunks whose maximum has no leading zeros pay for
+        // (and zero) the copy.
+        let mut buf = [0u64; SUBCHUNK_VALUES_64];
+        let b = &mut buf[..sub.len()];
+        b.copy_from_slice(sub);
+        zigzag::encode64_slice(b);
+        let w2 = bitpack::min_width_u64(b);
+        if w2 < 64 {
+            out.push(FLAG_CONVERTED | w2 as u8);
+            bitpack::pack_u64(b, w2, out);
+            return;
+        }
+    }
+    out.push(width as u8);
+    bitpack::pack_u64(sub, width, out);
 }
 
 /// Decodes `count` 64-bit words from `data` starting at `*pos`.
@@ -185,6 +233,32 @@ mod tests {
         assert_eq!(pos, enc.len());
         assert_eq!(dec, values);
         enc.len()
+    }
+
+    #[test]
+    fn fused_le_matches_diffms_then_mplg() {
+        // Partial subchunks, a trailing partial word, fallback on and off.
+        for len in [0usize, 3, 4, 511, 512, 513, 1200, 16384 + 5] {
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| {
+                    ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as u8 ^ (i / 256) as u8
+                })
+                .collect();
+            for fallback in [true, false] {
+                let (mut w, _) = crate::words::bytes_to_u32(&bytes);
+                crate::diffms::encode32(&mut w);
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                encode32_with(&w, &mut want, fallback);
+                encode32_le(&bytes, &mut got, fallback);
+                assert_eq!(got, want, "u32 len {len} fallback {fallback}");
+                let (mut w, _) = crate::words::bytes_to_u64(&bytes);
+                crate::diffms::encode64(&mut w);
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                encode64_with(&w, &mut want, fallback);
+                encode64_le(&bytes, &mut got, fallback);
+                assert_eq!(got, want, "u64 len {len} fallback {fallback}");
+            }
+        }
     }
 
     #[test]

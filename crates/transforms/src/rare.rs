@@ -47,13 +47,12 @@ pub fn choose_split(values: &[u64]) -> usize {
 /// Panics if `kb > 8`.
 pub fn encode_with_split(values: &[u64], out: &mut Vec<u8>, kb: usize) {
     assert!(kb <= 8, "split must be at most 8 bytes");
-    // Note: the embedded rze::encode pass also records under RZE.encode,
-    // so RARE time includes (and overlaps) RZE time.
-    let t = fpc_metrics::timer(Stage::RareEncode);
+    // The embedded RZE pass records under RZE.encode only.
+    let mut t = fpc_metrics::timer(Stage::RareEncode);
     out.push(kb as u8);
     // XOR-difference the top parts so repeats become zeros.
     let tops = split(values, kb, u64::MAX, out);
-    rze::encode(&tops, out);
+    t.exclude(|| rze::encode(&tops, out));
     t.finish(values.len() as u64 * 8);
 }
 
@@ -63,7 +62,8 @@ pub fn encode_with_split(values: &[u64], out: &mut Vec<u8>, kb: usize) {
 ///
 /// Fails on truncation or an out-of-range split byte.
 pub fn decode(data: &[u8], pos: &mut usize, count: usize, out: &mut Vec<u64>) -> Result<()> {
-    let t = fpc_metrics::timer(Stage::RareDecode);
+    // The embedded RZE pass records under RZE.decode only.
+    let mut t = fpc_metrics::timer(Stage::RareDecode);
     let kb = *data.get(*pos).ok_or(DecodeError::UnexpectedEof)? as usize;
     *pos += 1;
     if kb > 8 {
@@ -83,7 +83,7 @@ pub fn decode(data: &[u8], pos: &mut usize, count: usize, out: &mut Vec<u64>) ->
     let bottoms = &data[*pos..bottoms_end];
     *pos = bottoms_end;
     let mut tops = Vec::with_capacity(count * kb);
-    rze::decode(data, pos, count * kb, &mut tops)?;
+    t.exclude(|| rze::decode(data, pos, count * kb, &mut tops))?;
     reassemble(bottoms, &tops, kb, count, u64::MAX, out);
     t.finish(count as u64 * 8);
     Ok(())

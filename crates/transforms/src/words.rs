@@ -19,13 +19,21 @@ pub fn bytes_to_u32(bytes: &[u8]) -> (Vec<u32>, &[u8]) {
 
 /// Splits `bytes` into little-endian `u64` words plus the raw tail.
 pub fn bytes_to_u64(bytes: &[u8]) -> (Vec<u64>, &[u8]) {
-    let n = bytes.len() / 8;
-    let (head, tail) = bytes.split_at(n * 8);
-    let words = head
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-        .collect();
+    let mut words = Vec::with_capacity(bytes.len() / 8);
+    let tail = load_u64(bytes, &mut words);
     (words, tail)
+}
+
+/// [`bytes_to_u64`] into a reused buffer: replaces the contents of `words`
+/// with the little-endian words of `bytes` and returns the raw tail.
+pub fn load_u64<'a>(bytes: &'a [u8], words: &mut Vec<u64>) -> &'a [u8] {
+    let (head, tail) = bytes.split_at(bytes.len() / 8 * 8);
+    words.clear();
+    words.extend(
+        head.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))),
+    );
+    tail
 }
 
 /// Appends `words` to `out` in little-endian byte order.
