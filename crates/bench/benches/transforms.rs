@@ -117,6 +117,32 @@ fn main() {
             out.len()
         });
     }
+    // The speed-tier chunk decoders: MPLG unpacked one subchunk at a time
+    // and DIFFMS-decoded straight into the reused output chunk.
+    type Decode = fn(&[u8], &mut usize, &mut [u8]) -> fpc_transforms::Result<()>;
+    for (name, encode, decode, bytes) in [
+        (
+            "spspeed_decode_chunk",
+            mplg::encode32_le as Encode,
+            mplg::decode32_le as Decode,
+            &sp_bytes,
+        ),
+        (
+            "dpspeed_decode_chunk",
+            mplg::encode64_le,
+            mplg::decode64_le,
+            &dp_bytes,
+        ),
+    ] {
+        let mut enc = Vec::new();
+        encode(bytes, &mut enc, true);
+        let mut out = vec![0u8; bytes.len()];
+        group.bench(name, || {
+            let mut pos = 0;
+            decode(&enc, &mut pos, &mut out).expect("valid chunk");
+            pos
+        });
+    }
     {
         let mut diffed = chunk_u32();
         diffms::encode32(&mut diffed);

@@ -85,19 +85,50 @@ pub trait ChunkCodec: Sync {
     /// Transforms one chunk, appending the encoded bytes to `out`.
     fn encode_chunk(&self, chunk: &[u8], out: &mut Vec<u8>);
 
-    /// Inverts [`ChunkCodec::encode_chunk`].
-    ///
-    /// `expected_len` is the original chunk length (known from the header).
+    /// Inverts [`ChunkCodec::encode_chunk`], writing the decoded chunk
+    /// into `out`, which is exactly the original chunk length (known from
+    /// the header) long.
     ///
     /// # Errors
     ///
-    /// Returns an error for truncated or corrupt chunk data.
-    fn decode_chunk(
+    /// Returns an error for truncated or corrupt chunk data; `out` then
+    /// holds unspecified bytes.
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error>;
+}
+
+impl dyn ChunkCodec + '_ {
+    /// [`ChunkCodec::decode_into`] for a caller that collects chunks in a
+    /// `Vec`: appends the `expected_len` decoded bytes to `out`, which
+    /// keeps its old length on error.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChunkCodec::decode_into`].
+    pub fn decode_chunk(
         &self,
         data: &[u8],
         expected_len: usize,
         out: &mut Vec<u8>,
-    ) -> Result<(), Error>;
+    ) -> Result<(), Error> {
+        decode_appending(out, expected_len, |buf| self.decode_into(data, buf))
+    }
+}
+
+/// Grows `out` by `len` bytes and lets `decode` write them, the way a
+/// `Vec` caller runs a slice-out decode: on error `out` keeps its old
+/// length.
+///
+/// # Errors
+///
+/// `decode`'s error.
+pub fn decode_appending(
+    out: &mut Vec<u8>,
+    len: usize,
+    decode: impl FnOnce(&mut [u8]) -> Result<(), Error>,
+) -> Result<(), Error> {
+    let start = out.len();
+    out.resize(start + len, 0);
+    decode(&mut out[start..]).inspect_err(|_| out.truncate(start))
 }
 
 /// A per-chunk codec *selector*: every chunk is encoded with whichever
@@ -124,18 +155,14 @@ pub trait AdaptiveChunkCodec: Sync {
 
     /// Inverts [`AdaptiveChunkCodec::encode_chunk`] for a chunk recorded
     /// with `codec_id` (guaranteed to satisfy
-    /// [`AdaptiveChunkCodec::knows_codec`]).
+    /// [`AdaptiveChunkCodec::knows_codec`]), as
+    /// [`ChunkCodec::decode_into`] does: `out` is exactly the original
+    /// chunk length long.
     ///
     /// # Errors
     ///
     /// Returns an error for truncated or corrupt chunk data.
-    fn decode_chunk(
-        &self,
-        codec_id: u8,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error>;
+    fn decode_into(&self, codec_id: u8, data: &[u8], out: &mut [u8]) -> Result<(), Error>;
 }
 
 /// The codec handle every container entry point takes: one pipeline for
@@ -188,27 +215,27 @@ impl Codec<'_> {
     }
 
     /// The one per-chunk decode step, on a body that already passed
-    /// [`Meta::verify`] (the one per-chunk verify step), appending to
-    /// `out`: raw chunks are copied out, other chunks dispatch to the codec
-    /// (on the recorded `codec_id` for a selector) and must decode to
-    /// exactly `expected_len` bytes.
-    fn decode(
+    /// [`Meta::verify`] (the one per-chunk verify step), into `out`, which
+    /// is the chunk's decoded length long: raw chunks are copied out,
+    /// other chunks dispatch to the codec (on the recorded `codec_id` for
+    /// a selector).
+    fn decode_into(
         &self,
         index: usize,
         codec_id: u8,
         raw: bool,
         body: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
+        out: &mut [u8],
     ) -> Result<(), Error> {
         if raw {
-            out.extend_from_slice(body);
+            if body.len() != out.len() {
+                return Err(Error::Corrupt("raw chunk length mismatch"));
+            }
+            out.copy_from_slice(body);
             return Ok(());
         }
-        let start = out.len();
-        out.reserve(expected_len.min(MAX_CHUNK_SIZE));
         match self {
-            Codec::Fixed(c) => c.decode_chunk(body, expected_len, out)?,
+            Codec::Fixed(c) => c.decode_into(body, out),
             Codec::Adaptive(c) => {
                 if !c.knows_codec(codec_id) {
                     return Err(Error::UnknownChunkCodec {
@@ -216,13 +243,9 @@ impl Codec<'_> {
                         codec: codec_id,
                     });
                 }
-                c.decode_chunk(codec_id, body, expected_len, out)?;
+                c.decode_into(codec_id, body, out)
             }
         }
-        if out.len() - start != expected_len {
-            return Err(Error::Corrupt("decoded chunk length mismatch"));
-        }
-        Ok(())
     }
 }
 
@@ -1050,9 +1073,9 @@ impl StreamingDecoder {
     }
 }
 
-/// Decodes a [`StreamChunk`], appending to `out` and enforcing the
-/// expected length exactly as whole-stream [`decompress`] does per chunk.
-/// The caller runs [`Codec::check`] on the stream header first.
+/// Decodes a [`StreamChunk`], appending its `expected_len` bytes to `out`
+/// as whole-stream [`decompress`] decodes each chunk. The caller runs
+/// [`Codec::check`] on the stream header first.
 ///
 /// # Errors
 ///
@@ -1064,14 +1087,9 @@ pub fn decode_stream_chunk(
     codec: Codec<'_>,
     out: &mut Vec<u8>,
 ) -> Result<(), Error> {
-    codec.decode(
-        chunk.index,
-        chunk.codec_id,
-        chunk.raw,
-        &chunk.body,
-        chunk.expected_len,
-        out,
-    )
+    decode_appending(out, chunk.expected_len, |buf| {
+        codec.decode_into(chunk.index, chunk.codec_id, chunk.raw, &chunk.body, buf)
+    })
 }
 
 /// Per-chunk damage record produced by [`verify`] and
@@ -1157,7 +1175,7 @@ pub fn decompress_tolerant(
     let region = Region::parse(data)?;
     codec.check(region.header())?;
     let mut report = region.report();
-    // A damaged chunk's slot is left unfilled, which zero-fills it.
+    // A damaged chunk's slot reads as zeros: `decode_slot` re-zeroes it.
     let payload = region.decode_span(
         0,
         region.payload_len(),
@@ -1290,37 +1308,32 @@ impl<'a> Region<'a> {
     fn decode(&self, index: usize, codec: Codec<'_>, out: &mut Vec<u8>) -> Result<(), Error> {
         let (meta, body) = (&self.meta, self.body(index));
         meta.verify(index, body)?;
-        codec.decode(
-            index,
-            meta.codec_id(index),
-            meta.raw(index),
-            body,
-            meta.expected_len(index),
-            out,
-        )
+        decode_appending(out, meta.expected_len(index), |buf| {
+            codec.decode_into(index, meta.codec_id(index), meta.raw(index), body, buf)
+        })
     }
 
-    /// Verifies and decodes chunk `index` into its whole-chunk `slot`: a
-    /// raw chunk is copied straight from the stream, any other is decoded
-    /// into the worker's scratch arena and copied from there.
+    /// Verifies and decodes chunk `index` straight into its whole-chunk
+    /// `slot`: a raw chunk is copied from the stream, any other is decoded
+    /// into the zero-filled slot in place. A failed decode re-zeroes the
+    /// slot, so a damaged chunk reads as zeros.
     fn decode_slot(
         &self,
         index: usize,
         codec: Codec<'_>,
         slot: &mut OutSlot<'_>,
     ) -> Result<(), Error> {
-        let body = self.body(index);
-        if self.meta.raw(index) {
+        let (meta, body) = (&self.meta, self.body(index));
+        meta.verify(index, body)?;
+        if meta.raw(index) {
             // `verify` pins a raw body to the chunk's decoded length.
-            self.meta.verify(index, body)?;
             slot.fill(body);
             return Ok(());
         }
-        fpc_pool::with_scratch(|buf| {
-            self.decode(index, codec, buf)?;
-            slot.fill(buf);
-            Ok(())
-        })
+        let out = slot.zeroed();
+        codec
+            .decode_into(index, meta.codec_id(index), false, body, out)
+            .inspect_err(|_| out.fill(0))
     }
 
     /// The one in-place decode behind [`decompress`],
@@ -1561,17 +1574,14 @@ mod tests {
             out.push(0xEE);
             out.extend_from_slice(chunk);
         }
-        fn decode_chunk(
-            &self,
-            data: &[u8],
-            _expected_len: usize,
-            out: &mut Vec<u8>,
-        ) -> Result<(), Error> {
-            if data.first() != Some(&0xEE) {
-                return Err(Error::Corrupt("missing marker"));
+        fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+            match data.split_first() {
+                Some((0xEE, body)) if body.len() == out.len() => {
+                    out.copy_from_slice(body);
+                    Ok(())
+                }
+                _ => Err(Error::Corrupt("missing marker or wrong length")),
             }
-            out.extend_from_slice(&data[1..]);
-            Ok(())
         }
     }
 
@@ -1591,17 +1601,20 @@ mod tests {
                 i += run;
             }
         }
-        fn decode_chunk(
-            &self,
-            data: &[u8],
-            _expected_len: usize,
-            out: &mut Vec<u8>,
-        ) -> Result<(), Error> {
+        fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
             if !data.len().is_multiple_of(2) {
                 return Err(Error::UnexpectedEof);
             }
+            let mut at = 0;
             for pair in data.chunks_exact(2) {
-                out.resize(out.len() + pair[0] as usize, pair[1]);
+                let run = at + pair[0] as usize;
+                out.get_mut(at..run)
+                    .ok_or(Error::Corrupt("runs overrun the chunk"))?
+                    .fill(pair[1]);
+                at = run;
+            }
+            if at != out.len() {
+                return Err(Error::Corrupt("runs fall short of the chunk"));
             }
             Ok(())
         }
@@ -2145,16 +2158,10 @@ mod tests {
         fn knows_codec(&self, codec_id: u8) -> bool {
             codec_id == 1 || codec_id == 2
         }
-        fn decode_chunk(
-            &self,
-            codec_id: u8,
-            data: &[u8],
-            expected_len: usize,
-            out: &mut Vec<u8>,
-        ) -> Result<(), Error> {
+        fn decode_into(&self, codec_id: u8, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
             match codec_id {
-                1 => Rle.decode_chunk(data, expected_len, out),
-                2 => Identity.decode_chunk(data, expected_len, out),
+                1 => Rle.decode_into(data, out),
+                2 => Identity.decode_into(data, out),
                 _ => unreachable!("container checks knows_codec first"),
             }
         }

@@ -29,16 +29,11 @@ impl ChunkCodec for Fill {
         out.push(chunk[0]);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         let [byte] = data else {
             return Err(Error::Corrupt("fill body is one byte"));
         };
-        out.resize(out.len() + expected_len, *byte);
+        out.fill(*byte);
         Ok(())
     }
 }

@@ -27,12 +27,20 @@ impl ChunkCodec for Runs {
         }
     }
 
-    fn decode_chunk(&self, data: &[u8], _len: usize, out: &mut Vec<u8>) -> Result<(), Error> {
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         if !data.len().is_multiple_of(2) {
             return Err(Error::UnexpectedEof);
         }
+        let mut at = 0;
         for pair in data.chunks_exact(2) {
-            out.resize(out.len() + usize::from(pair[0]), pair[1]);
+            let run = at + usize::from(pair[0]);
+            out.get_mut(at..run)
+                .ok_or(Error::Corrupt("runs overrun the chunk"))?
+                .fill(pair[1]);
+            at = run;
+        }
+        if at != out.len() {
+            return Err(Error::Corrupt("runs fall short of the chunk"));
         }
         Ok(())
     }
@@ -63,19 +71,19 @@ impl AdaptiveChunkCodec for RunsOrNibbles {
         matches!(codec_id, 1 | 2)
     }
 
-    fn decode_chunk(
-        &self,
-        codec_id: u8,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
+    fn decode_into(&self, codec_id: u8, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         if codec_id == 1 {
-            return Runs.decode_chunk(data, expected_len, out);
+            return Runs.decode_into(data, out);
         }
-        let start = out.len();
-        out.extend(data.iter().flat_map(|&b| [b & 15, b >> 4]));
-        out.truncate(start + expected_len);
+        if data.len() != out.len().div_ceil(2) {
+            return Err(Error::Corrupt("nibble body length"));
+        }
+        for (pair, &b) in out.chunks_mut(2).zip(data) {
+            pair[0] = b & 15;
+            if let Some(hi) = pair.get_mut(1) {
+                *hi = b >> 4;
+            }
+        }
         Ok(())
     }
 }

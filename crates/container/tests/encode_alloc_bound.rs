@@ -26,7 +26,7 @@ impl ChunkCodec for Runs {
         }
     }
 
-    fn decode_chunk(&self, _: &[u8], _: usize, _: &mut Vec<u8>) -> Result<(), Error> {
+    fn decode_into(&self, _: &[u8], _: &mut [u8]) -> Result<(), Error> {
         unreachable!("encode only")
     }
 }

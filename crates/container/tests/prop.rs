@@ -12,12 +12,14 @@ impl ChunkCodec for Expanding {
         out.push(0xA5);
         out.extend_from_slice(chunk);
     }
-    fn decode_chunk(&self, data: &[u8], _len: usize, out: &mut Vec<u8>) -> Result<(), Error> {
-        if data.first() != Some(&0xA5) {
-            return Err(Error::Corrupt("marker missing"));
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+        match data.split_first() {
+            Some((0xA5, body)) if body.len() == out.len() => {
+                out.copy_from_slice(body);
+                Ok(())
+            }
+            _ => Err(Error::Corrupt("marker missing or wrong length")),
         }
-        out.extend_from_slice(&data[1..]);
-        Ok(())
     }
 }
 
@@ -37,12 +39,20 @@ impl ChunkCodec for Collapsing {
             i += run;
         }
     }
-    fn decode_chunk(&self, data: &[u8], _len: usize, out: &mut Vec<u8>) -> Result<(), Error> {
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         if !data.len().is_multiple_of(2) {
             return Err(Error::UnexpectedEof);
         }
+        let mut at = 0;
         for pair in data.chunks_exact(2) {
-            out.resize(out.len() + pair[0] as usize, pair[1]);
+            let run = at + usize::from(pair[0]);
+            out.get_mut(at..run)
+                .ok_or(Error::Corrupt("runs overrun the chunk"))?
+                .fill(pair[1]);
+            at = run;
+        }
+        if at != out.len() {
+            return Err(Error::Corrupt("runs fall short of the chunk"));
         }
         Ok(())
     }

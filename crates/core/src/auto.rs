@@ -95,12 +95,8 @@ impl ChunkCodec for DpRatioLocalCodec {
         out.extend_from_slice(tail);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+        let expected_len = out.len();
         let nwords = expected_len / 8;
         let tail_len = expected_len % 8;
         if data.len() < 4 + tail_len {
@@ -113,17 +109,17 @@ impl ChunkCodec for DpRatioLocalCodec {
         }
         // Rebuild the global stage's payload layout and share its decoder.
         let inner = DpRatioChunkCodec { fixed_split: None };
-        let mut payload = Vec::with_capacity(nwords * 16 + tail_len);
-        inner.decode_chunk(&body[..values_len], nwords * 8, &mut payload)?;
-        if payload.len() != nwords * 8 {
-            return Err(Error::Corrupt("fcm value array length mismatch"));
-        }
-        inner.decode_chunk(&body[values_len..], nwords * 8, &mut payload)?;
-        if payload.len() != nwords * 16 {
-            return Err(Error::Corrupt("fcm distance array length mismatch"));
-        }
-        payload.extend_from_slice(tail);
-        fcm::decode_payload(&payload, expected_len, out).map_err(map_decode)
+        let mut payload = vec![0; nwords * 16 + tail_len];
+        let (values, rest) = payload.split_at_mut(nwords * 8);
+        let (distances, payload_tail) = rest.split_at_mut(nwords * 8);
+        inner.decode_into(&body[..values_len], values)?;
+        inner.decode_into(&body[values_len..], distances)?;
+        payload_tail.copy_from_slice(tail);
+        let mut decoded = Vec::with_capacity(expected_len);
+        fcm::decode_payload(&payload, expected_len, &mut decoded).map_err(map_decode)?;
+        // `decode_payload` decodes exactly `expected_len` bytes on success.
+        out.copy_from_slice(&decoded);
+        Ok(())
     }
 }
 
@@ -132,7 +128,7 @@ impl ChunkCodec for DpRatioLocalCodec {
 /// Implements [`AdaptiveChunkCodec`], so it plugs into
 /// [`fpc_container::compress_adaptive`] and friends; the container records
 /// the returned codec id per chunk and routes decode back through
-/// [`AutoCodec::decode_chunk`].
+/// [`AdaptiveChunkCodec::decode_into`].
 #[derive(Debug, Clone, Copy)]
 pub struct AutoCodec {
     sp_speed: SpSpeedCodec,
@@ -148,6 +144,26 @@ impl Default for AutoCodec {
 }
 
 impl AutoCodec {
+    /// [`AdaptiveChunkCodec::decode_into`] for a caller that collects
+    /// chunks in a `Vec`, as `<dyn ChunkCodec>::decode_chunk` is for one
+    /// pipeline: appends the `expected_len` decoded bytes to `out`, which
+    /// keeps its old length on error.
+    ///
+    /// # Errors
+    ///
+    /// As [`AdaptiveChunkCodec::decode_into`].
+    pub fn decode_chunk(
+        &self,
+        codec_id: u8,
+        data: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), Error> {
+        fpc_container::decode_appending(out, expected_len, |buf| {
+            self.decode_into(codec_id, data, buf)
+        })
+    }
+
     /// Builds the candidate set from encoder options (decode ignores them;
     /// the stream is self-describing).
     pub fn new(options: &PipelineOptions) -> Self {
@@ -246,15 +262,9 @@ impl AdaptiveChunkCodec for AutoCodec {
         self.codec_for(codec_id).is_some()
     }
 
-    fn decode_chunk(
-        &self,
-        codec_id: u8,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
+    fn decode_into(&self, codec_id: u8, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         match self.codec_for(codec_id) {
-            Some(codec) => codec.decode_chunk(data, expected_len, out),
+            Some(codec) => codec.decode_into(data, out),
             // The container checks knows_codec before dispatching, so this
             // only guards direct misuse of the codec.
             None => Err(Error::Corrupt("codec id not known to the AUTO decoder")),
@@ -284,8 +294,8 @@ mod tests {
             let chunk: Vec<u8> = smooth_f64_chunk(len / 8 + 1)[..len].to_vec();
             let mut enc = Vec::new();
             codec.encode_chunk(&chunk, &mut enc);
-            let mut dec = Vec::new();
-            codec.decode_chunk(&enc, chunk.len(), &mut dec).unwrap();
+            let mut dec = vec![0; chunk.len()];
+            codec.decode_into(&enc, &mut dec).unwrap();
             assert_eq!(dec, chunk, "len {len}");
         }
     }
@@ -315,8 +325,8 @@ mod tests {
             let mut enc = Vec::new();
             let id = auto.encode_chunk(&chunk, &mut enc);
             assert!(auto.knows_codec(id), "picked unknown id {id}");
-            let mut dec = Vec::new();
-            auto.decode_chunk(id, &enc, chunk.len(), &mut dec).unwrap();
+            let mut dec = vec![0; chunk.len()];
+            auto.decode_into(id, &enc, &mut dec).unwrap();
             assert_eq!(dec, chunk);
         }
     }
@@ -354,9 +364,9 @@ mod tests {
         assert!(!auto.knows_codec(0));
         assert!(!auto.knows_codec(5));
         assert!(!auto.knows_codec(250));
-        let mut out = Vec::new();
+        let mut out = [0; 3];
         assert!(matches!(
-            auto.decode_chunk(250, &[1, 2, 3], 3, &mut out),
+            auto.decode_into(250, &[1, 2, 3], &mut out),
             Err(Error::Corrupt(_))
         ));
     }

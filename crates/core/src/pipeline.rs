@@ -6,10 +6,12 @@
 //! in `lib.rs`.
 //!
 //! Every encoder reads its words straight from the chunk bytes through the
-//! fused load + DIFFMS kernel. The speed codecs run DIFFMS and MPLG one
-//! MPLG subchunk at a time through a stack buffer (`mplg::encode32_le`),
-//! as the paper's GPU kernels do in shared memory; the ratio codecs, whose
-//! later stages need the whole chunk, use this thread's [`Scratch`].
+//! fused load + DIFFMS kernel, and every decoder writes its words straight
+//! into the output chunk through the fused DIFFMS + store kernel. The speed
+//! codecs run DIFFMS and MPLG one MPLG subchunk at a time through a stack
+//! buffer (`mplg::encode32_le`, `mplg::decode32_le`), as the paper's GPU
+//! kernels do in shared memory; the ratio codecs, whose later stages need
+//! the whole chunk, use this thread's [`Scratch`].
 //!
 //! gpu-sim's kernel codecs end their decoders with the same
 //! [`finish_chunk`] and report transform errors through [`map_decode`], so
@@ -20,10 +22,10 @@ use fpc_entropy::varint;
 use fpc_transforms::{bit_transpose, diffms, mplg, rare, raze, rze, words, DecodeError};
 use std::cell::RefCell;
 
-/// Per-thread word and byte buffers for the ratio codecs' encoders.
+/// Per-thread word and byte buffers for the ratio codecs.
 ///
-/// They cannot borrow `fpc_pool::with_scratch`: the container already
-/// holds that arena as the chunk's output while a codec runs, and a
+/// They cannot borrow `fpc_pool::with_scratch`: the container may already
+/// hold that arena as the chunk's output while a codec runs, and a
 /// re-entrant call there falls back to a fresh allocation.
 struct Scratch {
     words32: Vec<u32>,
@@ -49,8 +51,9 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
-/// Hands `f` this thread's [`Scratch`]. Encoders never nest (AUTO runs its
-/// candidates one after another), so the borrow is never contended.
+/// Hands `f` this thread's [`Scratch`]. Codecs never nest (AUTO runs its
+/// candidates one after another, and the chunk-local DPratio decoder its
+/// two inner decodes), so the borrow is never contended.
 fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with_borrow_mut(|s| {
         let out = f(s);
@@ -79,20 +82,16 @@ fn take<'a>(data: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8], Err
     Ok(slice)
 }
 
-/// The last step of every chunk decoder: appends the `tail_len` verbatim
-/// tail bytes at `pos` to `out` and rejects any byte after them.
+/// The last step of every chunk decoder: copies the verbatim tail bytes at
+/// `pos` into `tail`, the chunk's bytes past its last whole word, and
+/// rejects any byte after them.
 ///
 /// # Errors
 ///
 /// [`Error::UnexpectedEof`] if the tail is cut short, [`Error::Corrupt`] if
 /// bytes follow it.
-pub fn finish_chunk(
-    data: &[u8],
-    mut pos: usize,
-    tail_len: usize,
-    out: &mut Vec<u8>,
-) -> Result<(), Error> {
-    out.extend_from_slice(take(data, &mut pos, tail_len)?);
+pub fn finish_chunk(data: &[u8], mut pos: usize, tail: &mut [u8]) -> Result<(), Error> {
+    tail.copy_from_slice(take(data, &mut pos, tail.len())?);
     if pos == data.len() {
         Ok(())
     } else {
@@ -113,20 +112,11 @@ impl ChunkCodec for SpSpeedCodec {
         out.extend_from_slice(&chunk[chunk.len() / 4 * 4..]);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        let count = expected_len / 4;
-        let tail_len = expected_len % 4;
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         let mut pos = 0;
-        let mut w = Vec::with_capacity(count);
-        mplg::decode32(data, &mut pos, count, &mut w).map_err(map_decode)?;
-        diffms::decode32(&mut w);
-        words::u32_to_bytes(&w, out);
-        finish_chunk(data, pos, tail_len, out)
+        mplg::decode32_le(data, &mut pos, out).map_err(map_decode)?;
+        let head = out.len() / 4 * 4;
+        finish_chunk(data, pos, &mut out[head..])
     }
 }
 
@@ -143,20 +133,11 @@ impl ChunkCodec for DpSpeedCodec {
         out.extend_from_slice(&chunk[chunk.len() / 8 * 8..]);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        let count = expected_len / 8;
-        let tail_len = expected_len % 8;
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         let mut pos = 0;
-        let mut w = Vec::with_capacity(count);
-        mplg::decode64(data, &mut pos, count, &mut w).map_err(map_decode)?;
-        diffms::decode64(&mut w);
-        words::u64_to_bytes(&w, out);
-        finish_chunk(data, pos, tail_len, out)
+        mplg::decode64_le(data, &mut pos, out).map_err(map_decode)?;
+        let head = out.len() / 8 * 8;
+        finish_chunk(data, pos, &mut out[head..])
     }
 }
 
@@ -178,23 +159,18 @@ impl ChunkCodec for SpRatioCodec {
         out.extend_from_slice(tail);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        let count = expected_len / 4;
-        let tail_len = expected_len % 4;
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+        let (head, tail) = out.split_at_mut(out.len() / 4 * 4);
         let mut pos = 0;
-        let mut transposed = Vec::with_capacity(count * 4);
-        rze::decode(data, &mut pos, count * 4, &mut transposed).map_err(map_decode)?;
-        let (mut w, rest) = words::bytes_to_u32(&transposed);
-        debug_assert!(rest.is_empty());
-        bit_transpose::transpose32(&mut w);
-        diffms::decode32(&mut w);
-        words::u32_to_bytes(&w, out);
-        finish_chunk(data, pos, tail_len, out)
+        with_scratch(|s| {
+            s.bytes.clear();
+            rze::decode(data, &mut pos, head.len(), &mut s.bytes).map_err(map_decode)?;
+            words::load_u32(&s.bytes, &mut s.words32);
+            bit_transpose::transpose32(&mut s.words32);
+            diffms::decode32_le(0, &s.words32, head);
+            Ok::<_, Error>(())
+        })?;
+        finish_chunk(data, pos, tail)
     }
 }
 
@@ -232,35 +208,34 @@ impl ChunkCodec for DpRatioChunkCodec {
         out.extend_from_slice(ctail);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        let count = expected_len / 8;
-        let ctail_len = expected_len % 8;
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+        let expected_len = out.len();
+        let (head, ctail) = out.split_at_mut(expected_len / 8 * 8);
         let mut pos = 0;
         let razed_len = varint::read_usize(data, &mut pos).map_err(map_decode)?;
         if razed_len > expected_len * 2 + 64 {
             return Err(Error::Corrupt("raze stream implausibly large"));
         }
-        let w2_count = razed_len / 8;
-        let t2_len = razed_len % 8;
-        let mut w2 = Vec::with_capacity(w2_count);
-        rare::decode(data, &mut pos, w2_count, &mut w2).map_err(map_decode)?;
-        let mut razed = Vec::with_capacity(razed_len);
-        words::u64_to_bytes(&w2, &mut razed);
-        razed.extend_from_slice(take(data, &mut pos, t2_len)?);
-        let mut razed_pos = 0;
-        let mut w = Vec::with_capacity(count);
-        raze::decode(&razed, &mut razed_pos, count, &mut w).map_err(map_decode)?;
-        if razed_pos != razed.len() {
-            return Err(Error::Corrupt("raze stream not fully consumed"));
-        }
-        diffms::decode64(&mut w);
-        words::u64_to_bytes(&w, out);
-        finish_chunk(data, pos, ctail_len, out)
+        with_scratch(|s| {
+            // RARE gives the RAZE stream's whole words, its last bytes
+            // follow verbatim; RAZE then decodes into the word buffer.
+            s.words64.clear();
+            rare::decode(data, &mut pos, razed_len / 8, &mut s.words64).map_err(map_decode)?;
+            s.bytes.clear();
+            words::u64_to_bytes(&s.words64, &mut s.bytes);
+            s.bytes
+                .extend_from_slice(take(data, &mut pos, razed_len % 8)?);
+            let mut razed_pos = 0;
+            s.words64.clear();
+            raze::decode(&s.bytes, &mut razed_pos, head.len() / 8, &mut s.words64)
+                .map_err(map_decode)?;
+            if razed_pos != s.bytes.len() {
+                return Err(Error::Corrupt("raze stream not fully consumed"));
+            }
+            diffms::decode64_le(0, &s.words64, head);
+            Ok(())
+        })?;
+        finish_chunk(data, pos, ctail)
     }
 }
 
@@ -271,8 +246,8 @@ mod tests {
     fn chunk_roundtrip(codec: &dyn ChunkCodec, chunk: &[u8]) -> usize {
         let mut enc = Vec::new();
         codec.encode_chunk(chunk, &mut enc);
-        let mut dec = Vec::new();
-        codec.decode_chunk(&enc, chunk.len(), &mut dec).unwrap();
+        let mut dec = vec![0; chunk.len()];
+        codec.decode_into(&enc, &mut dec).unwrap();
         assert_eq!(dec, chunk);
         enc.len()
     }
@@ -340,10 +315,8 @@ mod tests {
         ] {
             let mut enc = Vec::new();
             codec.encode_chunk(&chunk, &mut enc);
-            let mut dec = Vec::new();
-            assert!(codec
-                .decode_chunk(&enc[..enc.len() - 3], chunk.len(), &mut dec)
-                .is_err());
+            let mut dec = vec![0; chunk.len()];
+            assert!(codec.decode_into(&enc[..enc.len() - 3], &mut dec).is_err());
         }
     }
 
@@ -354,9 +327,9 @@ mod tests {
         let mut enc = Vec::new();
         codec.encode_chunk(&chunk, &mut enc);
         enc.push(0xAB);
-        let mut dec = Vec::new();
+        let mut dec = vec![0; chunk.len()];
         assert!(matches!(
-            codec.decode_chunk(&enc, chunk.len(), &mut dec),
+            codec.decode_into(&enc, &mut dec),
             Err(Error::Corrupt(_))
         ));
     }
@@ -372,8 +345,8 @@ mod tests {
             codec.encode_chunk(&chunk, &mut enc);
             // Decoding uses the split stored in the stream, not the option.
             let dec_codec = DpRatioChunkCodec { fixed_split: None };
-            let mut dec = Vec::new();
-            dec_codec.decode_chunk(&enc, chunk.len(), &mut dec).unwrap();
+            let mut dec = vec![0; chunk.len()];
+            dec_codec.decode_into(&enc, &mut dec).unwrap();
             assert_eq!(dec, chunk, "kb={kb}");
         }
     }

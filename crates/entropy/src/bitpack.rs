@@ -51,24 +51,36 @@ pub fn pack_u32(values: &[u32], width: u32, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError::UnexpectedEof`] if `data` holds fewer than
-/// `count * width` bits.
+/// Returns [`DecodeError::UnexpectedEof`], leaving `out` untouched, if
+/// `data` holds fewer than `count * width` bits.
 pub fn unpack_u32(data: &[u8], width: u32, count: usize, out: &mut Vec<u32>) -> Result<()> {
+    check_len(data, width, count)?;
+    let start = out.len();
+    out.resize(start + count, 0);
+    unpack_u32_into(data, width, &mut out[start..])
+}
+
+/// Unpacks `out.len()` values of `width` bits from the front of `data`
+/// into `out`.
+///
+/// # Errors
+///
+/// Returns [`DecodeError::UnexpectedEof`] if `data` holds fewer than
+/// `out.len() * width` bits.
+pub fn unpack_u32_into(data: &[u8], width: u32, out: &mut [u32]) -> Result<()> {
     debug_assert!(width <= 32);
     if width == 0 {
-        out.resize(out.len() + count, 0);
+        out.fill(0);
         return Ok(());
     }
     if !fpc_simd::force_scalar() {
-        return fpc_simd::bitpack::unpack_u32(data, width, count, out)
+        return fpc_simd::bitpack::unpack_u32_into(data, width, out)
             .then_some(())
             .ok_or(DecodeError::UnexpectedEof);
     }
     let mut r = BitReader::new(data);
-    out.reserve(count);
-    for _ in 0..count {
-        let v = r.read_bits(width).ok_or(DecodeError::UnexpectedEof)?;
-        out.push(v as u32);
+    for v in out {
+        *v = r.read_bits(width).ok_or(DecodeError::UnexpectedEof)? as u32;
     }
     Ok(())
 }
@@ -106,23 +118,43 @@ pub fn pack_u64(values: &[u64], width: u32, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError::UnexpectedEof`] if `data` holds fewer than
-/// `count * width` bits.
+/// As [`unpack_u32`].
 pub fn unpack_u64(data: &[u8], width: u32, count: usize, out: &mut Vec<u64>) -> Result<()> {
+    check_len(data, width, count)?;
+    let start = out.len();
+    out.resize(start + count, 0);
+    unpack_u64_into(data, width, &mut out[start..])
+}
+
+/// Unpacks `out.len()` values of `width` bits from the front of `data`
+/// into `out`.
+///
+/// # Errors
+///
+/// As [`unpack_u32_into`].
+pub fn unpack_u64_into(data: &[u8], width: u32, out: &mut [u64]) -> Result<()> {
     debug_assert!(width <= 64);
     if width == 0 {
-        out.resize(out.len() + count, 0);
+        out.fill(0);
         return Ok(());
     }
     if !fpc_simd::force_scalar() {
-        return fpc_simd::bitpack::unpack_u64(data, width, count, out)
+        return fpc_simd::bitpack::unpack_u64_into(data, width, out)
             .then_some(())
             .ok_or(DecodeError::UnexpectedEof);
     }
     let mut r = BitReader::new(data);
-    out.reserve(count);
-    for _ in 0..count {
-        out.push(r.read_bits(width).ok_or(DecodeError::UnexpectedEof)?);
+    for v in out {
+        *v = r.read_bits(width).ok_or(DecodeError::UnexpectedEof)?;
+    }
+    Ok(())
+}
+
+/// The EOF condition of every unpack, checked before the appending forms
+/// grow their output: `data` must hold `count * width` bits.
+fn check_len(data: &[u8], width: u32, count: usize) -> Result<()> {
+    if count as u128 * u128::from(width) > data.len() as u128 * 8 {
+        return Err(DecodeError::UnexpectedEof);
     }
     Ok(())
 }

@@ -370,20 +370,14 @@ impl ChunkCodec for GpuSpSpeedCodec {
         out.extend_from_slice(tail);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        let count = expected_len / 4;
-        let tail_len = expected_len % 4;
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+        let (head, tail) = out.split_at_mut(out.len() / 4 * 4);
         let mut pos = 0;
-        let mut w = Vec::with_capacity(count);
-        mplg::decode32(data, &mut pos, count, &mut w).map_err(map_decode)?;
+        let mut w = Vec::with_capacity(head.len() / 4);
+        mplg::decode32(data, &mut pos, head.len() / 4, &mut w).map_err(map_decode)?;
         diffms_decode32_scan(&mut w);
-        words::u32_to_bytes(&w, out);
-        finish_chunk(data, pos, tail_len, out)
+        words::store_u32(&w, head);
+        finish_chunk(data, pos, tail)
     }
 }
 
@@ -399,20 +393,14 @@ impl ChunkCodec for GpuDpSpeedCodec {
         out.extend_from_slice(tail);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        let count = expected_len / 8;
-        let tail_len = expected_len % 8;
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+        let (head, tail) = out.split_at_mut(out.len() / 8 * 8);
         let mut pos = 0;
-        let mut w = Vec::with_capacity(count);
-        mplg::decode64(data, &mut pos, count, &mut w).map_err(map_decode)?;
+        let mut w = Vec::with_capacity(head.len() / 8);
+        mplg::decode64(data, &mut pos, head.len() / 8, &mut w).map_err(map_decode)?;
         diffms_decode64_scan(&mut w);
-        words::u64_to_bytes(&w, out);
-        finish_chunk(data, pos, tail_len, out)
+        words::store_u64(&w, head);
+        finish_chunk(data, pos, tail)
     }
 }
 
@@ -431,22 +419,16 @@ impl ChunkCodec for GpuSpRatioCodec {
         out.extend_from_slice(tail);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        let count = expected_len / 4;
-        let tail_len = expected_len % 4;
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+        let (head, tail) = out.split_at_mut(out.len() / 4 * 4);
         let mut pos = 0;
-        let mut transposed = Vec::with_capacity(count * 4);
-        rze_decode_gather(data, &mut pos, count * 4, &mut transposed)?;
+        let mut transposed = Vec::with_capacity(head.len());
+        rze_decode_gather(data, &mut pos, head.len(), &mut transposed)?;
         let (mut w, _) = words::bytes_to_u32(&transposed);
         bit_transpose32_warp(&mut w);
         diffms_decode32_scan(&mut w);
-        words::u32_to_bytes(&w, out);
-        finish_chunk(data, pos, tail_len, out)
+        words::store_u32(&w, head);
+        finish_chunk(data, pos, tail)
     }
 }
 
@@ -478,14 +460,9 @@ impl ChunkCodec for GpuDpRatioChunkCodec {
         out.extend_from_slice(ctail);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), Error> {
         // Byte format identical to the scalar codec; its decoder applies.
-        DpRatioChunkCodec { fixed_split: None }.decode_chunk(data, expected_len, out)
+        DpRatioChunkCodec { fixed_split: None }.decode_into(data, out)
     }
 }
 
@@ -551,13 +528,11 @@ mod tests {
                 cpu.encode_chunk(chunk, &mut cpu_out);
                 assert_eq!(gpu_out, cpu_out, "{name} case {case_idx}: encodings differ");
                 // Cross-decode: GPU decodes the CPU stream and vice versa.
-                let mut via_gpu = Vec::new();
-                gpu.decode_chunk(&cpu_out, chunk.len(), &mut via_gpu)
-                    .unwrap();
+                let mut via_gpu = vec![0; chunk.len()];
+                gpu.decode_into(&cpu_out, &mut via_gpu).unwrap();
                 assert_eq!(&via_gpu, chunk, "{name} case {case_idx}: gpu decode");
-                let mut via_cpu = Vec::new();
-                cpu.decode_chunk(&gpu_out, chunk.len(), &mut via_cpu)
-                    .unwrap();
+                let mut via_cpu = vec![0; chunk.len()];
+                cpu.decode_into(&gpu_out, &mut via_cpu).unwrap();
                 assert_eq!(&via_cpu, chunk, "{name} case {case_idx}: cpu decode");
             }
         }

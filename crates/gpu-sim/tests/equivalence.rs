@@ -96,13 +96,8 @@ impl fpc_container::ChunkCodec for TrailingByte {
         out.push(0xA5);
     }
 
-    fn decode_chunk(
-        &self,
-        data: &[u8],
-        expected_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), fpc_container::Error> {
-        self.0.decode_chunk(data, expected_len, out)
+    fn decode_into(&self, data: &[u8], out: &mut [u8]) -> Result<(), fpc_container::Error> {
+        self.0.decode_into(data, out)
     }
 }
 

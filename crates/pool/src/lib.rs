@@ -533,6 +533,19 @@ impl OutSlot<'_> {
         self.push(bytes);
     }
 
+    /// Zero-fills the whole slot and hands it out as a byte slice, for a
+    /// caller that decodes into it in place. Bytes it leaves alone stay
+    /// zero.
+    pub fn zeroed(&mut self) -> &mut [u8] {
+        self.written = 0;
+        self.zero_rest();
+        // SAFETY: `ptr..ptr + len` lies in `out`'s spare capacity, belongs
+        // to this slot alone (see `SpareBytes`) and was just initialized;
+        // the slice borrows the slot mutably, so no other write through it
+        // can alias the slice while it lives.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
+    }
+
     /// Writes `bytes` right after what the slot holds so far.
     ///
     /// # Panics
@@ -885,6 +898,19 @@ mod tests {
             total.fetch_add(acc.min(1), Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 64);
+    }
+
+    /// A slot handed out through `OutSlot::zeroed` keeps the writes made
+    /// into the slice and zeros everywhere else; small enough for Miri.
+    #[test]
+    fn zeroed_slots_take_in_place_writes() {
+        let mut out = vec![9u8];
+        let results = fill_slots(&mut out, 0, 4, 10, 2, |j, slot| {
+            slot.zeroed()[0] = j as u8 + 1;
+            Ok::<(), ()>(())
+        });
+        assert_eq!(results.len(), 3);
+        assert_eq!(out, [9, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0]);
     }
 
     /// Small enough to run under Miri, which checks the spare-capacity

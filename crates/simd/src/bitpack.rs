@@ -12,8 +12,9 @@
 //! write their block body out once per value (`unroll_block!`; LLVM does
 //! not fully unroll the loop by itself), so every shift, mask and word
 //! index is a compile-time constant and no branch depends on data. The public entry points pick the kernel from a
-//! per-width table once per call, size the output once for all full blocks
-//! and let the kernel write into it directly.
+//! per-width table once per call, size the packed output once for all full
+//! blocks (unpacking fills the caller's slice) and let the kernel write into
+//! it directly.
 //!
 //! A tail of fewer than 32 values also starts byte-aligned. It runs through
 //! the same kernel on a zero-padded block in a stack buffer: packing keeps
@@ -198,13 +199,13 @@ fn pack<T: Copy + Default>(values: &[T], width: u32, kernels: &[Pack<T>], out: &
     }
 }
 
-fn unpack<T: Copy + Default>(
+fn unpack_into<T: Copy + Default>(
     data: &[u8],
     width: u32,
-    count: usize,
     kernels: &[Unpack<T>],
-    out: &mut Vec<T>,
+    out: &mut [T],
 ) -> bool {
+    let count = out.len();
     if count as u128 * width as u128 > data.len() as u128 * 8 {
         return false;
     }
@@ -213,17 +214,15 @@ fn unpack<T: Copy + Default>(
     let block_bytes = 4 * width;
     // Cannot overflow: the full blocks' bytes fit in `data` (checked above).
     let (full, rest) = data.split_at(count / BLOCK * block_bytes);
-    let start = out.len();
-    out.resize(start + count / BLOCK * BLOCK, T::default());
-    kernel(full, &mut out[start..]);
-    let tail = count % BLOCK;
-    if tail > 0 {
+    let (head, tail) = out.split_at_mut(count / BLOCK * BLOCK);
+    kernel(full, head);
+    if !tail.is_empty() {
         let mut bytes = [0u8; 8 * BLOCK];
         let n = rest.len().min(block_bytes);
         bytes[..n].copy_from_slice(&rest[..n]);
         let mut block = [T::default(); BLOCK];
         kernel(&bytes[..block_bytes], &mut block);
-        out.extend_from_slice(&block[..tail]);
+        tail.copy_from_slice(&block[..tail.len()]);
     }
     true
 }
@@ -244,24 +243,24 @@ pub fn pack_u64(values: &[u64], width: u32, out: &mut Vec<u8>) {
     pack(values, width, &PACK64, out);
 }
 
-/// Unpacks `count` values of `width` bits (1..=32) from `data`, appending
-/// to `out`.
+/// Unpacks `out.len()` values of `width` bits (1..=32) from the front of
+/// `data` into `out`.
 ///
 /// Returns `false`, leaving `out` untouched, iff `data` holds fewer than
-/// `count * width` bits — exactly the scalar EOF condition.
-pub fn unpack_u32(data: &[u8], width: u32, count: usize, out: &mut Vec<u32>) -> bool {
+/// `out.len() * width` bits — exactly the scalar EOF condition.
+pub fn unpack_u32_into(data: &[u8], width: u32, out: &mut [u32]) -> bool {
     debug_assert!((1..=32).contains(&width));
     crate::record(chosen_unpack());
-    unpack(data, width, count, &UNPACK32, out)
+    unpack_into(data, width, &UNPACK32, out)
 }
 
-/// Unpacks `count` values of `width` bits (1..=64) from `data`.
+/// Unpacks `out.len()` values of `width` bits (1..=64) from `data`.
 ///
-/// Same contract as [`unpack_u32`].
-pub fn unpack_u64(data: &[u8], width: u32, count: usize, out: &mut Vec<u64>) -> bool {
+/// Same contract as [`unpack_u32_into`].
+pub fn unpack_u64_into(data: &[u8], width: u32, out: &mut [u64]) -> bool {
     debug_assert!((1..=64).contains(&width));
     crate::record(chosen_unpack());
-    unpack(data, width, count, &UNPACK64, out)
+    unpack_into(data, width, &UNPACK64, out)
 }
 
 #[cfg(test)]
@@ -313,11 +312,10 @@ mod tests {
                 pack_u32(&values, width, &mut got);
                 assert_eq!(got[..PREFIX.len()], PREFIX, "w{width} n{n}");
                 assert_eq!(got[PREFIX.len()..], want, "w{width} n{n}");
-                let mut back = vec![7u32];
-                assert!(unpack_u32(&want, width, n, &mut back), "w{width} n{n}");
-                assert_eq!(back[0], 7);
+                let mut back = vec![7u32; n];
+                assert!(unpack_u32_into(&want, width, &mut back), "w{width} n{n}");
                 let masked: Vec<u32> = values.iter().map(|v| v & mask).collect();
-                assert_eq!(back[1..], masked, "w{width} n{n}");
+                assert_eq!(back, masked, "w{width} n{n}");
             }
         }
     }
@@ -333,11 +331,10 @@ mod tests {
                 pack_u64(&values, width, &mut got);
                 assert_eq!(got[..PREFIX.len()], PREFIX, "w{width} n{n}");
                 assert_eq!(got[PREFIX.len()..], want, "w{width} n{n}");
-                let mut back = vec![7u64];
-                assert!(unpack_u64(&want, width, n, &mut back), "w{width} n{n}");
-                assert_eq!(back[0], 7);
+                let mut back = vec![7u64; n];
+                assert!(unpack_u64_into(&want, width, &mut back), "w{width} n{n}");
                 let masked: Vec<u64> = values.iter().map(|v| v & mask).collect();
-                assert_eq!(back[1..], masked, "w{width} n{n}");
+                assert_eq!(back, masked, "w{width} n{n}");
             }
         }
     }
@@ -352,12 +349,12 @@ mod tests {
             let mut packed = Vec::new();
             pack_u64(&noisy(N).collect::<Vec<_>>(), width, &mut packed);
             for cut in 0..packed.len() {
-                let mut out = Vec::new();
+                let mut out = [7u64; N];
                 assert!(
-                    !unpack_u64(&packed[..cut], width, N, &mut out),
+                    !unpack_u64_into(&packed[..cut], width, &mut out),
                     "w{width} cut{cut}"
                 );
-                assert!(out.is_empty());
+                assert_eq!(out, [7; N]);
             }
             if width <= 32 {
                 let mut packed = Vec::new();
@@ -367,12 +364,12 @@ mod tests {
                     &mut packed,
                 );
                 for cut in 0..packed.len() {
-                    let mut out = Vec::new();
+                    let mut out = [7u32; N];
                     assert!(
-                        !unpack_u32(&packed[..cut], width, N, &mut out),
+                        !unpack_u32_into(&packed[..cut], width, &mut out),
                         "w{width} cut{cut}"
                     );
-                    assert!(out.is_empty());
+                    assert_eq!(out, [7; N]);
                 }
             }
         }
@@ -383,11 +380,11 @@ mod tests {
         // Exactly enough bits succeeds even with a ragged final byte.
         let mut packed = Vec::new();
         pack_u32(&[3u32; 5], 3, &mut packed); // 15 bits -> 2 bytes
-        let mut out = Vec::new();
-        assert!(unpack_u32(&packed, 3, 5, &mut out));
-        assert_eq!(out, vec![3u32; 5]);
+        let mut out = [0u32; 5];
+        assert!(unpack_u32_into(&packed, 3, &mut out));
+        assert_eq!(out, [3u32; 5]);
         // One more value than the stream holds fails.
-        let mut out = Vec::new();
-        assert!(!unpack_u32(&packed, 3, 6, &mut out));
+        let mut out = [0u32; 6];
+        assert!(!unpack_u32_into(&packed, 3, &mut out));
     }
 }

@@ -15,7 +15,10 @@
 //!
 //! Decode is a zigzag decode followed by an inclusive prefix sum. Wrapping
 //! addition is associative, so the SSE2 log-step prefix sum is bit-identical
-//! to the sequential loop; it runs at the x86 tier. A SWAR prefix sum would
+//! to the sequential loop; it runs at the x86 tier. The `_le` decoders fuse
+//! the little-endian store into the pass the same way: they read the
+//! encoded words of one block, add them onto the carried `prev` and write
+//! the sums straight into a byte slice. A SWAR prefix sum would
 //! need carries to cross the packed lanes, so decode has no SWAR form and
 //! non-x86 hosts run the scalar loops.
 
@@ -91,6 +94,34 @@ pub fn encode64_le_scalar(mut prev: u64, src: &[u8], dst: &mut [u64]) -> u64 {
         let cur = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
         *d = enc64(cur.wrapping_sub(prev));
         prev = cur;
+    }
+    prev
+}
+
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
+///
+/// # Panics
+///
+/// Panics if `dst` holds fewer than `src.len()` words.
+pub fn decode32_le_scalar(mut prev: u32, src: &[u32], dst: &mut [u8]) -> u32 {
+    let dst = &mut dst[..src.len() * 4];
+    for (d, &x) in dst.chunks_exact_mut(4).zip(src) {
+        prev = dec32(x).wrapping_add(prev);
+        d.copy_from_slice(&prev.to_le_bytes());
+    }
+    prev
+}
+
+/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
+///
+/// # Panics
+///
+/// Panics if `dst` holds fewer than `src.len()` words.
+pub fn decode64_le_scalar(mut prev: u64, src: &[u64], dst: &mut [u8]) -> u64 {
+    let dst = &mut dst[..src.len() * 8];
+    for (d, &x) in dst.chunks_exact_mut(8).zip(src) {
+        prev = dec64(x).wrapping_add(prev);
+        d.copy_from_slice(&prev.to_le_bytes());
     }
     prev
 }
@@ -179,6 +210,29 @@ pub fn decode32(values: &mut [u32]) {
     }
 }
 
+/// Dispatched fused DIFFMS decode + little-endian store: zigzag-decodes
+/// the `src.len()` words of `src`, adds each onto the running sum (which
+/// starts at `prev`) and writes the sums as little-endian words to the
+/// front of `dst`.
+///
+/// Returns the last sum (`prev` if `src` is empty), which is the `prev` of
+/// the next block of the same sequence. Decoding a sequence block by block
+/// from `prev = 0` writes exactly the bytes of [`decode32`] on the whole
+/// sequence.
+///
+/// # Panics
+///
+/// Panics if `dst` holds fewer than `src.len()` words.
+pub fn decode32_le(prev: u32, src: &[u32], dst: &mut [u8]) -> u32 {
+    let tier = chosen_decode32();
+    crate::record(tier);
+    match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx2 => crate::x86::diffms_decode32_le_sse2(prev, src, dst),
+        _ => decode32_le_scalar(prev, src, dst),
+    }
+}
+
 /// Dispatched in-place DIFFMS encode of a `u64` slice.
 pub fn encode64(values: &mut [u64]) {
     let tier = chosen_encode64();
@@ -213,6 +267,21 @@ pub fn decode64(values: &mut [u64]) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::diffms_decode64_sse2(values),
         _ => decode64_scalar(values),
+    }
+}
+
+/// The 64-bit twin of [`decode32_le`].
+///
+/// # Panics
+///
+/// Panics if `dst` holds fewer than `src.len()` words.
+pub fn decode64_le(prev: u64, src: &[u64], dst: &mut [u8]) -> u64 {
+    let tier = chosen_decode64();
+    crate::record(tier);
+    match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx2 => crate::x86::diffms_decode64_le_sse2(prev, src, dst),
+        _ => decode64_le_scalar(prev, src, dst),
     }
 }
 

@@ -1,6 +1,7 @@
 //! `core::arch::x86_64` kernel implementations: the AVX2 tier's kernels,
-//! plus the two SSE2 DIFFMS prefix-sum decoders that also run at that tier
-//! (SSE2 is part of the x86_64 baseline).
+//! plus the SSE2 DIFFMS prefix-sum decoders (in place, and fused with the
+//! little-endian store) that also run at that tier (SSE2 is part of the
+//! x86_64 baseline).
 //!
 //! Every `unsafe` block of the workspace's vector plumbing lives in this
 //! module. Each public function is a safe wrapper that asserts the required
@@ -142,6 +143,54 @@ unsafe fn diffms_decode32_sse2_impl(values: &mut [u32]) {
     }
 }
 
+/// Fused DIFFMS decode + little-endian store of the `src.len()` `u32`
+/// words of `src` into `dst` with SSE2 (see `diffms::decode32_le`): the
+/// prefix sum of [`diffms_decode32_sse2`], started from `prev` and stored
+/// to bytes instead of back in place.
+pub fn diffms_decode32_le_sse2(prev: u32, src: &[u32], dst: &mut [u8]) -> u32 {
+    let n = src.len();
+    let dst = &mut dst[..n * 4];
+    // SAFETY: SSE2 is part of the x86_64 baseline; every block reads words
+    // i..i+4 of `src` and writes bytes 4i..4(i+4) of `dst`, with
+    // i + 4 <= n, inside both slices.
+    let (mut i, mut prev) = unsafe { diffms_decode32_le_sse2_impl(prev, src, dst) };
+    while i < n {
+        prev = dec32(src[i]).wrapping_add(prev);
+        dst[4 * i..4 * i + 4].copy_from_slice(&prev.to_le_bytes());
+        i += 1;
+    }
+    prev
+}
+
+/// Decodes whole 4-word blocks; returns where it stopped and the sum there.
+///
+/// # Safety
+///
+/// `dst` must hold at least `src.len()` words' bytes.
+#[target_feature(enable = "sse2")]
+unsafe fn diffms_decode32_le_sse2_impl(prev: u32, src: &[u32], dst: &mut [u8]) -> (usize, u32) {
+    let n = src.len();
+    let s = src.as_ptr();
+    let d = dst.as_mut_ptr();
+    let zero = _mm_setzero_si128();
+    let one = _mm_set1_epi32(1);
+    let mut run = _mm_set1_epi32(prev as i32);
+    let mut i = 0;
+    while i + 4 <= n {
+        let x = _mm_loadu_si128(s.add(i) as *const __m128i);
+        let sign = _mm_sub_epi32(zero, _mm_and_si128(x, one));
+        let v = _mm_xor_si128(_mm_srli_epi32(x, 1), sign);
+        let v = _mm_add_epi32(v, _mm_slli_si128(v, 4));
+        let v = _mm_add_epi32(v, _mm_slli_si128(v, 8));
+        let sum = _mm_add_epi32(v, run);
+        // x86 is little-endian: the lanes store as LE words.
+        _mm_storeu_si128(d.add(4 * i) as *mut __m128i, sum);
+        run = _mm_shuffle_epi32(sum, 0b1111_1111);
+        i += 4;
+    }
+    (i, _mm_cvtsi128_si32(run) as u32)
+}
+
 /// DIFFMS encode of a `u64` slice with AVX2.
 pub fn diffms_encode64_avx2(values: &mut [u64]) {
     assert!(have_avx2(), "AVX2 unavailable");
@@ -251,6 +300,50 @@ unsafe fn diffms_decode64_sse2_impl(values: &mut [u64]) {
         *v = dec64(*v).wrapping_add(prev);
         prev = *v;
     }
+}
+
+/// Fused DIFFMS decode + little-endian store of `u64` words with SSE2
+/// (see `diffms::decode64_le`).
+pub fn diffms_decode64_le_sse2(prev: u64, src: &[u64], dst: &mut [u8]) -> u64 {
+    let n = src.len();
+    let dst = &mut dst[..n * 8];
+    // SAFETY: SSE2 is part of the x86_64 baseline; every block reads words
+    // i..i+2 of `src` and writes bytes 8i..8(i+2) of `dst`, with
+    // i + 2 <= n, inside both slices.
+    let (mut i, mut prev) = unsafe { diffms_decode64_le_sse2_impl(prev, src, dst) };
+    while i < n {
+        prev = dec64(src[i]).wrapping_add(prev);
+        dst[8 * i..8 * i + 8].copy_from_slice(&prev.to_le_bytes());
+        i += 1;
+    }
+    prev
+}
+
+/// Decodes whole 2-word blocks; returns where it stopped and the sum there.
+///
+/// # Safety
+///
+/// `dst` must hold at least `src.len()` words' bytes.
+#[target_feature(enable = "sse2")]
+unsafe fn diffms_decode64_le_sse2_impl(prev: u64, src: &[u64], dst: &mut [u8]) -> (usize, u64) {
+    let n = src.len();
+    let s = src.as_ptr();
+    let d = dst.as_mut_ptr();
+    let zero = _mm_setzero_si128();
+    let one = _mm_set1_epi64x(1);
+    let mut run = _mm_set1_epi64x(prev as i64);
+    let mut i = 0;
+    while i + 2 <= n {
+        let x = _mm_loadu_si128(s.add(i) as *const __m128i);
+        let sign = _mm_sub_epi64(zero, _mm_and_si128(x, one));
+        let v = _mm_xor_si128(_mm_srli_epi64(x, 1), sign);
+        let v = _mm_add_epi64(v, _mm_slli_si128(v, 8));
+        let sum = _mm_add_epi64(v, run);
+        _mm_storeu_si128(d.add(8 * i) as *mut __m128i, sum);
+        run = _mm_shuffle_epi32(sum, 0b1110_1110);
+        i += 2;
+    }
+    (i, _mm_cvtsi128_si64(run) as u64)
 }
 
 // ------------------------------------------------------------- transpose --

@@ -10,7 +10,9 @@
 //! The kernels, scalar reference included, live in `fpc_simd::diffms`;
 //! this module times them. [`encode32_le`]/[`encode64_le`] fuse the
 //! little-endian load into the encode, so chunk codecs read their words
-//! straight from the chunk bytes, one block at a time.
+//! straight from the chunk bytes, one block at a time;
+//! [`decode32_le`]/[`decode64_le`] fuse the store into the decode, so they
+//! write straight into the output chunk.
 
 use fpc_metrics::Stage;
 
@@ -43,6 +45,21 @@ pub fn decode32(values: &mut [u32]) {
     t.finish(values.len() as u64 * 4);
 }
 
+/// Fused DIFFMS decode + little-endian store: the `src.len()` words of
+/// `src` decoded onto the running sum `prev` and written to the front of
+/// `dst`. Returns the last sum, the `prev` of the next block (see
+/// `fpc_simd::diffms::decode32_le`).
+///
+/// # Panics
+///
+/// Panics if `dst` holds fewer than `src.len()` words.
+pub fn decode32_le(prev: u32, src: &[u32], dst: &mut [u8]) -> u32 {
+    let t = fpc_metrics::timer(Stage::DiffmsDecode);
+    let last = fpc_simd::diffms::decode32_le(prev, src, dst);
+    t.finish(src.len() as u64 * 4);
+    last
+}
+
 /// Applies DIFFMS in place to a chunk of 64-bit words.
 pub fn encode64(values: &mut [u64]) {
     let t = fpc_metrics::timer(Stage::DiffmsEncode);
@@ -67,6 +84,18 @@ pub fn decode64(values: &mut [u64]) {
     let t = fpc_metrics::timer(Stage::DiffmsDecode);
     fpc_simd::diffms::decode64(values);
     t.finish(values.len() as u64 * 8);
+}
+
+/// The 64-bit twin of [`decode32_le`].
+///
+/// # Panics
+///
+/// Panics if `dst` holds fewer than `src.len()` words.
+pub fn decode64_le(prev: u64, src: &[u64], dst: &mut [u8]) -> u64 {
+    let t = fpc_metrics::timer(Stage::DiffmsDecode);
+    let last = fpc_simd::diffms::decode64_le(prev, src, dst);
+    t.finish(src.len() as u64 * 8);
+    last
 }
 
 #[cfg(test)]

@@ -92,29 +92,75 @@ pub fn decode32(data: &[u8], pos: &mut usize, count: usize, out: &mut Vec<u32>) 
     let mut remaining = count;
     while remaining > 0 {
         let n = remaining.min(SUBCHUNK_VALUES_32);
-        let header = *data.get(*pos).ok_or(DecodeError::UnexpectedEof)?;
-        *pos += 1;
-        let width = u32::from(header & WIDTH_MASK);
-        if width > 32 {
-            return Err(DecodeError::Corrupt("mplg width exceeds 32 bits"));
-        }
-        let nbytes = bitpack::packed_len(n, width);
-        let end = pos
-            .checked_add(nbytes)
-            .ok_or(DecodeError::Corrupt("mplg length overflow"))?;
-        if end > data.len() {
-            return Err(DecodeError::UnexpectedEof);
-        }
+        let (converted, width, packed) = subchunk(data, pos, n, 32)?;
         let start = out.len();
-        bitpack::unpack_u32(&data[*pos..end], width, n, out)?;
-        *pos = end;
-        if header & FLAG_CONVERTED != 0 {
+        bitpack::unpack_u32(packed, width, n, out)?;
+        if converted {
             zigzag::decode32_slice(&mut out[start..]);
         }
         remaining -= n;
     }
     t.finish(count as u64 * 4);
     Ok(())
+}
+
+/// MPLG then DIFFMS decode into the little-endian 32-bit words of `dst`
+/// (bytes past the last whole word are left alone), fused: each
+/// subchunk is unpacked into a stack buffer, its conversion undone, and its
+/// words prefix-summed onto the carried predecessor and stored straight
+/// into `dst`. The bytes are what [`decode32`] followed by
+/// `diffms::decode32` and `words::u32_to_bytes` give, the errors are
+/// [`decode32`]'s, and no chunk-sized word buffer exists.
+///
+/// The pass records under `MPLG.decode` once per call, as [`encode32_le`]
+/// does.
+///
+/// # Errors
+///
+/// As [`decode32`]; on error `dst` holds unspecified bytes.
+pub fn decode32_le(data: &[u8], pos: &mut usize, dst: &mut [u8]) -> Result<()> {
+    let t = fpc_metrics::timer(Stage::MplgDecode);
+    let head = dst.len() / 4 * 4;
+    let mut buf = [0u32; SUBCHUNK_VALUES_32];
+    let mut prev = 0;
+    for out in dst[..head].chunks_mut(SUBCHUNK_VALUES_32 * 4) {
+        let words = &mut buf[..out.len() / 4];
+        let (converted, width, packed) = subchunk(data, pos, words.len(), 32)?;
+        bitpack::unpack_u32_into(packed, width, words)?;
+        if converted {
+            zigzag::decode32_slice(words);
+        }
+        prev = fpc_simd::diffms::decode32_le(prev, words, out);
+    }
+    t.finish(head as u64);
+    Ok(())
+}
+
+/// Reads the header of the next subchunk, of `n` values at most `max_width`
+/// bits wide, and returns its conversion flag, its width and its packed
+/// bytes, advancing `*pos` past them.
+fn subchunk<'a>(
+    data: &'a [u8],
+    pos: &mut usize,
+    n: usize,
+    max_width: u32,
+) -> Result<(bool, u32, &'a [u8])> {
+    let header = *data.get(*pos).ok_or(DecodeError::UnexpectedEof)?;
+    *pos += 1;
+    let width = u32::from(header & WIDTH_MASK);
+    if width > max_width {
+        return Err(DecodeError::Corrupt(if max_width == 32 {
+            "mplg width exceeds 32 bits"
+        } else {
+            "mplg width exceeds 64 bits"
+        }));
+    }
+    let end = pos
+        .checked_add(bitpack::packed_len(n, width))
+        .ok_or(DecodeError::Corrupt("mplg length overflow"))?;
+    let packed = data.get(*pos..end).ok_or(DecodeError::UnexpectedEof)?;
+    *pos = end;
+    Ok((header & FLAG_CONVERTED != 0, width, packed))
 }
 
 /// Encodes a chunk's worth of 64-bit words, appending to `out`.
@@ -184,28 +230,39 @@ pub fn decode64(data: &[u8], pos: &mut usize, count: usize, out: &mut Vec<u64>) 
     let mut remaining = count;
     while remaining > 0 {
         let n = remaining.min(SUBCHUNK_VALUES_64);
-        let header = *data.get(*pos).ok_or(DecodeError::UnexpectedEof)?;
-        *pos += 1;
-        let width = u32::from(header & WIDTH_MASK);
-        if width > 64 {
-            return Err(DecodeError::Corrupt("mplg width exceeds 64 bits"));
-        }
-        let nbytes = bitpack::packed_len(n, width);
-        let end = pos
-            .checked_add(nbytes)
-            .ok_or(DecodeError::Corrupt("mplg length overflow"))?;
-        if end > data.len() {
-            return Err(DecodeError::UnexpectedEof);
-        }
+        let (converted, width, packed) = subchunk(data, pos, n, 64)?;
         let start = out.len();
-        bitpack::unpack_u64(&data[*pos..end], width, n, out)?;
-        *pos = end;
-        if header & FLAG_CONVERTED != 0 {
+        bitpack::unpack_u64(packed, width, n, out)?;
+        if converted {
             zigzag::decode64_slice(&mut out[start..]);
         }
         remaining -= n;
     }
     t.finish(count as u64 * 8);
+    Ok(())
+}
+
+/// The 64-bit twin of [`decode32_le`]: MPLG then DIFFMS decode into the
+/// little-endian 64-bit words of `dst`, one subchunk at a time.
+///
+/// # Errors
+///
+/// As [`decode64`]; on error `dst` holds unspecified bytes.
+pub fn decode64_le(data: &[u8], pos: &mut usize, dst: &mut [u8]) -> Result<()> {
+    let t = fpc_metrics::timer(Stage::MplgDecode);
+    let head = dst.len() / 8 * 8;
+    let mut buf = [0u64; SUBCHUNK_VALUES_64];
+    let mut prev = 0;
+    for out in dst[..head].chunks_mut(SUBCHUNK_VALUES_64 * 8) {
+        let words = &mut buf[..out.len() / 8];
+        let (converted, width, packed) = subchunk(data, pos, words.len(), 64)?;
+        bitpack::unpack_u64_into(packed, width, words)?;
+        if converted {
+            zigzag::decode64_slice(words);
+        }
+        prev = fpc_simd::diffms::decode64_le(prev, words, out);
+    }
+    t.finish(head as u64);
     Ok(())
 }
 

@@ -8,12 +8,8 @@
 
 /// Splits `bytes` into little-endian `u32` words plus the raw tail.
 pub fn bytes_to_u32(bytes: &[u8]) -> (Vec<u32>, &[u8]) {
-    let n = bytes.len() / 4;
-    let (head, tail) = bytes.split_at(n * 4);
-    let words = head
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect();
+    let mut words = Vec::with_capacity(bytes.len() / 4);
+    let tail = load_u32(bytes, &mut words);
     (words, tail)
 }
 
@@ -36,20 +32,44 @@ pub fn load_u64<'a>(bytes: &'a [u8], words: &mut Vec<u64>) -> &'a [u8] {
     tail
 }
 
+/// [`bytes_to_u32`] into a reused buffer: replaces the contents of `words`
+/// with the little-endian words of `bytes` and returns the raw tail.
+pub fn load_u32<'a>(bytes: &'a [u8], words: &mut Vec<u32>) -> &'a [u8] {
+    let (head, tail) = bytes.split_at(bytes.len() / 4 * 4);
+    words.clear();
+    words.extend(
+        head.chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)"))),
+    );
+    tail
+}
+
 /// Appends `words` to `out` in little-endian byte order.
 pub fn u32_to_bytes(words: &[u32], out: &mut Vec<u8>) {
     let start = out.len();
     out.resize(start + words.len() * 4, 0);
-    for (dst, w) in out[start..].chunks_exact_mut(4).zip(words) {
-        dst.copy_from_slice(&w.to_le_bytes());
-    }
+    store_u32(words, &mut out[start..]);
 }
 
 /// Appends `words` to `out` in little-endian byte order.
 pub fn u64_to_bytes(words: &[u64], out: &mut Vec<u8>) {
     let start = out.len();
     out.resize(start + words.len() * 8, 0);
-    for (dst, w) in out[start..].chunks_exact_mut(8).zip(words) {
+    store_u64(words, &mut out[start..]);
+}
+
+/// Writes `words` to the front of `out` in little-endian byte order
+/// (stopping early if `out` runs out).
+pub fn store_u32(words: &[u32], out: &mut [u8]) {
+    for (dst, w) in out.chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Writes `words` to the front of `out` in little-endian byte order
+/// (stopping early if `out` runs out).
+pub fn store_u64(words: &[u64], out: &mut [u8]) {
+    for (dst, w) in out.chunks_exact_mut(8).zip(words) {
         dst.copy_from_slice(&w.to_le_bytes());
     }
 }

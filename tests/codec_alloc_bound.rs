@@ -1,7 +1,8 @@
-//! The allocation bound of one-shot SPspeed and DPspeed compress: the
-//! chunk encoders read their words straight from the chunk bytes through
-//! a stack buffer, so a compress allocates per group and per window, as
-//! the container does, and never per chunk.
+//! The allocation bound of one-shot SPspeed and DPspeed compress and
+//! decompress: the chunk encoders read their words straight from the chunk
+//! bytes, and the decoders write theirs straight into the output, through
+//! a stack buffer, so either direction allocates per group or window and
+//! per call, as the container does, and never per chunk.
 //!
 //! The counting global allocator is the container's
 //! (`crates/container/tests/counting`). It is process-wide, so this binary
@@ -16,6 +17,7 @@ use fpcompress::core::{Algorithm, Compressor};
 
 #[test]
 fn speed_tier_compress_allocates_nothing_per_chunk() {
+    // Decompress is bounded here too: one test per binary.
     let windows = 3;
     let chunks = windows * WINDOW_BYTES / DEFAULT_CHUNK_SIZE;
     let threads = 2;
@@ -54,6 +56,23 @@ fn speed_tier_compress_allocates_nothing_per_chunk() {
         assert!(
             usage.allocations <= bound,
             "{algo}: {} allocations for {chunks} chunks in {groups} groups, bound {bound}",
+            usage.allocations
+        );
+
+        let warm = fpcompress::core::decompress_bytes_with(&stream, threads).unwrap();
+        assert_eq!(warm, payload, "{algo}");
+        let (out, usage) =
+            counting::usage(|| fpcompress::core::decompress_bytes_with(&stream, threads).unwrap());
+        assert_eq!(out, payload, "{algo}");
+
+        // Per window, the output's growth by one window, the pool job and
+        // its result slots; per call, the chunk table's entries, offsets
+        // and checksums, and the boxed codec. Nothing per chunk: each chunk
+        // decodes straight into its slot of the output.
+        let bound = 3 * windows + 3 + 1;
+        assert!(
+            usage.allocations <= bound,
+            "{algo}: {} allocations to decode {chunks} chunks, bound {bound}",
             usage.allocations
         );
     }

@@ -616,8 +616,8 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
             w.write_bits(v as u64, width);
         }
         assert_eq!(packed, w.finish(), "pack_u32 diverged at width {width}");
-        let mut out = Vec::new();
-        assert!(bitpack::unpack_u32(&packed, width, masked.len(), &mut out));
+        let mut out = vec![0; masked.len()];
+        assert!(bitpack::unpack_u32_into(&packed, width, &mut out));
         assert_eq!(out, masked, "unpack_u32 not inverse at width {width}");
         let mut r = BitReader::new(&packed);
         for &v in &masked {
@@ -639,16 +639,15 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
             w.write_bits(v, width);
         }
         assert_eq!(packed, w.finish(), "pack_u64 diverged at width {width}");
-        let mut out = Vec::new();
-        assert!(bitpack::unpack_u64(&packed, width, masked.len(), &mut out));
+        let mut out = vec![0; masked.len()];
+        assert!(bitpack::unpack_u64_into(&packed, width, &mut out));
         assert_eq!(out, masked, "unpack_u64 not inverse at width {width}");
         // Truncated packed stream must be refused.
         if !packed.is_empty() {
-            let mut sink = Vec::new();
-            assert!(!bitpack::unpack_u64(
+            let mut sink = vec![0; masked.len()];
+            assert!(!bitpack::unpack_u64_into(
                 &packed[..packed.len() - 1],
                 width,
-                masked.len(),
                 &mut sink
             ));
         }

@@ -9,6 +9,7 @@
 
 use fpcompress::container::{self, Header, VERSION_1};
 use fpcompress::core::{Algorithm, Compressor, PipelineOptions, SpSpeedCodec};
+use fpcompress::transforms::mplg::SUBCHUNK_VALUES_32;
 
 fn sample_bytes(algo: Algorithm) -> Vec<u8> {
     match algo.element_width() {
@@ -133,6 +134,49 @@ fn v1_streams_decode_and_stay_honest_about_length() {
                 bytes.len(),
                 "v1 flip at {pos} changed output length"
             );
+        }
+    }
+}
+
+#[test]
+fn v1_tolerant_decode_zeroes_a_chunk_that_fails_inside_mplg() {
+    // No checksums in v1, so the damage reaches the codec. The fused
+    // decoder stores each MPLG subchunk into the output as it goes: the
+    // middle chunk has partly decoded when its fifth subchunk's header
+    // fails, and tolerant decode must still read it as zeros.
+    let (bytes, mut stream) = v1_stream();
+    let region = container::Region::parse(&stream).unwrap();
+    let chunk_size = region.header().chunk_size as usize;
+    let mid = region.chunks() / 2;
+    assert!(!region.chunk_raw(mid), "the middle chunk must be encoded");
+    let body = region.chunk_body(mid).unwrap();
+    let mut at = 0;
+    for _ in 0..4 {
+        at += 1 + (SUBCHUNK_VALUES_32 * usize::from(body[at] & 0x7F)).div_ceil(8);
+    }
+    let header_at = body.as_ptr() as usize - stream.as_ptr() as usize + at;
+    stream[header_at] = 0x7F; // a width above 32 bits
+
+    let codec = Algorithm::SpSpeed.codec(&PipelineOptions::default());
+    let (_, out, report) = container::decompress_tolerant(&stream, codec.as_codec(), 2).unwrap();
+    let damaged: Vec<_> = report.damaged.iter().map(|d| (d.chunk, &d.error)).collect();
+    assert_eq!(
+        damaged,
+        [(
+            mid as u32,
+            &container::Error::Corrupt("mplg width exceeds 32 bits")
+        )]
+    );
+    assert_eq!(out.len(), bytes.len());
+    for (i, (got, want)) in out
+        .chunks(chunk_size)
+        .zip(bytes.chunks(chunk_size))
+        .enumerate()
+    {
+        if i == mid {
+            assert!(got.iter().all(|&b| b == 0), "chunk {i} not zeroed");
+        } else {
+            assert_eq!(got, want, "clean chunk {i}");
         }
     }
 }
