@@ -23,9 +23,11 @@ pub const THROUGHPUT_DROP: f64 = 0.35;
 /// rounding through JSON.
 pub const RATIO_TOLERANCE: f64 = 0.02;
 
-/// fpcbench workloads the perf gate runs. Between them they cover the four
-/// paper algorithms, AUTO and the 2-thread pool.
-pub const GATE_WORKLOADS: [&str; 2] = ["archive-speed", "archive-ratio"];
+/// fpcbench workloads the perf gate runs. The archive pair covers the four
+/// paper algorithms, AUTO and the 2-thread pool; serve-hot covers the
+/// serve path: wire, streaming engines and cache hits, whose throughput no
+/// archive workload sees.
+pub const GATE_WORKLOADS: [&str; 3] = ["archive-speed", "archive-ratio", "serve-hot"];
 
 /// Parent/change pairs per workload. Pair `i` runs seed `i` on both sides.
 pub const GATE_PAIRS: u64 = 3;

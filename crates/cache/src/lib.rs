@@ -18,7 +18,10 @@
 //!   changes what the cached value means). 128 effective bits makes an
 //!   accidental collision — which would silently substitute another chunk's
 //!   bytes — beyond reach of any realistic working set (~2^64 chunks for a
-//!   50% birthday bound).
+//!   50% birthday bound). Decode paths already hold each chunk body's
+//!   container checksum, an XXH64 under the stream seed, so their keys
+//!   ([`CacheKey::with_checksum`]) take the high half from it and hash the
+//!   body once, for the low half.
 //! - **Sharding:** keys map to one of a power-of-two number of shards, each
 //!   behind its own mutex, so concurrent connections rarely contend. Each
 //!   shard owns `capacity / shards` bytes of the budget; the global
@@ -70,6 +73,20 @@ impl CacheKey {
     pub fn new(bytes: &[u8], context: u64) -> CacheKey {
         CacheKey {
             hi: xxh64(bytes, SEED_HI ^ context),
+            lo: xxh64(bytes, SEED_LO ^ context.rotate_left(32)),
+        }
+    }
+
+    /// The key of `bytes` whose high half comes from `checksum`, the
+    /// container's [`frame_checksum`](fpc_container::checksum::frame_checksum)
+    /// of the same bytes, which a decoder has already computed or verified:
+    /// only the low half hashes `bytes`. `checksum` and `context` are mixed
+    /// through one 8-byte XXH64 under the high-half seed, so the high half
+    /// is never the bare checksum. The decode paths key verified chunk
+    /// bodies this way; compress-path keys use [`CacheKey::new`].
+    pub fn with_checksum(bytes: &[u8], checksum: u64, context: u64) -> CacheKey {
+        CacheKey {
+            hi: xxh64(&checksum.to_le_bytes(), SEED_HI ^ context),
             lo: xxh64(bytes, SEED_LO ^ context.rotate_left(32)),
         }
     }
@@ -471,6 +488,12 @@ mod tests {
         assert_eq!(a, CacheKey::new(b"chunk", 1));
         assert_ne!(a, CacheKey::new(b"chunk", 2));
         assert_ne!(a, CacheKey::new(b"chunk2", 1));
+        let sum = fpc_container::checksum::frame_checksum(b"chunk");
+        let b = CacheKey::with_checksum(b"chunk", sum, 1);
+        assert_eq!(b, CacheKey::with_checksum(b"chunk", sum, 1));
+        assert_ne!(b, CacheKey::with_checksum(b"chunk", sum, 2));
+        assert_ne!(b.hi, sum, "the high half is mixed, not the bare checksum");
+        assert_ne!(b, a);
     }
 
     #[test]

@@ -933,12 +933,13 @@ fn decompress_impl(
     Ok((*region.header(), payload))
 }
 
-/// One chunk popped from a [`StreamingDecoder`]: the compressed body plus
-/// everything the chunk table recorded about it. The stored checksum has
-/// already been verified against `body` (v2), so the bytes can be trusted
-/// as far as the integrity layer guarantees — including as a cache key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamChunk {
+/// One chunk popped from a [`StreamingDecoder`]: the compressed body,
+/// borrowed from the decoder's buffer, plus everything the chunk table
+/// recorded about it. The stored checksum has already been verified
+/// against `body` (v2), so the bytes can be trusted as far as the
+/// integrity layer guarantees — including as a cache key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamChunk<'a> {
     /// Chunk index within the stream.
     pub index: usize,
     /// Codec id from the chunk table (0 for fixed-codec streams).
@@ -948,7 +949,19 @@ pub struct StreamChunk {
     /// Original (decoded) chunk length.
     pub expected_len: usize,
     /// Compressed (or raw) chunk bytes.
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
+    /// The verified stored checksum (v2); `None` for v1 streams.
+    stored_checksum: Option<u64>,
+}
+
+impl StreamChunk<'_> {
+    /// The chunk's [`frame_checksum`]: the stored, already verified value
+    /// on v2 streams, computed from `body` on v1 streams. The same value
+    /// [`Region::chunk_checksum`] gives for the chunk.
+    pub fn checksum(&self) -> u64 {
+        self.stored_checksum
+            .unwrap_or_else(|| frame_checksum(self.body))
+    }
 }
 
 /// Incremental container parser: feed stream bytes as they arrive, pop
@@ -956,12 +969,15 @@ pub struct StreamChunk {
 ///
 /// It runs the one-shot paths' metadata parser over the bytes buffered so
 /// far and their per-chunk verify step on each popped chunk, so the whole
-/// stream never has to be resident: consumed bytes are dropped as each
-/// chunk is popped, bounding memory to the chunk table plus one in-flight
-/// chunk plus whatever the caller feeds at a time. Header and table
-/// checksums are checked as soon as the metadata region is complete,
-/// per-chunk checksums as each chunk is popped, and the exact-length
-/// invariant at [`StreamingDecoder::finish`].
+/// stream never has to be resident. A pop lends the chunk's body straight
+/// out of the buffer and only advances a consumed offset; the consumed
+/// prefix is shifted out once, when [`StreamingDecoder::next_chunk`] runs
+/// out of complete chunks, which moves less than one chunk. Memory is
+/// bounded by the chunk table plus one in-flight chunk plus whatever the
+/// caller feeds at a time, and every stream byte is copied once, into the
+/// buffer. Header and table checksums are checked as soon as the metadata
+/// region is complete, per-chunk checksums as each chunk is popped, and
+/// the exact-length invariant at [`StreamingDecoder::finish`].
 ///
 /// The decoder is codec-agnostic: it yields verified compressed bodies
 /// ([`StreamChunk`]); pair it with [`decode_stream_chunk`] to materialize
@@ -969,8 +985,11 @@ pub struct StreamChunk {
 #[derive(Default)]
 pub struct StreamingDecoder {
     buf: Vec<u8>,
-    /// Stream offset of `buf[0]` (bytes before it were consumed).
-    pos: usize,
+    /// Bytes at the front of `buf` already consumed (the metadata region
+    /// and popped chunk bodies) that have not been shifted out yet.
+    consumed: usize,
+    /// Stream offset of `buf[0]`.
+    base: usize,
     meta: Option<Meta>,
     next: usize,
 }
@@ -992,16 +1011,15 @@ impl StreamingDecoder {
     pub fn feed(&mut self, bytes: &[u8]) -> Result<(), Error> {
         self.buf.extend_from_slice(bytes);
         if self.meta.is_none() {
+            // Nothing is consumed before the metadata region parses, so
+            // `buf` still starts at stream offset 0.
             if let Some(meta) = parse_meta(&self.buf, false)? {
-                // Drop the metadata region so only body bytes stay
-                // resident.
-                self.pos = meta.offsets[0];
-                self.buf.drain(..self.pos);
+                self.consumed = meta.offsets[0];
                 self.meta = Some(meta);
             }
         }
         if let Some(meta) = &self.meta {
-            if self.pos + self.buf.len() > meta.stream_len() {
+            if self.base + self.buf.len() > meta.stream_len() {
                 return Err(Error::Corrupt("stream length disagrees with chunk table"));
             }
         }
@@ -1014,45 +1032,78 @@ impl StreamingDecoder {
         self.meta.as_ref().map(|m| &m.header)
     }
 
-    /// Bytes currently buffered (fed but not yet consumed by a pop).
+    /// Bytes resident in the buffer: fed and not yet consumed, plus a
+    /// consumed prefix that has not been shifted out yet.
     pub fn buffered_bytes(&self) -> usize {
         self.buf.len()
     }
 
+    /// Decoded length of the chunks whose bodies have fully arrived but
+    /// have not been popped yet: what the pops before the next
+    /// [`StreamingDecoder::feed`] will produce at most.
+    pub fn ready_len(&self) -> usize {
+        let Some(meta) = &self.meta else {
+            return 0;
+        };
+        let received = self.base + self.buf.len();
+        // `offsets[j + 1] <= received` holds for a prefix of chunks.
+        let complete = meta.offsets[1..].partition_point(|&end| end <= received);
+        let decoded_end = |chunks: usize| {
+            let chunk_size = meta.header.chunk_size as usize;
+            chunks
+                .saturating_mul(chunk_size)
+                .min(meta.header.payload_len as usize)
+        };
+        decoded_end(complete).saturating_sub(decoded_end(self.next))
+    }
+
     /// Pops the next chunk if all of its bytes have arrived, verifying its
-    /// stored checksum (v2) and the raw-length invariant. Consumed bytes
-    /// are released from the internal buffer.
+    /// stored checksum (v2) and the raw-length invariant. The chunk's body
+    /// is borrowed from the internal buffer; popping only marks it
+    /// consumed.
     ///
     /// Returns `Ok(None)` when the next chunk is incomplete (or the
-    /// metadata region is), and after the last chunk has been popped.
+    /// metadata region is), and after the last chunk has been popped. It
+    /// then shifts the consumed bytes out of the buffer.
     ///
     /// # Errors
     ///
     /// Fails on a per-chunk checksum mismatch or raw-length violation.
-    pub fn next_chunk(&mut self) -> Result<Option<StreamChunk>, Error> {
+    pub fn next_chunk(&mut self) -> Result<Option<StreamChunk<'_>>, Error> {
         let Some(meta) = &self.meta else {
             return Ok(None);
         };
         let i = self.next;
-        if i >= meta.count() {
+        if i >= meta.count() || meta.offsets[i + 1] > self.base + self.buf.len() {
+            self.release_consumed();
             return Ok(None);
         }
-        let (start, end) = (meta.offsets[i], meta.offsets[i + 1]);
-        if end > self.pos + self.buf.len() {
-            return Ok(None); // body not fully here yet
-        }
-        debug_assert_eq!(start, self.pos, "chunks pop in order");
-        let body: Vec<u8> = self.buf.drain(..end - start).collect();
-        self.pos = end;
+        let (start, end) = (meta.offsets[i] - self.base, meta.offsets[i + 1] - self.base);
+        debug_assert_eq!(start, self.consumed, "chunks pop in order");
+        self.consumed = end;
         self.next = i + 1;
-        meta.verify(i, &body)?;
+        let body = &self.buf[start..end];
+        meta.verify(i, body)?;
         Ok(Some(StreamChunk {
             index: i,
             codec_id: meta.codec_id(i),
             raw: meta.raw(i),
             expected_len: meta.expected_len(i),
             body,
+            stored_checksum: meta.checksums.get(i).copied(),
         }))
+    }
+
+    /// Shifts the unconsumed tail of the buffer to its front.
+    fn release_consumed(&mut self) {
+        if self.consumed == 0 {
+            return;
+        }
+        let len = self.buf.len();
+        self.buf.copy_within(self.consumed..len, 0);
+        self.buf.truncate(len - self.consumed);
+        self.base += self.consumed;
+        self.consumed = 0;
     }
 
     /// Validates stream completion: the metadata region parsed, every
@@ -1066,7 +1117,7 @@ impl StreamingDecoder {
         let Some(meta) = &self.meta else {
             return Err(Error::UnexpectedEof);
         };
-        if self.next < meta.count() || !self.buf.is_empty() {
+        if self.next < meta.count() || self.consumed != self.buf.len() {
             return Err(Error::UnexpectedEof);
         }
         Ok(())
@@ -1083,12 +1134,12 @@ impl StreamingDecoder {
 /// [`Error::UnknownChunkCodec`] for a codec id an adaptive `codec` does not
 /// know.
 pub fn decode_stream_chunk(
-    chunk: &StreamChunk,
+    chunk: &StreamChunk<'_>,
     codec: Codec<'_>,
     out: &mut Vec<u8>,
 ) -> Result<(), Error> {
     decode_appending(out, chunk.expected_len, |buf| {
-        codec.decode_into(chunk.index, chunk.codec_id, chunk.raw, &chunk.body, buf)
+        codec.decode_into(chunk.index, chunk.codec_id, chunk.raw, chunk.body, buf)
     })
 }
 
@@ -1277,6 +1328,24 @@ impl<'a> Region<'a> {
         }
         self.meta.verify(index, self.body(index))?;
         Ok(self.body(index))
+    }
+
+    /// The [`frame_checksum`] of chunk `index`'s stored bytes: the stored
+    /// value on v2 streams (which [`Region::chunk_body`] verifies), and
+    /// computed from the bytes on v1 streams. The same value
+    /// [`StreamChunk::checksum`] gives for the chunk.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an out-of-range index.
+    pub fn chunk_checksum(&self, index: usize) -> Result<u64, Error> {
+        if index >= self.chunks() {
+            return Err(Error::Corrupt("chunk index out of range"));
+        }
+        Ok(match self.meta.checksums.get(index) {
+            Some(&stored) => stored,
+            None => frame_checksum(self.body(index)),
+        })
     }
 
     /// An empty damage report for this stream, to be filled chunk by
@@ -1660,7 +1729,7 @@ mod tests {
     }
 
     /// Decodes one streamed chunk into a fresh buffer.
-    fn stream_chunk(chunk: &StreamChunk, codec: Codec<'_>) -> Vec<u8> {
+    fn stream_chunk(chunk: &StreamChunk<'_>, codec: Codec<'_>) -> Vec<u8> {
         let mut out = Vec::new();
         decode_stream_chunk(chunk, codec, &mut out).unwrap();
         out

@@ -115,11 +115,7 @@ impl ChunkCodec for DpRatioLocalCodec {
         inner.decode_into(&body[..values_len], values)?;
         inner.decode_into(&body[values_len..], distances)?;
         payload_tail.copy_from_slice(tail);
-        let mut decoded = Vec::with_capacity(expected_len);
-        fcm::decode_payload(&payload, expected_len, &mut decoded).map_err(map_decode)?;
-        // `decode_payload` decodes exactly `expected_len` bytes on success.
-        out.copy_from_slice(&decoded);
-        Ok(())
+        fcm::decode_payload(&payload, out).map_err(map_decode)
     }
 }
 

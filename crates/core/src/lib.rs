@@ -42,7 +42,7 @@ pub use auto::{AutoCodec, DpRatioLocalCodec};
 pub use error::Error;
 pub use options::PipelineOptions;
 pub use pipeline::{DpRatioChunkCodec, DpSpeedCodec, SpRatioCodec, SpSpeedCodec};
-pub use streaming::{StreamingCompressor, StreamingDecompressor};
+pub use streaming::{DecodedOutput, StreamingCompressor, StreamingDecompressor};
 
 use std::borrow::Cow;
 
@@ -538,8 +538,15 @@ fn decode_typed<T>(
 
 /// The CPU inverse of DPratio's global FCM stage.
 fn fcm_decode(payload: &[u8], original_len: usize) -> fpc_transforms::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    fcm::decode_payload(payload, original_len, &mut out)?;
+    // The payload is never shorter than the data it encodes, which bounds the
+    // output before it is allocated.
+    if original_len > payload.len() {
+        return Err(fpc_transforms::DecodeError::Corrupt(
+            "fcm payload length mismatch",
+        ));
+    }
+    let mut out = vec![0; original_len];
+    fcm::decode_payload(payload, &mut out)?;
     Ok(out)
 }
 
@@ -664,18 +671,9 @@ fn decompress_range_impl(
     let decode = |index: usize, out: &mut Vec<u8>| match cache {
         // Raw chunks bypass the cache; decode_chunk just copies them out.
         Some(cache) if !region.chunk_raw(index) => {
-            // chunk_body verifies the stored checksum, so the bytes are
-            // safe to address by. Fixed-codec streams have no codec table
-            // and key with id 0, exactly like the streaming decoder.
-            let body = region.chunk_body(index)?;
-            let codec_id = region.chunk_codec_ids().get(index).copied().unwrap_or(0);
-            let context = streaming::decode_chunk_context(
-                algorithm,
-                codec_id,
-                false,
-                region.chunk_len(index),
-            );
-            let key = fpc_cache::CacheKey::new(body, context);
+            // The key verifies the stored checksum first, so the bytes are
+            // safe to address by; it equals the streaming decoder's key.
+            let key = streaming::region_chunk_key(algorithm, &region, index)?;
             streaming::cached_decode(cache, key, out, |out| {
                 region.decode_chunk(index, codec, out)
             })

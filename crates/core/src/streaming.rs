@@ -23,19 +23,22 @@
 //! - [`StreamingDecompressor`]: holds the chunk table, at most one
 //!   in-flight compressed chunk, plus decoded output the caller has not
 //!   drained yet — O(chunk) end-to-end when the caller drains eagerly.
+//!   Each fed byte is copied once into the container decoder's buffer;
+//!   each chunk then decodes (or copies its cache hit) straight onto the
+//!   end of the one output buffer the caller drains.
 //! - **DPratio is the documented exception on both paths**: its global FCM
 //!   stage needs the whole payload, so the engines fall back to buffering
 //!   internally (`held_bytes` reports it honestly; servers budget
 //!   accordingly).
 
-use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use fpc_cache::{CacheKey, ChunkCache};
 use fpc_container::checksum::xxh64;
 use fpc_container::{
-    decode_stream_chunk, encode_chunk, Codec, EncodedChunk, FrameAssembler, Header,
-    StreamingDecoder, DEFAULT_CHUNK_SIZE, FLAG_CHUNK_CODECS,
+    decode_stream_chunk, encode_chunk, Codec, EncodedChunk, FrameAssembler, Header, Region,
+    StreamChunk, StreamingDecoder, DEFAULT_CHUNK_SIZE, FLAG_CHUNK_CODECS, WINDOW_BYTES,
 };
 
 use crate::{Algorithm, AlgorithmCodec, Compressor, Error, PipelineOptions, Result};
@@ -64,23 +67,53 @@ fn encode_context(algo: Algorithm, opts_tag: u64) -> u64 {
     CTX_ENCODE | (u64::from(algo.id()) << 8) ^ (opts_tag << 16)
 }
 
-/// Decode-path cache-key context from a chunk's table metadata. Shared by
-/// the streaming decompressor and the cached range decode
-/// ([`crate::decompress_range_cached_with`]) so a chunk decoded through
-/// either path hits entries the other inserted: `codec_id` is the chunk
-/// table's id for adaptive streams and `0` for fixed-codec streams,
-/// matching [`fpc_container::StreamChunk::codec_id`].
-pub(crate) fn decode_chunk_context(
+/// Decode-path cache key of a verified, non-raw chunk body, from the
+/// chunk's table metadata and its container checksum (the key's high
+/// half, so the body is hashed once more, not twice). `codec_id` is the
+/// chunk table's id for adaptive streams and `0` for fixed-codec streams.
+fn decode_chunk_key(
     algo: Algorithm,
     codec_id: u8,
-    raw: bool,
     expected_len: usize,
-) -> u64 {
-    CTX_DECODE
+    checksum: u64,
+    body: &[u8],
+) -> CacheKey {
+    let context = CTX_DECODE
         | (u64::from(algo.id()) << 8)
         | (u64::from(codec_id) << 16)
-        | (u64::from(raw) << 24)
-        | ((expected_len as u64) << 32)
+        | ((expected_len as u64) << 32);
+    CacheKey::with_checksum(body, checksum, context)
+}
+
+/// The streaming decompressor's key for a popped chunk.
+fn stream_chunk_key(algo: Algorithm, chunk: &StreamChunk<'_>) -> CacheKey {
+    decode_chunk_key(
+        algo,
+        chunk.codec_id,
+        chunk.expected_len,
+        chunk.checksum(),
+        chunk.body,
+    )
+}
+
+/// The cached range decode's key for chunk `index` of `region`, after
+/// verifying its body. Equal to [`stream_chunk_key`] for the same chunk,
+/// so a chunk decoded through either path hits entries the other
+/// inserted.
+pub(crate) fn region_chunk_key(
+    algo: Algorithm,
+    region: &Region<'_>,
+    index: usize,
+) -> core::result::Result<CacheKey, fpc_container::Error> {
+    let body = region.chunk_body(index)?;
+    let codec_id = region.chunk_codec_ids().get(index).copied().unwrap_or(0);
+    Ok(decode_chunk_key(
+        algo,
+        codec_id,
+        region.chunk_len(index),
+        region.chunk_checksum(index)?,
+        body,
+    ))
 }
 
 /// Appends the decoded bytes cached under `key` to `out`, or runs `decode`
@@ -311,23 +344,45 @@ impl StreamingCompressor {
 /// Feed/finish decompressor accepting exactly the streams
 /// [`crate::decompress_bytes_with`] accepts, producing identical bytes.
 ///
-/// Drive it with [`feed`](StreamingDecompressor::feed), drain decoded
+/// Drive it with [`feed`](StreamingDecompressor::feed), take the decoded
 /// output with [`take_output`](StreamingDecompressor::take_output) after
 /// every feed, and call [`finish`](StreamingDecompressor::finish) at end
-/// of stream (then drain once more: DPratio emits everything there).
+/// of stream (then take once more: DPratio emits everything there).
 #[derive(Default)]
 pub struct StreamingDecompressor {
     dec: StreamingDecoder,
     /// The stream's algorithm and codec, once its header has been parsed
     /// and passed the frame-mode check.
     codec: Option<(Algorithm, AlgorithmCodec)>,
+    /// Decoded bytes not taken yet: every chunk decodes, or copies its
+    /// cache hit, straight onto the end.
+    out: Vec<u8>,
     /// DPratio only: decoded chunks accumulate into the FCM-transformed
     /// payload; the inverse FCM runs at finish.
     fcm_payload: Vec<u8>,
     cache: Option<Arc<ChunkCache>>,
-    ready: VecDeque<Vec<u8>>,
-    ready_bytes: u64,
-    produced: u64,
+    /// Decoded bytes handed out by `take_output` so far.
+    taken: u64,
+}
+
+/// The decoded bytes a [`StreamingDecompressor`] has ready, lent out by
+/// [`StreamingDecompressor::take_output`] as one slice. Dropping it
+/// empties the engine's output buffer, which keeps its capacity for the
+/// next feed.
+pub struct DecodedOutput<'a>(&'a mut Vec<u8>);
+
+impl Deref for DecodedOutput<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.0
+    }
+}
+
+impl Drop for DecodedOutput<'_> {
+    fn drop(&mut self) {
+        self.0.clear();
+    }
 }
 
 impl StreamingDecompressor {
@@ -348,11 +403,12 @@ impl StreamingDecompressor {
         self.codec.as_ref().map(|(algo, _)| *algo)
     }
 
-    /// Bytes currently held: undrained decoded output, buffered
-    /// not-yet-complete input, and (DPratio only) the accumulated
-    /// transformed payload.
+    /// Bytes currently held: undrained decoded output, the container
+    /// decoder's resident input (an incomplete chunk, plus consumed bytes
+    /// not shifted out yet) and (DPratio only) the accumulated transformed
+    /// payload.
     pub fn held_bytes(&self) -> u64 {
-        self.dec.buffered_bytes() as u64 + self.ready_bytes + self.fcm_payload.len() as u64
+        (self.dec.buffered_bytes() + self.out.len() + self.fcm_payload.len()) as u64
     }
 
     fn on_header(&mut self, header: &Header) -> Result<()> {
@@ -368,28 +424,26 @@ impl StreamingDecompressor {
             return Ok(());
         };
         let algo = *algo;
+        let target = if algo == Algorithm::DpRatio {
+            &mut self.fcm_payload
+        } else {
+            &mut self.out
+        };
+        // One reservation for the chunks this feed completed, capped at a
+        // window: a forged chunk table cannot make it claim more memory
+        // than decoding would.
+        target.reserve(self.dec.ready_len().min(WINDOW_BYTES));
         while let Some(chunk) = self.dec.next_chunk()? {
             let decode = |out: &mut Vec<u8>| decode_stream_chunk(&chunk, codec.as_codec(), out);
             // Raw chunks decode to their own bytes — caching them would
             // store pure copies; skip. The chunk checksum was already
             // verified by the streaming decoder, so cached entries are
             // keyed by trusted bytes.
-            let mut decoded = Vec::new();
             match self.cache.as_deref() {
                 Some(cache) if !chunk.raw => {
-                    let context =
-                        decode_chunk_context(algo, chunk.codec_id, chunk.raw, chunk.expected_len);
-                    let key = CacheKey::new(&chunk.body, context);
-                    cached_decode(cache, key, &mut decoded, decode)?;
+                    cached_decode(cache, stream_chunk_key(algo, &chunk), target, decode)?;
                 }
-                _ => decode(&mut decoded)?,
-            }
-            if algo == Algorithm::DpRatio {
-                self.fcm_payload.extend_from_slice(&decoded);
-            } else {
-                self.produced += decoded.len() as u64;
-                self.ready_bytes += decoded.len() as u64;
-                self.ready.push_back(decoded);
+                _ => decode(target)?,
             }
         }
         Ok(())
@@ -413,19 +467,23 @@ impl StreamingDecompressor {
         self.drain_chunks()
     }
 
-    /// Takes the next decoded block, if any. Call in a loop after every
+    /// Lends out every decoded byte not taken yet, as one slice, or
+    /// `None` when there is none; the bytes are gone from the engine once
+    /// the returned [`DecodedOutput`] drops. Call after every
     /// [`feed`](StreamingDecompressor::feed) (and after
     /// [`finish`](StreamingDecompressor::finish)) to keep
     /// [`held_bytes`](StreamingDecompressor::held_bytes) bounded.
-    pub fn take_output(&mut self) -> Option<Vec<u8>> {
-        let out = self.ready.pop_front()?;
-        self.ready_bytes -= out.len() as u64;
-        Some(out)
+    pub fn take_output(&mut self) -> Option<DecodedOutput<'_>> {
+        if self.out.is_empty() {
+            return None;
+        }
+        self.taken += self.out.len() as u64;
+        Some(DecodedOutput(&mut self.out))
     }
 
     /// Completes the stream: validates that every chunk arrived and the
     /// total length matches the header, and (DPratio) runs the inverse
-    /// FCM stage, queueing its output for
+    /// FCM stage, leaving its output for
     /// [`take_output`](StreamingDecompressor::take_output).
     ///
     /// # Errors
@@ -441,15 +499,13 @@ impl StreamingDecompressor {
             self.on_header(&header)?;
         }
         if self.algorithm() == Some(Algorithm::DpRatio) {
-            let out = crate::finish_fcm(
+            // DPratio chunks never reach `out`, so it is empty here.
+            self.out = crate::finish_fcm(
                 header,
                 &std::mem::take(&mut self.fcm_payload),
                 crate::fcm_decode,
             )?;
-            self.produced += out.len() as u64;
-            self.ready_bytes += out.len() as u64;
-            self.ready.push_back(out);
-        } else if self.produced != header.original_len {
+        } else if self.taken + self.out.len() as u64 != header.original_len {
             return Err(Error::Container(fpc_container::Error::Corrupt(
                 "payload length disagrees with header",
             )));
@@ -545,12 +601,12 @@ mod tests {
                 let mut out = Vec::new();
                 for piece in stream.chunks(step.min(stream.len())) {
                     eng.feed(piece).unwrap();
-                    while let Some(block) = eng.take_output() {
+                    if let Some(block) = eng.take_output() {
                         out.extend_from_slice(&block);
                     }
                 }
                 eng.finish().unwrap();
-                while let Some(block) = eng.take_output() {
+                if let Some(block) = eng.take_output() {
                     out.extend_from_slice(&block);
                 }
                 assert_eq!(out, data, "{algo:?} step {step} decode mismatch");
@@ -565,24 +621,27 @@ mod tests {
         let stream = Compressor::new(Algorithm::SpRatio)
             .with_threads(1)
             .compress_bytes(&data);
-        let step = 4096;
-        let mut eng = StreamingDecompressor::new();
-        let mut out = Vec::new();
-        let mut high_water = 0;
-        for piece in stream.chunks(step) {
-            eng.feed(piece).unwrap();
-            while let Some(block) = eng.take_output() {
-                out.extend_from_slice(&block);
+        for step in [4096, 4 * fpc_container::DEFAULT_CHUNK_SIZE] {
+            let mut eng = StreamingDecompressor::new();
+            let mut out = Vec::new();
+            let mut high_water = 0;
+            for piece in stream.chunks(step) {
+                eng.feed(piece).unwrap();
+                if let Some(block) = eng.take_output() {
+                    out.extend_from_slice(&block);
+                }
+                high_water = high_water.max(eng.held_bytes());
             }
-            high_water = high_water.max(eng.held_bytes());
+            eng.finish().unwrap();
+            assert_eq!(out, data);
+            // One partial chunk once the output is taken: the consumed
+            // input was shifted out (it counts while resident), and a
+            // feed of several chunks leaves no more than one behind.
+            assert!(
+                high_water < fpc_container::DEFAULT_CHUNK_SIZE as u64,
+                "held {high_water} bytes at step {step}"
+            );
         }
-        eng.finish().unwrap();
-        assert_eq!(out, data);
-        // Table + one chunk + one feed, nowhere near the 1 MiB payload.
-        assert!(
-            high_water < 3 * fpc_container::DEFAULT_CHUNK_SIZE as u64,
-            "held {high_water} bytes"
-        );
     }
 
     #[test]
@@ -603,7 +662,7 @@ mod tests {
                 eng.feed(&stream).unwrap();
                 eng.finish().unwrap();
                 let mut out = Vec::new();
-                while let Some(block) = eng.take_output() {
+                if let Some(block) = eng.take_output() {
                     out.extend_from_slice(&block);
                 }
                 assert_eq!(out, data, "{algo:?} round {round}");
@@ -644,7 +703,7 @@ mod tests {
             eng.feed(&stream).unwrap();
             eng.finish().unwrap();
             let mut out = Vec::new();
-            while let Some(block) = eng.take_output() {
+            if let Some(block) = eng.take_output() {
                 out.extend_from_slice(&block);
             }
             assert_eq!(out, data, "{algo:?} streamed decode wrong");
@@ -661,6 +720,47 @@ mod tests {
         let cache = Arc::new(ChunkCache::new(8 << 20));
         let got = crate::decompress_range_cached_with(&stream, offset, len, 1, &cache).unwrap();
         assert_eq!(got, &data[offset as usize..(offset + len) as usize]);
+    }
+
+    #[test]
+    fn streaming_and_range_decode_keys_agree_on_v1_and_v2_streams() {
+        // Gently-varying f32 data, so chunks encode rather than go raw.
+        let mut data = Vec::new();
+        let mut x = 1.0f32;
+        while data.len() < fpc_container::DEFAULT_CHUNK_SIZE * 3 + 40 {
+            x += 0.125;
+            data.extend_from_slice(&x.to_le_bytes());
+        }
+        let algo = Algorithm::SpSpeed;
+        for version in [fpc_container::VERSION, fpc_container::VERSION_1] {
+            let len = data.len() as u64;
+            let mut header = Header::new(algo.id(), algo.element_width(), len, len);
+            header.version = version;
+            let codec = algo.codec(&PipelineOptions::default());
+            let AlgorithmCodec::Fixed(fixed) = &codec else {
+                panic!("SPspeed is a fixed codec");
+            };
+            let stream = fpc_container::compress(header, &data, fixed.as_ref(), 1).unwrap();
+
+            let mut dec = StreamingDecoder::new();
+            dec.feed(&stream).unwrap();
+            let mut streamed = Vec::new();
+            while let Some(chunk) = dec.next_chunk().unwrap() {
+                streamed.push((!chunk.raw).then(|| stream_chunk_key(algo, &chunk)));
+            }
+            let region = Region::parse(&stream).unwrap();
+            let ranged: Vec<_> = (0..region.chunks())
+                .map(|i| {
+                    (!region.chunk_raw(i)).then(|| region_chunk_key(algo, &region, i).unwrap())
+                })
+                .collect();
+            assert_eq!(streamed.len(), 4, "v{version}");
+            assert!(
+                streamed.iter().any(Option::is_some),
+                "v{version}: every chunk raw"
+            );
+            assert_eq!(streamed, ranged, "v{version}: the paths' keys differ");
+        }
     }
 
     #[test]
@@ -702,7 +802,7 @@ mod tests {
             dec.feed(&stream).unwrap();
             dec.finish().unwrap();
             let mut out = Vec::new();
-            while let Some(b) = dec.take_output() {
+            if let Some(b) = dec.take_output() {
                 out.extend_from_slice(&b);
             }
             assert!(out.is_empty(), "{algo:?}");

@@ -25,9 +25,11 @@
 //!
 //! Decompress responses start flowing while the request is still
 //! arriving: decoded chunks leave as `Data` frames after the `Response`
-//! frame, coalesced into [`DATA_CHUNK`]-sized frames (a fixed ≤ 1 MiB
-//! staging buffer, deliberately outside the inflight account) so a
-//! large response costs frames-per-megabyte, not frames-per-chunk. A
+//! frame, in [`DATA_CHUNK`]-sized frames so a large response costs
+//! frames-per-megabyte, not frames-per-chunk. Each full frame is sent
+//! straight from the engine's output buffer; only the sub-frame tail
+//! waits in a staging buffer (under one `DATA_CHUNK`, deliberately
+//! outside the inflight account) for the next feed's output. A
 //! failure after output went out (damaged chunk mid stream) is
 //! reported with an `Error` frame *in place of* `End`, which clients
 //! must treat as terminal. Every other reply waits for `End`: the
@@ -149,8 +151,8 @@ pub(crate) fn serve_request(
     let mut state = State::open(request, config, cache);
     let mut total: u64 = 0;
     let mut response_started = false;
-    // Decoded output staged here until a full DATA_CHUNK accumulates.
-    let mut outbuf: Vec<u8> = Vec::new();
+    // The decoded tail short of a full DATA_CHUNK frame.
+    let mut staged: Vec<u8> = Vec::new();
     loop {
         let (header, chunk) = match read_frame(reader, config.max_frame) {
             Ok(frame) => frame,
@@ -178,7 +180,7 @@ pub(crate) fn serve_request(
                 // keeping held bytes at O(chunk).
                 if let (Ok(()), Engine::Decompress(dec)) = (&fed, &mut *engine) {
                     response_started =
-                        drain_output(writer, dec, op, id, response_started, &mut outbuf)?;
+                        drain_output(writer, dec, op, id, response_started, &mut staged)?;
                 }
                 if let Err(err) = fed.and_then(|()| guard.resync(engine.held_bytes(), config)) {
                     // Dropping the engine frees everything it held.
@@ -210,8 +212,8 @@ pub(crate) fn serve_request(
                         if !response_started {
                             begin_response(writer, op, id)?;
                         }
-                        drain_output(writer, &mut eng, op, id, true, &mut outbuf)?;
-                        flush_staged(writer, op, id, &mut outbuf)?;
+                        drain_output(writer, &mut eng, op, id, true, &mut staged)?;
+                        flush_staged(writer, op, id, &mut staged)?;
                         end_message(writer, op, id)?;
                         Ok(None)
                     }
@@ -245,41 +247,57 @@ fn corrupt(e: fpc_core::Error) -> WireError {
     WireError::new(ErrorCode::CorruptStream, e.to_string())
 }
 
-/// Stages every decoded block the engine has ready and writes each full
-/// [`DATA_CHUNK`] as one `Data` frame, opening the response before the
-/// first frame. Small decoded chunks coalesce instead of each paying a
-/// frame (and, under fault injection, a fault-roll) of their own; the
-/// tail below one `DATA_CHUNK` stays staged until [`flush_staged`].
-/// Returns whether the response has started.
+/// Sends the engine's decoded output as full [`DATA_CHUNK`] `Data`
+/// frames, opening the response before the first frame. The frames after
+/// the one that completes `staged` go straight from the engine's buffer;
+/// the tail below one `DATA_CHUNK` is copied to `staged` until the next
+/// feed or [`flush_staged`], so small decoded chunks coalesce instead of
+/// each paying a frame (and, under fault injection, a fault-roll) of
+/// their own. Returns whether the response has started.
 fn drain_output(
     writer: &mut impl Write,
     eng: &mut StreamingDecompressor,
     op: u8,
     id: u64,
     mut started: bool,
-    outbuf: &mut Vec<u8>,
+    staged: &mut Vec<u8>,
 ) -> io::Result<bool> {
-    while let Some(block) = eng.take_output() {
-        outbuf.extend_from_slice(&block);
-        while outbuf.len() >= DATA_CHUNK {
-            if !started {
-                begin_response(writer, op, id)?;
-                started = true;
-            }
-            fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, DATA_CHUNK as u64);
-            send_data(writer, op, id, &outbuf[..DATA_CHUNK])?;
-            outbuf.drain(..DATA_CHUNK);
+    let Some(output) = eng.take_output() else {
+        return Ok(started);
+    };
+    let mut send = |frame: &[u8]| {
+        if !started {
+            begin_response(writer, op, id)?;
+            started = true;
         }
+        fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, frame.len() as u64);
+        send_data(writer, op, id, frame)
+    };
+    let mut rest: &[u8] = &output;
+    if !staged.is_empty() {
+        let take = (DATA_CHUNK - staged.len()).min(rest.len());
+        staged.extend_from_slice(&rest[..take]);
+        rest = &rest[take..];
+        if staged.len() < DATA_CHUNK {
+            return Ok(started);
+        }
+        send(staged)?;
+        staged.clear();
     }
+    let mut frames = rest.chunks_exact(DATA_CHUNK);
+    for frame in &mut frames {
+        send(frame)?;
+    }
+    staged.extend_from_slice(frames.remainder());
     Ok(started)
 }
 
 /// Writes the staged sub-`DATA_CHUNK` tail, if any.
-fn flush_staged(writer: &mut impl Write, op: u8, id: u64, outbuf: &mut Vec<u8>) -> io::Result<()> {
-    if !outbuf.is_empty() {
-        fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, outbuf.len() as u64);
-        send_data(writer, op, id, outbuf)?;
-        outbuf.clear();
+fn flush_staged(writer: &mut impl Write, op: u8, id: u64, staged: &mut Vec<u8>) -> io::Result<()> {
+    if !staged.is_empty() {
+        fpc_metrics::incr(fpc_metrics::Counter::ServeBytesOut, staged.len() as u64);
+        send_data(writer, op, id, staged)?;
+        staged.clear();
     }
     Ok(())
 }

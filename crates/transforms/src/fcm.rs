@@ -78,7 +78,6 @@ trait Lane: Copy + Send + Sync {
     const PER_WORD: usize;
     fn load(s: &[Self], i: usize) -> u64;
     fn store(s: &mut [Self], i: usize, v: u64);
-    fn push(out: &mut Vec<Self>, v: u64);
 }
 
 impl Lane for u64 {
@@ -91,10 +90,6 @@ impl Lane for u64 {
     fn store(s: &mut [u64], i: usize, v: u64) {
         s[i] = v;
     }
-    #[inline(always)]
-    fn push(out: &mut Vec<u64>, v: u64) {
-        out.push(v);
-    }
 }
 
 impl Lane for u8 {
@@ -106,10 +101,6 @@ impl Lane for u8 {
     #[inline(always)]
     fn store(s: &mut [u8], i: usize, v: u64) {
         s[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-    }
-    #[inline(always)]
-    fn push(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -470,23 +461,25 @@ pub fn decode_arrays(values: &[u64], distances: &[u64]) -> Result<Vec<u64>> {
     if values.len() != distances.len() {
         return Err(DecodeError::Corrupt("fcm array length mismatch"));
     }
-    let mut out = Vec::with_capacity(values.len());
+    let mut out = vec![0; values.len()];
     decode_lanes(values, distances, &mut out)?;
     Ok(out)
 }
 
-/// Inverts [`encode_payload`], appending the `original_len` original bytes
-/// to `out`.
+/// Inverts [`encode_payload`] into `out`, which is exactly the original
+/// length long. The payload is never shorter than the original, so a
+/// caller that sizes `out` from an untrusted length can bound it by
+/// `payload.len()` first.
 ///
 /// # Errors
 ///
-/// Fails if `payload` is not exactly the layout `original_len` implies or
-/// a distance points before the start of the output.
-pub fn decode_payload(payload: &[u8], original_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let (values, distances, tail) = split_payload(payload, original_len)?;
-    out.reserve(original_len);
-    decode_lanes(values, distances, out)?;
-    out.extend_from_slice(tail);
+/// Fails if `payload` is not exactly the layout `out.len()` implies or a
+/// distance points before the start of the output.
+pub fn decode_payload(payload: &[u8], out: &mut [u8]) -> Result<()> {
+    let (values, distances, tail) = split_payload(payload, out.len())?;
+    let (words, out_tail) = out.split_at_mut(values.len());
+    decode_lanes(values, distances, words)?;
+    out_tail.copy_from_slice(tail);
     Ok(())
 }
 
@@ -529,11 +522,11 @@ fn split_payload(payload: &[u8], original_len: usize) -> Result<(&[u8], &[u8], &
     Ok((values, distances, tail))
 }
 
-/// Appends the decoded words of equal-length `values`/`distances` to `out`.
-fn decode_lanes<T: Lane>(values: &[T], distances: &[T], out: &mut Vec<T>) -> Result<()> {
+/// Decodes equal-length `values`/`distances` into `out`, which is as
+/// long as each of them.
+fn decode_lanes<T: Lane>(values: &[T], distances: &[T], out: &mut [T]) -> Result<()> {
     let t = fpc_metrics::timer(Stage::FcmDecode);
     let n = values.len() / T::PER_WORD;
-    let base = out.len();
     for i in 0..n {
         let d = T::load(distances, i);
         let v = if d == 0 {
@@ -546,9 +539,9 @@ fn decode_lanes<T: Lane>(values: &[T], distances: &[T], out: &mut Vec<T>) -> Res
             }
             // Scanning forward guarantees word i - d is already resolved
             // (the parallel GPU decoder uses union-find instead; §3.2).
-            T::load(&out[base..], i - d)
+            T::load(out, i - d)
         };
-        T::push(out, v);
+        T::store(out, i, v);
     }
     t.finish(n as u64 * 8);
     Ok(())
@@ -694,12 +687,18 @@ mod tests {
     fn payload_length_must_match_original_len() {
         let payload = encode_payload(&[0u8; 19], MATCH_WINDOW, 1);
         assert_eq!(payload.len(), 2 * 16 + 3);
-        for original_len in [0, 18, 20, 35, usize::MAX] {
+        for original_len in [0, 18, 20, 35] {
             assert!(matches!(
-                decode_payload(&payload, original_len, &mut Vec::new()),
+                decode_payload(&payload, &mut vec![0; original_len]),
                 Err(DecodeError::Corrupt(_))
             ));
         }
+        // No buffer can be that long; the split's arithmetic must not
+        // overflow on the length alone.
+        assert!(matches!(
+            split_payload(&payload, usize::MAX),
+            Err(DecodeError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -59,12 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The "analysis" side: stream back out in arbitrary-size reads,
-    // draining decoded chunks after every read.
+    // taking the decoded output after every read.
     let mut decompressor = StreamingDecompressor::new();
     let mut checksum_out = 0u64;
     let mut total_out = 0usize;
     let mut drain = |d: &mut StreamingDecompressor| {
-        while let Some(block) = d.take_output() {
+        if let Some(block) = d.take_output() {
             absorb(&mut checksum_out, &block);
             total_out += block.len();
         }

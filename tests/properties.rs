@@ -259,9 +259,13 @@ fn tolerant_decode(stream: &[u8], algo: Algorithm, threads: usize) -> Option<Vec
     if algo != Algorithm::DpRatio {
         return Some(payload);
     }
-    let mut out = Vec::new();
-    fpcompress::transforms::fcm::decode_payload(&payload, header.original_len as usize, &mut out)
-        .ok()?;
+    // The FCM payload is never shorter than the data it encodes.
+    let original_len = usize::try_from(header.original_len).ok()?;
+    if original_len > payload.len() {
+        return None;
+    }
+    let mut out = vec![0; original_len];
+    fpcompress::transforms::fcm::decode_payload(&payload, &mut out).ok()?;
     Some(out)
 }
 
@@ -279,12 +283,12 @@ fn streamed_decode(
     let mut out = Vec::new();
     for piece in pieces {
         eng.feed(piece).ok()?;
-        while let Some(block) = eng.take_output() {
+        if let Some(block) = eng.take_output() {
             out.extend_from_slice(&block);
         }
     }
     eng.finish().ok()?;
-    while let Some(block) = eng.take_output() {
+    if let Some(block) = eng.take_output() {
         out.extend_from_slice(&block);
     }
     Some(out)
