@@ -22,6 +22,18 @@
 //! a huge payload allocates at most one window beyond the chunks that
 //! actually decoded.
 //!
+//! Every path shares one per-chunk step in each direction. Encode: the
+//! one-shot writer and the streaming [`FrameAssembler`] run one encode
+//! step (encode, raw fallback, table entry); the assembler encodes
+//! straight onto its one body buffer and finishes in place. Decode: a
+//! chunk is verified once, into the one verified-chunk view
+//! ([`StreamChunk`], from [`Region::chunk`] or
+//! [`StreamingDecoder::next_chunk`]), and [`StreamChunk::decode_into`]
+//! writes it into a slice: its slot of the one-shot or tolerant output,
+//! its place in a range's output when the range covers it whole (only a
+//! range's edge chunks go through scratch), or the streaming engine's
+//! output buffer.
+//!
 //! # Stream layout
 //!
 //! Version 2 (current) frames every region with an XXH64 checksum
@@ -87,7 +99,8 @@ pub trait ChunkCodec: Sync {
 
     /// Inverts [`ChunkCodec::encode_chunk`], writing the decoded chunk
     /// into `out`, which is exactly the original chunk length (known from
-    /// the header) long.
+    /// the header) long. `out` may hold any bytes on entry; a successful
+    /// decode overwrites every one.
     ///
     /// # Errors
     ///
@@ -110,25 +123,11 @@ impl dyn ChunkCodec + '_ {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), Error> {
-        decode_appending(out, expected_len, |buf| self.decode_into(data, buf))
+        let start = out.len();
+        out.resize(start + expected_len, 0);
+        self.decode_into(data, &mut out[start..])
+            .inspect_err(|_| out.truncate(start))
     }
-}
-
-/// Grows `out` by `len` bytes and lets `decode` write them, the way a
-/// `Vec` caller runs a slice-out decode: on error `out` keeps its old
-/// length.
-///
-/// # Errors
-///
-/// `decode`'s error.
-pub fn decode_appending(
-    out: &mut Vec<u8>,
-    len: usize,
-    decode: impl FnOnce(&mut [u8]) -> Result<(), Error>,
-) -> Result<(), Error> {
-    let start = out.len();
-    out.resize(start + len, 0);
-    decode(&mut out[start..]).inspect_err(|_| out.truncate(start))
 }
 
 /// A per-chunk codec *selector*: every chunk is encoded with whichever
@@ -211,40 +210,6 @@ impl Codec<'_> {
                 0
             }
             Codec::Adaptive(c) => c.encode_chunk(chunk, out),
-        }
-    }
-
-    /// The one per-chunk decode step, on a body that already passed
-    /// [`Meta::verify`] (the one per-chunk verify step), into `out`, which
-    /// is the chunk's decoded length long: raw chunks are copied out,
-    /// other chunks dispatch to the codec (on the recorded `codec_id` for
-    /// a selector).
-    fn decode_into(
-        &self,
-        index: usize,
-        codec_id: u8,
-        raw: bool,
-        body: &[u8],
-        out: &mut [u8],
-    ) -> Result<(), Error> {
-        if raw {
-            if body.len() != out.len() {
-                return Err(Error::Corrupt("raw chunk length mismatch"));
-            }
-            out.copy_from_slice(body);
-            return Ok(());
-        }
-        match self {
-            Codec::Fixed(c) => c.decode_into(body, out),
-            Codec::Adaptive(c) => {
-                if !c.knows_codec(codec_id) {
-                    return Err(Error::UnknownChunkCodec {
-                        chunk: index as u32,
-                        codec: codec_id,
-                    });
-                }
-                c.decode_into(codec_id, body, out)
-            }
         }
     }
 }
@@ -374,27 +339,9 @@ fn encode_group(
             arena.reserve(bytes.len() + chunk_size);
             let mut total = 0;
             for (i, chunk) in chunks() {
-                let start = arena.len();
-                let picked = codec.encode(chunk, arena);
-                // Worst-case cap: a chunk the codec does not shrink is
-                // stored raw, with codec id 0 (decode never dispatches on
-                // it, the raw flag short-circuits), and keeps nothing in
-                // the arena.
-                let raw = arena.len() - start >= chunk.len();
-                if raw {
-                    arena.truncate(start);
-                }
-                let body = if raw { chunk } else { &arena[start..] };
-                table[i].store(TableEntry {
-                    word: size_word(body.len(), raw)?,
-                    codec_id: if raw { 0 } else { picked },
-                    checksum: if with_checksums {
-                        frame_checksum(body)
-                    } else {
-                        0
-                    },
-                });
-                total += body.len();
+                let entry = encode_step(chunk, codec, with_checksums, arena)?;
+                table[i].store(entry);
+                total += entry.len();
             }
             let slot = span.place(total);
             let mut at = 0;
@@ -406,7 +353,14 @@ fn encode_group(
                     at += entry.len();
                     &arena[at - entry.len()..at]
                 };
-                put_body(i, body, with_checksums, |bytes| slot.push(bytes));
+                match damage_at(i, body.len(), with_checksums) {
+                    Some((pos, mask)) => {
+                        slot.push(&body[..pos]);
+                        slot.push(&[body[pos] ^ mask]);
+                        slot.push(&body[pos + 1..]);
+                    }
+                    None => slot.push(body),
+                }
             }
             Ok(())
         };
@@ -414,6 +368,37 @@ fn encode_group(
         arena.clear();
         arena.shrink_to(chunk_size);
         result
+    })
+}
+
+/// The one per-chunk encode step, behind [`compress`] and
+/// [`FrameAssembler::encode`]: appends `chunk`'s encoding to `out` and
+/// returns its table entry, with the body checksum when `with_checksums`.
+///
+/// Worst-case cap: a chunk the codec does not shrink is stored raw, with
+/// codec id 0 (decode never dispatches on it, the raw flag
+/// short-circuits), and leaves nothing in `out`; its body is the chunk.
+fn encode_step(
+    chunk: &[u8],
+    codec: Codec<'_>,
+    with_checksums: bool,
+    out: &mut Vec<u8>,
+) -> Result<TableEntry, Error> {
+    let start = out.len();
+    let picked = codec.encode(chunk, out);
+    let raw = out.len() - start >= chunk.len();
+    if raw {
+        out.truncate(start);
+    }
+    let body = if raw { chunk } else { &out[start..] };
+    Ok(TableEntry {
+        word: size_word(body.len(), raw)?,
+        codec_id: if raw { 0 } else { picked },
+        checksum: if with_checksums {
+            frame_checksum(body)
+        } else {
+            0
+        },
     })
 }
 
@@ -557,34 +542,30 @@ fn write_meta(
     }
 }
 
-/// Writes chunk `index`'s `body` through `put`, in order.
-///
-/// Fault hook: deterministic bit-rot on the body *after* its checksum was
-/// taken, modeling storage or transport damage the v2 integrity layer must
-/// catch at decode. It is keyed by chunk index, so neither the thread
-/// schedule, nor the path that wrote the stream, nor a cache hit can
-/// change which chunks rot.
-fn put_body(index: usize, body: &[u8], with_checksums: bool, mut put: impl FnMut(&[u8])) {
+/// Fault hook: where to flip a bit of chunk `index`'s `len`-byte body,
+/// and the mask, for deterministic bit-rot *after* its checksum was taken,
+/// modeling storage or transport damage the v2 integrity layer must catch
+/// at decode. Both writers apply it as they write the body. It is keyed by
+/// chunk index, so neither the thread schedule, nor the path that wrote
+/// the stream, nor a cache hit can change which chunks rot, and a cache
+/// never holds a damaged body.
+fn damage_at(index: usize, len: usize, with_checksums: bool) -> Option<(usize, u8)> {
     match fpc_faults::chunk_damage(index as u64) {
-        Some((pos, mask)) if with_checksums && !body.is_empty() => {
-            let at = (pos % body.len() as u64) as usize;
-            put(&body[..at]);
-            put(&[body[at] ^ mask]);
-            put(&body[at + 1..]);
-        }
-        _ => put(body),
+        Some((pos, mask)) if with_checksums && len > 0 => Some(((pos % len as u64) as usize, mask)),
+        _ => None,
     }
 }
 
 /// One chunk's encoded form: everything the chunk table records about it
-/// plus the compressed body itself.
+/// plus the compressed body, borrowed.
 ///
-/// Produced by [`encode_chunk`], consumed by [`FrameAssembler::push`] — and
-/// cacheable in between: every codec is a pure function of the chunk
-/// bytes, so an `EncodedChunk` can be reused for any later byte-identical
-/// chunk without re-encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedChunk {
+/// [`FrameAssembler::encode`] lends one out of the frame it encodes into,
+/// and [`FrameAssembler::push`] takes one back in. In between it is
+/// cacheable: every codec is a pure function of the chunk bytes, so a copy
+/// of an `EncodedChunk` can stand in for any later byte-identical chunk
+/// without re-encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncodedChunk<'a> {
     /// Codec id recorded in the chunk table (0 for fixed-codec streams and
     /// raw chunks).
     pub codec_id: u8,
@@ -594,52 +575,31 @@ pub struct EncodedChunk {
     /// XXH64 of `body` under the stream seed (written only by v2 frames).
     pub checksum: u64,
     /// The compressed (or raw) chunk bytes.
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
 }
 
-/// Encodes one payload chunk exactly as [`compress`] and
-/// [`compress_adaptive`] do: the codec's encoding, or the original bytes
-/// flagged raw when that does not shrink the chunk, plus the body
-/// checksum.
-pub fn encode_chunk(chunk: &[u8], codec: Codec<'_>) -> EncodedChunk {
-    // Encode into the worker's persistent scratch arena, then copy the
-    // exact-size result out: the codec sees a reused allocation, the
-    // emitted bytes are identical to a fresh-`Vec` encode.
-    fpc_pool::with_scratch(|enc| {
-        let picked = codec.encode(chunk, enc);
-        let (raw, codec_id, body) = if enc.len() >= chunk.len() {
-            // The worst-case cap, as in `encode_group`.
-            (true, 0u8, chunk.to_vec())
-        } else {
-            (false, picked, enc.to_vec())
-        };
-        EncodedChunk {
-            codec_id,
-            raw,
-            checksum: frame_checksum(&body),
-            body,
-        }
-    })
-}
-
-/// Assembles [`EncodedChunk`]s into a complete container stream,
-/// byte-identical to [`compress`]/[`compress_adaptive`] over the same
-/// payload: the streaming writer, for callers that produce chunks
-/// incrementally (streaming servers, caches). Both share one metadata
+/// Assembles a container stream chunk by chunk, byte-identical to
+/// [`compress`]/[`compress_adaptive`] over the same payload: the streaming
+/// writer, for callers that produce chunks incrementally (streaming
+/// servers, caches). It runs their per-chunk encode step and metadata
 /// writer.
 ///
-/// The header passed to [`FrameAssembler::finish`] alone picks the frame
-/// layout: its version selects v2 (checksummed) or v1 framing, and
-/// [`FLAG_CHUNK_CODECS`] adds the codec-id column.
+/// The bodies go back to back into one buffer as they are encoded (or
+/// pushed); [`FrameAssembler::finish`] shifts them up behind the metadata
+/// in place, so the stream is that same buffer. The header passed to
+/// `finish` alone picks the frame layout: its version selects v2
+/// (checksummed) or v1 framing, and [`FLAG_CHUNK_CODECS`] adds the
+/// codec-id column.
 ///
-/// The fault-injection chunk-damage hook is applied at write time, keyed
-/// by chunk index, on this path and the one-shot one alike, so where a
+/// The fault-injection chunk-damage hook is applied at finish, keyed by
+/// chunk index, on this path and the one-shot one alike, so where a
 /// chunk's bytes came from (fresh encode, cache hit) cannot change which
 /// chunks rot.
 #[derive(Default)]
 pub struct FrameAssembler {
-    chunks: Vec<EncodedChunk>,
-    body_bytes: u64,
+    /// The chunk bodies, back to back in chunk order.
+    bodies: Vec<u8>,
+    entries: Vec<TableEntry>,
 }
 
 impl FrameAssembler {
@@ -648,28 +608,61 @@ impl FrameAssembler {
         FrameAssembler::default()
     }
 
-    /// Appends the next chunk (chunks are positional: push order is chunk
-    /// order).
+    /// Makes room for `chunks` more chunks of `payload_bytes` payload in
+    /// all, so adding them does not grow the buffers chunk by chunk: no
+    /// body is longer than its chunk.
+    pub fn reserve(&mut self, chunks: usize, payload_bytes: usize) {
+        self.entries.reserve(chunks);
+        self.bodies.reserve(payload_bytes);
+    }
+
+    /// Encodes the next chunk (chunks are positional: call order is chunk
+    /// order) with the one-shot paths' encode step, straight onto the body
+    /// buffer, and lends out the result, for a cache to copy.
     ///
     /// # Errors
     ///
     /// Fails when the body exceeds the chunk table's 31-bit size field.
-    pub fn push(&mut self, chunk: EncodedChunk) -> Result<(), Error> {
-        size_word(chunk.body.len(), chunk.raw)?;
-        self.body_bytes += chunk.body.len() as u64;
-        self.chunks.push(chunk);
+    pub fn encode(&mut self, chunk: &[u8], codec: Codec<'_>) -> Result<EncodedChunk<'_>, Error> {
+        let start = self.bodies.len();
+        let entry = encode_step(chunk, codec, true, &mut self.bodies)?;
+        if entry.raw() {
+            self.bodies.extend_from_slice(chunk);
+        }
+        self.entries.push(entry);
+        Ok(EncodedChunk {
+            codec_id: entry.codec_id,
+            raw: entry.raw(),
+            checksum: entry.checksum,
+            body: self.bodies.get(start..).unwrap_or_default(),
+        })
+    }
+
+    /// Appends the next chunk, encoded earlier (a cache hit), copying its
+    /// body onto the body buffer.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the body exceeds the chunk table's 31-bit size field.
+    pub fn push(&mut self, chunk: EncodedChunk<'_>) -> Result<(), Error> {
+        self.entries.push(TableEntry {
+            word: size_word(chunk.body.len(), chunk.raw)?,
+            codec_id: chunk.codec_id,
+            checksum: chunk.checksum,
+        });
+        self.bodies.extend_from_slice(chunk.body);
         Ok(())
     }
 
-    /// Chunks pushed so far.
+    /// Chunks added so far.
     pub fn count(&self) -> usize {
-        self.chunks.len()
+        self.entries.len()
     }
 
-    /// Compressed body bytes held so far (the assembler's memory
-    /// footprint, for callers that account held memory).
+    /// Bytes the body buffer holds, counting its spare capacity: the
+    /// assembler's memory footprint, for callers that account held memory.
     pub fn body_bytes(&self) -> u64 {
-        self.body_bytes
+        self.bodies.capacity() as u64
     }
 
     /// Writes the complete stream in the layout `header` describes.
@@ -677,29 +670,34 @@ impl FrameAssembler {
     /// # Errors
     ///
     /// Fails when the header names an unwritable version or a zero chunk
-    /// size, or disagrees with the pushed chunks (wrong count for
+    /// size, or disagrees with the added chunks (wrong count for
     /// `payload_len`).
     pub fn finish(self, header: Header) -> Result<Vec<u8>, Error> {
         check_writable(&header)?;
-        let count = self.chunks.len();
+        let count = self.entries.len();
         if count != (header.payload_len as usize).div_ceil(header.chunk_size as usize) {
             return Err(Error::Corrupt("chunk count does not match payload length"));
         }
-        let mut out = Vec::with_capacity(meta_len(&header, count) + self.body_bytes as usize);
-        write_meta(&mut out, &header, count, |i| {
-            let chunk = &self.chunks[i];
-            TableEntry {
-                // `push` checked the length against the size field.
-                word: chunk.body.len() as u32 | if chunk.raw { RAW_FLAG } else { 0 },
-                codec_id: chunk.codec_id,
-                checksum: chunk.checksum,
-            }
-        });
+        let mut meta = Vec::with_capacity(meta_len(&header, count));
+        write_meta(&mut meta, &header, count, |i| self.entries[i]);
         let with_checksums = header.version >= VERSION;
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            put_body(i, &chunk.body, with_checksums, |bytes| {
-                out.extend_from_slice(bytes)
-            });
+        let mut out = self.bodies;
+        let mut at = 0;
+        for (i, entry) in self.entries.iter().enumerate() {
+            if let Some((pos, mask)) = damage_at(i, entry.len(), with_checksums) {
+                if let Some(byte) = out.get_mut(at + pos) {
+                    *byte ^= mask;
+                }
+            }
+            at += entry.len();
+        }
+        // Shift the bodies up behind the metadata, in the same buffer.
+        let bodies = out.len();
+        out.reserve_exact(meta.len());
+        out.extend_from_slice(&meta);
+        out.copy_within(..bodies, meta.len());
+        if let Some(head) = out.get_mut(..meta.len()) {
+            head.copy_from_slice(&meta);
         }
         Ok(out)
     }
@@ -757,18 +755,28 @@ impl Meta {
 
     /// The one per-chunk verify step, run on chunk `i`'s stored `body`
     /// before it is decoded or trusted as a cache key: the stored checksum
-    /// (v2) and, for raw chunks, the stored-length invariant.
-    fn verify(&self, i: usize, body: &[u8]) -> Result<(), Error> {
-        if !self.checksums.is_empty() && frame_checksum(body) != self.checksums[i] {
+    /// (v2) and, for raw chunks, the stored-length invariant. Returns the
+    /// verified chunk's view.
+    fn chunk<'a>(&self, i: usize, body: &'a [u8]) -> Result<StreamChunk<'a>, Error> {
+        let stored_checksum = self.checksums.get(i).copied();
+        if stored_checksum.is_some_and(|stored| frame_checksum(body) != stored) {
             return Err(Error::ChecksumMismatch {
                 chunk: Some(i as u32),
                 offset: self.offsets[i] as u64,
             });
         }
-        if self.raw(i) && body.len() != self.expected_len(i) {
+        let (raw, expected_len) = (self.raw(i), self.expected_len(i));
+        if raw && body.len() != expected_len {
             return Err(Error::Corrupt("raw chunk length mismatch"));
         }
-        Ok(())
+        Ok(StreamChunk {
+            index: i,
+            codec_id: self.codec_id(i),
+            raw,
+            expected_len,
+            body,
+            stored_checksum,
+        })
     }
 }
 
@@ -926,18 +934,20 @@ fn decompress_impl(
         0,
         region.payload_len(),
         threads,
-        |i, _, slot| region.decode_slot(i, codec, slot),
+        |chunk, out| chunk.decode_into(codec, out),
         |_, error| Err(error),
     )?;
     t.finish(payload.len() as u64);
     Ok((*region.header(), payload))
 }
 
-/// One chunk popped from a [`StreamingDecoder`]: the compressed body,
-/// borrowed from the decoder's buffer, plus everything the chunk table
-/// recorded about it. The stored checksum has already been verified
-/// against `body` (v2), so the bytes can be trusted as far as the
-/// integrity layer guarantees — including as a cache key.
+/// One verified chunk: its compressed body, borrowed from the stream, plus
+/// everything the chunk table recorded about it. [`Region::chunk`] and
+/// [`StreamingDecoder::next_chunk`] hand one out only after the one
+/// per-chunk verify step (the stored checksum on v2, the stored-length
+/// invariant on raw chunks), so the body can be trusted as far as the
+/// integrity layer guarantees (including as a cache key), and
+/// [`StreamChunk::decode_into`] never verifies it again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamChunk<'a> {
     /// Chunk index within the stream.
@@ -956,11 +966,42 @@ pub struct StreamChunk<'a> {
 
 impl StreamChunk<'_> {
     /// The chunk's [`frame_checksum`]: the stored, already verified value
-    /// on v2 streams, computed from `body` on v1 streams. The same value
-    /// [`Region::chunk_checksum`] gives for the chunk.
+    /// on v2 streams, computed from `body` on v1 streams.
     pub fn checksum(&self) -> u64 {
         self.stored_checksum
             .unwrap_or_else(|| frame_checksum(self.body))
+    }
+
+    /// The one per-chunk decode step, into `out`, which is the chunk's
+    /// `expected_len` bytes long: a raw chunk is copied out, any other is
+    /// decoded by the codec (on the recorded `codec_id` for a selector).
+    /// The caller runs [`Codec::check`] on the stream header first.
+    ///
+    /// # Errors
+    ///
+    /// Chunk bytes the codec rejects, a raw chunk of the wrong length for
+    /// `out`, or [`Error::UnknownChunkCodec`] for a codec id an adaptive
+    /// `codec` does not know.
+    pub fn decode_into(&self, codec: Codec<'_>, out: &mut [u8]) -> Result<(), Error> {
+        if self.raw {
+            if self.body.len() != out.len() {
+                return Err(Error::Corrupt("raw chunk length mismatch"));
+            }
+            out.copy_from_slice(self.body);
+            return Ok(());
+        }
+        match codec {
+            Codec::Fixed(c) => c.decode_into(self.body, out),
+            Codec::Adaptive(c) => {
+                if !c.knows_codec(self.codec_id) {
+                    return Err(Error::UnknownChunkCodec {
+                        chunk: self.index as u32,
+                        codec: self.codec_id,
+                    });
+                }
+                c.decode_into(self.codec_id, self.body, out)
+            }
+        }
     }
 }
 
@@ -979,9 +1020,9 @@ impl StreamChunk<'_> {
 /// region is complete, per-chunk checksums as each chunk is popped, and
 /// the exact-length invariant at [`StreamingDecoder::finish`].
 ///
-/// The decoder is codec-agnostic: it yields verified compressed bodies
-/// ([`StreamChunk`]); pair it with [`decode_stream_chunk`] to materialize
-/// payload bytes, after running [`Codec::check`] on the header.
+/// The decoder is codec-agnostic: it yields verified chunks
+/// ([`StreamChunk`]); [`StreamChunk::decode_into`] materializes their
+/// payload bytes, after [`Codec::check`] has run on the header.
 #[derive(Default)]
 pub struct StreamingDecoder {
     buf: Vec<u8>,
@@ -1082,16 +1123,7 @@ impl StreamingDecoder {
         debug_assert_eq!(start, self.consumed, "chunks pop in order");
         self.consumed = end;
         self.next = i + 1;
-        let body = &self.buf[start..end];
-        meta.verify(i, body)?;
-        Ok(Some(StreamChunk {
-            index: i,
-            codec_id: meta.codec_id(i),
-            raw: meta.raw(i),
-            expected_len: meta.expected_len(i),
-            body,
-            stored_checksum: meta.checksums.get(i).copied(),
-        }))
+        meta.chunk(i, &self.buf[start..end]).map(Some)
     }
 
     /// Shifts the unconsumed tail of the buffer to its front.
@@ -1122,25 +1154,6 @@ impl StreamingDecoder {
         }
         Ok(())
     }
-}
-
-/// Decodes a [`StreamChunk`], appending its `expected_len` bytes to `out`
-/// as whole-stream [`decompress`] decodes each chunk. The caller runs
-/// [`Codec::check`] on the stream header first.
-///
-/// # Errors
-///
-/// As [`decompress`]'s per-chunk failures, plus
-/// [`Error::UnknownChunkCodec`] for a codec id an adaptive `codec` does not
-/// know.
-pub fn decode_stream_chunk(
-    chunk: &StreamChunk<'_>,
-    codec: Codec<'_>,
-    out: &mut Vec<u8>,
-) -> Result<(), Error> {
-    decode_appending(out, chunk.expected_len, |buf| {
-        codec.decode_into(chunk.index, chunk.codec_id, chunk.raw, chunk.body, buf)
-    })
 }
 
 /// Per-chunk damage record produced by [`verify`] and
@@ -1191,7 +1204,7 @@ pub fn verify(data: &[u8]) -> Result<(Header, DamageReport), Error> {
     let region = Region::parse(data)?;
     let mut report = region.report();
     for i in 0..region.chunks() {
-        if let Err(error) = region.meta.verify(i, region.body(i)) {
+        if let Err(error) = region.chunk(i) {
             report.damaged.push(region.damage(i, error));
         }
     }
@@ -1231,7 +1244,7 @@ pub fn decompress_tolerant(
         0,
         region.payload_len(),
         threads,
-        |i, _, slot| region.decode_slot(i, codec, slot),
+        |chunk, out| chunk.decode_into(codec, out),
         |i, error| {
             report.damaged.push(region.damage(i, error));
             Ok(())
@@ -1243,10 +1256,10 @@ pub fn decompress_tolerant(
 /// A parsed container frame held open for random access.
 ///
 /// Parsing validates the header, chunk table, and (v2) the header and
-/// table checksums exactly once; every subsequent [`Region::decode_chunk`]
-/// or [`Region::decode_range`] call reuses that metadata and touches only
+/// table checksums exactly once; every subsequent [`Region::chunk`] or
+/// [`Region::decode_range`] call reuses that metadata and touches only
 /// the chunks it needs. Per-chunk payload checksums are still verified
-/// lazily, chunk by chunk, as each chunk is decoded.
+/// lazily, chunk by chunk, as each chunk is read.
 ///
 /// Ranges are expressed in *payload* coordinates: `offset` is a byte
 /// offset into the decoded chunked payload (`header.payload_len` bytes),
@@ -1307,45 +1320,34 @@ impl<'a> Region<'a> {
         index < self.chunks() && self.meta.raw(index)
     }
 
-    /// Stored bytes of chunk `index`, unverified (`index` must be in
-    /// range).
-    fn body(&self, index: usize) -> &'a [u8] {
-        &self.data[self.meta.offsets[index]..self.meta.offsets[index + 1]]
-    }
-
-    /// The stored (compressed, or raw) bytes of chunk `index`, after
-    /// verifying its checksum (v2) and, for raw chunks, the stored-length
-    /// invariant — the same verification [`Region::decode_chunk`] performs
-    /// before decoding, which makes the returned slice safe to use as a
-    /// content address.
+    /// Chunk `index` as a verified view: its checksum (v2) and, for raw
+    /// chunks, the stored-length invariant are checked, the same verify
+    /// step the streaming decoder runs, which makes the body safe to
+    /// decode and to use as a content address. This is the
+    /// random-access corollary of the paper's "each chunk is independent"
+    /// design (§3).
     ///
     /// # Errors
     ///
     /// Fails on an out-of-range index or a checksum/length mismatch.
-    pub fn chunk_body(&self, index: usize) -> Result<&[u8], Error> {
-        if index >= self.chunks() {
+    pub fn chunk(&self, index: usize) -> Result<StreamChunk<'a>, Error> {
+        let (Some(&start), Some(&end)) = (
+            self.meta.offsets.get(index),
+            self.meta.offsets.get(index + 1),
+        ) else {
             return Err(Error::Corrupt("chunk index out of range"));
-        }
-        self.meta.verify(index, self.body(index))?;
-        Ok(self.body(index))
+        };
+        self.meta.chunk(index, &self.data[start..end])
     }
 
-    /// The [`frame_checksum`] of chunk `index`'s stored bytes: the stored
-    /// value on v2 streams (which [`Region::chunk_body`] verifies), and
-    /// computed from the bytes on v1 streams. The same value
-    /// [`StreamChunk::checksum`] gives for the chunk.
+    /// The stored (compressed, or raw) bytes of chunk `index`, verified
+    /// as [`Region::chunk`] verifies them.
     ///
     /// # Errors
     ///
-    /// Fails on an out-of-range index.
-    pub fn chunk_checksum(&self, index: usize) -> Result<u64, Error> {
-        if index >= self.chunks() {
-            return Err(Error::Corrupt("chunk index out of range"));
-        }
-        Ok(match self.meta.checksums.get(index) {
-            Some(&stored) => stored,
-            None => frame_checksum(self.body(index)),
-        })
+    /// As [`Region::chunk`].
+    pub fn chunk_body(&self, index: usize) -> Result<&'a [u8], Error> {
+        Ok(self.chunk(index)?.body)
     }
 
     /// An empty damage report for this stream, to be filled chunk by
@@ -1372,51 +1374,53 @@ impl<'a> Region<'a> {
         self.meta.header.payload_len as usize
     }
 
-    /// Verifies and decodes chunk `index` (in range; frame mode already
-    /// checked), appending to `out`.
-    fn decode(&self, index: usize, codec: Codec<'_>, out: &mut Vec<u8>) -> Result<(), Error> {
-        let (meta, body) = (&self.meta, self.body(index));
-        meta.verify(index, body)?;
-        decode_appending(out, meta.expected_len(index), |buf| {
-            codec.decode_into(index, meta.codec_id(index), meta.raw(index), body, buf)
-        })
-    }
-
-    /// Verifies and decodes chunk `index` straight into its whole-chunk
-    /// `slot`: a raw chunk is copied from the stream, any other is decoded
-    /// into the zero-filled slot in place. A failed decode re-zeroes the
-    /// slot, so a damaged chunk reads as zeros.
-    fn decode_slot(
+    /// Verifies chunk `index` and writes its decoded bytes from `skip` on
+    /// into `slot`, the part of the output the chunk covers. A raw chunk
+    /// is copied from the stream. A chunk `slot` covers whole is decoded
+    /// by `step` straight into the zero-filled slot, which a failed
+    /// decode re-zeroes, so a damaged chunk reads as zeros. Only an edge
+    /// chunk of a range decodes into the worker's scratch arena first.
+    fn decode_slot<S>(
         &self,
         index: usize,
-        codec: Codec<'_>,
+        skip: usize,
         slot: &mut OutSlot<'_>,
-    ) -> Result<(), Error> {
-        let (meta, body) = (&self.meta, self.body(index));
-        meta.verify(index, body)?;
-        if meta.raw(index) {
-            // `verify` pins a raw body to the chunk's decoded length.
-            slot.fill(body);
+        step: &S,
+    ) -> Result<(), Error>
+    where
+        S: Fn(&StreamChunk<'a>, &mut [u8]) -> Result<(), Error>,
+    {
+        let chunk = self.chunk(index)?;
+        if chunk.raw {
+            // The verify step pins a raw body to the chunk's decoded
+            // length, which `skip + slot.len()` does not exceed.
+            let covered = chunk.body.get(skip..skip + slot.len());
+            slot.fill(covered.ok_or(Error::Corrupt("raw chunk length mismatch"))?);
             return Ok(());
         }
-        let out = slot.zeroed();
-        codec
-            .decode_into(index, meta.codec_id(index), false, body, out)
-            .inspect_err(|_| out.fill(0))
+        if slot.len() == chunk.expected_len {
+            let out = slot.zeroed();
+            return step(&chunk, out).inspect_err(|_| out.fill(0));
+        }
+        fpc_pool::with_scratch(|buf| {
+            buf.resize(chunk.expected_len, 0);
+            step(&chunk, buf)?;
+            slot.fill(&buf[skip..skip + slot.len()]);
+            Ok(())
+        })
     }
 
     /// The one in-place decode behind [`decompress`],
     /// [`decompress_tolerant`] and [`Region::decode_range`]: returns payload
     /// bytes `lo..hi` (in range), decoded chunk by chunk on the pool.
     ///
-    /// `step(i, skip, slot)` decodes chunk `i` and writes its bytes from
-    /// `skip` on into `slot`, the part of the output the chunk covers; it
-    /// runs on the worker that claimed the chunk, so each chunk lands at
-    /// its table-known offset without a pass on the calling thread. The
-    /// output grows one window ([`WINDOW_BYTES`], in whole chunks) at a
-    /// time. After each window, `failed(i, error)` sees that window's
-    /// failed chunks in index order (their slots read as zeros); an error
-    /// it returns stops the decode.
+    /// Each touched chunk is verified and decoded by `step(chunk, out)`
+    /// ([`Region::decode_slot`]) on the worker that claimed it, so each
+    /// chunk lands at its table-known offset without a pass on the calling
+    /// thread. The output grows one window ([`WINDOW_BYTES`], in whole
+    /// chunks) at a time. After each window, `failed(i, error)` sees that
+    /// window's failed chunks in index order (their slots read as zeros);
+    /// an error it returns stops the decode.
     fn decode_span<S>(
         &self,
         lo: usize,
@@ -1426,7 +1430,7 @@ impl<'a> Region<'a> {
         mut failed: impl FnMut(usize, Error) -> Result<(), Error>,
     ) -> Result<Vec<u8>, Error>
     where
-        S: Fn(usize, usize, &mut OutSlot<'_>) -> Result<(), Error> + Sync,
+        S: Fn(&StreamChunk<'a>, &mut [u8]) -> Result<(), Error> + Sync,
     {
         let chunk_size = self.meta.header.chunk_size as usize;
         let window = WINDOW_BYTES.div_ceil(chunk_size) * chunk_size;
@@ -1441,7 +1445,10 @@ impl<'a> Region<'a> {
                 chunk_size,
                 end - start,
                 threads,
-                |j, slot| step(first + j, if j == 0 { phase } else { 0 }, slot),
+                |j, slot| {
+                    let skip = if j == 0 { phase } else { 0 };
+                    self.decode_slot(first + j, skip, slot, &step)
+                },
             );
             for (j, result) in results.into_iter().enumerate() {
                 if let Err(error) = result {
@@ -1453,60 +1460,37 @@ impl<'a> Region<'a> {
         Ok(out)
     }
 
-    /// Decodes chunk `index`, appending it to `out` after verifying its
-    /// checksum (v2) — the random-access corollary of the paper's "each
-    /// chunk is independent" design (§3).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the stream layout does not match `codec`
-    /// ([`Codec::check`]), on an out-of-range index, a checksum mismatch,
-    /// chunk bytes the codec rejects, or (adaptive `codec`) a codec id it
-    /// does not know ([`Error::UnknownChunkCodec`]).
-    pub fn decode_chunk(
-        &self,
-        index: usize,
-        codec: Codec<'_>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), Error> {
-        codec.check(self.header())?;
-        if index >= self.chunks() {
-            return Err(Error::Corrupt("chunk index out of range"));
-        }
-        self.decode(index, codec, out)
-    }
-
     /// Decodes exactly the payload bytes `offset..offset + len`, touching
     /// only the chunks that overlap the range.
     ///
     /// The range is mapped to the minimal chunk subset
-    /// `[offset / chunk_size, (offset + len - 1) / chunk_size]`;
-    /// `decode_chunk(i, buf)` is called once per touched chunk index, in
-    /// parallel on the shared pool, and must append chunk `i`'s decoded
-    /// bytes to `buf` (the worker's scratch arena). The worker then copies
-    /// the part the range covers straight to its place in the returned
-    /// buffer. Pass `|i, buf| region.decode_chunk(i, codec, buf)` for a
-    /// plain decode, or put a cache in front of it. Chunks outside the
-    /// range are never read, so damage there goes unnoticed — and damage
-    /// inside the range is still always detected (v2) as long as
-    /// `decode_chunk` verifies the chunks it reads, as
-    /// [`Region::decode_chunk`] and [`Region::chunk_body`] do.
+    /// `[offset / chunk_size, (offset + len - 1) / chunk_size]`, decoded
+    /// in parallel on the shared pool. Each touched chunk is verified
+    /// once, then `decode(chunk, out)` writes its `expected_len` decoded
+    /// bytes into `out`: for a chunk the range covers whole, straight into
+    /// its place in the returned buffer; for the (at most two) edge
+    /// chunks, into the worker's scratch arena, of which the covered part
+    /// is copied out. Raw chunks are copied straight from the stream and
+    /// never reach `decode`. Pass `|chunk, out| chunk.decode_into(codec,
+    /// out)` for a plain decode (after [`Codec::check`]), or put a cache
+    /// in front of it. Chunks outside the range are never read, so damage
+    /// there goes unnoticed, and damage inside the range is always
+    /// detected (v2).
     ///
     /// # Errors
     ///
     /// [`Error::RangeOutOfBounds`] when `offset + len` overflows or
     /// exceeds the payload length; otherwise the error of the
-    /// lowest-index chunk that failed, which includes a `decode_chunk`
-    /// that appended the wrong number of bytes.
+    /// lowest-index chunk that failed its verify step or `decode`.
     pub fn decode_range<F>(
         &self,
         offset: u64,
         len: u64,
         threads: usize,
-        decode_chunk: F,
+        decode: F,
     ) -> Result<Vec<u8>, Error>
     where
-        F: Fn(usize, &mut Vec<u8>) -> Result<(), Error> + Sync,
+        F: Fn(&StreamChunk<'a>, &mut [u8]) -> Result<(), Error> + Sync,
     {
         let available = self.meta.header.payload_len;
         let out_of_bounds = Error::RangeOutOfBounds {
@@ -1527,22 +1511,7 @@ impl<'a> Region<'a> {
             return Ok(Vec::new());
         }
         let (lo, hi) = (offset as usize, end as usize);
-        let out = self.decode_span(
-            lo,
-            hi,
-            threads,
-            |i, skip, slot| {
-                fpc_pool::with_scratch(|buf| {
-                    decode_chunk(i, buf)?;
-                    if buf.len() != self.meta.expected_len(i) {
-                        return Err(Error::Corrupt("decoded chunk length mismatch"));
-                    }
-                    slot.fill(&buf[skip..skip + slot.len()]);
-                    Ok(())
-                })
-            },
-            |_, error| Err(error),
-        )?;
+        let out = self.decode_span(lo, hi, threads, decode, |_, error| Err(error))?;
         let chunk_size = self.meta.header.chunk_size as usize;
         let (first, last) = (lo / chunk_size, (hi - 1) / chunk_size);
         fpc_metrics::incr(
@@ -1703,7 +1672,7 @@ mod tests {
     const IDENTITY: Codec<'static> = Codec::Fixed(&Identity);
     const PICKY: Codec<'static> = Codec::Adaptive(&PickyAuto);
 
-    /// Plain range decode through the closure-taking range method.
+    /// Plain range decode through the step-taking range method.
     fn range(
         region: &Region<'_>,
         codec: Codec<'_>,
@@ -1711,16 +1680,23 @@ mod tests {
         len: u64,
         threads: usize,
     ) -> Result<Vec<u8>, Error> {
-        region.decode_range(offset, len, threads, |i, buf| {
-            region.decode_chunk(i, codec, buf)
+        codec.check(region.header())?;
+        region.decode_range(offset, len, threads, |chunk, out| {
+            chunk.decode_into(codec, out)
         })
+    }
+
+    /// Decodes one verified chunk into a fresh buffer.
+    fn decoded(chunk: &StreamChunk<'_>, codec: Codec<'_>) -> Result<Vec<u8>, Error> {
+        let mut out = vec![0; chunk.expected_len];
+        chunk.decode_into(codec, &mut out)?;
+        Ok(out)
     }
 
     /// Decodes one chunk of a parsed region into a fresh buffer.
     fn chunk_at(region: &Region<'_>, codec: Codec<'_>, index: usize) -> Result<Vec<u8>, Error> {
-        let mut out = Vec::new();
-        region.decode_chunk(index, codec, &mut out)?;
-        Ok(out)
+        codec.check(region.header())?;
+        decoded(&region.chunk(index)?, codec)
     }
 
     /// Parses `stream` and decodes one chunk.
@@ -1730,9 +1706,7 @@ mod tests {
 
     /// Decodes one streamed chunk into a fresh buffer.
     fn stream_chunk(chunk: &StreamChunk<'_>, codec: Codec<'_>) -> Vec<u8> {
-        let mut out = Vec::new();
-        decode_stream_chunk(chunk, codec, &mut out).unwrap();
-        out
+        decoded(chunk, codec).unwrap()
     }
 
     fn roundtrip(payload: &[u8], codec: &dyn ChunkCodec, threads: usize) -> Vec<u8> {
@@ -2130,13 +2104,14 @@ mod tests {
             let region = Region::parse(&stream).unwrap();
             assert_eq!(region.chunks(), 6);
             let cases: &[(u64, u64)] = &[
-                (0, 0),                                            // empty at start
-                (payload.len() as u64, 0),                         // empty at end
-                (10, 100),                                         // inside chunk 0
-                (DEFAULT_CHUNK_SIZE as u64 - 3, 7),                // spans a boundary
-                (DEFAULT_CHUNK_SIZE as u64 * 5, 321),              // exactly the tail
-                (DEFAULT_CHUNK_SIZE as u64 * 4 + 9, 16_000 + 312), // spans into tail
-                (0, payload.len() as u64),                         // whole file
+                (0, 0),                                                     // empty at start
+                (payload.len() as u64, 0),                                  // empty at end
+                (10, 100),                                                  // inside chunk 0
+                (DEFAULT_CHUNK_SIZE as u64 - 3, 7),                         // spans a boundary
+                (DEFAULT_CHUNK_SIZE as u64, DEFAULT_CHUNK_SIZE as u64 * 3), // whole chunks
+                (DEFAULT_CHUNK_SIZE as u64 * 5, 321),                       // exactly the tail
+                (DEFAULT_CHUNK_SIZE as u64 * 4 + 9, 16_000 + 312),          // spans into tail
+                (0, payload.len() as u64),                                  // whole file
             ];
             for &(offset, len) in cases {
                 let got = range(&region, RLE, offset, len, 2).unwrap();
@@ -2466,8 +2441,24 @@ mod tests {
             header.version = version;
             let whole = compress(header, &payload, &Rle, 2).unwrap();
             let mut asm = FrameAssembler::new();
+            let mut copies = Vec::new();
             for chunk in payload.chunks(header.chunk_size as usize) {
-                asm.push(encode_chunk(chunk, RLE)).unwrap();
+                let encoded = asm.encode(chunk, RLE).unwrap();
+                let (id, raw, sum) = (encoded.codec_id, encoded.raw, encoded.checksum);
+                copies.push((id, raw, sum, encoded.body.to_vec()));
+            }
+            assert_eq!(asm.finish(header).unwrap(), whole, "version {version}");
+            // Pushing copies of the encoded chunks, as a cache hit does,
+            // writes the same stream.
+            let mut asm = FrameAssembler::new();
+            for (codec_id, raw, checksum, body) in &copies {
+                asm.push(EncodedChunk {
+                    codec_id: *codec_id,
+                    raw: *raw,
+                    checksum: *checksum,
+                    body,
+                })
+                .unwrap();
             }
             assert_eq!(asm.finish(header).unwrap(), whole, "version {version}");
         }
@@ -2476,7 +2467,7 @@ mod tests {
         let whole = compress_adaptive(header_for(&payload), &payload, &PickyAuto, 2).unwrap();
         let mut asm = FrameAssembler::new();
         for chunk in payload.chunks(DEFAULT_CHUNK_SIZE) {
-            asm.push(encode_chunk(chunk, PICKY)).unwrap();
+            asm.encode(chunk, PICKY).unwrap();
         }
         let mut header = header_for(&payload);
         header.flags = FLAG_CHUNK_CODECS;
@@ -2490,14 +2481,13 @@ mod tests {
         let full = || {
             let mut asm = FrameAssembler::new();
             for chunk in payload.chunks(DEFAULT_CHUNK_SIZE) {
-                asm.push(encode_chunk(chunk, RLE)).unwrap();
+                asm.encode(chunk, RLE).unwrap();
             }
             asm
         };
         // One chunk short of what payload_len promises.
         let mut asm = FrameAssembler::new();
-        asm.push(encode_chunk(&payload[..DEFAULT_CHUNK_SIZE], RLE))
-            .unwrap();
+        asm.encode(&payload[..DEFAULT_CHUNK_SIZE], RLE).unwrap();
         assert!(matches!(asm.finish(header), Err(Error::Corrupt(_))));
         // A header no frame can be written for.
         let mut future = header;

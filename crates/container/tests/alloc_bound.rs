@@ -47,22 +47,22 @@ fn stream(count: usize, last_len: usize) -> Vec<u8> {
     let mut asm = FrameAssembler::new();
     for i in 0..count {
         let raw = i == 0;
-        let body = if raw {
+        let mut body = if raw {
             vec![7u8; MAX_CHUNK_SIZE]
         } else {
             vec![i as u8]
         };
         let checksum = frame_checksum(&body);
-        let mut chunk = EncodedChunk {
+        if i == 1 {
+            body[0] ^= 0xFF;
+        }
+        asm.push(EncodedChunk {
             codec_id: 0,
             raw,
             checksum,
-            body,
-        };
-        if i == 1 {
-            chunk.body[0] ^= 0xFF;
-        }
-        asm.push(chunk).unwrap();
+            body: &body,
+        })
+        .unwrap();
     }
     let payload_len = ((count - 1) * MAX_CHUNK_SIZE + last_len) as u64;
     let mut header = Header::new(ALGO_SP_SPEED, 4, payload_len, payload_len);

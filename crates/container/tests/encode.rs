@@ -1,5 +1,5 @@
-//! One-shot compress against its oracle: [`FrameAssembler`] over
-//! [`encode_chunk`], the streaming writer, chunk by chunk on one thread.
+//! One-shot compress against its oracle: [`FrameAssembler::encode`], the
+//! streaming writer, chunk by chunk on one thread.
 //!
 //! One-shot compress writes each group of chunk bodies straight to the
 //! offset a look-back over earlier groups gives it, and the chunk table
@@ -8,9 +8,9 @@
 //! version, codec kind and mix of raw and encoded chunks.
 
 use fpc_container::{
-    compress, compress_adaptive, decompress, decompress_adaptive, encode_chunk, AdaptiveChunkCodec,
-    ChunkCodec, Codec, Error, FrameAssembler, Header, ALGO_SP_SPEED, DEFAULT_CHUNK_SIZE,
-    FLAG_CHUNK_CODECS, VERSION_1, WINDOW_BYTES,
+    compress, compress_adaptive, decompress, decompress_adaptive, AdaptiveChunkCodec, ChunkCodec,
+    Codec, Error, FrameAssembler, Header, ALGO_SP_SPEED, DEFAULT_CHUNK_SIZE, FLAG_CHUNK_CODECS,
+    VERSION_1, WINDOW_BYTES,
 };
 use fpc_prng::Rng;
 
@@ -106,7 +106,7 @@ fn mixed(len: usize, rng: &mut Rng) -> Vec<u8> {
 fn oracle(header: Header, payload: &[u8], codec: Codec<'_>) -> Vec<u8> {
     let mut asm = FrameAssembler::new();
     for chunk in payload.chunks(header.chunk_size as usize) {
-        asm.push(encode_chunk(chunk, codec)).unwrap();
+        asm.encode(chunk, codec).unwrap();
     }
     asm.finish(header).unwrap()
 }

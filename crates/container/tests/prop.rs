@@ -159,8 +159,12 @@ fn random_bytes_never_panic_decoder() {
         let _ = fpc_container::verify(&data);
         let _ = fpc_container::read_header(&data);
         let _ = fpc_container::stats(&data);
-        let _ = Region::parse(&data)
-            .and_then(|r| r.decode_chunk(0, Codec::Fixed(&Collapsing), &mut Vec::new()));
+        let _ = Region::parse(&data).and_then(|r| {
+            let codec = Codec::Fixed(&Collapsing);
+            codec.check(r.header())?;
+            let chunk = r.chunk(0)?;
+            chunk.decode_into(codec, &mut vec![0; chunk.expected_len])
+        });
     });
 }
 

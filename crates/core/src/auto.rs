@@ -155,9 +155,10 @@ impl AutoCodec {
         expected_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), Error> {
-        fpc_container::decode_appending(out, expected_len, |buf| {
-            self.decode_into(codec_id, data, buf)
-        })
+        let start = out.len();
+        out.resize(start + expected_len, 0);
+        self.decode_into(codec_id, data, &mut out[start..])
+            .inspect_err(|_| out.truncate(start))
     }
 
     /// Builds the candidate set from encoder options (decode ignores them;

@@ -47,8 +47,8 @@ pub use streaming::{DecodedOutput, StreamingCompressor, StreamingDecompressor};
 use std::borrow::Cow;
 
 use fpc_container::{
-    ChunkCodec, Codec, Header, Region, ALGO_AUTO, ALGO_DP_RATIO, ALGO_DP_SPEED, ALGO_SP_RATIO,
-    ALGO_SP_SPEED,
+    ChunkCodec, Codec, Header, Region, StreamChunk, ALGO_AUTO, ALGO_DP_RATIO, ALGO_DP_SPEED,
+    ALGO_SP_RATIO, ALGO_SP_SPEED,
 };
 use fpc_transforms::{fcm, words};
 
@@ -668,17 +668,10 @@ fn decompress_range_impl(
     // The frame-mode check runs before any cache lookup: a cached chunk
     // must never stand in for a chunk this stream cannot decode.
     codec.check(region.header())?;
-    let decode = |index: usize, out: &mut Vec<u8>| match cache {
-        // Raw chunks bypass the cache; decode_chunk just copies them out.
-        Some(cache) if !region.chunk_raw(index) => {
-            // The key verifies the stored checksum first, so the bytes are
-            // safe to address by; it equals the streaming decoder's key.
-            let key = streaming::region_chunk_key(algorithm, &region, index)?;
-            streaming::cached_decode(cache, key, out, |out| {
-                region.decode_chunk(index, codec, out)
-            })
-        }
-        _ => region.decode_chunk(index, codec, out),
+    // The region verifies each touched chunk once; the key is built from
+    // the verified view and equals the streaming decoder's.
+    let decode = |chunk: &StreamChunk<'_>, out: &mut [u8]| {
+        streaming::decode_chunk(algorithm, codec, cache, chunk, out)
     };
     Ok(region.decode_range(offset, len, threads, decode)?)
 }

@@ -19,7 +19,11 @@
 //!   all *compressed* chunk bodies (the container layout places the chunk
 //!   table before the bodies, so output can only be assembled at finish).
 //!   Input-side memory is O(chunk); held output is the compressed size,
-//!   typically a fraction of the input.
+//!   typically a fraction of the input, plus room reserved for the
+//!   current feed. Each chunk encodes straight onto the one body buffer
+//!   (a cache hit is copied there; a miss's body is copied once into its
+//!   cache value), and finish shifts the bodies up behind the metadata in
+//!   that same buffer.
 //! - [`StreamingDecompressor`]: holds the chunk table, at most one
 //!   in-flight compressed chunk, plus decoded output the caller has not
 //!   drained yet — O(chunk) end-to-end when the caller drains eagerly.
@@ -37,8 +41,8 @@ use std::sync::Arc;
 use fpc_cache::{CacheKey, ChunkCache};
 use fpc_container::checksum::xxh64;
 use fpc_container::{
-    decode_stream_chunk, encode_chunk, Codec, EncodedChunk, FrameAssembler, Header, Region,
-    StreamChunk, StreamingDecoder, DEFAULT_CHUNK_SIZE, FLAG_CHUNK_CODECS, WINDOW_BYTES,
+    Codec, EncodedChunk, FrameAssembler, Header, StreamChunk, StreamingDecoder, DEFAULT_CHUNK_SIZE,
+    FLAG_CHUNK_CODECS, WINDOW_BYTES,
 };
 
 use crate::{Algorithm, AlgorithmCodec, Compressor, Error, PipelineOptions, Result};
@@ -67,93 +71,74 @@ fn encode_context(algo: Algorithm, opts_tag: u64) -> u64 {
     CTX_ENCODE | (u64::from(algo.id()) << 8) ^ (opts_tag << 16)
 }
 
-/// Decode-path cache key of a verified, non-raw chunk body, from the
-/// chunk's table metadata and its container checksum (the key's high
-/// half, so the body is hashed once more, not twice). `codec_id` is the
-/// chunk table's id for adaptive streams and `0` for fixed-codec streams.
-fn decode_chunk_key(
-    algo: Algorithm,
-    codec_id: u8,
-    expected_len: usize,
-    checksum: u64,
-    body: &[u8],
-) -> CacheKey {
+/// Decode-path cache key of a verified chunk, from its table metadata
+/// and its container checksum (the key's high half, so the body is hashed
+/// once more, not twice). The codec id is the chunk table's for adaptive
+/// streams and `0` for fixed-codec streams. The streaming decoder and the
+/// cached range decode both key by it, so a chunk decoded through either
+/// path hits entries the other inserted.
+fn decode_key(algo: Algorithm, chunk: &StreamChunk<'_>) -> CacheKey {
     let context = CTX_DECODE
         | (u64::from(algo.id()) << 8)
-        | (u64::from(codec_id) << 16)
-        | ((expected_len as u64) << 32);
-    CacheKey::with_checksum(body, checksum, context)
+        | (u64::from(chunk.codec_id) << 16)
+        | ((chunk.expected_len as u64) << 32);
+    CacheKey::with_checksum(chunk.body, chunk.checksum(), context)
 }
 
-/// The streaming decompressor's key for a popped chunk.
-fn stream_chunk_key(algo: Algorithm, chunk: &StreamChunk<'_>) -> CacheKey {
-    decode_chunk_key(
-        algo,
-        chunk.codec_id,
-        chunk.expected_len,
-        chunk.checksum(),
-        chunk.body,
-    )
-}
-
-/// The cached range decode's key for chunk `index` of `region`, after
-/// verifying its body. Equal to [`stream_chunk_key`] for the same chunk,
-/// so a chunk decoded through either path hits entries the other
-/// inserted.
-pub(crate) fn region_chunk_key(
+/// Decodes a verified chunk into `out` (its decoded length), through
+/// `cache` when there is one: a hit is copied in, a miss is decoded and
+/// its bytes inserted. A hit of any other length than `out`'s counts as a
+/// miss. Raw chunks bypass the cache: they decode to their own bytes, so
+/// caching them would store pure copies. Shared by the streaming and
+/// range decode paths.
+pub(crate) fn decode_chunk(
     algo: Algorithm,
-    region: &Region<'_>,
-    index: usize,
-) -> core::result::Result<CacheKey, fpc_container::Error> {
-    let body = region.chunk_body(index)?;
-    let codec_id = region.chunk_codec_ids().get(index).copied().unwrap_or(0);
-    Ok(decode_chunk_key(
-        algo,
-        codec_id,
-        region.chunk_len(index),
-        region.chunk_checksum(index)?,
-        body,
-    ))
-}
-
-/// Appends the decoded bytes cached under `key` to `out`, or runs `decode`
-/// (which appends) and caches what it appended. Shared by the streaming
-/// and range decode paths.
-pub(crate) fn cached_decode(
-    cache: &ChunkCache,
-    key: CacheKey,
-    out: &mut Vec<u8>,
-    decode: impl FnOnce(&mut Vec<u8>) -> core::result::Result<(), fpc_container::Error>,
+    codec: Codec<'_>,
+    cache: Option<&ChunkCache>,
+    chunk: &StreamChunk<'_>,
+    out: &mut [u8],
 ) -> core::result::Result<(), fpc_container::Error> {
-    if let Some(hit) = cache.get(&key) {
-        out.extend_from_slice(&hit);
-        return Ok(());
+    let Some(cache) = cache.filter(|_| !chunk.raw) else {
+        return chunk.decode_into(codec, out);
+    };
+    let key = decode_key(algo, chunk);
+    match cache.get(&key) {
+        Some(hit) if hit.len() == out.len() => out.copy_from_slice(&hit),
+        _ => {
+            chunk.decode_into(codec, out)?;
+            cache.insert(key, Arc::from(&*out));
+        }
     }
-    let start = out.len();
-    decode(out)?;
-    cache.insert(key, Arc::from(&out[start..]));
     Ok(())
 }
 
-/// Serialized cache value for the compress path:
+/// Bytes of a compress-path cache value before the body:
 /// `[codec_id][raw][checksum: u64 LE][body…]`.
-fn encode_cache_value(c: &EncodedChunk) -> Arc<[u8]> {
-    let mut v = Vec::with_capacity(10 + c.body.len());
-    v.push(c.codec_id);
-    v.push(c.raw as u8);
-    v.extend_from_slice(&c.checksum.to_le_bytes());
-    v.extend_from_slice(&c.body);
-    Arc::from(v.into_boxed_slice())
+const VALUE_HEAD: usize = 10;
+
+/// The compress-path cache value of `c`, built with one copy of its body
+/// (and `None` only if the fresh value were somehow shared).
+fn encode_cache_value(c: &EncodedChunk<'_>) -> Option<Arc<[u8]>> {
+    let mut value: Arc<[u8]> = std::iter::repeat_n(0, VALUE_HEAD + c.body.len()).collect();
+    let (ids, rest) = Arc::get_mut(&mut value)?.split_at_mut(2);
+    let (checksum, body) = rest.split_at_mut(8);
+    ids.copy_from_slice(&[c.codec_id, u8::from(c.raw)]);
+    checksum.copy_from_slice(&c.checksum.to_le_bytes());
+    body.copy_from_slice(c.body);
+    Some(value)
 }
 
-fn decode_cache_value(v: &[u8]) -> Option<EncodedChunk> {
-    let (meta, body) = v.split_at_checked(10)?;
-    let checksum = u64::from_le_bytes(meta[2..10].try_into().ok()?);
+/// The encoded chunk a compress-path cache value holds, borrowed from it.
+fn decode_cache_value(v: &[u8]) -> Option<EncodedChunk<'_>> {
+    let (head, body) = v.split_at_checked(VALUE_HEAD)?;
+    let &[codec_id, raw, ref checksum @ ..] = head else {
+        return None;
+    };
     Some(EncodedChunk {
-        codec_id: meta[0],
-        raw: meta[1] != 0,
-        checksum,
-        body: body.to_vec(),
+        codec_id,
+        raw: raw != 0,
+        checksum: u64::from_le_bytes(checksum.try_into().ok()?),
+        body,
     })
 }
 
@@ -225,8 +210,8 @@ impl StreamingCompressor {
     }
 
     /// Bytes currently held by the engine: the partial input chunk plus
-    /// compressed bodies awaiting assembly (or the whole buffered input
-    /// for DPratio).
+    /// the body buffer of compressed chunks awaiting assembly, counting its
+    /// reserved room (or the whole buffered input for DPratio).
     pub fn held_bytes(&self) -> u64 {
         match &self.state {
             CompState::Chunked { asm, pending, .. } => asm.body_bytes() + pending.len() as u64,
@@ -234,22 +219,29 @@ impl StreamingCompressor {
         }
     }
 
+    /// Adds the next chunk to `asm`: a cache hit's encoding, or a fresh
+    /// one, which the cache then copies.
     fn encode_one(
+        asm: &mut FrameAssembler,
         codec: Codec<'_>,
         cache: Option<&ChunkCache>,
         ctx: u64,
         chunk: &[u8],
-    ) -> EncodedChunk {
+    ) -> Result<()> {
         let Some(cache) = cache else {
-            return encode_chunk(chunk, codec);
+            asm.encode(chunk, codec)?;
+            return Ok(());
         };
         let key = CacheKey::new(chunk, ctx);
-        if let Some(hit) = cache.get(&key).and_then(|hit| decode_cache_value(&hit)) {
-            return hit;
+        if let Some(hit) = cache.get(&key) {
+            if let Some(encoded) = decode_cache_value(&hit) {
+                return Ok(asm.push(encoded)?);
+            }
         }
-        let encoded = encode_chunk(chunk, codec);
-        cache.insert(key, encode_cache_value(&encoded));
-        encoded
+        if let Some(value) = encode_cache_value(&asm.encode(chunk, codec)?) {
+            cache.insert(key, value);
+        }
+        Ok(())
     }
 
     /// Feeds the next bytes of the input, encoding every chunk that
@@ -272,6 +264,8 @@ impl StreamingCompressor {
                 pending,
             } => {
                 let (codec, cache) = (codec.as_codec(), self.cache.as_deref());
+                let payload = pending.len() + bytes.len();
+                asm.reserve(payload / DEFAULT_CHUNK_SIZE + 1, payload);
                 let mut rest = bytes;
                 // Fill the partial chunk first; thereafter encode straight
                 // from the input slice, copying only the final remainder.
@@ -281,14 +275,14 @@ impl StreamingCompressor {
                     pending.extend_from_slice(&rest[..take]);
                     rest = &rest[take..];
                     if pending.len() == DEFAULT_CHUNK_SIZE {
-                        asm.push(Self::encode_one(codec, cache, self.ctx, pending))?;
+                        Self::encode_one(asm, codec, cache, self.ctx, pending)?;
                         pending.clear();
                     }
                 }
                 while rest.len() >= DEFAULT_CHUNK_SIZE {
                     let (chunk, tail) = rest.split_at(DEFAULT_CHUNK_SIZE);
                     rest = tail;
-                    asm.push(Self::encode_one(codec, cache, self.ctx, chunk))?;
+                    Self::encode_one(asm, codec, cache, self.ctx, chunk)?;
                 }
                 pending.extend_from_slice(rest);
                 Ok(())
@@ -319,12 +313,7 @@ impl StreamingCompressor {
             } => {
                 if !pending.is_empty() {
                     let cache = self.cache.as_deref();
-                    asm.push(Self::encode_one(
-                        codec.as_codec(),
-                        cache,
-                        self.ctx,
-                        &pending,
-                    ))?;
+                    Self::encode_one(&mut asm, codec.as_codec(), cache, self.ctx, &pending)?;
                 }
                 let mut header = Header::new(
                     self.algo.id(),
@@ -356,32 +345,63 @@ pub struct StreamingDecompressor {
     codec: Option<(Algorithm, AlgorithmCodec)>,
     /// Decoded bytes not taken yet: every chunk decodes, or copies its
     /// cache hit, straight onto the end.
-    out: Vec<u8>,
+    out: Decoded,
     /// DPratio only: decoded chunks accumulate into the FCM-transformed
     /// payload; the inverse FCM runs at finish.
-    fcm_payload: Vec<u8>,
+    fcm_payload: Decoded,
     cache: Option<Arc<ChunkCache>>,
     /// Decoded bytes handed out by `take_output` so far.
     taken: u64,
 }
 
+/// A decode target: its first `len` bytes are decoded output, and the
+/// initialized bytes after them, up to `buf.len()`, are kept from earlier
+/// chunks, so a chunk decodes into them without zero-filling them again.
+#[derive(Default)]
+struct Decoded {
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl Decoded {
+    /// Makes room for `n` more decoded bytes.
+    fn reserve(&mut self, n: usize) {
+        let end = self.len.saturating_add(n);
+        self.buf.reserve(end.saturating_sub(self.buf.len()));
+    }
+
+    /// The `n` bytes after the decoded ones, zero-filled where the buffer
+    /// never reached. They count as decoded once `len` moves past them.
+    fn after(&mut self, n: usize) -> &mut [u8] {
+        let end = self.len + n;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        self.buf.get_mut(self.len..end).unwrap_or_default()
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.buf.get(..self.len).unwrap_or_default()
+    }
+}
+
 /// The decoded bytes a [`StreamingDecompressor`] has ready, lent out by
 /// [`StreamingDecompressor::take_output`] as one slice. Dropping it
-/// empties the engine's output buffer, which keeps its capacity for the
+/// empties the engine's output buffer, which keeps its memory for the
 /// next feed.
-pub struct DecodedOutput<'a>(&'a mut Vec<u8>);
+pub struct DecodedOutput<'a>(&'a mut Decoded);
 
 impl Deref for DecodedOutput<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        self.0
+        self.0.bytes()
     }
 }
 
 impl Drop for DecodedOutput<'_> {
     fn drop(&mut self) {
-        self.0.clear();
+        self.0.len = 0;
     }
 }
 
@@ -408,7 +428,7 @@ impl StreamingDecompressor {
     /// not shifted out yet) and (DPratio only) the accumulated transformed
     /// payload.
     pub fn held_bytes(&self) -> u64 {
-        (self.dec.buffered_bytes() + self.out.len() + self.fcm_payload.len()) as u64
+        (self.dec.buffered_bytes() + self.out.len + self.fcm_payload.len) as u64
     }
 
     fn on_header(&mut self, header: &Header) -> Result<()> {
@@ -433,18 +453,11 @@ impl StreamingDecompressor {
         // window: a forged chunk table cannot make it claim more memory
         // than decoding would.
         target.reserve(self.dec.ready_len().min(WINDOW_BYTES));
+        let cache = self.cache.as_deref();
         while let Some(chunk) = self.dec.next_chunk()? {
-            let decode = |out: &mut Vec<u8>| decode_stream_chunk(&chunk, codec.as_codec(), out);
-            // Raw chunks decode to their own bytes — caching them would
-            // store pure copies; skip. The chunk checksum was already
-            // verified by the streaming decoder, so cached entries are
-            // keyed by trusted bytes.
-            match self.cache.as_deref() {
-                Some(cache) if !chunk.raw => {
-                    cached_decode(cache, stream_chunk_key(algo, &chunk), target, decode)?;
-                }
-                _ => decode(target)?,
-            }
+            let out = target.after(chunk.expected_len);
+            decode_chunk(algo, codec.as_codec(), cache, &chunk, out)?;
+            target.len += chunk.expected_len;
         }
         Ok(())
     }
@@ -474,10 +487,10 @@ impl StreamingDecompressor {
     /// [`finish`](StreamingDecompressor::finish)) to keep
     /// [`held_bytes`](StreamingDecompressor::held_bytes) bounded.
     pub fn take_output(&mut self) -> Option<DecodedOutput<'_>> {
-        if self.out.is_empty() {
+        if self.out.len == 0 {
             return None;
         }
-        self.taken += self.out.len() as u64;
+        self.taken += self.out.len as u64;
         Some(DecodedOutput(&mut self.out))
     }
 
@@ -500,12 +513,13 @@ impl StreamingDecompressor {
         }
         if self.algorithm() == Some(Algorithm::DpRatio) {
             // DPratio chunks never reach `out`, so it is empty here.
-            self.out = crate::finish_fcm(
-                header,
-                &std::mem::take(&mut self.fcm_payload),
-                crate::fcm_decode,
-            )?;
-        } else if self.taken + self.out.len() as u64 != header.original_len {
+            let payload = std::mem::take(&mut self.fcm_payload);
+            let buf = crate::finish_fcm(header, payload.bytes(), crate::fcm_decode)?;
+            self.out = Decoded {
+                len: buf.len(),
+                buf,
+            };
+        } else if self.taken + self.out.len as u64 != header.original_len {
             return Err(Error::Container(fpc_container::Error::Corrupt(
                 "payload length disagrees with header",
             )));
@@ -518,6 +532,7 @@ impl StreamingDecompressor {
 mod tests {
     use super::*;
     use crate::decompress_bytes_with;
+    use fpc_container::Region;
 
     fn sample(len: usize) -> Vec<u8> {
         // A float-ish byte pattern with enough structure that codecs
@@ -746,12 +761,13 @@ mod tests {
             dec.feed(&stream).unwrap();
             let mut streamed = Vec::new();
             while let Some(chunk) = dec.next_chunk().unwrap() {
-                streamed.push((!chunk.raw).then(|| stream_chunk_key(algo, &chunk)));
+                streamed.push((!chunk.raw).then(|| decode_key(algo, &chunk)));
             }
             let region = Region::parse(&stream).unwrap();
             let ranged: Vec<_> = (0..region.chunks())
                 .map(|i| {
-                    (!region.chunk_raw(i)).then(|| region_chunk_key(algo, &region, i).unwrap())
+                    let chunk = region.chunk(i).unwrap();
+                    (!chunk.raw).then(|| decode_key(algo, &chunk))
                 })
                 .collect();
             assert_eq!(streamed.len(), 4, "v{version}");
@@ -760,6 +776,47 @@ mod tests {
                 "v{version}: every chunk raw"
             );
             assert_eq!(streamed, ranged, "v{version}: the paths' keys differ");
+        }
+    }
+
+    #[test]
+    fn wrong_length_cache_hits_count_as_misses() {
+        // Gently-varying f32 data, so chunks encode rather than go raw.
+        let mut data = Vec::new();
+        let mut x = 1.0f32;
+        while data.len() < fpc_container::DEFAULT_CHUNK_SIZE * 3 + 40 {
+            x += 0.125;
+            data.extend_from_slice(&x.to_le_bytes());
+        }
+        let (offset, len) = (100u64, data.len() as u64 - 200);
+        let want = &data[offset as usize..(offset + len) as usize];
+        for algo in [Algorithm::SpSpeed, Algorithm::SpRatio, Algorithm::Auto] {
+            let stream = Compressor::new(algo).with_threads(1).compress_bytes(&data);
+            let region = Region::parse(&stream).unwrap();
+            for delta in [-1isize, 1] {
+                // Seed every encoded chunk's real key with a value one
+                // byte short or one byte long (the short tail is raw).
+                let cache = Arc::new(ChunkCache::new(8 << 20));
+                for i in 0..region.chunks() - 1 {
+                    let chunk = region.chunk(i).unwrap();
+                    assert!(!chunk.raw, "{algo:?}: chunk {i} raw");
+                    let bad = vec![0xA5; chunk.expected_len.saturating_add_signed(delta)];
+                    cache.insert(decode_key(algo, &chunk), Arc::from(bad));
+                }
+                let case = format!("{algo:?} hit {delta:+} byte");
+                for pass in ["cold", "warm"] {
+                    let got = crate::decompress_range_cached_with(&stream, offset, len, 1, &cache);
+                    assert_eq!(got.unwrap(), want, "{case}: {pass} range");
+                }
+                let mut eng = StreamingDecompressor::new().with_cache(Arc::clone(&cache));
+                let mut out = Vec::new();
+                eng.feed(&stream).unwrap();
+                if let Some(block) = eng.take_output() {
+                    out.extend_from_slice(&block);
+                }
+                eng.finish().unwrap();
+                assert_eq!(out, data, "{case}: streaming");
+            }
         }
     }
 

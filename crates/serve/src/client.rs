@@ -379,10 +379,12 @@ impl Conn {
 /// Reads a complete reply: `Response` + `Data`* + `End`, or a terminal
 /// `Error` frame.
 fn recv_reply(reader: &mut BufReader<FaultStream<TcpStream>>, id: u64) -> Reply {
-    let (header, body) = read_frame(reader, DEFAULT_MAX_FRAME)?;
+    // Every frame of the reply is read into this one buffer.
+    let mut frame = Vec::new();
+    let header = read_frame(reader, DEFAULT_MAX_FRAME, &mut frame)?;
     match header.kind {
-        FrameKind::Error => error_frame(&header, &body, id),
-        FrameKind::Response if header.request_id == id => recv_body(reader, id),
+        FrameKind::Error => error_frame(&header, &frame, id),
+        FrameKind::Response if header.request_id == id => recv_body(reader, id, &mut frame),
         FrameKind::Response => Err(ClientError::Protocol(format!(
             "response for request {} while awaiting {id}",
             header.request_id
@@ -397,14 +399,18 @@ fn recv_reply(reader: &mut BufReader<FaultStream<TcpStream>>, id: u64) -> Reply 
 /// Accumulates `Data`* + `End` after a `Response` header. An `Error`
 /// frame in place of `End` is how a streaming server reports a failure
 /// discovered after response data already went out; it is terminal.
-fn recv_body(reader: &mut BufReader<FaultStream<TcpStream>>, id: u64) -> Reply {
+fn recv_body(
+    reader: &mut BufReader<FaultStream<TcpStream>>,
+    id: u64,
+    frame: &mut Vec<u8>,
+) -> Reply {
     let mut out = Vec::new();
     loop {
-        let (header, chunk) = read_frame(reader, DEFAULT_MAX_FRAME)?;
+        let header = read_frame(reader, DEFAULT_MAX_FRAME, frame)?;
         match header.kind {
-            FrameKind::Data => out.extend_from_slice(&chunk),
+            FrameKind::Data => out.extend_from_slice(frame),
             FrameKind::End => return Ok(Ok(out)),
-            FrameKind::Error => return error_frame(&header, &chunk, id),
+            FrameKind::Error => return error_frame(&header, frame, id),
             other => {
                 return Err(ClientError::Protocol(format!(
                     "expected data/end, got kind {}",

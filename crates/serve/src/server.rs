@@ -466,8 +466,9 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
         if config.idle_timeout.is_some() {
             ctl.set_read_timeout(config.idle_timeout)?;
         }
-        let header = match read_frame(&mut reader, config.max_frame) {
-            Ok((header, _payload)) => header,
+        // A request frame's payload is unused, so its buffer is dropped.
+        let header = match read_frame(&mut reader, config.max_frame, &mut Vec::new()) {
+            Ok(header) => header,
             Err(RecvError::Closed) => return Ok(()),
             Err(e) if e.is_timeout() && config.idle_timeout.is_some() => {
                 fpc_metrics::incr(fpc_metrics::Counter::ServeReapedIdle, 1);

@@ -153,9 +153,11 @@ pub(crate) fn serve_request(
     let mut response_started = false;
     // The decoded tail short of a full DATA_CHUNK frame.
     let mut staged: Vec<u8> = Vec::new();
+    // Every frame of the request is read into this one buffer.
+    let mut chunk: Vec<u8> = Vec::new();
     loop {
-        let (header, chunk) = match read_frame(reader, config.max_frame) {
-            Ok(frame) => frame,
+        let header = match read_frame(reader, config.max_frame, &mut chunk) {
+            Ok(header) => header,
             Err(e) => return Ok(Served::Disconnect(e)),
         };
         match header.kind {
@@ -198,6 +200,8 @@ pub(crate) fn serve_request(
         }
     }
     fpc_metrics::incr(fpc_metrics::Counter::ServeRequests, 1);
+    // The request is in; free its frame buffer before the reply is built.
+    drop(chunk);
 
     let (reply, timer) = match state {
         State::Rejected(err) => (Err(err), None),

@@ -362,7 +362,9 @@ pub fn write_frame(w: &mut impl Write, header: &FrameHeader, payload: &[u8]) -> 
     w.write_all(payload)
 }
 
-/// Reads one frame, enforcing `max_frame` on the payload length.
+/// Reads one frame, enforcing `max_frame` on the payload length, into
+/// `payload`: the caller's buffer, reused across the frames of a request
+/// loop, which holds exactly the frame's payload afterwards.
 ///
 /// Distinguishes a clean close (EOF before the first header byte →
 /// [`RecvError::Closed`]) from truncation mid-frame ([`RecvError::Io`]).
@@ -371,7 +373,11 @@ pub fn write_frame(w: &mut impl Write, header: &FrameHeader, payload: &[u8]) -> 
 ///
 /// [`RecvError`] as described above; an oversized `len` yields
 /// [`ErrorCode::FrameTooLarge`] without reading the payload.
-pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(FrameHeader, Vec<u8>), RecvError> {
+pub fn read_frame(
+    r: &mut impl Read,
+    max_frame: u32,
+    payload: &mut Vec<u8>,
+) -> Result<FrameHeader, RecvError> {
     let mut buf = [0u8; HEADER_LEN];
     // First byte separately: EOF here is a clean close, not truncation.
     loop {
@@ -390,9 +396,11 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<(FrameHeader, Vec
             format!("frame of {} bytes exceeds cap of {max_frame}", header.len),
         )));
     }
-    let mut payload = vec![0u8; header.len as usize];
-    r.read_exact(&mut payload).map_err(RecvError::Io)?;
-    Ok((header, payload))
+    // The old bytes are overwritten, so only a longer frame zero-fills
+    // (its new tail).
+    payload.resize(header.len as usize, 0);
+    r.read_exact(payload).map_err(RecvError::Io)?;
+    Ok(header)
 }
 
 /// Sends `Request`/`Response` + chunked `Data`* + `End` in one call.
@@ -681,11 +689,12 @@ mod tests {
         let mut wire = Vec::new();
         let header = FrameHeader::new(FrameKind::Data, 0, ALGO_NONE, 5, 4);
         write_frame(&mut wire, &header, b"abcd").unwrap();
-        let (h, p) = read_frame(&mut wire.as_slice(), 1024).unwrap();
+        let mut p = Vec::new();
+        let h = read_frame(&mut wire.as_slice(), 1024, &mut p).unwrap();
         assert_eq!(h, header);
         assert_eq!(p, b"abcd");
         // Same frame with a 3-byte cap: FrameTooLarge before any payload read.
-        match read_frame(&mut wire.as_slice(), 3) {
+        match read_frame(&mut wire.as_slice(), 3, &mut p) {
             Err(RecvError::Wire(e)) => assert_eq!(e.code, ErrorCode::FrameTooLarge),
             other => panic!("expected FrameTooLarge, got {other:?}"),
         }
@@ -694,12 +703,12 @@ mod tests {
     #[test]
     fn clean_close_vs_truncation() {
         // Zero bytes: clean close.
-        match read_frame(&mut (&[] as &[u8]), 1024) {
+        match read_frame(&mut (&[] as &[u8]), 1024, &mut Vec::new()) {
             Err(RecvError::Closed) => {}
             other => panic!("expected Closed, got {other:?}"),
         }
         // A few header bytes then EOF: truncation.
-        match read_frame(&mut (&MAGIC[..3]), 1024) {
+        match read_frame(&mut (&MAGIC[..3]), 1024, &mut Vec::new()) {
             Err(RecvError::Io(_)) => {}
             other => panic!("expected Io, got {other:?}"),
         }
@@ -722,12 +731,13 @@ mod tests {
         let mut wire = Vec::new();
         send_request(&mut wire, Op::Compress, 1, 42, &payload).unwrap();
         let mut r = wire.as_slice();
-        let (h, _) = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
+        let mut p = Vec::new();
+        let h = read_frame(&mut r, DEFAULT_MAX_FRAME, &mut p).unwrap();
         assert_eq!(h.kind, FrameKind::Request);
         assert_eq!(h.request_id, 42);
         let mut got = Vec::new();
         loop {
-            let (h, p) = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap();
+            let h = read_frame(&mut r, DEFAULT_MAX_FRAME, &mut p).unwrap();
             match h.kind {
                 FrameKind::Data => got.extend_from_slice(&p),
                 FrameKind::End => break,

@@ -294,6 +294,18 @@ fn streamed_decode(
     Some(out)
 }
 
+/// `StreamingCompressor` for `algo` over `data`, through `cache`.
+fn streamed_compress(
+    data: &[u8],
+    algo: Algorithm,
+    cache: &std::sync::Arc<fpc_cache::ChunkCache>,
+) -> Vec<u8> {
+    let mut eng = fpcompress::core::StreamingCompressor::new(algo, 1)
+        .with_cache(std::sync::Arc::clone(cache));
+    eng.feed(data).unwrap();
+    eng.finish().unwrap()
+}
+
 /// One decode path's result: a label, the original-data span it should
 /// reproduce, and its output (`None` = error or damage reported).
 type PathResult = (String, (u64, u64), Option<Vec<u8>>);
@@ -362,10 +374,12 @@ fn every_decode_path(
                 decompress_range_cached_with(stream, offset, len, t, &cold).ok(),
             );
         }
-        push(
-            "cached range pre-warmed".into(),
-            decompress_range_cached_with(stream, offset, len, 1, warm).ok(),
-        );
+        for pass in ["cached range pre-warmed", "cached range pre-warmed again"] {
+            push(
+                pass.into(),
+                decompress_range_cached_with(stream, offset, len, 1, warm).ok(),
+            );
+        }
     }
     let mut cuts = vec![0];
     cuts.extend(
@@ -418,6 +432,12 @@ fn every_decode_path(
 /// bytes on the valid stream, and on `mutations` single-byte mutations of
 /// it every path must agree on success vs failure. `ranges` join the
 /// empty, whole and three random ranges every input is checked on.
+///
+/// The pre-warmed cached paths share one cache across the algorithms,
+/// seeded first by streaming compress (twice: cold, then all hits) and
+/// streaming decompress of `data` under every algorithm, so encode and
+/// decode entries of every algorithm sit side by side: a key whose
+/// context collided with another's would return that entry's bytes.
 fn assert_decode_paths_agree(
     rng: &mut Rng,
     data: &[u8],
@@ -430,13 +450,24 @@ fn assert_decode_paths_agree(
     use fpcompress::container::{self, Header};
     use std::sync::Arc;
     let n = data.len() as u64;
-    for algo in [
+    let algos = [
         Algorithm::SpSpeed,
         Algorithm::SpRatio,
         Algorithm::DpSpeed,
         Algorithm::DpRatio,
         Algorithm::Auto,
-    ] {
+    ];
+    let warm = Arc::new(ChunkCache::new(64 << 20));
+    for algo in algos {
+        let want = Compressor::new(algo).with_threads(1).compress_bytes(data);
+        for pass in ["cold", "warm"] {
+            let stream = streamed_compress(data, algo, &warm);
+            assert!(stream == want, "{algo}: {pass} cached compress differs");
+        }
+        let got = streamed_decode(&[&want], Some(&warm));
+        assert!(got.as_deref() == Some(data), "{algo}: seeding decompress");
+    }
+    for algo in algos {
         let stream = Compressor::new(algo)
             .with_threads(2)
             .with_chunk_size(chunk_size)
@@ -458,7 +489,6 @@ fn assert_decode_paths_agree(
             let offset = rng.gen_range(0..n + 1);
             all_ranges.push((offset, rng.gen_range(0..n - offset + 1)));
         }
-        let warm = Arc::new(ChunkCache::new(8 << 20));
         for (label, (offset, len), got) in
             every_decode_path(&stream, algo, n, &all_ranges, &splits, &warm, threads)
         {

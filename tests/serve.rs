@@ -79,7 +79,8 @@ fn sample(len_f32: u32) -> Vec<u8> {
 
 /// Reads the next frame off a raw stream, expecting a server error frame.
 fn expect_error(stream: &mut TcpStream, want: ErrorCode) {
-    let (header, body) = read_frame(stream, DEFAULT_MAX_FRAME).expect("read error frame");
+    let mut body = Vec::new();
+    let header = read_frame(stream, DEFAULT_MAX_FRAME, &mut body).expect("read error frame");
     assert_eq!(header.kind, FrameKind::Error, "expected an error frame");
     let err = fpc_serve::WireError::decode(&body);
     assert_eq!(err.code, want, "unexpected error code: {err}");
@@ -186,7 +187,7 @@ fn wrong_magic_gets_bad_magic_then_close() {
     bogus[..4].copy_from_slice(b"HTTP");
     stream.write_all(&bogus).expect("write");
     expect_error(&mut stream, ErrorCode::BadMagic);
-    match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+    match read_frame(&mut stream, DEFAULT_MAX_FRAME, &mut Vec::new()) {
         Err(RecvError::Closed) => {}
         other => panic!("expected close after bad magic, got {other:?}"),
     }
@@ -352,7 +353,7 @@ fn fuzzed_request_streams_never_kill_the_server() {
         // EOF the request so a truncated frame fails fast server-side
         // instead of waiting out the read timeout.
         let _ = stream.shutdown(std::net::Shutdown::Write);
-        let _ = read_frame(&mut stream, DEFAULT_MAX_FRAME);
+        let _ = read_frame(&mut stream, DEFAULT_MAX_FRAME, &mut Vec::new());
     });
     let mut client = fixture.client();
     let echoed = client.ping(b"post-fuzz").expect("server alive after fuzz");
@@ -370,7 +371,7 @@ fn idle_connections_are_reaped_with_a_structured_timeout() {
     // full 30s socket timeout.
     let mut parked = fixture.raw();
     expect_error(&mut parked, ErrorCode::Timeout);
-    match read_frame(&mut parked, DEFAULT_MAX_FRAME) {
+    match read_frame(&mut parked, DEFAULT_MAX_FRAME, &mut Vec::new()) {
         Err(RecvError::Closed) => {}
         other => panic!("expected close after idle reap, got {other:?}"),
     }
@@ -424,11 +425,12 @@ fn clients_redial_after_an_idle_reap() {
 
 /// Reads one complete request off a raw stream: its id and payload.
 fn read_request(stream: &mut TcpStream) -> (u64, Vec<u8>) {
-    let (header, _) = read_frame(stream, DEFAULT_MAX_FRAME).expect("request frame");
+    let mut chunk = Vec::new();
+    let header = read_frame(stream, DEFAULT_MAX_FRAME, &mut chunk).expect("request frame");
     assert_eq!(header.kind, FrameKind::Request);
     let mut payload = Vec::new();
     loop {
-        let (frame, chunk) = read_frame(stream, DEFAULT_MAX_FRAME).expect("request body");
+        let frame = read_frame(stream, DEFAULT_MAX_FRAME, &mut chunk).expect("request body");
         match frame.kind {
             FrameKind::Data => payload.extend_from_slice(&chunk),
             FrameKind::End => return (header.request_id, payload),
