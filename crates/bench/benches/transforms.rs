@@ -24,37 +24,30 @@ fn main() {
         .throughput_bytes(16384)
         .sample_size(20);
 
-    group.bench_batched("diffms32_encode", chunk_u32, |mut w| {
-        diffms::encode32(&mut w)
-    });
-    group.bench_batched(
-        "diffms32_decode",
-        || {
-            let mut w = chunk_u32();
-            diffms::encode32(&mut w);
-            w
-        },
-        |mut w| {
-            diffms::decode32(&mut w);
-            w
-        },
-    );
-    group.bench_batched("diffms64_encode", chunk_u64, |mut w| {
-        diffms::encode64(&mut w);
-        w
-    });
-    group.bench_batched(
-        "diffms64_decode",
-        || {
-            let mut w = chunk_u64();
-            diffms::encode64(&mut w);
-            w
-        },
-        |mut w| {
-            diffms::decode64(&mut w);
-            w
-        },
-    );
+    let mut sp_bytes = Vec::new();
+    words::u32_to_bytes(&chunk_u32(), &mut sp_bytes);
+    let mut dp_bytes = Vec::new();
+    words::u64_to_bytes(&chunk_u64(), &mut dp_bytes);
+    // DIFFMS as the codecs run it: fused with the little-endian load on
+    // encode and with the store on decode.
+    {
+        let mut enc = vec![0u32; CHUNK_U32];
+        group.bench("diffms32_encode", || {
+            diffms::encode32_le(0, &sp_bytes, &mut enc)
+        });
+        let mut out = vec![0u8; sp_bytes.len()];
+        group.bench("diffms32_decode", || diffms::decode32_le(0, &enc, &mut out));
+        assert_eq!(out, sp_bytes);
+    }
+    {
+        let mut enc = vec![0u64; CHUNK_U64];
+        group.bench("diffms64_encode", || {
+            diffms::encode64_le(0, &dp_bytes, &mut enc)
+        });
+        let mut out = vec![0u8; dp_bytes.len()];
+        group.bench("diffms64_decode", || diffms::decode64_le(0, &enc, &mut out));
+        assert_eq!(out, dp_bytes);
+    }
     // MPLG's fallback for subchunks whose maximum has no leading zeros.
     group.bench_batched("zigzag32_slice", chunk_u32, |mut w| {
         zigzag::encode32_slice(&mut w);
@@ -97,10 +90,6 @@ fn main() {
     }
     // The speed-tier chunk encoders: DIFFMS fused with the word load and
     // run into MPLG one subchunk at a time (all but the codec's tail copy).
-    let mut sp_bytes = Vec::new();
-    words::u32_to_bytes(&chunk_u32(), &mut sp_bytes);
-    let mut dp_bytes = Vec::new();
-    words::u64_to_bytes(&chunk_u64(), &mut dp_bytes);
     type Encode = fn(&[u8], &mut Vec<u8>, bool);
     for (name, encode, bytes) in [
         (

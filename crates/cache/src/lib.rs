@@ -415,21 +415,6 @@ impl ChunkCache {
         }
     }
 
-    /// Convenience get-or-compute: returns the cached value for `key`, or
-    /// runs `compute`, caches its result, and returns it.
-    pub fn get_or_insert_with(
-        &self,
-        key: CacheKey,
-        compute: impl FnOnce() -> Arc<[u8]>,
-    ) -> Arc<[u8]> {
-        if let Some(v) = self.get(&key) {
-            return v;
-        }
-        let v = compute();
-        self.insert(key, Arc::clone(&v));
-        v
-    }
-
     /// Bytes currently resident across all shards.
     pub fn resident_bytes(&self) -> u64 {
         self.shards
@@ -602,14 +587,17 @@ mod tests {
     #[test]
     fn concurrent_hits_are_byte_identical_under_pool() {
         // Hammer one cache from the worker pool: every index derives a
-        // deterministic value from its key, get-or-inserts it, and checks
-        // the bytes that come back. Any cross-key mixup or torn state is a
-        // byte mismatch or a panic.
+        // deterministic value from its key, looks it up, inserts it on a
+        // miss, and checks the bytes that come back. Any cross-key mixup
+        // or torn state is a byte mismatch or a panic.
         let cache = ChunkCache::new(64 * 1024);
         let results = fpc_pool::run_indexed(512, 8, |i| {
             let n = (i % 32) as u64;
             let expect = val(n, 128 + (n as usize) * 3);
-            let got = cache.get_or_insert_with(key(n), || Arc::clone(&expect));
+            let got = cache.get(&key(n)).unwrap_or_else(|| {
+                cache.insert(key(n), Arc::clone(&expect));
+                Arc::clone(&expect)
+            });
             got[..] == expect[..]
         });
         assert!(results.into_iter().all(|ok| ok));

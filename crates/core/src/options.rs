@@ -30,13 +30,6 @@ impl Default for PipelineOptions {
     }
 }
 
-impl PipelineOptions {
-    /// Options matching the paper exactly (same as [`Default`]).
-    pub fn paper() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,6 +40,5 @@ mod tests {
         assert!(opts.mplg_fallback);
         assert_eq!(opts.fcm_window, 4);
         assert_eq!(opts.fixed_split, None);
-        assert_eq!(opts, PipelineOptions::paper());
     }
 }

@@ -39,7 +39,6 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use fpc_cache::{CacheKey, ChunkCache};
-use fpc_container::checksum::xxh64;
 use fpc_container::{
     Codec, EncodedChunk, FrameAssembler, Header, StreamChunk, StreamingDecoder, DEFAULT_CHUNK_SIZE,
     FLAG_CHUNK_CODECS, WINDOW_BYTES,
@@ -53,22 +52,10 @@ use crate::{Algorithm, AlgorithmCodec, Compressor, Error, PipelineOptions, Resul
 const CTX_ENCODE: u64 = 1;
 const CTX_DECODE: u64 = 2;
 
-/// Fingerprint of the encoder options that change emitted bytes, mixed
-/// into compress-path cache keys so engines with different options never
-/// share entries.
-fn options_tag(options: &PipelineOptions) -> u64 {
-    let mut canon = Vec::with_capacity(11);
-    canon.push(options.mplg_fallback as u8);
-    canon.extend_from_slice(&(options.fcm_window as u64).to_le_bytes());
-    match options.fixed_split {
-        None => canon.extend_from_slice(&[0, 0]),
-        Some(s) => canon.extend_from_slice(&[1, s]),
-    }
-    xxh64(&canon, CTX_ENCODE)
-}
-
-fn encode_context(algo: Algorithm, opts_tag: u64) -> u64 {
-    CTX_ENCODE | (u64::from(algo.id()) << 8) ^ (opts_tag << 16)
+/// Compress-path cache key context: every engine encodes with the
+/// default options, so the algorithm alone fixes what a chunk encodes to.
+fn encode_context(algo: Algorithm) -> u64 {
+    CTX_ENCODE | (u64::from(algo.id()) << 8)
 }
 
 /// Decode-path cache key of a verified chunk, from its table metadata
@@ -155,12 +142,11 @@ enum CompState {
 }
 
 /// Feed/finish compressor producing streams byte-identical to
-/// [`Compressor::compress_bytes`] with the same algorithm, thread count,
-/// and options (at the default chunk size).
+/// [`Compressor::compress_bytes`] with the same algorithm and thread count
+/// (default options, default chunk size).
 pub struct StreamingCompressor {
     algo: Algorithm,
     threads: usize,
-    options: PipelineOptions,
     state: CompState,
     cache: Option<Arc<ChunkCache>>,
     ctx: u64,
@@ -171,38 +157,27 @@ impl StreamingCompressor {
     /// Creates an engine for `algo` with default options (the
     /// configuration [`Compressor::new`] uses).
     pub fn new(algo: Algorithm, threads: usize) -> StreamingCompressor {
-        Self::with_options(algo, threads, PipelineOptions::default())
-    }
-
-    /// Creates an engine with explicit encoder options.
-    pub fn with_options(
-        algo: Algorithm,
-        threads: usize,
-        options: PipelineOptions,
-    ) -> StreamingCompressor {
         let state = if algo == Algorithm::DpRatio {
             CompState::Buffered(Vec::new())
         } else {
             CompState::Chunked {
-                codec: algo.codec(&options),
+                codec: algo.codec(&PipelineOptions::default()),
                 asm: FrameAssembler::new(),
                 pending: Vec::new(),
             }
         };
-        let ctx = encode_context(algo, options_tag(&options));
         StreamingCompressor {
             algo,
             threads,
-            options,
             state,
             cache: None,
-            ctx,
+            ctx: encode_context(algo),
             total_in: 0,
         }
     }
 
     /// Attaches a content-addressed cache: chunks whose bytes were encoded
-    /// before (by any engine sharing the cache and configuration) reuse
+    /// before (by any engine sharing the cache and algorithm) reuse
     /// the cached encoding instead of re-running the codec.
     pub fn with_cache(mut self, cache: Arc<ChunkCache>) -> StreamingCompressor {
         self.cache = Some(cache);
@@ -299,9 +274,7 @@ impl StreamingCompressor {
     pub fn finish(self) -> Result<Vec<u8>> {
         match self.state {
             CompState::Buffered(buf) => {
-                let c = Compressor::new(self.algo)
-                    .with_threads(self.threads)
-                    .with_options(self.options);
+                let c = Compressor::new(self.algo).with_threads(self.threads);
                 // Handing over the buffer frees it once the FCM stage has
                 // built the payload, before the stream is reserved.
                 Ok(c.compress_bytes_width(buf, self.algo.element_width()))

@@ -1,26 +1,25 @@
-//! Dispatched DIFFMS (difference + zigzag) slice kernels.
+//! Dispatched DIFFMS (difference + zigzag) kernels: one per direction and
+//! width, each fused with the little-endian load or store.
 //!
-//! Encode subtracts each word from its successor (modulo word size) and
-//! zigzags the result; it runs right-to-left so the subtraction can be done
-//! in place. The AVX2 kernels load overlapping `cur`/`prev` blocks and
-//! process whole blocks right-to-left, which touches exactly the same
-//! values in a compatible order (a block's stores never overlap a later
-//! block's loads).
+//! Encode reads `dst.len()` little-endian words from a byte slice,
+//! subtracts from each its predecessor (modulo word size; the carried
+//! `prev` for the first word) and stores the zigzagged difference in a
+//! separate word slice. Source and destination never alias, so the AVX2
+//! kernels run left to right, loading each block and its predecessors
+//! straight from the bytes, and a chunk codec encodes one block at a time
+//! without first copying the chunk into a word buffer.
 //!
-//! The `_le` encoders fuse the little-endian load into the pass: they read
-//! words from a byte slice into a separate destination, carrying the
-//! preceding word in `prev`, so a caller can encode a chunk one block at a
-//! time without first copying it into a word buffer. Source and destination
-//! never alias, so these run left-to-right.
+//! Decode is a zigzag decode followed by an inclusive prefix sum started
+//! from the carried `prev`, stored as little-endian words straight into a
+//! byte slice. Wrapping addition is associative, so the SSE2 log-step
+//! prefix sum is bit-identical to the sequential loop; it runs at the x86
+//! tier. A SWAR prefix sum would need carries to cross the packed lanes,
+//! so decode has no SWAR form and non-x86 hosts run the scalar loops.
 //!
-//! Decode is a zigzag decode followed by an inclusive prefix sum. Wrapping
-//! addition is associative, so the SSE2 log-step prefix sum is bit-identical
-//! to the sequential loop; it runs at the x86 tier. The `_le` decoders fuse
-//! the little-endian store into the pass the same way: they read the
-//! encoded words of one block, add them onto the carried `prev` and write
-//! the sums straight into a byte slice. A SWAR prefix sum would
-//! need carries to cross the packed lanes, so decode has no SWAR form and
-//! non-x86 hosts run the scalar loops.
+//! Every kernel returns the `prev` of the next block of the same sequence.
+//! The in-place word-slice loops in `fpc_transforms::diffms` are DIFFMS's
+//! plain scalar definition, which these kernels are tested against; no
+//! codec runs them.
 
 use crate::Tier;
 
@@ -126,65 +125,14 @@ pub fn decode64_le_scalar(mut prev: u64, src: &[u64], dst: &mut [u8]) -> u64 {
     prev
 }
 
-/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
-pub fn encode32_scalar(values: &mut [u32]) {
-    for i in (1..values.len()).rev() {
-        values[i] = enc32(values[i].wrapping_sub(values[i - 1]));
-    }
-    if let Some(first) = values.first_mut() {
-        *first = enc32(*first);
-    }
-}
-
-/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
-pub fn decode32_scalar(values: &mut [u32]) {
-    if let Some(first) = values.first_mut() {
-        *first = dec32(*first);
-    }
-    for i in 1..values.len() {
-        values[i] = dec32(values[i]).wrapping_add(values[i - 1]);
-    }
-}
-
-/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
-pub fn encode64_scalar(values: &mut [u64]) {
-    for i in (1..values.len()).rev() {
-        values[i] = enc64(values[i].wrapping_sub(values[i - 1]));
-    }
-    if let Some(first) = values.first_mut() {
-        *first = enc64(*first);
-    }
-}
-
-/// Scalar reference (run under `FPC_FORCE_SCALAR=1`).
-pub fn decode64_scalar(values: &mut [u64]) {
-    if let Some(first) = values.first_mut() {
-        *first = dec64(*first);
-    }
-    for i in 1..values.len() {
-        values[i] = dec64(values[i]).wrapping_add(values[i - 1]);
-    }
-}
-
-/// Dispatched in-place DIFFMS encode of a `u32` slice.
-pub fn encode32(values: &mut [u32]) {
-    let tier = chosen_encode32();
-    crate::record(tier);
-    match tier {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Avx2 => crate::x86::diffms_encode32_avx2(values),
-        _ => encode32_scalar(values),
-    }
-}
-
 /// Dispatched fused load + DIFFMS encode: reads `dst.len()` little-endian
 /// words from the front of `src`, differences each against its predecessor
 /// (`prev` for the first) and stores the zigzagged results in `dst`.
 ///
 /// Returns the last word read (`prev` if `dst` is empty), which is the
 /// `prev` of the next block of the same sequence. Encoding a sequence block
-/// by block from `prev = 0` gives exactly what [`encode32`] gives on the
-/// whole sequence.
+/// by block from `prev = 0` gives exactly the in-place DIFFMS encode of
+/// the whole sequence (`fpc_transforms::diffms::encode32`).
 ///
 /// # Panics
 ///
@@ -199,17 +147,6 @@ pub fn encode32_le(prev: u32, src: &[u8], dst: &mut [u32]) -> u32 {
     }
 }
 
-/// Dispatched in-place DIFFMS decode of a `u32` slice.
-pub fn decode32(values: &mut [u32]) {
-    let tier = chosen_decode32();
-    crate::record(tier);
-    match tier {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Avx2 => crate::x86::diffms_decode32_sse2(values),
-        _ => decode32_scalar(values),
-    }
-}
-
 /// Dispatched fused DIFFMS decode + little-endian store: zigzag-decodes
 /// the `src.len()` words of `src`, adds each onto the running sum (which
 /// starts at `prev`) and writes the sums as little-endian words to the
@@ -217,8 +154,8 @@ pub fn decode32(values: &mut [u32]) {
 ///
 /// Returns the last sum (`prev` if `src` is empty), which is the `prev` of
 /// the next block of the same sequence. Decoding a sequence block by block
-/// from `prev = 0` writes exactly the bytes of [`decode32`] on the whole
-/// sequence.
+/// from `prev = 0` writes exactly the bytes of the in-place DIFFMS decode
+/// of the whole sequence (`fpc_transforms::diffms::decode32`).
 ///
 /// # Panics
 ///
@@ -230,17 +167,6 @@ pub fn decode32_le(prev: u32, src: &[u32], dst: &mut [u8]) -> u32 {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::diffms_decode32_le_sse2(prev, src, dst),
         _ => decode32_le_scalar(prev, src, dst),
-    }
-}
-
-/// Dispatched in-place DIFFMS encode of a `u64` slice.
-pub fn encode64(values: &mut [u64]) {
-    let tier = chosen_encode64();
-    crate::record(tier);
-    match tier {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Avx2 => crate::x86::diffms_encode64_avx2(values),
-        _ => encode64_scalar(values),
     }
 }
 
@@ -256,17 +182,6 @@ pub fn encode64_le(prev: u64, src: &[u8], dst: &mut [u64]) -> u64 {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::diffms_encode64_le_avx2(prev, src, dst),
         _ => encode64_le_scalar(prev, src, dst),
-    }
-}
-
-/// Dispatched in-place DIFFMS decode of a `u64` slice.
-pub fn decode64(values: &mut [u64]) {
-    let tier = chosen_decode64();
-    crate::record(tier);
-    match tier {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        Tier::Avx2 => crate::x86::diffms_decode64_sse2(values),
-        _ => decode64_scalar(values),
     }
 }
 
@@ -289,58 +204,95 @@ pub fn decode64_le(prev: u64, src: &[u64], dst: &mut [u8]) -> u64 {
 mod tests {
     use super::*;
 
-    fn sample32(n: usize) -> Vec<u32> {
-        (0..n as u32)
-            .map(|i| i.wrapping_mul(0x0101_0101).rotate_left(i % 13))
-            .chain([u32::MAX, 0, u32::MAX, 5, 0x8000_0000])
-            .collect()
+    /// Defines `$check(encode, decode, what)`, a differential of one
+    /// width's fused kernels against its scalar references. Word counts
+    /// run from 0 to 40, across every tail of the AVX2 encoders' 8- and
+    /// 4-word blocks and of the SSE2 decoders' 4- and 2-word blocks. Each
+    /// count starts from every carried `prev` in {0, 1, MAX}; every third
+    /// word is an edge value (all ones, zero, sign bit alone, NaN bits).
+    macro_rules! differential {
+        ($check:ident, $t:ty, $enc_ref:ident, $dec_ref:ident, $edges:expr, $mix:expr) => {
+            fn $check(
+                encode: fn($t, &[u8], &mut [$t]) -> $t,
+                decode: fn($t, &[$t], &mut [u8]) -> $t,
+                what: &str,
+            ) {
+                const W: usize = core::mem::size_of::<$t>();
+                let edges = $edges;
+                for n in 0..=40usize {
+                    let words: Vec<$t> = (0..n)
+                        .map(|i| match i % 3 {
+                            2 => edges[i % edges.len()],
+                            _ => $mix(i as $t),
+                        })
+                        .collect();
+                    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+                    for prev in [0, 1, <$t>::MAX] {
+                        let tag = format!("{what} n {n} prev {prev:#x}");
+                        let mut want = vec![0; n];
+                        let want_last = $enc_ref(prev, &bytes, &mut want);
+                        let mut got = vec![0; n];
+                        assert_eq!(encode(prev, &bytes, &mut got), want_last, "enc last, {tag}");
+                        assert_eq!(got, want, "enc {tag}");
+
+                        let mut back = vec![0; n * W];
+                        assert_eq!(
+                            decode(prev, &want, &mut back),
+                            want_last,
+                            "roundtrip, {tag}"
+                        );
+                        assert_eq!(back, bytes, "roundtrip {tag}");
+                        // Arbitrary encoded words, into a destination with a
+                        // guard tail neither kernel may touch.
+                        let mut want_out = vec![0xA5; n * W + 3];
+                        let want_sum = $dec_ref(prev, &words, &mut want_out);
+                        let mut out = vec![0xA5; n * W + 3];
+                        assert_eq!(decode(prev, &words, &mut out), want_sum, "dec last, {tag}");
+                        assert_eq!(out, want_out, "dec {tag}");
+                    }
+                }
+            }
+        };
     }
+
+    differential!(
+        check32,
+        u32,
+        encode32_le_scalar,
+        decode32_le_scalar,
+        [u32::MAX, 0, 0x8000_0000, 0x7F80_0001, 5],
+        |i: u32| i.wrapping_mul(0x0101_0101).rotate_left(i % 13)
+    );
+    differential!(
+        check64,
+        u64,
+        encode64_le_scalar,
+        decode64_le_scalar,
+        [u64::MAX, 0, 1 << 63, 0x7FF0_0000_0000_0001, 3],
+        |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    );
 
     #[test]
     fn dispatched_matches_scalar_all_lengths() {
-        for n in 0..40 {
-            let orig = sample32(n);
-            let mut a = orig.clone();
-            let mut b = orig.clone();
-            encode32(&mut a);
-            encode32_scalar(&mut b);
-            assert_eq!(a, b, "len {n}");
-            decode32(&mut a);
-            assert_eq!(a, orig, "roundtrip len {n}");
-        }
+        check32(encode32_le, decode32_le, "dispatched");
+        check64(encode64_le, decode64_le, "dispatched");
     }
 
+    /// The x86 kernels called by name, so they run whatever the dispatch
+    /// says (`FPC_FORCE_SCALAR=1` included). The SSE2 decoders run on every
+    /// x86_64 host; the AVX2 encoders only where the CPU has AVX2.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     #[test]
     fn x86_matches_scalar() {
         use crate::x86;
-        for n in [0usize, 1, 2, 3, 5, 8, 9, 16, 17, 33, 100] {
-            let orig = sample32(n);
-            let mut want = orig.clone();
-            encode32_scalar(&mut want);
-            if Tier::Avx2.available() {
-                let mut got = orig.clone();
-                x86::diffms_encode32_avx2(&mut got);
-                assert_eq!(got, want, "avx2 enc32 len {n}");
-            }
-            let mut dec = want.clone();
-            x86::diffms_decode32_sse2(&mut dec);
-            assert_eq!(dec, orig, "sse2 dec32 len {n}");
-
-            let orig64: Vec<u64> = (0..n as u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .chain([u64::MAX, 0, 1 << 63, 3])
-                .collect();
-            let mut want = orig64.clone();
-            encode64_scalar(&mut want);
-            if Tier::Avx2.available() {
-                let mut got = orig64.clone();
-                x86::diffms_encode64_avx2(&mut got);
-                assert_eq!(got, want, "avx2 enc64 len {n}");
-            }
-            let mut dec = want.clone();
-            x86::diffms_decode64_sse2(&mut dec);
-            assert_eq!(dec, orig64, "sse2 dec64 len {n}");
-        }
+        type Enc32 = fn(u32, &[u8], &mut [u32]) -> u32;
+        type Enc64 = fn(u64, &[u8], &mut [u64]) -> u64;
+        let (enc32, enc64): (Enc32, Enc64) = if Tier::Avx2.available() {
+            (x86::diffms_encode32_le_avx2, x86::diffms_encode64_le_avx2)
+        } else {
+            (encode32_le_scalar, encode64_le_scalar)
+        };
+        check32(enc32, x86::diffms_decode32_le_sse2, "x86");
+        check64(enc64, x86::diffms_decode64_le_sse2, "x86");
     }
 }

@@ -1,7 +1,9 @@
 //! `core::arch::x86_64` kernel implementations: the AVX2 tier's kernels,
-//! plus the SSE2 DIFFMS prefix-sum decoders (in place, and fused with the
-//! little-endian store) that also run at that tier (SSE2 is part of the
-//! x86_64 baseline).
+//! plus the SSE2 DIFFMS prefix-sum decoders that also run at that tier
+//! (SSE2 is part of the x86_64 baseline). DIFFMS has one kernel per
+//! direction and width, fused with the little-endian load (encode) or
+//! store (decode); the in-place word-slice loops in
+//! `fpc_transforms::diffms` are its scalar definition, not a second kernel.
 //!
 //! Every `unsafe` block of the workspace's vector plumbing lives in this
 //! module. Each public function is a safe wrapper that asserts the required
@@ -28,37 +30,6 @@ fn have_avx2() -> bool {
 }
 
 // ---------------------------------------------------------------- diffms --
-
-/// DIFFMS encode (difference + zigzag) of a `u32` slice with AVX2.
-///
-/// Processes blocks right-to-left so in-place stores never clobber a
-/// yet-to-be-read predecessor.
-pub fn diffms_encode32_avx2(values: &mut [u32]) {
-    assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { diffms_encode32_avx2_impl(values) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn diffms_encode32_avx2_impl(values: &mut [u32]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let mut i = n;
-    while i >= 9 {
-        i -= 8;
-        let cur = _mm256_loadu_si256(p.add(i) as *const __m256i);
-        let prev = _mm256_loadu_si256(p.add(i - 1) as *const __m256i);
-        let d = _mm256_sub_epi32(cur, prev);
-        let e = _mm256_xor_si256(_mm256_slli_epi32(d, 1), _mm256_srai_epi32(d, 31));
-        _mm256_storeu_si256(p.add(i) as *mut __m256i, e);
-    }
-    while i > 1 {
-        i -= 1;
-        values[i] = enc32(values[i].wrapping_sub(values[i - 1]));
-    }
-    if let Some(first) = values.first_mut() {
-        *first = enc32(*first);
-    }
-}
 
 /// Fused little-endian load + DIFFMS encode of `dst.len()` `u32` words
 /// from `src` with AVX2 (see `diffms::encode32_le`). Source and destination
@@ -103,50 +74,12 @@ unsafe fn diffms_encode32_le_avx2_impl(src: &[u8], dst: &mut [u32]) -> usize {
     i
 }
 
-/// DIFFMS decode (zigzag + prefix sum) of a `u32` slice with SSE2.
-///
-/// Wrapping addition is associative, so the vectorized prefix sum is
-/// bit-identical to the sequential one.
-pub fn diffms_decode32_sse2(values: &mut [u32]) {
-    unsafe { diffms_decode32_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn diffms_decode32_sse2_impl(values: &mut [u32]) {
-    let n = values.len();
-    if n == 0 {
-        return;
-    }
-    values[0] = dec32(values[0]);
-    let p = values.as_mut_ptr();
-    let zero = _mm_setzero_si128();
-    let one = _mm_set1_epi32(1);
-    let mut run = _mm_set1_epi32(values[0] as i32);
-    let mut i = 1;
-    while i + 4 <= n {
-        let x = _mm_loadu_si128(p.add(i) as *const __m128i);
-        let sign = _mm_sub_epi32(zero, _mm_and_si128(x, one));
-        let d = _mm_xor_si128(_mm_srli_epi32(x, 1), sign);
-        // Inclusive prefix sum across the 4 lanes, then add the running
-        // total (broadcast in every lane of `run`).
-        let d = _mm_add_epi32(d, _mm_slli_si128(d, 4));
-        let d = _mm_add_epi32(d, _mm_slli_si128(d, 8));
-        let s = _mm_add_epi32(d, run);
-        _mm_storeu_si128(p.add(i) as *mut __m128i, s);
-        run = _mm_shuffle_epi32(s, 0b1111_1111);
-        i += 4;
-    }
-    let mut prev = _mm_cvtsi128_si32(run) as u32;
-    for v in values.iter_mut().take(n).skip(i) {
-        *v = dec32(*v).wrapping_add(prev);
-        prev = *v;
-    }
-}
-
 /// Fused DIFFMS decode + little-endian store of the `src.len()` `u32`
-/// words of `src` into `dst` with SSE2 (see `diffms::decode32_le`): the
-/// prefix sum of [`diffms_decode32_sse2`], started from `prev` and stored
-/// to bytes instead of back in place.
+/// words of `src` into `dst` with SSE2 (see `diffms::decode32_le`).
+///
+/// Wrapping addition is associative, so the log-step prefix sum over each
+/// 4-word block, started from `prev`, is bit-identical to the sequential
+/// loop.
 pub fn diffms_decode32_le_sse2(prev: u32, src: &[u32], dst: &mut [u8]) -> u32 {
     let n = src.len();
     let dst = &mut dst[..n * 4];
@@ -180,6 +113,8 @@ unsafe fn diffms_decode32_le_sse2_impl(prev: u32, src: &[u32], dst: &mut [u8]) -
         let x = _mm_loadu_si128(s.add(i) as *const __m128i);
         let sign = _mm_sub_epi32(zero, _mm_and_si128(x, one));
         let v = _mm_xor_si128(_mm_srli_epi32(x, 1), sign);
+        // Inclusive prefix sum across the 4 lanes, then add the running
+        // total (broadcast in every lane of `run`).
         let v = _mm_add_epi32(v, _mm_slli_si128(v, 4));
         let v = _mm_add_epi32(v, _mm_slli_si128(v, 8));
         let sum = _mm_add_epi32(v, run);
@@ -189,36 +124,6 @@ unsafe fn diffms_decode32_le_sse2_impl(prev: u32, src: &[u32], dst: &mut [u8]) -
         i += 4;
     }
     (i, _mm_cvtsi128_si32(run) as u32)
-}
-
-/// DIFFMS encode of a `u64` slice with AVX2.
-pub fn diffms_encode64_avx2(values: &mut [u64]) {
-    assert!(have_avx2(), "AVX2 unavailable");
-    unsafe { diffms_encode64_avx2_impl(values) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn diffms_encode64_avx2_impl(values: &mut [u64]) {
-    let n = values.len();
-    let p = values.as_mut_ptr();
-    let zero = _mm256_setzero_si256();
-    let mut i = n;
-    while i >= 5 {
-        i -= 4;
-        let cur = _mm256_loadu_si256(p.add(i) as *const __m256i);
-        let prev = _mm256_loadu_si256(p.add(i - 1) as *const __m256i);
-        let d = _mm256_sub_epi64(cur, prev);
-        let sign = _mm256_cmpgt_epi64(zero, d);
-        let e = _mm256_xor_si256(_mm256_slli_epi64(d, 1), sign);
-        _mm256_storeu_si256(p.add(i) as *mut __m256i, e);
-    }
-    while i > 1 {
-        i -= 1;
-        values[i] = enc64(values[i].wrapping_sub(values[i - 1]));
-    }
-    if let Some(first) = values.first_mut() {
-        *first = enc64(*first);
-    }
 }
 
 /// Fused little-endian load + DIFFMS encode of `dst.len()` `u64` words
@@ -266,42 +171,6 @@ unsafe fn diffms_encode64_le_avx2_impl(src: &[u8], dst: &mut [u64]) -> usize {
     i
 }
 
-/// DIFFMS decode of a `u64` slice with SSE2 (2-lane prefix sum).
-pub fn diffms_decode64_sse2(values: &mut [u64]) {
-    unsafe { diffms_decode64_sse2_impl(values) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn diffms_decode64_sse2_impl(values: &mut [u64]) {
-    let n = values.len();
-    if n == 0 {
-        return;
-    }
-    values[0] = dec64(values[0]);
-    let p = values.as_mut_ptr();
-    let zero = _mm_setzero_si128();
-    let one = _mm_set1_epi64x(1);
-    let mut run = _mm_set1_epi64x(values[0] as i64);
-    let mut i = 1;
-    while i + 2 <= n {
-        let x = _mm_loadu_si128(p.add(i) as *const __m128i);
-        let sign = _mm_sub_epi64(zero, _mm_and_si128(x, one));
-        let d = _mm_xor_si128(_mm_srli_epi64(x, 1), sign);
-        let d = _mm_add_epi64(d, _mm_slli_si128(d, 8));
-        let s = _mm_add_epi64(d, run);
-        _mm_storeu_si128(p.add(i) as *mut __m128i, s);
-        // Broadcast the high 64-bit lane as the next running total.
-        run = _mm_shuffle_epi32(s, 0b1110_1110);
-        i += 2;
-    }
-    let lanes: [u64; 2] = core::mem::transmute(run);
-    let mut prev = lanes[0];
-    for v in values.iter_mut().take(n).skip(i) {
-        *v = dec64(*v).wrapping_add(prev);
-        prev = *v;
-    }
-}
-
 /// Fused DIFFMS decode + little-endian store of `u64` words with SSE2
 /// (see `diffms::decode64_le`).
 pub fn diffms_decode64_le_sse2(prev: u64, src: &[u64], dst: &mut [u8]) -> u64 {
@@ -340,6 +209,7 @@ unsafe fn diffms_decode64_le_sse2_impl(prev: u64, src: &[u64], dst: &mut [u8]) -
         let v = _mm_add_epi64(v, _mm_slli_si128(v, 8));
         let sum = _mm_add_epi64(v, run);
         _mm_storeu_si128(d.add(8 * i) as *mut __m128i, sum);
+        // Broadcast the high 64-bit lane as the next running total.
         run = _mm_shuffle_epi32(sum, 0b1110_1110);
         i += 2;
     }

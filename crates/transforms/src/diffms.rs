@@ -7,20 +7,27 @@
 //! stored in magnitude-sign (zigzag) format so that both small positive and
 //! small negative differences have many leading zero bits.
 //!
-//! The kernels, scalar reference included, live in `fpc_simd::diffms`;
-//! this module times them. [`encode32_le`]/[`encode64_le`] fuse the
-//! little-endian load into the encode, so chunk codecs read their words
-//! straight from the chunk bytes, one block at a time;
-//! [`decode32_le`]/[`decode64_le`] fuse the store into the decode, so they
-//! write straight into the output chunk.
+//! The codecs run the fused kernels of `fpc_simd::diffms`, which this
+//! module times: [`encode32_le`]/[`encode64_le`] fuse the little-endian
+//! load into the encode, so chunk codecs read their words straight from
+//! the chunk bytes, one block at a time; [`decode32_le`]/[`decode64_le`]
+//! fuse the store into the decode, so they write straight into the output
+//! chunk. The in-place [`encode32`]/[`decode32`]/[`encode64`]/[`decode64`]
+//! are the plain scalar definition of the transform over a word slice: the
+//! reference the fused kernels are tested against, not a production path.
 
+use crate::zigzag;
 use fpc_metrics::Stage;
 
-/// Applies DIFFMS in place to a chunk of 32-bit words.
+/// Applies DIFFMS in place to a chunk of 32-bit words: the scalar
+/// definition, one word at a time.
 pub fn encode32(values: &mut [u32]) {
-    let t = fpc_metrics::timer(Stage::DiffmsEncode);
-    fpc_simd::diffms::encode32(values);
-    t.finish(values.len() as u64 * 4);
+    let mut prev = 0;
+    for v in values {
+        let cur = *v;
+        *v = zigzag::encode32(cur.wrapping_sub(prev));
+        prev = cur;
+    }
 }
 
 /// Fused load + DIFFMS encode: `dst.len()` little-endian words read from
@@ -40,9 +47,11 @@ pub fn encode32_le(prev: u32, src: &[u8], dst: &mut [u32]) -> u32 {
 
 /// Inverts [`encode32`] in place.
 pub fn decode32(values: &mut [u32]) {
-    let t = fpc_metrics::timer(Stage::DiffmsDecode);
-    fpc_simd::diffms::decode32(values);
-    t.finish(values.len() as u64 * 4);
+    let mut prev = 0;
+    for v in values {
+        prev = zigzag::decode32(*v).wrapping_add(prev);
+        *v = prev;
+    }
 }
 
 /// Fused DIFFMS decode + little-endian store: the `src.len()` words of
@@ -60,11 +69,14 @@ pub fn decode32_le(prev: u32, src: &[u32], dst: &mut [u8]) -> u32 {
     last
 }
 
-/// Applies DIFFMS in place to a chunk of 64-bit words.
+/// The 64-bit twin of [`encode32`].
 pub fn encode64(values: &mut [u64]) {
-    let t = fpc_metrics::timer(Stage::DiffmsEncode);
-    fpc_simd::diffms::encode64(values);
-    t.finish(values.len() as u64 * 8);
+    let mut prev = 0;
+    for v in values {
+        let cur = *v;
+        *v = zigzag::encode64(cur.wrapping_sub(prev));
+        prev = cur;
+    }
 }
 
 /// The 64-bit twin of [`encode32_le`].
@@ -81,9 +93,11 @@ pub fn encode64_le(prev: u64, src: &[u8], dst: &mut [u64]) -> u64 {
 
 /// Inverts [`encode64`] in place.
 pub fn decode64(values: &mut [u64]) {
-    let t = fpc_metrics::timer(Stage::DiffmsDecode);
-    fpc_simd::diffms::decode64(values);
-    t.finish(values.len() as u64 * 8);
+    let mut prev = 0;
+    for v in values {
+        prev = zigzag::decode64(*v).wrapping_add(prev);
+        *v = prev;
+    }
 }
 
 /// The 64-bit twin of [`decode32_le`].

@@ -493,23 +493,47 @@ fn dispatched_kernels_match_scalar_on_adversarial_inputs() {
         let bytes = words_as_bytes(&w32);
         fpc_prng::fuzz::record_input(&bytes);
 
-        // DIFFMS: encode and decode, 32- and 64-bit.
-        let (mut a, mut b) = (w32.clone(), w32.clone());
-        diffms::encode32(&mut a);
-        diffms::encode32_scalar(&mut b);
-        assert_eq!(a, b, "diffms enc32 diverged (n={n}, family {})", case % 5);
-        diffms::decode32(&mut a);
-        diffms::decode32_scalar(&mut b);
-        assert_eq!(a, w32, "diffms dec32 not inverse");
-        assert_eq!(b, w32);
-        let (mut a, mut b) = (w64.clone(), w64.clone());
-        diffms::encode64(&mut a);
-        diffms::encode64_scalar(&mut b);
-        assert_eq!(a, b, "diffms enc64 diverged");
-        diffms::decode64(&mut a);
-        diffms::decode64_scalar(&mut b);
-        assert_eq!(a, w64, "diffms dec64 not inverse");
-        assert_eq!(b, w64);
+        // DIFFMS: the fused encode (little-endian load) and decode (store)
+        // the codecs run, 32- and 64-bit, from a carried non-zero `prev`.
+        // Each decode runs on the encoding (it must give the bytes back)
+        // and on the adversarial words themselves. `prev` comes from the
+        // case number, so the cases' random inputs stay what they were.
+        let fam = case % 5;
+        let prev32 = (case as u32).wrapping_mul(0x9E37_79B9) | 1;
+        let (mut a, mut b) = (vec![0u32; n], vec![0u32; n]);
+        let last = diffms::encode32_le(prev32, &bytes, &mut a);
+        assert_eq!(last, diffms::encode32_le_scalar(prev32, &bytes, &mut b));
+        assert_eq!(a, b, "diffms enc32 diverged (n={n}, family {fam})");
+        for (src, what) in [(&a, "encoding"), (&w32, "words")] {
+            let (mut x, mut y) = (vec![0u8; n * 4], vec![0u8; n * 4]);
+            let sum = diffms::decode32_le(prev32, src, &mut x);
+            assert_eq!(sum, diffms::decode32_le_scalar(prev32, src, &mut y));
+            assert_eq!(
+                x, y,
+                "diffms dec32 of the {what} diverged (n={n}, family {fam})"
+            );
+        }
+        let mut back = vec![0u8; n * 4];
+        diffms::decode32_le(prev32, &a, &mut back);
+        assert_eq!(back, bytes, "diffms dec32 not inverse");
+        let bytes64: Vec<u8> = w64.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let prev64 = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
+        let last = diffms::encode64_le(prev64, &bytes64, &mut a);
+        assert_eq!(last, diffms::encode64_le_scalar(prev64, &bytes64, &mut b));
+        assert_eq!(a, b, "diffms enc64 diverged (n={n}, family {fam})");
+        for (src, what) in [(&a, "encoding"), (&w64, "words")] {
+            let (mut x, mut y) = (vec![0u8; n * 8], vec![0u8; n * 8]);
+            let sum = diffms::decode64_le(prev64, src, &mut x);
+            assert_eq!(sum, diffms::decode64_le_scalar(prev64, src, &mut y));
+            assert_eq!(
+                x, y,
+                "diffms dec64 of the {what} diverged (n={n}, family {fam})"
+            );
+        }
+        let mut back = vec![0u8; n * 8];
+        diffms::decode64_le(prev64, &a, &mut back);
+        assert_eq!(back, bytes64, "diffms dec64 not inverse");
 
         // BIT transpose: dispatched whole-slice vs per-group scalar network.
         let (mut a, mut b) = (w32.clone(), w32.clone());
