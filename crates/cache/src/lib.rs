@@ -109,7 +109,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Values actually stored (oversized and duplicate inserts excluded).
     pub insertions: u64,
-    /// Entries removed to make room.
+    /// Entries removed to make room, or replaced by an insert of other
+    /// bytes under their key.
     pub evictions: u64,
     /// Sum of inserted value lengths.
     pub bytes_inserted: u64,
@@ -234,16 +235,18 @@ impl Shard {
     /// Removes the LRU entry of `protected`'s segment, returning its length.
     fn evict_tail(&mut self, protected: bool) -> Option<u64> {
         let tail = self.segment(protected).tail;
-        if tail == NIL {
-            return None;
-        }
-        self.unlink(tail);
-        let e = &mut self.slab[tail as usize];
+        (tail != NIL).then(|| self.evict(tail))
+    }
+
+    /// Removes the entry in slot `idx`, returning its length.
+    fn evict(&mut self, idx: u32) -> u64 {
+        self.unlink(idx);
+        let e = &mut self.slab[idx as usize];
         let len = e.value.len() as u64;
         self.map.remove(&e.key);
         e.value = Arc::from(&[][..]);
-        self.free.push(tail);
-        Some(len)
+        self.free.push(idx);
+        len
     }
 }
 
@@ -350,8 +353,10 @@ impl ChunkCache {
     ///
     /// Values larger than a shard's byte budget are not cached (they would
     /// evict an entire shard for one entry). Re-inserting an existing key
-    /// refreshes its recency but stores nothing — keys are content
-    /// addresses, so the value is the same by construction.
+    /// with the same bytes refreshes its recency but stores nothing — keys
+    /// are content addresses, so that is the normal case. Re-inserting it
+    /// with other bytes (a caller found the cached value unusable) evicts
+    /// the old entry and stores the new value.
     pub fn insert(&self, key: CacheKey, value: Arc<[u8]>) {
         let len = value.len() as u64;
         if len > self.shard_budget || len == 0 {
@@ -362,10 +367,14 @@ impl ChunkCache {
         {
             let mut shard = self.lock_shard(&key);
             if let Some(&idx) = shard.map.get(&key) {
-                let protected = shard.slab[idx as usize].protected;
-                shard.unlink(idx);
-                shard.link_front(idx, protected);
-                return;
+                if shard.slab[idx as usize].value[..] == value[..] {
+                    let protected = shard.slab[idx as usize].protected;
+                    shard.unlink(idx);
+                    shard.link_front(idx, protected);
+                    return;
+                }
+                evicted_n += 1;
+                evicted_bytes += shard.evict(idx);
             }
             while shard.bytes() + len > self.shard_budget {
                 // Probationary entries go first; the protected segment is
@@ -547,6 +556,25 @@ mod tests {
         assert_eq!(s.insertions, 1);
         assert_eq!(s.resident_bytes, 64);
         assert_eq!(s.resident_entries, 1);
+    }
+
+    #[test]
+    fn insert_with_other_bytes_replaces_the_value() {
+        // Two 400-byte entries in a 1 KiB shard: key 1 shrinks to 300
+        // bytes (one eviction), then grows to 700, which evicts itself
+        // and then key 2 to make room.
+        let cache = ChunkCache::with_shards(1024, 1);
+        cache.insert(key(1), val(1, 400));
+        cache.insert(key(2), val(2, 400));
+        for (len, resident) in [(300, 700), (700, 700)] {
+            cache.insert(key(1), val(1, len));
+            assert_eq!(cache.get(&key(1)).map(|v| v.len()), Some(len));
+            assert_eq!(cache.resident_bytes(), resident, "after {len}");
+        }
+        assert!(cache.get(&key(2)).is_none());
+        let s = cache.stats();
+        assert_eq!((s.insertions, s.evictions, s.resident_entries), (4, 3, 1));
+        assert_eq!(s.resident_bytes, s.bytes_inserted - s.bytes_evicted);
     }
 
     #[test]

@@ -777,9 +777,29 @@ mod tests {
                     cache.insert(decode_key(algo, &chunk), Arc::from(bad));
                 }
                 let case = format!("{algo:?} hit {delta:+} byte");
-                for pass in ["cold", "warm"] {
+                // The cold pass replaces every seeded entry; the warm passes
+                // then decode nothing (no miss, no insert) and every lookup
+                // is a hit of the right length.
+                let mut before = cache.stats();
+                for pass in ["cold", "warm", "warm again"] {
                     let got = crate::decompress_range_cached_with(&stream, offset, len, 1, &cache);
                     assert_eq!(got.unwrap(), want, "{case}: {pass} range");
+                    let after = cache.stats();
+                    if pass != "cold" {
+                        let fresh = (
+                            after.misses - before.misses,
+                            after.insertions - before.insertions,
+                        );
+                        assert_eq!(fresh, (0, 0), "{case}: {pass} pass decoded");
+                        let hits = after.hits - before.hits;
+                        assert_eq!(hits as usize, region.chunks() - 1, "{case}: {pass} hits");
+                    }
+                    before = after;
+                }
+                for i in 0..region.chunks() - 1 {
+                    let chunk = region.chunk(i).unwrap();
+                    let hit = cache.get(&decode_key(algo, &chunk)).map(|v| v.len());
+                    assert_eq!(hit, Some(chunk.expected_len), "{case}: chunk {i} entry");
                 }
                 let mut eng = StreamingDecompressor::new().with_cache(Arc::clone(&cache));
                 let mut out = Vec::new();

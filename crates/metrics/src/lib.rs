@@ -220,6 +220,8 @@ pub enum Counter {
     SimdSwar,
     /// Kernel calls dispatched at the x86 (AVX2) tier.
     SimdAvx2,
+    /// Kernel calls dispatched at the x86 AVX-512 (VBMI2/GFNI) tier.
+    SimdAvx512,
     /// Connections served by fpc-serve workers.
     ServeConnections,
     /// Connections shed at the acceptor (queue full).
@@ -284,7 +286,8 @@ pub enum Counter {
     CacheMisses,
     /// Values stored in the hot-chunk cache.
     CacheInsertions,
-    /// Entries evicted from the hot-chunk cache to make room.
+    /// Entries evicted from the hot-chunk cache to make room, or replaced
+    /// by an insert of other bytes under their key.
     CacheEvictions,
     /// Bytes stored in the hot-chunk cache (monotonic; resident bytes are
     /// `cache.bytes.inserted - cache.bytes.evicted`).
@@ -295,7 +298,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 43;
+    pub const COUNT: usize = 44;
 
     /// Every counter, in report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -310,6 +313,7 @@ impl Counter {
         Counter::SimdScalar,
         Counter::SimdSwar,
         Counter::SimdAvx2,
+        Counter::SimdAvx512,
         Counter::ServeConnections,
         Counter::ServeConnRejected,
         Counter::ServeRequests,
@@ -358,6 +362,7 @@ impl Counter {
             Counter::SimdScalar => "simd.dispatch.scalar",
             Counter::SimdSwar => "simd.dispatch.swar",
             Counter::SimdAvx2 => "simd.dispatch.avx2",
+            Counter::SimdAvx512 => "simd.dispatch.avx512",
             Counter::ServeConnections => "serve.connections",
             Counter::ServeConnRejected => "serve.connections.rejected",
             Counter::ServeRequests => "serve.requests",

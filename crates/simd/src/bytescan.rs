@@ -10,7 +10,10 @@
 //! compacts the kept bytes of each 8-byte block through a 256-entry
 //! `pshufb` table. The bitmap expanders have a SWAR form (a bitmap byte at
 //! a time, fast paths for all-clear and all-set bytes) and an x86 form
-//! that expands every bitmap byte through a shuffle table.
+//! that expands every bitmap byte through a shuffle table. The nonzero
+//! scan and expander (RZE level 0) also have an AVX-512 form that moves
+//! 64 bytes per step with `vpcompressb`/`vpexpandb`; the repeat forms
+//! (RZE levels 1–3, at most 2 KiB per chunk) stay at AVX2.
 
 use crate::Tier;
 
@@ -30,13 +33,23 @@ pub(crate) fn nonzero_mask8(v: u64) -> u8 {
     (nh.wrapping_mul(GATHER) >> 56) as u8
 }
 
-/// Tier used by the bitmap-construction kernels under the current dispatch.
-pub fn chosen_bitmap() -> Tier {
+/// Tier used by the nonzero-bitmap scan under the current dispatch.
+pub fn chosen_zero_bitmap() -> Tier {
+    crate::choose(&[Tier::Avx512, Tier::Avx2, Tier::Swar])
+}
+
+/// Tier used by the repeat-bitmap scan.
+pub fn chosen_repeat_bitmap() -> Tier {
     crate::choose(&[Tier::Avx2, Tier::Swar])
 }
 
-/// Tier used by the bitmap-expansion kernels.
-pub fn chosen_expand() -> Tier {
+/// Tier used by the nonzero-bitmap expansion.
+pub fn chosen_expand_nonzero() -> Tier {
+    crate::choose(&[Tier::Avx512, Tier::Avx2, Tier::Swar])
+}
+
+/// Tier used by the repeat-bitmap expansion.
+pub fn chosen_expand_repeat() -> Tier {
     crate::choose(&[Tier::Avx2, Tier::Swar])
 }
 
@@ -90,9 +103,11 @@ pub fn zero_bitmap_swar(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
 /// Dispatched nonzero-bitmap scan. `bitmap` must be zeroed and exactly
 /// `data.len().div_ceil(8)` bytes (or longer).
 pub fn zero_bitmap(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
-    let tier = chosen_bitmap();
+    let tier = chosen_zero_bitmap();
     crate::record(tier);
     match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx512 => crate::x86::zero_bitmap_avx512(data, bitmap, kept),
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::zero_bitmap_avx2(data, bitmap, kept),
         Tier::Swar => zero_bitmap_swar(data, bitmap, kept),
@@ -140,7 +155,7 @@ pub fn repeat_bitmap_swar(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
 
 /// Dispatched repeat-bitmap scan; same `bitmap` contract as [`zero_bitmap`].
 pub fn repeat_bitmap(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
-    let tier = chosen_bitmap();
+    let tier = chosen_repeat_bitmap();
     crate::record(tier);
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -180,7 +195,7 @@ pub fn expand_repeat_tail(
 /// Returns the number of `src` bytes consumed, or `None` if `src` is
 /// exhausted (the caller maps this to its own EOF error).
 pub fn expand_repeat(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>) -> Option<usize> {
-    let tier = chosen_expand();
+    let tier = chosen_expand_repeat();
     crate::record(tier);
     match tier {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -250,9 +265,11 @@ pub fn expand_nonzero_tail(
 ///
 /// Returns `src` bytes consumed, or `None` on exhaustion.
 pub fn expand_nonzero(bitmap: &[u8], count: usize, src: &[u8], out: &mut Vec<u8>) -> Option<usize> {
-    let tier = chosen_expand();
+    let tier = chosen_expand_nonzero();
     crate::record(tier);
     match tier {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Tier::Avx512 => crate::x86::expand_nonzero_avx512(bitmap, count, src, out),
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         Tier::Avx2 => crate::x86::expand_avx2(bitmap, count, None, src, out),
         Tier::Swar => expand_nonzero_swar(bitmap, count, src, out),
@@ -491,6 +508,83 @@ mod tests {
                 let want = run_len_scalar(&data, i);
                 assert_eq!(x86::run_len_avx2(&data, i), want, "avx2 run at {i}");
                 i += want;
+            }
+        }
+    }
+
+    /// The AVX-512 level-0 kernels, called by name, against the scalar
+    /// references. Scan: lengths 0..=200 and 16 KiB ± 1 at zero densities
+    /// from none to all, after a prefix the kernel must leave untouched.
+    /// Expand: the scan's output, then hostile input: `src` cut short (more
+    /// set bits than it holds), bitmap bits set past `count`, and a bitmap
+    /// shorter than `count` needs.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn avx512_matches_scalar() {
+        use crate::x86;
+        if !Tier::Avx512.available() {
+            return;
+        }
+        let prefix = [0xA5u8; 5];
+        let mut rng = fpc_prng::Rng::seed_from_u64(0x52_5A45);
+        let lens = (0..=200).chain([16383, 16384, 16385]);
+        for (len, zeros_in_8) in lens.flat_map(|n| (0..=8).map(move |z| (n, z))) {
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    if r % 8 < zeros_in_8 {
+                        0
+                    } else {
+                        (r >> 8) as u8 | 1
+                    }
+                })
+                .collect();
+            let case = format!("len {len} zeros {zeros_in_8}/8");
+            let (bm, kept) = scalar_zero(&data);
+            let mut bm2 = vec![0u8; bm.len()];
+            let mut kept2 = prefix.to_vec();
+            x86::zero_bitmap_avx512(&data, &mut bm2, &mut kept2);
+            assert_eq!(bm2, bm, "scan bitmap, {case}");
+            assert_eq!(kept2[..5], prefix, "scan prefix, {case}");
+            assert_eq!(kept2[5..], kept, "scan kept, {case}");
+
+            let mut noisy = bm.clone();
+            if len % 8 != 0 {
+                *noisy.last_mut().unwrap() |= 0xFF << (len % 8);
+            }
+            noisy.extend([0xFF; 9]);
+            let n = kept.len();
+            let cuts = [0, n / 2, n.saturating_sub(64), n.saturating_sub(1), n];
+            for (bitmap, cut) in [&bm[..], &noisy]
+                .into_iter()
+                .flat_map(|b| cuts.iter().map(move |&c| (b, c)))
+            {
+                let src = &kept[..cut];
+                let mut want = prefix.to_vec();
+                let want_used = expand_nonzero_tail(bitmap, 0, len, src, 0, &mut want);
+                let mut got = prefix.to_vec();
+                let used = x86::expand_nonzero_avx512(bitmap, len, src, &mut got);
+                let case = format!("{case} bitmap {}/{} cut {cut}/{n}", bitmap.len(), bm.len());
+                assert_eq!(used, want_used, "expand result, {case}");
+                assert_eq!(got, want, "expand output, {case}");
+            }
+            // A bitmap shorter than `count` needs: the reference panics on
+            // its first missing byte, and the kernel must fall back to it
+            // rather than read past the bitmap.
+            if len > 0 && zeros_in_8 == 4 {
+                let short = &bm[..bm.len() - 1];
+                let expand = |kernel: bool| {
+                    std::panic::catch_unwind(|| {
+                        let mut out = Vec::new();
+                        if kernel {
+                            x86::expand_nonzero_avx512(short, len, &kept, &mut out)
+                        } else {
+                            expand_nonzero_tail(short, 0, len, &kept, 0, &mut out)
+                        }
+                    })
+                    .is_err()
+                };
+                assert!(expand(false) && expand(true), "short bitmap, {case}");
             }
         }
     }

@@ -3,16 +3,24 @@
 //! This crate is the one place that chooses between a kernel's scalar
 //! reference and its fast paths. Every dispatched entry point carries its
 //! own scalar reference (one word or byte at a time; bit-packing's
-//! `BitWriter` reference stays in `fpc_entropy::bitpack`) and at most two
-//! fast implementations:
+//! `BitWriter` reference stays in `fpc_entropy::bitpack`) and fast
+//! implementations from up to three tiers:
 //!
 //! * **SWAR** — portable "SIMD within a register" on `u64` accumulators.
 //!   Pure safe Rust; runs under Miri and on every architecture (the
 //!   cross-arch CI job runs it on aarch64 and builds it for i686).
 //! * **AVX2** — `core::arch::x86_64` intrinsics, selected with
 //!   `is_x86_feature_detected!("avx2")`. The two DIFFMS prefix-sum decoders
-//!   are SSE2 code and run at this tier too. All `unsafe` in the
-//!   workspace's vector plumbing lives in the [`x86`] module.
+//!   are SSE2 code and run at this tier too.
+//! * **AVX-512** — the 32×32 bit transpose (GFNI) and RZE level 0's
+//!   zero-byte compaction and expansion (VBMI2), on hosts that report
+//!   `avx512f`, `avx512bw`, `avx512vbmi`, `avx512vbmi2`, `gfni` and
+//!   `popcnt`. Every other kernel runs its AVX2 form there. These kernels
+//!   never run on a host without all six features: AVX2-only hosts keep
+//!   the AVX2 kernels.
+//!
+//! All `unsafe` in the workspace's vector plumbing lives in the [`x86`]
+//! module.
 //!
 //! Every kernel must produce **byte-identical output** to its scalar
 //! reference: compressed streams are format-bearing, so a lane that rounds
@@ -43,6 +51,8 @@ pub enum Tier {
     Swar,
     /// `core::arch::x86_64` vectors on AVX2 hosts (runtime-detected).
     Avx2,
+    /// 512-bit vectors with VBMI, VBMI2 and GFNI (runtime-detected).
+    Avx512,
 }
 
 impl Tier {
@@ -60,6 +70,9 @@ impl Tier {
 pub fn detected() -> Tier {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
+        if x86::have_avx512() {
+            return Tier::Avx512;
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
             return Tier::Avx2;
         }
@@ -95,6 +108,7 @@ pub fn record(tier: Tier) {
         Tier::Scalar => fpc_metrics::Counter::SimdScalar,
         Tier::Swar => fpc_metrics::Counter::SimdSwar,
         Tier::Avx2 => fpc_metrics::Counter::SimdAvx2,
+        Tier::Avx512 => fpc_metrics::Counter::SimdAvx512,
     };
     fpc_metrics::incr(counter, 1);
 }
@@ -119,6 +133,7 @@ mod tests {
     fn tier_order_scalar_lowest() {
         assert!(Tier::Scalar < Tier::Swar);
         assert!(Tier::Swar < Tier::Avx2);
+        assert!(Tier::Avx2 < Tier::Avx512);
     }
 
     #[test]
@@ -140,13 +155,33 @@ mod tests {
             ("diffms.encode64", diffms::chosen_encode64()),
             ("diffms.decode64", diffms::chosen_decode64()),
             ("bit.transpose32", transpose::chosen32()),
-            ("rze.bitmap", bytescan::chosen_bitmap()),
-            ("rze.expand", bytescan::chosen_expand()),
+            ("rze.zero_bitmap", bytescan::chosen_zero_bitmap()),
+            ("rze.repeat_bitmap", bytescan::chosen_repeat_bitmap()),
+            ("rze.expand_nonzero", bytescan::chosen_expand_nonzero()),
+            ("rze.expand_repeat", bytescan::chosen_expand_repeat()),
             ("rle.runscan", bytescan::chosen_run()),
             ("bitpack.pack", bitpack::chosen_pack()),
             ("bitpack.unpack", bitpack::chosen_unpack()),
         ] {
             assert!(tier <= active(), "{name} chose {tier:?} above active");
+        }
+        // Only the transpose and RZE level 0 have AVX-512 kernels; the
+        // other kernels stay at AVX2 on an AVX-512 host.
+        let avx512 = active() == Tier::Avx512;
+        for (name, tier) in [
+            ("bit.transpose32", transpose::chosen32()),
+            ("rze.zero_bitmap", bytescan::chosen_zero_bitmap()),
+            ("rze.expand_nonzero", bytescan::chosen_expand_nonzero()),
+        ] {
+            assert_eq!(tier == Tier::Avx512, avx512, "{name} chose {tier:?}");
+        }
+        for (name, tier) in [
+            ("diffms.encode32", diffms::chosen_encode32()),
+            ("rze.repeat_bitmap", bytescan::chosen_repeat_bitmap()),
+            ("rze.expand_repeat", bytescan::chosen_expand_repeat()),
+            ("rle.runscan", bytescan::chosen_run()),
+        ] {
+            assert!(tier <= Tier::Avx2, "{name} chose {tier:?}");
         }
     }
 }

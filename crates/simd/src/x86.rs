@@ -1,6 +1,7 @@
 //! `core::arch::x86_64` kernel implementations: the AVX2 tier's kernels,
-//! plus the SSE2 DIFFMS prefix-sum decoders that also run at that tier
-//! (SSE2 is part of the x86_64 baseline). DIFFMS has one kernel per
+//! the SSE2 DIFFMS prefix-sum decoders that also run at that tier
+//! (SSE2 is part of the x86_64 baseline), and the AVX-512 tier's bit
+//! transpose and RZE level-0 kernels. DIFFMS has one kernel per
 //! direction and width, fused with the little-endian load (encode) or
 //! store (decode); the in-place word-slice loops in
 //! `fpc_transforms::diffms` are its scalar definition, not a second kernel.
@@ -27,6 +28,18 @@ use core::arch::x86_64::*;
 #[inline]
 fn have_avx2() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// Whether the host has every feature the AVX-512 tier's kernels enable.
+/// `popcnt` rides along for the kernels' advance counts; every AVX-512
+/// CPU has it.
+pub(crate) fn have_avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512vbmi")
+        && std::arch::is_x86_feature_detected!("avx512vbmi2")
+        && std::arch::is_x86_feature_detected!("gfni")
+        && std::arch::is_x86_feature_detected!("popcnt")
 }
 
 // ---------------------------------------------------------------- diffms --
@@ -301,6 +314,81 @@ unsafe fn swap_step<const J: i32, const BLEND: i32>(
     _mm256_xor_si256(r, update)
 }
 
+/// `vpermt2b` indices gathering each 8×8 bit block of a 32-word group
+/// into one qword. The group is 128 bytes, byte `4r + q` holding bits
+/// `8q..8q + 8` of row `r`. Qword `4R + q` collects byte `q` of rows
+/// `8R..8R + 8`, row `8R + u` in its byte `u`.
+#[rustfmt::skip]
+pub(crate) static TRANSPOSE_GATHER: [u8; 128] = [
+      0,   4,   8,  12,  16,  20,  24,  28,   1,   5,   9,  13,  17,  21,  25,  29,
+      2,   6,  10,  14,  18,  22,  26,  30,   3,   7,  11,  15,  19,  23,  27,  31,
+     32,  36,  40,  44,  48,  52,  56,  60,  33,  37,  41,  45,  49,  53,  57,  61,
+     34,  38,  42,  46,  50,  54,  58,  62,  35,  39,  43,  47,  51,  55,  59,  63,
+     64,  68,  72,  76,  80,  84,  88,  92,  65,  69,  73,  77,  81,  85,  89,  93,
+     66,  70,  74,  78,  82,  86,  90,  94,  67,  71,  75,  79,  83,  87,  91,  95,
+     96, 100, 104, 108, 112, 116, 120, 124,  97, 101, 105, 109, 113, 117, 121, 125,
+     98, 102, 106, 110, 114, 118, 122, 126,  99, 103, 107, 111, 115, 119, 123, 127,
+];
+
+/// `vpermt2b` indices scattering the transposed blocks into place. The
+/// reference network maps bit `b` of row `r` to bit `31 - r` of row
+/// `31 - b`, so after the affine op, byte `j` of qword `4R + q` is byte
+/// `3 - R` of row `31 - 8q - j`, bit for bit. The unit test
+/// `transpose::tests::avx512_tables_derive_from_reference` rebuilds both
+/// tables from the scalar network alone.
+#[rustfmt::skip]
+pub(crate) static TRANSPOSE_SCATTER: [u8; 128] = [
+    127,  95,  63,  31, 126,  94,  62,  30, 125,  93,  61,  29, 124,  92,  60,  28,
+    123,  91,  59,  27, 122,  90,  58,  26, 121,  89,  57,  25, 120,  88,  56,  24,
+    119,  87,  55,  23, 118,  86,  54,  22, 117,  85,  53,  21, 116,  84,  52,  20,
+    115,  83,  51,  19, 114,  82,  50,  18, 113,  81,  49,  17, 112,  80,  48,  16,
+    111,  79,  47,  15, 110,  78,  46,  14, 109,  77,  45,  13, 108,  76,  44,  12,
+    107,  75,  43,  11, 106,  74,  42,  10, 105,  73,  41,   9, 104,  72,  40,   8,
+    103,  71,  39,   7, 102,  70,  38,   6, 101,  69,  37,   5, 100,  68,  36,   4,
+     99,  67,  35,   3,  98,  66,  34,   2,  97,  65,  33,   1,  96,  64,  32,   0,
+];
+
+/// Transposes every complete 32-word group of `values` in place with
+/// AVX-512 VBMI and GFNI; trailing words that do not fill a group are
+/// untouched.
+pub fn transpose32_avx512(values: &mut [u32]) {
+    assert!(have_avx512(), "AVX-512 VBMI/VBMI2/GFNI unavailable");
+    // SAFETY: the features were checked above; every group is 32 whole
+    // words of `values`.
+    unsafe { transpose32_avx512_impl(values) }
+}
+
+/// Per group: two `vpermt2b` gather the sixteen 8×8 blocks into qwords,
+/// one `vgf2p8affineqb` per register transposes each block (with `x`
+/// byte `j` = `1 << j`, output byte `j` bit `i` is matrix byte `7 - i`
+/// bit `j`), and two `vpermt2b` scatter the bytes to their rows.
+///
+/// # Safety
+///
+/// The host must have the features `have_avx512` checks.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,gfni")]
+unsafe fn transpose32_avx512_impl(values: &mut [u32]) {
+    let gather_lo = _mm512_loadu_si512(TRANSPOSE_GATHER.as_ptr().cast());
+    let gather_hi = _mm512_loadu_si512(TRANSPOSE_GATHER.as_ptr().add(64).cast());
+    let scatter_lo = _mm512_loadu_si512(TRANSPOSE_SCATTER.as_ptr().cast());
+    let scatter_hi = _mm512_loadu_si512(TRANSPOSE_SCATTER.as_ptr().add(64).cast());
+    let unit = _mm512_set1_epi64(0x8040_2010_0804_0201_u64 as i64);
+    for group in values.chunks_exact_mut(32) {
+        let p = group.as_mut_ptr();
+        let a = _mm512_loadu_si512(p.cast());
+        let b = _mm512_loadu_si512(p.add(16).cast());
+        let blocks_lo = _mm512_permutex2var_epi8(a, gather_lo, b);
+        let blocks_hi = _mm512_permutex2var_epi8(a, gather_hi, b);
+        let t_lo = _mm512_gf2p8affine_epi64_epi8::<0>(unit, blocks_lo);
+        let t_hi = _mm512_gf2p8affine_epi64_epi8::<0>(unit, blocks_hi);
+        _mm512_storeu_si512(p.cast(), _mm512_permutex2var_epi8(t_lo, scatter_lo, t_hi));
+        _mm512_storeu_si512(
+            p.add(16).cast(),
+            _mm512_permutex2var_epi8(t_lo, scatter_hi, t_hi),
+        );
+    }
+}
+
 // -------------------------------------------------------------- bytescan --
 
 /// 256 `pshufb` controls indexed by one bitmap byte, one 8-byte lane list
@@ -403,6 +491,46 @@ unsafe fn zero_bitmap_avx2_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u
         w = compact32(block.as_ptr(), nz, dst, w);
     }
     kept.set_len(kept.len() + w);
+}
+
+/// Builds the nonzero bitmap of `data` and collects nonzero bytes
+/// (AVX-512): same contract as [`zero_bitmap_avx2`].
+pub fn zero_bitmap_avx512(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) {
+    assert!(have_avx512(), "AVX-512 VBMI/VBMI2/GFNI unavailable");
+    kept.reserve(data.len());
+    // SAFETY: the features were checked above, and `kept` has spare
+    // capacity for every byte of `data`.
+    let done = unsafe { zero_bitmap_avx512_impl(data, bitmap, kept) };
+    crate::bytescan::zero_bitmap_tail(data, done, bitmap, kept);
+}
+
+/// Scans whole 64-byte blocks while `bitmap` has 8 bytes for them and
+/// returns the bytes scanned. Per block, `vptestmb` gives the 64 bitmap
+/// bits, `vpcompressb` packs the nonzero bytes to the front of a register,
+/// which is stored whole at the write position; that advances by the
+/// mask's popcount, so the next store overwrites the unkept lanes.
+///
+/// # Safety
+///
+/// The host must have the features `have_avx512` checks, and `kept` must
+/// have `data.len()` bytes of spare capacity.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi2,popcnt")]
+unsafe fn zero_bitmap_avx512_impl(data: &[u8], bitmap: &mut [u8], kept: &mut Vec<u8>) -> usize {
+    let dst = kept.as_mut_ptr().add(kept.len());
+    let (blocks, _) = data.as_chunks::<64>();
+    let (bitmap_words, _) = bitmap.as_chunks_mut::<8>();
+    let (mut w, mut done) = (0, 0);
+    for (block, bits) in blocks.iter().zip(bitmap_words) {
+        let v = _mm512_loadu_si512(block.as_ptr().cast());
+        let nonzero = _mm512_test_epi8_mask(v, v);
+        *bits = nonzero.to_le_bytes();
+        // Kept bytes never outnumber scanned bytes: w + 64 <= done + 64.
+        _mm512_storeu_si512(dst.add(w).cast(), _mm512_maskz_compress_epi8(nonzero, v));
+        w += nonzero.count_ones() as usize;
+        done += 64;
+    }
+    kept.set_len(kept.len() + w);
+    done
 }
 
 /// Builds the differs-from-predecessor bitmap and collects differing bytes
@@ -513,6 +641,69 @@ pub fn expand_avx2(
         Some(_) => expand_repeat_tail(bitmap, start, count, prev, src, pos, out),
         None => expand_nonzero_tail(bitmap, start, count, src, pos, out),
     }
+}
+
+/// Expands the nonzero-bitmap-coded bytes `0..count` onto `out`
+/// (AVX-512). Returns what `expand_nonzero_tail` returns (from `start = 0,
+/// pos = 0`) and appends the same bytes, also on hostile input: like
+/// [`expand_avx2`], it runs the scalar reference from the start when the
+/// whole bitmap bytes below `count` have more set bits than `src` holds,
+/// or `bitmap` is short.
+pub fn expand_nonzero_avx512(
+    bitmap: &[u8],
+    count: usize,
+    src: &[u8],
+    out: &mut Vec<u8>,
+) -> Option<usize> {
+    assert!(have_avx512(), "AVX-512 VBMI/VBMI2/GFNI unavailable");
+    let fits = bitmap
+        .get(..count / 8)
+        .is_some_and(|blocks| set_bits(blocks) <= src.len());
+    let (start, pos) = if fits {
+        let groups = bitmap
+            .as_chunks::<8>()
+            .0
+            .get(..count / 64)
+            .unwrap_or_default();
+        out.reserve(count);
+        // SAFETY: the features were checked above; `out` has spare
+        // capacity for the `64 * groups.len() <= count` bytes written, and
+        // the groups' set bits fit in `src`.
+        unsafe {
+            let dst = out.as_mut_ptr().add(out.len());
+            let pos = expand_nonzero_avx512_impl(groups, src, dst);
+            out.set_len(out.len() + 64 * groups.len());
+            (64 * groups.len(), pos)
+        }
+    } else {
+        (0, 0)
+    };
+    crate::bytescan::expand_nonzero_tail(bitmap, start, count, src, pos, out)
+}
+
+/// Writes `64 * groups.len()` expanded bytes to `dst` and returns the
+/// `src` bytes consumed. Per group of 8 bitmap bytes: a masked load of
+/// the next `popcount` source bytes (lanes past them are neither read nor
+/// faulted on), then `vpexpandb` places them at the set bits and zeroes
+/// the rest.
+///
+/// # Safety
+///
+/// The host must have the features `have_avx512` checks, `dst` must be
+/// writable for `64 * groups.len()` bytes, and `src` must hold at least
+/// as many bytes as `groups` has set bits.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi2,popcnt")]
+unsafe fn expand_nonzero_avx512_impl(groups: &[[u8; 8]], src: &[u8], dst: *mut u8) -> usize {
+    let mut pos = 0;
+    for (g, bits) in groups.iter().enumerate() {
+        let mask = u64::from_le_bytes(*bits);
+        let n = mask.count_ones();
+        let take = u64::MAX.checked_shr(64 - n).unwrap_or(0);
+        let v = _mm512_maskz_loadu_epi8(take, src.as_ptr().add(pos).cast());
+        _mm512_storeu_si512(dst.add(64 * g).cast(), _mm512_maskz_expand_epi8(mask, v));
+        pos += n as usize;
+    }
+    pos
 }
 
 /// Number of set bits in `bytes`.
